@@ -11,10 +11,10 @@ Two report dialects share a home here:
 
       python3 bench/report_tools.py BENCH_PR2.json BENCH_PR3.json ...
 
-* ``rpcg-solve-report/v1`` — the per-solve records the engine emits.
-  ``load_solve_report`` validates one (file or already-parsed dict),
-  including the optional ``reduction_time`` overlap block of the pipelined
-  solvers.
+* ``rpcg-solve-report/v2`` — the per-solve records the engine emits.
+  ``load_solve_report`` validates one (file or already-parsed dict): every
+  top-level key must be present, and only the ``checkpoint`` and
+  ``scenario`` sections may be null.
 
 * ``rpcg-pipelined-overhead/v1`` — the depth x latency sweep the
   pipelined_overhead bench emits via --metrics-out (run_all embeds it as
@@ -31,7 +31,15 @@ import json
 import sys
 
 BENCH_SCHEMA = "rpcg-bench-report/v1"
-SOLVE_SCHEMA = "rpcg-solve-report/v1"
+SOLVE_SCHEMA = "rpcg-solve-report/v2"
+SOLVE_KEYS = (
+    "schema", "solver", "preconditioner", "converged", "iterations",
+    "rel_residual", "solver_residual_norm", "true_residual_norm",
+    "delta_metric", "sim_time", "sim_time_phase", "wall_seconds",
+    "redundancy_overhead_per_iteration", "reduction_time", "checkpoint",
+    "scenario", "checkpoints_written", "rolled_back_iterations", "recoveries",
+)
+SOLVE_NULLABLE = ("checkpoint", "scenario")
 PIPELINED_SCHEMA = "rpcg-pipelined-overhead/v1"
 
 
@@ -58,7 +66,7 @@ def load_bench_report(path):
 
 
 def load_solve_report(source):
-    """Validates one rpcg-solve-report/v1 record.
+    """Validates one rpcg-solve-report/v2 record.
 
     `source` is a path or an already-parsed dict (solve reports are usually
     embedded in other documents rather than stored standalone).
@@ -67,11 +75,14 @@ def load_solve_report(source):
     if report.get("schema") != SOLVE_SCHEMA:
         raise ReportError(f"solve report has schema "
                           f"{report.get('schema')!r}, expected {SOLVE_SCHEMA}")
-    reductions = report.get("reduction_time")
-    if reductions is not None:
-        for key in ("posted", "hidden", "exposed", "count"):
-            if key not in reductions:
-                raise ReportError(f"reduction_time block lacks '{key}'")
+    for key in SOLVE_KEYS:
+        if key not in report:
+            raise ReportError(f"solve report lacks '{key}'")
+        if report[key] is None and key not in SOLVE_NULLABLE:
+            raise ReportError(f"solve report key '{key}' is null")
+    for key in ("posted", "hidden", "exposed", "count"):
+        if key not in report["reduction_time"]:
+            raise ReportError(f"reduction_time block lacks '{key}'")
     return report
 
 

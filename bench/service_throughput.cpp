@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -135,8 +136,12 @@ int main(int argc, char** argv) {
   const CommonArgs args = CommonArgs::parse(argc, argv);
   const rpcg::Options o(argc, argv);
   const int copies = static_cast<int>(o.get_int("copies", 3));
+  // One worker per hardware thread (at most 8): more would oversubscribe the
+  // host, and jobs/s would measure the OS scheduler instead of the service.
+  const int default_workers = std::clamp(
+      static_cast<int>(std::thread::hardware_concurrency()), 1, 8);
   const int service_workers =
-      static_cast<int>(o.get_int("service-workers", 8));
+      static_cast<int>(o.get_int("service-workers", default_workers));
   const std::string metrics_out = o.get_string("metrics-out", "");
 
   const std::vector<JobSpec> jobs = make_batch(args, copies);

@@ -8,7 +8,6 @@
 #include "core/esr.hpp"           // esr_replace_and_refetch
 #include "solver/pcg_kernel.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace rpcg {
 
@@ -25,17 +24,12 @@ CheckpointRecoveryPcg::CheckpointRecoveryPcg(Cluster& cluster,
   RPCG_CHECK(opts_.interval >= 1, "checkpoint interval must be >= 1");
 }
 
-ResilientPcgResult CheckpointRecoveryPcg::solve(const DistVector& b,
-                                                DistVector& x,
-                                                const FailureSchedule& schedule) {
+engine::SolveReport CheckpointRecoveryPcg::solve(
+    const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
-  WallTimer wall;
-  std::array<double, kNumPhases> clock_at_entry{};
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    clock_at_entry[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph));
+  const engine::SolveMeter meter(cluster_);
 
   PcgKernel kernel(cluster_, *a_, *m_);
   const Phase it = Phase::kIteration;
@@ -43,7 +37,11 @@ ResilientPcgResult CheckpointRecoveryPcg::solve(const DistVector& b,
   const DotPair d0 = kernel.initialize(b, x, it);
   const double rnorm0 = std::sqrt(d0.rr);
 
-  ResilientPcgResult res;
+  engine::SolveReport res;
+  const CheckpointCostModel costs = resolved_costs();
+  res.checkpoint = engine::CheckpointSection{
+      to_string(costs.medium), opts_.interval, costs.write_per_element_s,
+      costs.read_per_element_s, costs.access_latency_s};
   CostedCheckpointStore ckpt(opts_.costs);
   int last_ckpt_saved_at = -1;
   FailureCursor cursor(schedule);
@@ -149,16 +147,7 @@ ResilientPcgResult CheckpointRecoveryPcg::solve(const DistVector& b,
     ++j;
   }
 
-  res.true_residual_norm = true_residual_norm(cluster_, *a_, b, x);
-  if (res.true_residual_norm > 0.0)
-    res.delta_metric = (res.solver_residual_norm - res.true_residual_norm) /
-                       res.true_residual_norm;
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    res.sim_time_phase[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph)) -
-        clock_at_entry[static_cast<std::size_t>(ph)];
-  for (const double t : res.sim_time_phase) res.sim_time += t;
-  res.wall_seconds = wall.seconds();
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 

@@ -18,7 +18,7 @@
 #include "core/checkpoint.hpp"
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
-#include "core/resilient_pcg.hpp"  // ResilientPcgResult
+#include "engine/solve_report.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
@@ -48,8 +48,8 @@ class CheckpointRecoveryPcg {
   /// Solves A x = b from the initial guess in x; failures are injected per
   /// schedule. Any failed-node subset with at least one survivor is
   /// recoverable; losing the whole cluster throws UnrecoverableFailure.
-  [[nodiscard]] ResilientPcgResult solve(const DistVector& b, DistVector& x,
-                                         const FailureSchedule& schedule = {});
+  [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
+                                          const FailureSchedule& schedule = {});
 
   /// The cost model with medium defaults resolved against the cluster's
   /// CommParams — what one checkpoint access actually charges.

@@ -6,40 +6,9 @@
 
 #include "core/factorization_cache.hpp"
 #include "sim/collectives.hpp"
-#include "solver/pcg.hpp"  // true_residual_norm
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace rpcg {
-
-namespace {
-
-[[nodiscard]] std::array<double, kNumPhases> phase_snapshot(
-    const Cluster& cluster) {
-  std::array<double, kNumPhases> at{};
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    at[static_cast<std::size_t>(ph)] =
-        cluster.clock().in_phase(static_cast<Phase>(ph));
-  return at;
-}
-
-void finalize_result(Cluster& cluster, const DistMatrix& a, const DistVector& b,
-                     const DistVector& x,
-                     const std::array<double, kNumPhases>& clock_at_entry,
-                     const WallTimer& wall, ResilientPcgResult& res) {
-  res.true_residual_norm = true_residual_norm(cluster, a, b, x);
-  if (res.true_residual_norm > 0.0)
-    res.delta_metric = (res.solver_residual_norm - res.true_residual_norm) /
-                       res.true_residual_norm;
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    res.sim_time_phase[static_cast<std::size_t>(ph)] =
-        cluster.clock().in_phase(static_cast<Phase>(ph)) -
-        clock_at_entry[static_cast<std::size_t>(ph)];
-  for (const double t : res.sim_time_phase) res.sim_time += t;
-  res.wall_seconds = wall.seconds();
-}
-
-}  // namespace
 
 /// The live iteration state at loop top k (k completed updates): the
 /// current-generation vectors r_k, u_k, w_k, the previous direction p_{k-1}
@@ -364,21 +333,26 @@ RecoveryStats PipelinedPcg::recover_deep(std::span<const NodeId> failed,
   return stats;
 }
 
-ResilientPcgResult PipelinedPcg::solve(const DistVector& b, DistVector& x,
-                                       const FailureSchedule& schedule) {
-  return opts_.depth == 1 ? solve_depth1(b, x, schedule)
-                          : solve_deep(b, x, schedule);
+engine::SolveReport PipelinedPcg::solve(const DistVector& b, DistVector& x,
+                                        const FailureSchedule& schedule) {
+  engine::SolveReport res = opts_.depth == 1 ? solve_depth1(b, x, schedule)
+                                             : solve_deep(b, x, schedule);
+  // The loops finish the report before their locals go out of scope, so the
+  // reductions the depth-l ring still holds complete after the time
+  // snapshot. Count them in the reduction accounting all the same.
+  res.reductions = cluster_.reduction_times();
+  res.redundancy_overhead_per_iteration = redundancy_step_cost_;
+  res.reduction_depth = opts_.depth;
+  return res;
 }
 
-ResilientPcgResult PipelinedPcg::solve_depth1(const DistVector& b,
-                                              DistVector& x,
-                                              const FailureSchedule& schedule) {
+engine::SolveReport PipelinedPcg::solve_depth1(
+    const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
-  WallTimer wall;
-  const std::array<double, kNumPhases> clock_at_entry =
-      phase_snapshot(cluster_);
+  const engine::SolveMeter meter(cluster_);
+  engine::SolveReport res;
 
   LoopState st(part);
   std::vector<std::vector<double>> halos;
@@ -394,7 +368,6 @@ ResilientPcgResult PipelinedPcg::solve_depth1(const DistVector& b,
   m_->apply(cluster_, st.r, st.u, it);
   a_->spmv(cluster_, st.u, st.w, halos, it);
 
-  ResilientPcgResult res;
   FailureCursor cursor(schedule);
   double rnorm0 = 0.0;
 
@@ -524,18 +497,17 @@ ResilientPcgResult PipelinedPcg::solve_depth1(const DistVector& b,
     st.alpha_prev = alpha;
   }
 
-  finalize_result(cluster_, *a_, b, x, clock_at_entry, wall, res);
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 
-ResilientPcgResult PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
-                                            const FailureSchedule& schedule) {
+engine::SolveReport PipelinedPcg::solve_deep(
+    const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
-  WallTimer wall;
-  const std::array<double, kNumPhases> clock_at_entry =
-      phase_snapshot(cluster_);
+  const engine::SolveMeter meter(cluster_);
+  engine::SolveReport res;
 
   DeepState st(part, layout_);
   std::vector<std::vector<double>> halos;
@@ -568,7 +540,6 @@ ResilientPcgResult PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
     return gram;
   };
 
-  ResilientPcgResult res;
   FailureCursor cursor(schedule);
   double rnorm0 = 0.0;
 
@@ -793,7 +764,7 @@ ResilientPcgResult PipelinedPcg::solve_deep(const DistVector& b, DistVector& x,
              st.n[static_cast<std::size_t>(L) - 1], halos, it);
   }
 
-  finalize_result(cluster_, *a_, b, x, clock_at_entry, wall, res);
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 

@@ -46,11 +46,12 @@
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
-#include "core/resilient_pcg.hpp"  // ResilientPcgResult, PcgOptions
+#include "engine/solve_report.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
 #include "sim/dist_vector.hpp"
+#include "solver/pcg.hpp"  // PcgOptions
 #include "solver/pipelined_kernel.hpp"
 #include "util/maybe_owned.hpp"
 
@@ -69,7 +70,7 @@ struct PipelinedPcgOptions {
   /// is the classic Ghysels–Vanroose iteration; deeper rings trade an
   /// l+1-generation u backup charge for l-1 extra iterations of hiding.
   int depth = 1;
-  /// Pipelined CG (this paper + PR 4) or pipelined CR (arXiv:1912.09230).
+  /// Pipelined CG (Ghysels–Vanroose) or pipelined CR (arXiv:1912.09230).
   PipelinedMethod method = PipelinedMethod::kConjugateGradient;
 };
 
@@ -93,8 +94,8 @@ class PipelinedPcg {
 
   /// Solves A x = b from the initial guess in x; failures are injected per
   /// schedule at the loop's SpMV, like the blocking engine.
-  [[nodiscard]] ResilientPcgResult solve(const DistVector& b, DistVector& x,
-                                         const FailureSchedule& schedule = {});
+  [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
+                                          const FailureSchedule& schedule = {});
 
   [[nodiscard]] const PipelinedPcgOptions& options() const { return opts_; }
 
@@ -130,15 +131,20 @@ class PipelinedPcg {
                              const DistVector& b, DistVector& x,
                              DeepState& st);
 
-  /// Depth-1 path (classic one-reduction-in-flight pipelining; the CG branch
-  /// is the historic PR 4 loop, bit-for-bit).
-  ResilientPcgResult solve_depth1(const DistVector& b, DistVector& x,
-                                  const FailureSchedule& schedule);
+  /// Depth-1 path (classic one-reduction-in-flight pipelining). It cannot
+  /// be folded into solve_deep without changing simulated time: at depth 1
+  /// the ring engine posts an nb = 8 Gram reduction (36 scalars) and waits
+  /// for it in the same iteration with only the backup record in between,
+  /// so nearly all of its latency is exposed. This loop posts 3 scalars and
+  /// hides them behind the M-apply and the SpMV. Every depth-1 solve — the
+  /// default of both pipelined families — would change its sim_time.
+  engine::SolveReport solve_depth1(const DistVector& b, DistVector& x,
+                                   const FailureSchedule& schedule);
 
   /// Depth >= 2 path: Gram-basis reduction ring with coefficient-space
   /// scalar prediction.
-  ResilientPcgResult solve_deep(const DistVector& b, DistVector& x,
-                                const FailureSchedule& schedule);
+  engine::SolveReport solve_deep(const DistVector& b, DistVector& x,
+                                 const FailureSchedule& schedule);
 
   Cluster& cluster_;
   const CsrMatrix* a_global_;

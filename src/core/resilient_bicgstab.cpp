@@ -164,16 +164,14 @@ void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
   records.push_back(std::move(rec));
 }
 
-BicgstabResult ResilientBicgstab::solve(const DistVector& b, DistVector& x,
-                                        const FailureSchedule& schedule) {
+engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
+                                             DistVector& x,
+                                             const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
   const Phase it = Phase::kIteration;
-  std::array<double, kNumPhases> at_entry{};
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    at_entry[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph));
+  const engine::SolveMeter meter(cluster_);
 
   DistVector r(part), r0(part), p(part), v(part), s(part), t(part);
   DistVector phat(part), shat(part);
@@ -192,16 +190,13 @@ BicgstabResult ResilientBicgstab::solve(const DistVector& b, DistVector& x,
   }
 
   const double rnorm0 = std::sqrt(dot(cluster_, r, r, it));
-  BicgstabResult res;
-  if (rnorm0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
+  engine::SolveReport res;
+  res.converged = rnorm0 == 0.0;
 
   FailureCursor cursor(schedule);
   double rho_prev = 1.0, alpha = 1.0, omega = 1.0;
 
-  for (int j = 0; j < opts_.max_iterations; ++j) {
+  for (int j = 0; !res.converged && j < opts_.max_iterations; ++j) {
     const double rho = dot(cluster_, r0, r, it);
     if (!(std::abs(rho) > 1e-300)) {
       throw DivergenceError("BiCGSTAB breakdown: rho ~ 0");
@@ -279,6 +274,7 @@ BicgstabResult ResilientBicgstab::solve(const DistVector& b, DistVector& x,
     const double rnorm = std::sqrt(dot(cluster_, r, r, it));
     res.iterations = j + 1;
     res.rel_residual = rnorm / rnorm0;
+    res.solver_residual_norm = rnorm;
     if (opts_.events.on_iteration) {
       IterationSnapshot snap;
       snap.iteration = res.iterations;
@@ -297,20 +293,7 @@ BicgstabResult ResilientBicgstab::solve(const DistVector& b, DistVector& x,
     }
   }
 
-  {
-    ClockPause pause(cluster_.clock());
-    DistVector ax(part);
-    a_->spmv(cluster_, x, ax, halos, it);
-    DistVector diff(part);
-    copy(cluster_, b, diff, it);
-    axpy(cluster_, -1.0, ax, diff, it);
-    res.true_residual_norm = std::sqrt(dot(cluster_, diff, diff, it));
-  }
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    res.sim_time_phase[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph)) -
-        at_entry[static_cast<std::size_t>(ph)];
-  for (const double tt : res.sim_time_phase) res.sim_time += tt;
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 

@@ -23,7 +23,6 @@
 //                                         derived from the inputs).
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "core/backup_store.hpp"
@@ -31,6 +30,7 @@
 #include "core/events.hpp"  // RecoveryRecord, SolverEvents
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
+#include "engine/solve_report.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
@@ -51,24 +51,14 @@ struct BicgstabOptions {
   SolverEvents events;
 };
 
-struct BicgstabResult {
-  bool converged = false;
-  int iterations = 0;
-  double rel_residual = 0.0;
-  double true_residual_norm = 0.0;
-  double sim_time = 0.0;
-  std::array<double, kNumPhases> sim_time_phase{};
-  std::vector<RecoveryRecord> recoveries;
-};
-
 class ResilientBicgstab {
  public:
   ResilientBicgstab(Cluster& cluster, const CsrMatrix& a_global,
                     const DistMatrix& a, const Preconditioner& m,
                     BicgstabOptions opts);
 
-  [[nodiscard]] BicgstabResult solve(const DistVector& b, DistVector& x,
-                                     const FailureSchedule& schedule = {});
+  [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
+                                          const FailureSchedule& schedule = {});
 
   [[nodiscard]] const RedundancyScheme& redundancy() const { return scheme_; }
 

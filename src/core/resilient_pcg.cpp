@@ -10,7 +10,6 @@
 #include "sim/collectives.hpp"
 #include "solver/pcg_kernel.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace rpcg {
 
@@ -66,16 +65,12 @@ void ResilientPcg::inject_failures(const std::vector<NodeId>& nodes,
   }
 }
 
-ResilientPcgResult ResilientPcg::solve(const DistVector& b, DistVector& x,
-                                       const FailureSchedule& schedule) {
+engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
+                                        const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
-  WallTimer wall;
-  std::array<double, kNumPhases> clock_at_entry{};
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    clock_at_entry[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph));
+  const engine::SolveMeter meter(cluster_);
 
   PcgKernel kernel(cluster_, *a_, *m_);
   const Phase it = Phase::kIteration;
@@ -85,7 +80,8 @@ ResilientPcgResult ResilientPcg::solve(const DistVector& b, DistVector& x,
   const DotPair d0 = kernel.initialize(b, x, it);
   const double rnorm0 = std::sqrt(d0.rr);
 
-  ResilientPcgResult res;
+  engine::SolveReport res;
+  res.redundancy_overhead_per_iteration = redundancy_step_cost_;
   CheckpointStorage ckpt;
   int last_ckpt_saved_at = -1;
   FailureCursor cursor(schedule);
@@ -236,7 +232,7 @@ ResilientPcgResult ResilientPcg::solve(const DistVector& b, DistVector& x,
     ++res.iterations;
     res.rel_residual = std::sqrt(d.rr) / rnorm0;
     res.solver_residual_norm = std::sqrt(d.rr);
-    if (opts_.observer || opts_.events.on_iteration) {
+    if (opts_.events.on_iteration) {
       IterationSnapshot snap;
       snap.iteration = res.iterations;
       snap.rel_residual = res.rel_residual;
@@ -244,8 +240,7 @@ ResilientPcgResult ResilientPcg::solve(const DistVector& b, DistVector& x,
       snap.r = &kernel.r;
       snap.z = &kernel.z;
       snap.p = &kernel.p;
-      if (opts_.observer) opts_.observer(snap);
-      if (opts_.events.on_iteration) opts_.events.on_iteration(snap);
+      opts_.events.on_iteration(snap);
     }
     if (res.rel_residual <= opts_.pcg.rtol) {
       res.converged = true;
@@ -255,16 +250,7 @@ ResilientPcgResult ResilientPcg::solve(const DistVector& b, DistVector& x,
     ++j;
   }
 
-  res.true_residual_norm = true_residual_norm(cluster_, *a_, b, x);
-  if (res.true_residual_norm > 0.0)
-    res.delta_metric = (res.solver_residual_norm - res.true_residual_norm) /
-                       res.true_residual_norm;
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    res.sim_time_phase[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph)) -
-        clock_at_entry[static_cast<std::size_t>(ph)];
-  for (const double t : res.sim_time_phase) res.sim_time += t;
-  res.wall_seconds = wall.seconds();
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 

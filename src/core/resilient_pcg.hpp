@@ -10,7 +10,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
+#include "engine/solve_report.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
@@ -60,27 +60,8 @@ struct ResilientPcgOptions {
   int checkpoint_interval = 50;
   /// Seed for the kRandom backup strategy.
   std::uint64_t strategy_seed = 0;
-  /// Called after every completed iteration (not after rollbacks/restarts).
-  /// Deprecated alias for events.on_iteration; both are invoked when set.
-  std::function<void(const IterationSnapshot&)> observer;
-  /// Typed event hooks (core/events.hpp), superseding `observer`.
+  /// Typed event hooks (core/events.hpp).
   SolverEvents events;
-};
-
-struct ResilientPcgResult {
-  bool converged = false;
-  /// Completed PCG iterations, including any redone after a rollback.
-  int iterations = 0;
-  double rel_residual = 0.0;
-  double solver_residual_norm = 0.0;
-  double true_residual_norm = 0.0;
-  double delta_metric = 0.0;  ///< Eqn. 7
-  double sim_time = 0.0;
-  std::array<double, kNumPhases> sim_time_phase{};
-  double wall_seconds = 0.0;
-  std::vector<RecoveryRecord> recoveries;
-  int checkpoints_written = 0;
-  int rolled_back_iterations = 0;  ///< work redone by the C/R baseline
 };
 
 class ResilientPcg {
@@ -99,8 +80,8 @@ class ResilientPcg {
 
   /// Solves A x = b from the initial guess in x; failures are injected per
   /// schedule. The cluster must have all nodes alive on entry.
-  [[nodiscard]] ResilientPcgResult solve(const DistVector& b, DistVector& x,
-                                         const FailureSchedule& schedule = {});
+  [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
+                                          const FailureSchedule& schedule = {});
 
   [[nodiscard]] const DistMatrix& matrix() const { return *a_; }
   [[nodiscard]] const RedundancyScheme& redundancy() const { return scheme_; }

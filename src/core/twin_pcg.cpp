@@ -9,7 +9,6 @@
 #include "core/esr.hpp"           // esr_replace_and_refetch
 #include "solver/pcg_kernel.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace rpcg {
 
@@ -44,17 +43,13 @@ void TwinPcg::sync_mirror(const DistVector& x, const DistVector& r,
   cluster_.charge(phase, cost);
 }
 
-ResilientPcgResult TwinPcg::solve(const DistVector& b, DistVector& x,
-                                  const FailureSchedule& schedule) {
+engine::SolveReport TwinPcg::solve(const DistVector& b, DistVector& x,
+                                   const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
   const int num_nodes = cluster_.num_nodes();
-  WallTimer wall;
-  std::array<double, kNumPhases> clock_at_entry{};
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    clock_at_entry[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph));
+  const engine::SolveMeter meter(cluster_);
 
   PcgKernel kernel(cluster_, *a_, *m_);
   const Phase it = Phase::kIteration;
@@ -62,7 +57,8 @@ ResilientPcgResult TwinPcg::solve(const DistVector& b, DistVector& x,
   const DotPair d0 = kernel.initialize(b, x, it);
   const double rnorm0 = std::sqrt(d0.rr);
 
-  ResilientPcgResult res;
+  engine::SolveReport res;
+  res.redundancy_overhead_per_iteration = sync_cost_;
   FailureCursor cursor(schedule);
 
   // Arm the mirror with the loop-top state of iteration 0.
@@ -188,16 +184,7 @@ ResilientPcgResult TwinPcg::solve(const DistVector& b, DistVector& x,
     ++j;
   }
 
-  res.true_residual_norm = true_residual_norm(cluster_, *a_, b, x);
-  if (res.true_residual_norm > 0.0)
-    res.delta_metric = (res.solver_residual_norm - res.true_residual_norm) /
-                       res.true_residual_norm;
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    res.sim_time_phase[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph)) -
-        clock_at_entry[static_cast<std::size_t>(ph)];
-  for (const double t : res.sim_time_phase) res.sim_time += t;
-  res.wall_seconds = wall.seconds();
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 

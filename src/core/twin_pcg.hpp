@@ -17,7 +17,7 @@
 
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
-#include "core/resilient_pcg.hpp"  // ResilientPcgResult
+#include "engine/solve_report.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
@@ -47,8 +47,8 @@ class TwinPcg {
   /// Solves A x = b from the initial guess in x; failures are injected per
   /// schedule. Throws UnrecoverableFailure when a failure union contains a
   /// complete buddy pair.
-  [[nodiscard]] ResilientPcgResult solve(const DistVector& b, DistVector& x,
-                                         const FailureSchedule& schedule = {});
+  [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
+                                          const FailureSchedule& schedule = {});
 
   /// Failure-free per-iteration cost of pushing the three updated blocks to
   /// the buddy (the dual-redundancy analog of Sec. 4.2's bound).

@@ -1,5 +1,6 @@
 #include "engine/solve_report.hpp"
 
+#include "solver/pcg.hpp"  // true_residual_norm
 #include "util/json.hpp"
 #include "util/json_writer.hpp"
 
@@ -20,7 +21,7 @@ constexpr const char* kPhaseNames[kNumPhases] = {"iteration", "redundancy",
 std::string SolveReport::to_json(int indent) const {
   JsonWriter w(indent);
   w.open();
-  w.field("schema", json_quote("rpcg-solve-report/v1"));
+  w.field("schema", json_quote("rpcg-solve-report/v2"));
   w.field("solver", json_quote(solver));
   w.field("preconditioner", json_quote(preconditioner));
   w.field("converged", fmt(converged));
@@ -38,39 +39,33 @@ std::string SolveReport::to_json(int indent) const {
   w.field("wall_seconds", fmt(wall_seconds));
   w.field("redundancy_overhead_per_iteration",
           fmt(redundancy_overhead_per_iteration));
-  if (report_reductions) {
-    w.open_field("reduction_time", "{");
-    w.field("posted", fmt(reductions.posted_s));
-    w.field("hidden", fmt(reductions.hidden_s));
-    w.field("exposed", fmt(reductions.exposed_s));
-    w.field("count", std::to_string(reductions.count));
-    w.field("depth", std::to_string(reduction_depth));
-    w.field("max_in_flight", std::to_string(reductions.max_in_flight), false);
-    w.close("}", true);
-  }
-  if (report_cache_stats) {
-    w.open_field("factorization_cache", "{");
-    w.field("hits", std::to_string(cache_stats.hits));
-    w.field("misses", std::to_string(cache_stats.misses));
-    w.field("invalidated", std::to_string(cache_stats.invalidated));
-    w.field("entries", std::to_string(cache_stats.entries), false);
-    w.close("}", true);
-  }
-  if (report_checkpoint) {
+  w.open_field("reduction_time", "{");
+  w.field("posted", fmt(reductions.posted_s));
+  w.field("hidden", fmt(reductions.hidden_s));
+  w.field("exposed", fmt(reductions.exposed_s));
+  w.field("count", std::to_string(reductions.count));
+  w.field("depth", std::to_string(reduction_depth));
+  w.field("max_in_flight", std::to_string(reductions.max_in_flight), false);
+  w.close("}", true);
+  if (checkpoint) {
     w.open_field("checkpoint", "{");
-    w.field("medium", json_quote(checkpoint_medium));
-    w.field("interval", std::to_string(checkpoint_interval));
-    w.field("write_per_element", fmt(checkpoint_write_per_element_s));
-    w.field("read_per_element", fmt(checkpoint_read_per_element_s));
-    w.field("access_latency", fmt(checkpoint_latency_s), false);
+    w.field("medium", json_quote(checkpoint->medium));
+    w.field("interval", std::to_string(checkpoint->interval));
+    w.field("write_per_element", fmt(checkpoint->write_per_element_s));
+    w.field("read_per_element", fmt(checkpoint->read_per_element_s));
+    w.field("access_latency", fmt(checkpoint->access_latency_s), false);
     w.close("}", true);
+  } else {
+    w.field("checkpoint", "null");
   }
-  if (report_scenario) {
+  if (scenario) {
     w.open_field("scenario", "{");
-    w.field("kind", json_quote(scenario_kind));
-    w.field("seed", std::to_string(scenario_seed));
-    w.field("events", std::to_string(scenario_events), false);
+    w.field("kind", json_quote(scenario->kind));
+    w.field("seed", std::to_string(scenario->seed));
+    w.field("events", std::to_string(scenario->events), false);
     w.close("}", true);
+  } else {
+    w.field("scenario", "null");
   }
   w.field("checkpoints_written", std::to_string(checkpoints_written));
   w.field("rolled_back_iterations", std::to_string(rolled_back_iterations));
@@ -106,72 +101,30 @@ std::string SolveReport::to_json(int indent) const {
   return std::move(w).str();
 }
 
-namespace {
-
-SolveReport common(std::string solver, std::string precond) {
-  SolveReport rep;
-  rep.solver = std::move(solver);
-  rep.preconditioner = std::move(precond);
-  return rep;
+SolveMeter::SolveMeter(const Cluster& cluster) {
+  for (int ph = 0; ph < kNumPhases; ++ph)
+    clock_at_entry_[static_cast<std::size_t>(ph)] =
+        cluster.clock().in_phase(static_cast<Phase>(ph));
 }
 
-}  // namespace
-
-SolveReport make_report(std::string solver, std::string precond,
-                        const ResilientPcgResult& r) {
-  SolveReport rep = common(std::move(solver), std::move(precond));
-  rep.converged = r.converged;
-  rep.iterations = r.iterations;
-  rep.rel_residual = r.rel_residual;
-  rep.solver_residual_norm = r.solver_residual_norm;
-  rep.true_residual_norm = r.true_residual_norm;
-  rep.delta_metric = r.delta_metric;
-  rep.sim_time = r.sim_time;
-  rep.sim_time_phase = r.sim_time_phase;
-  rep.wall_seconds = r.wall_seconds;
-  rep.recoveries = r.recoveries;
-  rep.checkpoints_written = r.checkpoints_written;
-  rep.rolled_back_iterations = r.rolled_back_iterations;
-  return rep;
-}
-
-SolveReport make_report(std::string solver, std::string precond,
-                        const PcgResult& r) {
-  SolveReport rep = common(std::move(solver), std::move(precond));
-  rep.converged = r.converged;
-  rep.iterations = r.iterations;
-  rep.rel_residual = r.rel_residual;
-  rep.solver_residual_norm = r.solver_residual_norm;
-  rep.true_residual_norm = r.true_residual_norm;
-  rep.delta_metric = r.delta_metric;
-  rep.sim_time = r.sim_time;
-  rep.sim_time_phase = r.sim_time_phase;
-  return rep;
-}
-
-SolveReport make_report(std::string solver, std::string precond,
-                        const BicgstabResult& r) {
-  SolveReport rep = common(std::move(solver), std::move(precond));
-  rep.converged = r.converged;
-  rep.iterations = r.iterations;
-  rep.rel_residual = r.rel_residual;
-  rep.true_residual_norm = r.true_residual_norm;
-  rep.sim_time = r.sim_time;
-  rep.sim_time_phase = r.sim_time_phase;
-  rep.recoveries = r.recoveries;
-  return rep;
-}
-
-SolveReport make_report(std::string solver, std::string precond,
-                        const StationaryResult& r) {
-  SolveReport rep = common(std::move(solver), std::move(precond));
-  rep.converged = r.converged;
-  rep.iterations = r.iterations;
-  rep.rel_residual = r.rel_residual;
-  rep.sim_time = r.sim_time;
-  rep.sim_time_phase = r.sim_time_phase;
-  rep.recoveries = r.recoveries;
-  return rep;
+void SolveMeter::finish(Cluster& cluster, const DistMatrix& a,
+                        const DistVector& b, const DistVector& x,
+                        SolveReport& rep) const {
+  rep.true_residual_norm = true_residual_norm(cluster, a, b, x);
+  if (rep.true_residual_norm > 0.0)
+    rep.delta_metric = (rep.solver_residual_norm - rep.true_residual_norm) /
+                       rep.true_residual_norm;
+  // Summed in phase order from zero, exactly as SimClock::total() does, so a
+  // solve on a fresh cluster reports sim_time == clock().total() bit for bit.
+  rep.sim_time = 0.0;
+  for (int ph = 0; ph < kNumPhases; ++ph) {
+    const auto i = static_cast<std::size_t>(ph);
+    rep.sim_time_phase[i] =
+        cluster.clock().in_phase(static_cast<Phase>(ph)) - clock_at_entry_[i];
+    rep.sim_time += rep.sim_time_phase[i];
+  }
+  rep.reductions = cluster.reduction_times();
+  rep.wall_seconds = wall_.seconds();
 }
 
 }  // namespace rpcg::engine

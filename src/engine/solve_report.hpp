@@ -1,28 +1,47 @@
-// The one structured result type of the engine API.
+// The one result type of every solver family.
 //
-// SolveReport subsumes the per-family result structs (PcgResult,
-// ResilientPcgResult, BicgstabResult, StationaryResult): every field that
-// any solver family reports has one canonical slot here, and fields a
-// family cannot produce stay at their zero defaults. It serializes to the
-// JSON dialect of the existing `rpcg-bench-report/v1` perf reports
-// (schema key `rpcg-solve-report/v1`), so per-solve records can be embedded
-// into — or diffed against — the bench trajectory snapshots.
+// Every engine — the reference PCG, the resilient, pipelined, checkpoint and
+// twin PCG variants, resilient BiCGSTAB and the stationary smoothers —
+// returns a SolveReport from its solve(), finished by the shared SolveMeter
+// below, so Table 2's time split and Table 3's residual deviation Delta
+// (Eqn. 7) mean the same thing for every family. The registry adapters add
+// only the names (and the scenario section, which only they know).
+//
+// to_json() writes schema `rpcg-solve-report/v2`: every key is always
+// present; the `checkpoint` and `scenario` sections are null when the solve
+// produced none.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/events.hpp"  // RecoveryRecord
-#include "core/factorization_cache.hpp"
-#include "core/resilient_pcg.hpp"
-#include "core/resilient_bicgstab.hpp"
-#include "sim/cluster.hpp"  // Phase, kNumPhases
-#include "solver/pcg.hpp"
-#include "solver/stationary.hpp"
+#include "sim/cluster.hpp"  // Phase, kNumPhases, ReductionTimes
+#include "sim/dist_matrix.hpp"
+#include "sim/dist_vector.hpp"
+#include "util/timer.hpp"
 
 namespace rpcg::engine {
+
+/// Resolved cost model of a costed checkpoint-recovery solve: the medium
+/// and what one checkpoint access actually charges.
+struct CheckpointSection {
+  std::string medium;
+  int interval = 0;
+  double write_per_element_s = 0.0;
+  double read_per_element_s = 0.0;
+  double access_latency_s = 0.0;
+};
+
+/// The generated failure scenario a solve ran against.
+struct ScenarioSection {
+  std::string kind;
+  std::uint64_t seed = 0;
+  int events = 0;  ///< generated failure events
+};
 
 struct SolveReport {
   /// Registry key of the solver that produced this report ("pcg",
@@ -32,11 +51,12 @@ struct SolveReport {
 
   // Convergence.
   bool converged = false;
+  /// Completed iterations, including any redone after a rollback.
   int iterations = 0;
   double rel_residual = 0.0;
   double solver_residual_norm = 0.0;
-  double true_residual_norm = 0.0;
-  double delta_metric = 0.0;  ///< Eqn. 7 residual deviation
+  double true_residual_norm = 0.0;  ///< ||b - A x||, recomputed at the end
+  double delta_metric = 0.0;        ///< Eqn. 7 residual deviation
 
   // Simulated time, total and per accounting phase.
   double sim_time = 0.0;
@@ -46,48 +66,21 @@ struct SolveReport {
   // Resilience accounting.
   std::vector<RecoveryRecord> recoveries;
   int checkpoints_written = 0;
-  int rolled_back_iterations = 0;  ///< work redone by the C/R baseline
+  int rolled_back_iterations = 0;  ///< work redone by the C/R baselines
   /// Failure-free per-iteration cost of the redundant copies (Sec. 4.2).
   double redundancy_overhead_per_iteration = 0.0;
 
   /// Split-phase reduction accounting of the solve's cluster (posted =
-  /// hidden + exposed; see sim/collectives.hpp). Populated in memory for
-  /// every registry solver; serialized only when `report_reductions` is set
-  /// (the pipelined solvers), so the `rpcg-solve-report/v1` JSON of the
-  /// pre-existing solvers stays byte-identical.
+  /// hidden + exposed; see sim/collectives.hpp).
   ReductionTimes reductions;
-  bool report_reductions = false;
-  /// Pipeline depth of the solve (1 = classic Ghysels–Vanroose pipelining);
-  /// serialized inside the reduction_time block next to its companion
-  /// `reductions.max_in_flight` observation.
+  /// Pipeline depth of the solve (1 for every blocking solver); serialized
+  /// inside the reduction_time block next to `reductions.max_in_flight`.
   int reduction_depth = 1;
 
-  /// Snapshot of the Problem's FactorizationCache at the end of the solve
-  /// (the cache is problem-lifetime, so counters accumulate across solves of
-  /// one Problem). Serialized only when `report_cache_stats` is set
-  /// (SolverConfig::report_cache_stats, opt-in like the reductions block),
-  /// so legacy `rpcg-solve-report/v1` output stays byte-identical.
-  FactorizationCache::Stats cache_stats;
-  bool report_cache_stats = false;
-
-  /// Resolved checkpoint cost model of the "checkpoint-recovery" family
-  /// (medium name, interval, actual per-element/latency charges).
-  /// Serialized only when `report_checkpoint` is set
-  /// (SolverConfig::report_checkpoint) — opt-in like the blocks above.
-  std::string checkpoint_medium;
-  int checkpoint_interval = 0;
-  double checkpoint_write_per_element_s = 0.0;
-  double checkpoint_read_per_element_s = 0.0;
-  double checkpoint_latency_s = 0.0;
-  bool report_checkpoint = false;
-
-  /// Generated failure scenario the solve ran against (kind, seed, number
-  /// of generated events). Serialized only when `report_scenario` is set
-  /// (SolverConfig::report_scenario).
-  std::string scenario_kind;
-  std::uint64_t scenario_seed = 0;
-  int scenario_events = 0;
-  bool report_scenario = false;
+  /// Set by the "checkpoint-recovery" family.
+  std::optional<CheckpointSection> checkpoint;
+  /// Set when the failure schedule was generated from a configured scenario.
+  std::optional<ScenarioSection> scenario;
 
   [[nodiscard]] double recovery_sim_time() const {
     return sim_time_phase[static_cast<std::size_t>(Phase::kRecovery)];
@@ -97,20 +90,28 @@ struct SolveReport {
   }
 
   /// Deterministic JSON (stable key order, shortest-round-trip doubles),
-  /// schema `rpcg-solve-report/v1`. `indent` shifts every line right by that
+  /// schema `rpcg-solve-report/v2`. `indent` shifts every line right by that
   /// many spaces so reports can be embedded in a surrounding document.
   [[nodiscard]] std::string to_json(int indent = 0) const;
 };
 
-/// Wrappers from the per-family result structs; `solver`/`precond` name
-/// what produced the result (registry keys when run through the engine).
-[[nodiscard]] SolveReport make_report(std::string solver, std::string precond,
-                                      const ResilientPcgResult& r);
-[[nodiscard]] SolveReport make_report(std::string solver, std::string precond,
-                                      const PcgResult& r);
-[[nodiscard]] SolveReport make_report(std::string solver, std::string precond,
-                                      const BicgstabResult& r);
-[[nodiscard]] SolveReport make_report(std::string solver, std::string precond,
-                                      const StationaryResult& r);
+/// The shared finish step of every solver family. Construct it at solve
+/// entry (it snapshots the per-phase clock and starts the wall timer); call
+/// finish() once the iteration loop is done.
+class SolveMeter {
+ public:
+  explicit SolveMeter(const Cluster& cluster);
+
+  /// Fills the true residual ||b - A x|| (on a paused clock) and Delta from
+  /// `rep.solver_residual_norm`, the per-phase simulated time since entry
+  /// and its sum in phase order, the cluster's reduction accounting, and
+  /// the wall time.
+  void finish(Cluster& cluster, const DistMatrix& a, const DistVector& b,
+              const DistVector& x, SolveReport& rep) const;
+
+ private:
+  std::array<double, kNumPhases> clock_at_entry_{};
+  WallTimer wall_;
+};
 
 }  // namespace rpcg::engine

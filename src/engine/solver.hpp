@@ -62,19 +62,12 @@ struct SolverConfig {
   /// live (memory vs disk) and, optionally, explicit per-element/latency
   /// charges overriding the medium defaults (core/checkpoint.hpp).
   CheckpointCostModel checkpoint;
-  /// Embed the resolved checkpoint cost model + interval into the report
-  /// JSON ("checkpoint" block). Opt-in: legacy `rpcg-solve-report/v1`
-  /// output stays byte-identical when unset.
-  bool report_checkpoint = false;
 
   /// Generated failure scenario (core/failure_scenario.hpp). When the
   /// schedule handed to solve() is empty and `scenario.kind` is not kNone,
   /// the resilient families solve against
   /// generate_scenario(scenario, nodes); an explicit schedule always wins.
   FailureScenarioConfig scenario;
-  /// Embed the scenario's kind/seed/event count into the report JSON
-  /// ("scenario" block). Opt-in like `report_checkpoint`.
-  bool report_scenario = false;
 
   /// Stationary family only.
   StationaryMethod stationary_method = StationaryMethod::kJacobi;
@@ -97,13 +90,6 @@ struct SolverConfig {
   /// FactorizationCache. Purely a host-side wall-clock optimization —
   /// reports are byte-identical either way.
   bool factorization_cache = true;
-  /// Embed a snapshot of the Problem's FactorizationCache counters
-  /// (hits/misses/invalidated/entries) into the report and its JSON.
-  /// Opt-in, like the pipelined family's reduction block: the legacy
-  /// `rpcg-solve-report/v1` output stays byte-identical when unset. Has no
-  /// effect when `factorization_cache` is false — a solve that bypassed the
-  /// cache reports no block rather than a misleading all-zero one.
-  bool report_cache_stats = false;
 
   /// Typed event hooks, forwarded to the underlying engine. The reference
   /// "pcg" solver supports no hooks (it exists as the bit-for-bit baseline).
@@ -112,13 +98,12 @@ struct SolverConfig {
   /// Reads --rtol, --max-iterations, --deadline, --recovery, --phi,
   /// --strategy, --strategy-seed, --local-rtol, --checkpoint-interval,
   /// --checkpoint-medium, --checkpoint-write-cost, --checkpoint-read-cost,
-  /// --checkpoint-latency, --report-checkpoint, --scenario,
-  /// --scenario-seed, --scenario-events, --scenario-nodes,
-  /// --scenario-horizon, --scenario-window, --scenario-rate,
-  /// --scenario-shape, --scenario-node-spread, --report-scenario,
+  /// --checkpoint-latency, --scenario, --scenario-seed, --scenario-events,
+  /// --scenario-nodes, --scenario-horizon, --scenario-window,
+  /// --scenario-rate, --scenario-shape, --scenario-node-spread,
   /// --stationary-method, --omega, --pipeline-depth, --exec, --workers,
-  /// --factorization-cache, --report-cache-stats. Unknown enum names throw
-  /// std::invalid_argument listing the valid keys.
+  /// --factorization-cache. Unknown enum names throw std::invalid_argument
+  /// listing the valid keys.
   [[nodiscard]] static SolverConfig from_options(const Options& o);
 };
 

@@ -2,12 +2,14 @@
 // the four solver families behind the uniform engine::Solver interface.
 //
 // Each adapter translates SolverConfig into the family's native options,
-// mints a fresh cluster from the Problem, runs the family's engine, and
-// wraps the native result into a SolveReport. Adding a family is one more
-// adapter + one register_solver() line here — nothing else in the repo
-// needs to know about it.
+// mints a fresh cluster from the Problem, runs the family's engine (which
+// returns a finished SolveReport), and names the report. Adding a family is
+// one more adapter + one register_solver() line here — nothing else in the
+// repo needs to know about it.
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "core/checkpoint_recovery.hpp"
 #include "core/errors.hpp"
@@ -49,18 +51,6 @@ void wire_esr_cache(EsrOptions& esr, Problem& problem,
   esr.cache = config.factorization_cache ? &problem.factorization_cache()
                                          : nullptr;
   if (esr.cache != nullptr) esr.matrix_key = problem.matrix_key();
-}
-
-/// Snapshot the Problem's cache counters into the report when the config
-/// opts in (solvers that can route ESR setups through the cache only).
-/// A solve that bypassed the cache (factorization_cache = false) gets no
-/// block at all — an all-zero snapshot would read as "cache ran with zero
-/// traffic" instead of "cache was off".
-void attach_cache_stats(SolveReport& rep, Problem& problem,
-                        const SolverConfig& config) {
-  if (!config.report_cache_stats || !config.factorization_cache) return;
-  rep.cache_stats = problem.factorization_cache().stats();
-  rep.report_cache_stats = true;
 }
 
 /// Renders the deadline-miss message once, so the hook-based and post-run
@@ -105,33 +95,38 @@ void enforce_deadline(const SolverConfig& config, const Cluster& cluster,
   }
 }
 
-/// The schedule a resilient solve actually runs: an explicit schedule wins;
-/// otherwise a configured scenario generates one for this cluster size.
-/// `forbid_pair_shift` lets a family overlay its own coverage constraint
-/// (twin-pcg forbids buddy pairs) without the caller knowing it.
-FailureSchedule effective_schedule(const SolverConfig& config,
-                                   const FailureSchedule& schedule,
-                                   int num_nodes, int forbid_pair_shift = 0) {
+/// The schedule a resilient solve actually runs, plus the report section
+/// describing it when it was generated from the config's scenario.
+struct RunSchedule {
+  FailureSchedule schedule;
+  std::optional<ScenarioSection> scenario;
+};
+
+/// An explicit schedule wins; otherwise a configured scenario generates one
+/// for this cluster size. `forbid_pair_shift` lets a family overlay its own
+/// coverage constraint (twin-pcg forbids buddy pairs) without the caller
+/// knowing it.
+RunSchedule effective_schedule(const SolverConfig& config,
+                               const FailureSchedule& schedule, int num_nodes,
+                               int forbid_pair_shift = 0) {
   if (!schedule.empty() || config.scenario.kind == ScenarioKind::kNone)
-    return schedule;
+    return {schedule, std::nullopt};
   FailureScenarioConfig scenario = config.scenario;
   if (forbid_pair_shift > 0) scenario.forbid_pair_shift = forbid_pair_shift;
-  return generate_scenario(scenario, num_nodes);
+  FailureSchedule generated = generate_scenario(scenario, num_nodes);
+  const auto events = static_cast<int>(generated.events().size());
+  return {std::move(generated),
+          ScenarioSection{to_string(scenario.kind), scenario.seed, events}};
 }
 
-/// Stamps the scenario block into the report when the config opts in and a
-/// scenario was actually configured (an explicit-schedule solve gets no
-/// block — it would describe events the solve never ran).
-void attach_scenario(SolveReport& rep, const SolverConfig& config,
-                     const FailureSchedule& ran) {
-  if (!config.report_scenario ||
-      config.scenario.kind == ScenarioKind::kNone) {
-    return;
-  }
-  rep.scenario_kind = to_string(config.scenario.kind);
-  rep.scenario_seed = config.scenario.seed;
-  rep.scenario_events = static_cast<int>(ran.events().size());
-  rep.report_scenario = true;
+/// Names a finished engine report after the registry key and preconditioner
+/// that produced it, and attaches the scenario section of its schedule.
+SolveReport named(SolveReport rep, std::string solver, std::string precond,
+                  std::optional<ScenarioSection> scenario = std::nullopt) {
+  rep.solver = std::move(solver);
+  rep.preconditioner = std::move(precond);
+  rep.scenario = std::move(scenario);
+  return rep;
 }
 
 /// The reference (non-resilient) PCG, wrapping the legacy pcg_solve free
@@ -152,13 +147,11 @@ class PcgSolver final : public Solver {
     PcgOptions opts;
     opts.rtol = config_.rtol;
     opts.max_iterations = config_.max_iterations;
-    const PcgResult res = pcg_solve(cluster, problem.matrix(),
-                                    problem.preconditioner(), problem.rhs(), x,
-                                    opts);
-    enforce_deadline(config_, cluster, res.iterations);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.reductions = cluster.reduction_times();
-    return rep;
+    SolveReport rep = pcg_solve(cluster, problem.matrix(),
+                                problem.preconditioner(), problem.rhs(), x,
+                                opts);
+    enforce_deadline(config_, cluster, rep.iterations);
+    return named(std::move(rep), name(), problem.preconditioner_name());
   }
 
  private:
@@ -174,7 +167,7 @@ class ResilientPcgSolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     ResilientPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
@@ -189,14 +182,8 @@ class ResilientPcgSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     ResilientPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                         problem.preconditioner(), opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.redundancy_overhead_per_iteration =
-        engine.redundancy_overhead_per_iteration();
-    rep.reductions = cluster.reduction_times();
-    attach_cache_stats(rep, problem, config_);
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
+                 problem.preconditioner_name(), std::move(run.scenario));
   }
 
  private:
@@ -206,9 +193,8 @@ class ResilientPcgSolver final : public Solver {
 /// Communication-hiding Krylov methods (core/pipelined_pcg.hpp). One engine
 /// serves four registry keys — {CG, CR} x {plain, resilient}: the plain keys
 /// ("pipelined-pcg", "pipelined-cr") pin phi = 0 and reject failure
-/// schedules; the resilient ones wire in the ESR configuration. All opt into
-/// the reduction_time block of the report JSON — overlap accounting is the
-/// point of the pipelined family — and honor config.pipeline_depth.
+/// schedules; the resilient ones wire in the ESR configuration. All honor
+/// config.pipeline_depth.
 class PipelinedSolver final : public Solver {
  public:
   PipelinedSolver(const SolverConfig& config, PipelinedMethod method,
@@ -232,9 +218,9 @@ class PipelinedSolver final : public Solver {
                      "'");
     }
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    RunSchedule run =
         resilient_ ? effective_schedule(config_, schedule, cluster.num_nodes())
-                   : schedule;
+                   : RunSchedule{schedule, std::nullopt};
     PipelinedPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
     opts.pcg.max_iterations = config_.max_iterations;
@@ -250,16 +236,8 @@ class PipelinedSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     PipelinedPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                         problem.preconditioner(), opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.redundancy_overhead_per_iteration =
-        engine.redundancy_overhead_per_iteration();
-    rep.reductions = cluster.reduction_times();
-    rep.report_reductions = true;
-    rep.reduction_depth = config_.pipeline_depth;
-    attach_cache_stats(rep, problem, config_);
-    if (resilient_) attach_scenario(rep, config_, sched);
-    return rep;
+    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
+                 problem.preconditioner_name(), std::move(run.scenario));
   }
 
  private:
@@ -279,7 +257,7 @@ class BicgstabSolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     BicgstabOptions opts;
     opts.rtol = config_.rtol;
@@ -292,12 +270,8 @@ class BicgstabSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     ResilientBicgstab engine(cluster, problem.matrix_global(), problem.matrix(),
                              problem.preconditioner(), opts);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(),
-                                  engine.solve(problem.rhs(), x, sched));
-    rep.reductions = cluster.reduction_times();
-    attach_cache_stats(rep, problem, config_);
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
+                 problem.preconditioner_name(), std::move(run.scenario));
   }
 
  private:
@@ -320,7 +294,7 @@ class CheckpointRecoverySolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     CheckpointRecoveryOptions opts;
     opts.pcg.rtol = config_.rtol;
@@ -331,20 +305,8 @@ class CheckpointRecoverySolver final : public Solver {
     CheckpointRecoveryPcg engine(cluster, problem.matrix_global(),
                                  problem.matrix(), problem.preconditioner(),
                                  opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.reductions = cluster.reduction_times();
-    if (config_.report_checkpoint) {
-      const CheckpointCostModel costs = engine.resolved_costs();
-      rep.checkpoint_medium = to_string(costs.medium);
-      rep.checkpoint_interval = opts.interval;
-      rep.checkpoint_write_per_element_s = costs.write_per_element_s;
-      rep.checkpoint_read_per_element_s = costs.read_per_element_s;
-      rep.checkpoint_latency_s = costs.access_latency_s;
-      rep.report_checkpoint = true;
-    }
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
+                 problem.preconditioner_name(), std::move(run.scenario));
   }
 
  private:
@@ -364,21 +326,16 @@ class TwinPcgSolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched = effective_schedule(
-        config_, schedule, cluster.num_nodes(), cluster.num_nodes() / 2);
+    RunSchedule run = effective_schedule(config_, schedule, cluster.num_nodes(),
+                                         cluster.num_nodes() / 2);
     TwinPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
     opts.pcg.max_iterations = config_.max_iterations;
     opts.events = deadline_events(config_, cluster);
     TwinPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                    problem.preconditioner(), opts);
-    const ResilientPcgResult res = engine.solve(problem.rhs(), x, sched);
-    SolveReport rep = make_report(name(), problem.preconditioner_name(), res);
-    rep.redundancy_overhead_per_iteration =
-        engine.redundancy_overhead_per_iteration();
-    rep.reductions = cluster.reduction_times();
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
+                 problem.preconditioner_name(), std::move(run.scenario));
   }
 
  private:
@@ -394,7 +351,7 @@ class StationarySolver final : public Solver {
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    const FailureSchedule sched =
+    RunSchedule run =
         effective_schedule(config_, schedule, cluster.num_nodes());
     StationaryOptions opts;
     opts.method = config_.stationary_method;
@@ -410,11 +367,8 @@ class StationarySolver final : public Solver {
     // The stationary family ignores the Problem's preconditioner ("none");
     // `solver` stays the registry key per the SolveReport contract, and the
     // method actually swept is the config's stationary_method.
-    SolveReport rep =
-        make_report(name(), "none", engine.solve(problem.rhs(), x, sched));
-    rep.reductions = cluster.reduction_times();
-    attach_scenario(rep, config_, sched);
-    return rep;
+    return named(engine.solve(problem.rhs(), x, run.schedule), name(), "none",
+                 std::move(run.scenario));
   }
 
  private:
@@ -446,7 +400,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
       o.get_double("checkpoint-read-cost", c.checkpoint.read_per_element_s);
   c.checkpoint.access_latency_s =
       o.get_double("checkpoint-latency", c.checkpoint.access_latency_s);
-  c.report_checkpoint = o.get_bool("report-checkpoint", c.report_checkpoint);
   c.scenario.kind = o.get_enum<ScenarioKind>("scenario", c.scenario.kind);
   c.scenario.seed = static_cast<std::uint64_t>(
       o.get_int("scenario-seed", static_cast<long>(c.scenario.seed)));
@@ -463,7 +416,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
       o.get_double("scenario-shape", c.scenario.weibull_shape);
   c.scenario.node_rate_spread =
       o.get_double("scenario-node-spread", c.scenario.node_rate_spread);
-  c.report_scenario = o.get_bool("report-scenario", c.report_scenario);
   c.stationary_method =
       o.get_enum<StationaryMethod>("stationary-method", c.stationary_method);
   c.omega = o.get_double("omega", c.omega);
@@ -473,7 +425,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   c.exec.workers = static_cast<int>(o.get_int("workers", c.exec.workers));
   c.factorization_cache =
       o.get_bool("factorization-cache", c.factorization_cache);
-  c.report_cache_stats = o.get_bool("report-cache-stats", c.report_cache_stats);
   return c;
 }
 

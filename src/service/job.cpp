@@ -23,13 +23,13 @@ constexpr const char* kConfigKeys[] = {
     "phi",            "strategy",        "strategy-seed",
     "local-rtol",     "checkpoint-interval", "stationary-method",
     "omega",          "exec",            "workers",
-    "factorization-cache", "report-cache-stats",
+    "factorization-cache",
     "checkpoint-medium",   "checkpoint-write-cost",
-    "checkpoint-read-cost", "checkpoint-latency", "report-checkpoint",
+    "checkpoint-read-cost", "checkpoint-latency",
     "scenario",       "scenario-seed",   "scenario-events",
     "scenario-nodes", "scenario-horizon", "scenario-window",
     "scenario-rate",  "scenario-shape",  "scenario-node-spread",
-    "report-scenario", "pipeline-depth",
+    "pipeline-depth",
 };
 
 // Keys the job parser consumes directly.

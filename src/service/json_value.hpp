@@ -1,7 +1,7 @@
 // Minimal owning JSON document for the service layer's job files.
 //
 // The repo *emits* JSON in two hand-rolled writers (rpcg-bench-report/v1 and
-// rpcg-solve-report/v1) but never had to read any: the batch job files of
+// rpcg-solve-report/v2) but never had to read any: the batch job files of
 // SolverService are the first input format. This parser covers exactly the
 // JSON the job format needs — null/bool/number/string/array/object, UTF-8
 // passed through verbatim, \uXXXX escapes limited to the BMP — and keeps

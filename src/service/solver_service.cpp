@@ -31,7 +31,6 @@ struct RunContext {
   const RetryPolicy* default_retry = nullptr;
   double default_deadline = 0.0;
   const FaultInjector* injector = nullptr;  ///< null when injection is off
-  bool robust = false;  ///< record attempts + emit /v2 (batch-wide)
   std::chrono::steady_clock::time_point t0;
   double wall_timeout = 0.0;
 };
@@ -43,6 +42,7 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
                  bool classify_budget, SharedFactorizationCache* shared,
                  const FaultInjector* injector, JobResult& result,
                  AttemptRecord& rec) {
+  result.report = engine::SolveReport{};  // never a stale earlier attempt's
   engine::SolverConfig config = spec.config;
   if (deadline > 0.0) config.deadline_sim_seconds = deadline;
   if (config.scenario.kind != ScenarioKind::kNone && attempt > 1) {
@@ -118,7 +118,6 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
   result.matrix_id = spec.matrix_id();
   result.solver = spec.solver;
   result.precond = spec.precond;
-  result.robust = ctx.robust;
 
   const auto t0 = std::chrono::steady_clock::now();
   if (ctx.wall_timeout > 0.0 && seconds_since(ctx.t0) > ctx.wall_timeout) {
@@ -148,7 +147,7 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
       run_attempt(spec, index, attempt, policy, deadline, classify_budget,
                   shared, ctx.injector, result, rec);
       result.error.clear();
-      if (ctx.robust) result.attempts.push_back(std::move(rec));
+      result.attempts.push_back(std::move(rec));
       break;
     } catch (const std::exception& e) {
       rec.ok = false;
@@ -157,7 +156,7 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
       result.error = rec.error;
       result.error_class = rec.error_class;
       const bool retryable = is_retryable(rec.error_class);
-      if (ctx.robust) result.attempts.push_back(std::move(rec));
+      result.attempts.push_back(std::move(rec));
       if (!retryable) break;
     }
   }
@@ -190,22 +189,11 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   SharedFactorizationCache* shared_ptr =
       options_.shared_cache ? &shared : nullptr;
 
-  bool robust = options_.retry.enabled() ||
-                options_.default_deadline_sim_seconds > 0.0 ||
-                options_.wall_timeout_seconds > 0.0 ||
-                options_.fault_injection.enabled;
-  for (const JobSpec& job : jobs) {
-    robust = robust || job.retry.enabled() ||
-             job.config.deadline_sim_seconds > 0.0;
-  }
-  summary.robust = robust;
-
   const FaultInjector injector(options_.fault_injection);
   RunContext ctx;
   ctx.default_retry = &options_.retry;
   ctx.default_deadline = options_.default_deadline_sim_seconds;
   ctx.injector = options_.fault_injection.enabled ? &injector : nullptr;
-  ctx.robust = robust;
   ctx.wall_timeout = options_.wall_timeout_seconds;
 
   // One mutex covers result storage, the in-flight bound, and the sink —
@@ -311,10 +299,8 @@ std::string AttemptRecord::to_json(int indent) const {
   w.field("scenario_seed", std::to_string(scenario_seed));
   w.field("backoff_sim_seconds", json_double(backoff_sim_seconds));
   w.field("status", json_quote(ok ? "ok" : "error"));
-  if (!ok) {
-    w.field("error_class", json_quote(rpcg::to_string(error_class)));
-    w.field("error", json_quote(error));
-  }
+  w.field("error_class", json_quote(ok ? "" : rpcg::to_string(error_class)));
+  w.field("error", json_quote(error));
   w.field("iterations", std::to_string(iterations));
   w.field("sim_time", json_double(sim_time), false);
   w.close("}", false);
@@ -330,28 +316,24 @@ std::string JobResult::to_json(int indent) const {
   w.field("solver", json_quote(solver));
   w.field("preconditioner", json_quote(precond));
   w.field("status", json_quote(ok() ? "ok" : "error"));
-  if (!ok()) {
-    w.field("error", json_quote(error));
-    if (robust) w.field("error_class", json_quote(rpcg::to_string(error_class)));
-  }
+  w.field("error", json_quote(error));
+  w.field("error_class",
+          json_quote(ok() ? "" : rpcg::to_string(error_class)));
   w.field("wall_seconds", json_double(wall_seconds));
-  const bool emit_attempts = robust && !attempts.empty();
   w.open_field("problem_cache", "{");
   w.field("hits", std::to_string(problem_cache.hits));
   w.field("misses", std::to_string(problem_cache.misses));
   w.field("invalidated", std::to_string(problem_cache.invalidated));
   w.field("entries", std::to_string(problem_cache.entries), false);
-  w.close("}", ok() || emit_attempts);
-  if (emit_attempts) {
-    w.open_field("attempts", "[");
-    for (std::size_t i = 0; i < attempts.size(); ++i) {
-      w.raw(attempts[i].to_json(w.current_indent()).substr(
-                static_cast<std::size_t>(w.current_indent())),
-            i + 1 < attempts.size());
-    }
-    w.close("]", ok());
+  w.close("}", true);
+  w.open_field("attempts", "[");
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    w.raw(attempts[i].to_json(w.current_indent()).substr(
+              static_cast<std::size_t>(w.current_indent())),
+          i + 1 < attempts.size());
   }
-  if (ok()) w.embed_field("report", report.to_json(w.current_indent()), false);
+  w.close("]", true);
+  w.embed_field("report", report.to_json(w.current_indent()), false);
   w.close("}", false);
   return std::move(w).str();
 }
@@ -359,31 +341,26 @@ std::string JobResult::to_json(int indent) const {
 std::string ServiceReport::to_json(int indent) const {
   JsonWriter w(indent);
   w.open();
-  w.field("schema", json_quote(robust ? "rpcg-service-report/v2"
-                                      : "rpcg-service-report/v1"));
+  w.field("schema", json_quote("rpcg-service-report/v3"));
   w.field("workers", std::to_string(workers));
   w.field("order", json_quote(service::to_string(order)));
   w.field("shared_cache", json_bool(shared_cache));
   w.open_field("summary", "{");
   w.field("jobs", std::to_string(jobs.size()));
   w.field("failed", std::to_string(failed));
-  if (robust) {
-    w.field("retries", std::to_string(retries));
-    w.field("escalations", std::to_string(escalations));
-    w.field("degraded", std::to_string(degraded));
-    w.field("deadline_misses", std::to_string(deadline_misses));
-  }
+  w.field("retries", std::to_string(retries));
+  w.field("escalations", std::to_string(escalations));
+  w.field("degraded", std::to_string(degraded));
+  w.field("deadline_misses", std::to_string(deadline_misses));
   w.field("total_factorizations", std::to_string(total_factorizations));
   w.field("wall_seconds", json_double(wall_seconds));
-  w.field("jobs_per_second", json_double(jobs_per_second), shared_cache);
-  if (shared_cache) {
-    w.open_field("shared_cache", "{");
-    w.field("hits", std::to_string(shared_stats.hits));
-    w.field("misses", std::to_string(shared_stats.misses));
-    w.field("evictions", std::to_string(shared_stats.evictions));
-    w.field("entries", std::to_string(shared_stats.entries), false);
-    w.close("}", false);
-  }
+  w.field("jobs_per_second", json_double(jobs_per_second));
+  w.open_field("shared_cache", "{");
+  w.field("hits", std::to_string(shared_stats.hits));
+  w.field("misses", std::to_string(shared_stats.misses));
+  w.field("evictions", std::to_string(shared_stats.evictions));
+  w.field("entries", std::to_string(shared_stats.entries), false);
+  w.close("}", false);
   w.close("}", true);
   w.open_field("jobs", "[");
   for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -25,10 +25,10 @@
 // Fault tolerance: every job failure is classified into an ErrorClass
 // (core/errors.hpp) and a job (or the batch) may declare a RetryPolicy —
 // retry-with-escalation through a fallback solver chain, deterministic
-// scenario re-draws via seed bumps, simulated backoff. When any robustness
-// feature is active the report carries a per-attempt history and upgrades
-// its schema to `rpcg-service-report/v2`; a batch with everything off emits
-// `rpcg-service-report/v1` byte-identical to the pre-taxonomy service.
+// scenario re-draws via seed bumps, simulated backoff. Every job records
+// its attempts, and the report (`rpcg-service-report/v3`) always carries the
+// error class, the attempt history and the robustness counters, whether or
+// not any robustness feature is active.
 #pragma once
 
 #include <array>
@@ -135,10 +135,8 @@ struct JobResult {
   std::string error;
   /// Classification of `error`; meaningless when ok().
   ErrorClass error_class = ErrorClass::kInternal;
-  /// Per-attempt history, recorded only when the batch is robust (so the
-  /// v1 JSON stays byte-identical when everything is off).
+  /// Per-attempt history; empty only for a job cut off before it started.
   std::vector<AttemptRecord> attempts;
-  bool robust = false;
   /// The job's per-Problem cache counters (deterministic: local misses are
   /// counted whether or not an upstream served them).
   FactorizationCache::Stats problem_cache;
@@ -151,17 +149,16 @@ struct JobResult {
   [[nodiscard]] std::string to_json(int indent = 0) const;
 };
 
-/// Whole-batch summary, schema `rpcg-service-report/v1` — or `/v2` when any
-/// robustness feature (retry, deadline, wall timeout, fault injection) is
-/// active. `jobs` is always in submission order regardless of the streaming
-/// order.
+/// Whole-batch summary, schema `rpcg-service-report/v3`. Every key is always
+/// present: a job's `error` and `error_class` are empty strings when it
+/// succeeded, and its `report` is the last attempt's (all zeros when that
+/// attempt never finished a solve). `jobs` is always in submission order
+/// regardless of the streaming order.
 struct ServiceReport {
   std::vector<JobResult> jobs;
   int workers = 0;
   OutputOrder order = OutputOrder::kSubmission;
   bool shared_cache = false;
-  /// Whether any robustness feature was active (selects the /v2 schema).
-  bool robust = false;
   SharedFactorizationCache::Stats shared_stats;
   /// Factorizations actually built: the shared cache's misses when it is
   /// on, the sum of per-Problem misses when it is off. The cache-on vs
@@ -169,7 +166,7 @@ struct ServiceReport {
   /// acceptance metric.
   std::uint64_t total_factorizations = 0;
   std::size_t failed = 0;
-  /// Robustness counters (serialized in the /v2 summary only).
+  /// Robustness counters.
   std::size_t retries = 0;          ///< attempts beyond each job's first
   std::size_t escalations = 0;      ///< attempts run on a fallback solver
   std::size_t degraded = 0;         ///< ok jobs that finished on a fallback

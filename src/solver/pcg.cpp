@@ -20,11 +20,12 @@ double true_residual_norm(Cluster& cluster, const DistMatrix& a,
   return std::sqrt(dot(cluster, diff, diff, Phase::kIteration));
 }
 
-PcgResult pcg_solve(Cluster& cluster, const DistMatrix& a,
-                    const Preconditioner& m, const DistVector& b, DistVector& x,
-                    const PcgOptions& opts) {
+engine::SolveReport pcg_solve(Cluster& cluster, const DistMatrix& a,
+                              const Preconditioner& m, const DistVector& b,
+                              DistVector& x, const PcgOptions& opts) {
   RPCG_CHECK(cluster.alive_count() == cluster.num_nodes(),
              "plain PCG cannot run with failed nodes");
+  const engine::SolveMeter meter(cluster);
   const Phase ph = Phase::kIteration;
   PcgKernel kernel(cluster, a, m);
 
@@ -32,10 +33,9 @@ PcgResult pcg_solve(Cluster& cluster, const DistMatrix& a,
   const DotPair d0 = kernel.initialize(b, x, ph);
   const double rnorm0 = std::sqrt(d0.rr);
 
-  PcgResult res;
+  engine::SolveReport res;
   if (rnorm0 == 0.0) {
     res.converged = true;
-    res.solver_residual_norm = 0.0;
   } else {
     for (int j = 0; j < opts.max_iterations; ++j) {
       kernel.spmv_direction(ph);                            // u = A p
@@ -54,15 +54,7 @@ PcgResult pcg_solve(Cluster& cluster, const DistMatrix& a,
     }
   }
 
-  res.true_residual_norm = true_residual_norm(cluster, a, b, x);
-  if (res.true_residual_norm > 0.0) {
-    res.delta_metric = (res.solver_residual_norm - res.true_residual_norm) /
-                       res.true_residual_norm;
-  }
-  res.sim_time = cluster.clock().total();
-  for (int ph_i = 0; ph_i < kNumPhases; ++ph_i)
-    res.sim_time_phase[static_cast<std::size_t>(ph_i)] =
-        cluster.clock().in_phase(static_cast<Phase>(ph_i));
+  meter.finish(cluster, a, b, x, res);
   return res;
 }
 

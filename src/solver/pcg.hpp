@@ -5,8 +5,7 @@
 // this one bit-for-bit in failure-free runs — a property the tests check.
 #pragma once
 
-#include <array>
-
+#include "engine/solve_report.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
@@ -21,27 +20,12 @@ struct PcgOptions {
   int max_iterations = 100000;
 };
 
-struct PcgResult {
-  bool converged = false;
-  int iterations = 0;
-  /// Relative *solver* residual (recurrence residual) at termination.
-  double rel_residual = 0.0;
-  /// ||r_solver||_2 at termination.
-  double solver_residual_norm = 0.0;
-  /// ||b - A x||_2 at termination (explicitly recomputed).
-  double true_residual_norm = 0.0;
-  /// Relative residual difference Delta of Eqn. 7:
-  /// (||r_solver|| - ||b - A x||) / ||b - A x||.
-  double delta_metric = 0.0;
-  /// Simulated seconds, total and per accounting phase.
-  double sim_time = 0.0;
-  std::array<double, kNumPhases> sim_time_phase{};
-};
-
 /// Runs PCG from the initial guess in x (overwritten with the solution).
-[[nodiscard]] PcgResult pcg_solve(Cluster& cluster, const DistMatrix& a,
-                                  const Preconditioner& m, const DistVector& b,
-                                  DistVector& x, const PcgOptions& opts);
+[[nodiscard]] engine::SolveReport pcg_solve(Cluster& cluster,
+                                            const DistMatrix& a,
+                                            const Preconditioner& m,
+                                            const DistVector& b, DistVector& x,
+                                            const PcgOptions& opts);
 
 /// Recomputes the true residual norm ||b - A x||_2 without charging
 /// simulated time (diagnostic; used for the Eqn. 7 metric).

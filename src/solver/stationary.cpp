@@ -200,19 +200,16 @@ void ResilientStationary::recover(const std::vector<NodeId>& failed,
   cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
 }
 
-StationaryResult ResilientStationary::solve(const DistVector& b, DistVector& x,
-                                            const FailureSchedule& schedule) {
+engine::SolveReport ResilientStationary::solve(
+    const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
   const Partition& part = cluster_.partition();
-  std::array<double, kNumPhases> at_entry{};
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    at_entry[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph));
+  const engine::SolveMeter meter(cluster_);
 
   std::vector<std::vector<double>> halos;
   DistVector resid(part);
-  StationaryResult res;
+  engine::SolveReport res;
 
   // Initial residual norm (one SpMV).
   a_->spmv(cluster_, x, resid, halos, Phase::kIteration);
@@ -224,15 +221,12 @@ StationaryResult ResilientStationary::solve(const DistVector& b, DistVector& x,
     }
   }
   const double rnorm0 = std::sqrt(dot(cluster_, resid, resid, Phase::kIteration));
-  if (rnorm0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
+  res.converged = rnorm0 == 0.0;
 
   FailureCursor cursor(schedule);
   const double sweep_flops_base = sweep_flops_scale_;
 
-  for (int j = 0; j < opts_.max_iterations; ++j) {
+  for (int j = 0; !res.converged && j < opts_.max_iterations; ++j) {
     // Halo exchange of x^(j) (+ redundant copies).
     execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kIteration);
     if (opts_.phi > 0) {
@@ -300,6 +294,7 @@ StationaryResult ResilientStationary::solve(const DistVector& b, DistVector& x,
     const double rnorm = std::sqrt(dot(cluster_, resid, resid, Phase::kIteration));
     res.iterations = j + 1;
     res.rel_residual = rnorm / rnorm0;
+    res.solver_residual_norm = rnorm;
     if (opts_.events.on_iteration) {
       IterationSnapshot snap;
       snap.iteration = res.iterations;
@@ -314,11 +309,7 @@ StationaryResult ResilientStationary::solve(const DistVector& b, DistVector& x,
     }
   }
 
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    res.sim_time_phase[static_cast<std::size_t>(ph)] =
-        cluster_.clock().in_phase(static_cast<Phase>(ph)) -
-        at_entry[static_cast<std::size_t>(ph)];
-  for (const double t : res.sim_time_phase) res.sim_time += t;
+  meter.finish(cluster_, *a_, b, x, res);
   return res;
 }
 

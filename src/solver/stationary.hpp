@@ -22,6 +22,7 @@
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
+#include "engine/solve_report.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_matrix.hpp"
 #include "sim/dist_vector.hpp"
@@ -62,16 +63,6 @@ struct StationaryOptions {
   SolverEvents events;
 };
 
-struct StationaryResult {
-  bool converged = false;
-  int iterations = 0;
-  double rel_residual = 0.0;
-  double sim_time = 0.0;
-  std::array<double, kNumPhases> sim_time_phase{};
-  /// One record per recovery (pure gathers: no local solve statistics).
-  std::vector<RecoveryRecord> recoveries;
-};
-
 class ResilientStationary {
  public:
   /// `a_global` is the reliable static copy; `a` its distributed form. Both
@@ -81,8 +72,8 @@ class ResilientStationary {
 
   /// Runs the iteration from the initial guess in x; failures are injected
   /// per schedule (right after the halo exchange, mirroring the PCG driver).
-  [[nodiscard]] StationaryResult solve(const DistVector& b, DistVector& x,
-                                       const FailureSchedule& schedule = {});
+  [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
+                                          const FailureSchedule& schedule = {});
 
   [[nodiscard]] const RedundancyScheme& redundancy() const { return scheme_; }
 

@@ -1,6 +1,6 @@
 // Shared JSON string escaping for the repo's two JSON emitters (the
 // rpcg-bench-report/v1 writer in bench/run_all and the
-// rpcg-solve-report/v1 writer in engine/solve_report), so they cannot
+// rpcg-solve-report/v2 writer in engine/solve_report), so they cannot
 // drift apart on the same input.
 #pragma once
 

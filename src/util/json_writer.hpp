@@ -1,6 +1,6 @@
 // The line-oriented JSON writer behind the repo's deterministic report
-// emitters (rpcg-solve-report/v1 in engine/solve_report, and the service
-// layer's rpcg-service-report/v1). Lives next to util/json.hpp's escaping
+// emitters (rpcg-solve-report/v2 in engine/solve_report, and the service
+// layer's rpcg-service-report/v3). Lives next to util/json.hpp's escaping
 // helpers for the same reason those are shared: two hand-rolled copies of
 // the same writer would drift apart on the same input.
 //

@@ -42,9 +42,9 @@ struct Fixture {
     b.set_global(bg);
   }
 
-  ResilientPcgResult run(const CheckpointRecoveryOptions& opts,
-                         const FailureSchedule& schedule,
-                         std::vector<double>& solution) const {
+  engine::SolveReport run(const CheckpointRecoveryOptions& opts,
+                          const FailureSchedule& schedule,
+                          std::vector<double>& solution) const {
     Cluster cluster(part, CommParams{});
     CheckpointRecoveryPcg solver(cluster, a, dist, *m, opts);
     DistVector x(part);
@@ -88,7 +88,7 @@ TEST(CheckpointRecovery, FailureFreeMatchesPlainPcgBitForBit) {
   DistVector x(fx.part);
   PcgOptions popts;
   popts.rtol = 1e-9;
-  const PcgResult ref = pcg_solve(cluster, fx.dist, *fx.m, fx.b, x, popts);
+  const auto ref = pcg_solve(cluster, fx.dist, *fx.m, fx.b, x, popts);
   ASSERT_TRUE(ref.converged);
   EXPECT_EQ(res.iterations, ref.iterations);
   EXPECT_EQ(res.rel_residual, ref.rel_residual);
@@ -185,6 +185,27 @@ TEST(CheckpointRecovery, DiskCostsMoreThanMemoryWithIdenticalIterates) {
             rm.sim_time_phase[static_cast<std::size_t>(Phase::kCheckpoint)]);
   EXPECT_GT(rd.sim_time_phase[static_cast<std::size_t>(Phase::kRecovery)],
             rm.sim_time_phase[static_cast<std::size_t>(Phase::kRecovery)]);
+}
+
+TEST(CheckpointRecovery, ReportCarriesTheResolvedCostModel) {
+  const Fixture fx(6, 47);
+  CheckpointRecoveryOptions opts = base_opts(4);
+  opts.costs.medium = CheckpointMedium::kDisk;
+  opts.costs.read_per_element_s = 2e-6;  // explicit; the rest from defaults
+
+  Cluster cluster(fx.part, CommParams{});
+  CheckpointRecoveryPcg solver(cluster, fx.a, fx.dist, *fx.m, opts);
+  const CheckpointCostModel costs = solver.resolved_costs();
+  DistVector x(fx.part);
+  const engine::SolveReport res = solver.solve(fx.b, x, {});
+  ASSERT_TRUE(res.checkpoint.has_value());
+  EXPECT_EQ(res.checkpoint->medium, "disk");
+  EXPECT_EQ(res.checkpoint->interval, 4);
+  EXPECT_EQ(res.checkpoint->read_per_element_s, 2e-6);
+  EXPECT_EQ(res.checkpoint->write_per_element_s, costs.write_per_element_s);
+  EXPECT_GT(res.checkpoint->write_per_element_s, 0.0);
+  EXPECT_EQ(res.checkpoint->access_latency_s, costs.access_latency_s);
+  EXPECT_FALSE(res.scenario.has_value());  // the engine never sees one
 }
 
 TEST(CheckpointRecovery, ExplicitCostKnobsLandInTheCheckpointClockExactly) {

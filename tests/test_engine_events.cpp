@@ -1,7 +1,6 @@
 // The typed event-hook API: on_iteration / on_failure_injected /
 // on_recovery_complete / on_checkpoint fire at the documented points, for
-// every engine family, and the legacy single `observer` callback keeps
-// working alongside them.
+// every engine family.
 #include <gtest/gtest.h>
 
 #include "core/resilient_pcg.hpp"
@@ -116,31 +115,6 @@ TEST(SolverEvents, HooksFireForBicgstabAndStationary) {
     EXPECT_EQ(failures, 1) << name;
     EXPECT_EQ(recoveries, 1) << name;
   }
-}
-
-TEST(SolverEvents, LegacyObserverStillWorksAlongsideHooks) {
-  const CsrMatrix a = poisson2d_5pt(12, 12);
-  const Partition part = Partition::block_rows(a.rows(), 6);
-  Cluster cluster(part, CommParams{});
-  DistVector b(part);
-  {
-    std::vector<double> ones(static_cast<std::size_t>(a.rows()), 1.0);
-    std::vector<double> bg(static_cast<std::size_t>(a.rows()));
-    a.spmv(ones, bg);
-    b.set_global(bg);
-  }
-  const auto m = make_preconditioner("bjacobi", a, part);
-  ResilientPcgOptions opts;
-  int observer_calls = 0;
-  int hook_calls = 0;
-  opts.observer = [&](const IterationSnapshot&) { ++observer_calls; };
-  opts.events.on_iteration = [&](const IterationSnapshot&) { ++hook_calls; };
-  ResilientPcg solver(cluster, a, *m, opts);
-  DistVector x(part);
-  const auto res = solver.solve(b, x, {});
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(observer_calls, res.iterations);
-  EXPECT_EQ(hook_calls, res.iterations);
 }
 
 }  // namespace

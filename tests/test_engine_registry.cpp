@@ -119,7 +119,7 @@ TEST(SolverRegistry, PcgMatchesLegacyPcgSolveBitForBit) {
   PcgOptions legacy;
   legacy.rtol = c.rtol;
   DistVector x_legacy = problem.make_x();
-  const PcgResult res =
+  const engine::SolveReport res =
       pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
                 problem.rhs(), x_legacy, legacy);
 
@@ -181,6 +181,40 @@ TEST(SolverRegistry, ResilientPcgRecoversThroughRegistry) {
   EXPECT_GT(rep.recovery_sim_time(), 0.0);
   EXPECT_GT(rep.redundancy_overhead_per_iteration, 0.0);
   for (const double v : x.gather_global()) EXPECT_NEAR(v, 1.0, 1e-5);
+}
+
+// The scenario section describes the schedule a solve actually ran: present
+// when the config's scenario generated it, absent when an explicit schedule
+// won, and never on a solver that ignores scenarios.
+TEST(SolverRegistry, ScenarioSectionNamesOnlyGeneratedSchedules) {
+  engine::Problem problem = small_poisson();
+  engine::SolverConfig c;
+  c.recovery = RecoveryMethod::kEsr;
+  c.phi = 2;
+  c.scenario.kind = ScenarioKind::kCascading;
+  c.scenario.seed = 4;
+  c.scenario.events = 2;
+  c.scenario.max_nodes_per_event = 1;
+  c.scenario.horizon = 6;
+  auto& reg = engine::SolverRegistry::instance();
+
+  DistVector x = problem.make_x();
+  const auto generated = reg.create("resilient-pcg", c)->solve(problem, x);
+  ASSERT_TRUE(generated.scenario.has_value());
+  EXPECT_EQ(generated.scenario->kind, "cascading");
+  EXPECT_EQ(generated.scenario->seed, 4u);
+  EXPECT_EQ(generated.scenario->events, 2);
+  EXPECT_FALSE(generated.recoveries.empty());
+
+  x = problem.make_x();
+  const auto explicit_run = reg.create("resilient-pcg", c)->solve(
+      problem, x, FailureSchedule::contiguous(3, 1, 1));
+  EXPECT_FALSE(explicit_run.scenario.has_value());
+  ASSERT_EQ(explicit_run.recoveries.size(), 1u);
+
+  x = problem.make_x();
+  const auto reference = reg.create("pcg", c)->solve(problem, x);
+  EXPECT_FALSE(reference.scenario.has_value());
 }
 
 TEST(SolverRegistry, CustomRegistrationIsVisible) {

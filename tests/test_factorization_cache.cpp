@@ -412,34 +412,5 @@ TEST(FactorizationCache, CachedVsUncachedIdentityWithAmdSupernodalKernels) {
     ASSERT_EQ(cached_x[i], uncached_x[i]) << "entry " << i;
 }
 
-TEST(FactorizationCache, ReportCacheStatsFlagEmbedsSnapshot) {
-  engine::Problem problem = make_problem();
-  engine::SolverConfig cfg = esr_config(2, true);
-  const FailureSchedule schedule = schedule_at(2, {1, 3});
-  DistVector x;
-
-  // Off by default: the JSON has no factorization_cache block.
-  engine::SolveReport rep = solve(problem, cfg, schedule, x);
-  EXPECT_FALSE(rep.report_cache_stats);
-  EXPECT_EQ(rep.to_json().find("factorization_cache"), std::string::npos);
-
-  cfg.report_cache_stats = true;
-  rep = solve(problem, cfg, schedule, x);
-  EXPECT_TRUE(rep.report_cache_stats);
-  // Second solve of the same schedule: the first one's miss is now a hit.
-  EXPECT_EQ(rep.cache_stats.misses, 1u);
-  EXPECT_EQ(rep.cache_stats.hits, 1u);
-  EXPECT_NE(rep.to_json().find("\"factorization_cache\": {"),
-            std::string::npos);
-  EXPECT_NE(rep.to_json().find("\"hits\": 1"), std::string::npos);
-
-  // A solve that bypassed the cache gets no block — an all-zero snapshot
-  // would read as "zero traffic", not "cache off".
-  cfg.factorization_cache = false;
-  rep = solve(problem, cfg, schedule, x);
-  EXPECT_FALSE(rep.report_cache_stats);
-  EXPECT_EQ(rep.to_json().find("factorization_cache"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rpcg

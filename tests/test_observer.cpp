@@ -40,7 +40,7 @@ Trace run_traced(Problem& p, const Preconditioner& m,
   opts.phi = 3;
   opts.esr.exact_local_solve = exact_local;
   Trace trace;
-  opts.observer = [&trace](const IterationSnapshot& snap) {
+  opts.events.on_iteration = [&trace](const IterationSnapshot& snap) {
     trace.residuals.push_back(snap.rel_residual);
     trace.iterates.push_back(snap.x->gather_global());
   };
@@ -81,7 +81,7 @@ TEST(Observer, CalledOncePerCompletedIteration) {
   opts.pcg.rtol = 1e-8;
   int calls = 0;
   int last_iteration = 0;
-  opts.observer = [&](const IterationSnapshot& snap) {
+  opts.events.on_iteration = [&](const IterationSnapshot& snap) {
     ++calls;
     EXPECT_EQ(snap.iteration, calls);
     last_iteration = snap.iteration;

@@ -40,7 +40,7 @@ TEST_P(PcgConvergence, SolvesToTolerance) {
   DistVector x(prob.part);
   PcgOptions opts;
   opts.rtol = 1e-10;
-  const PcgResult res = pcg_solve(cluster, a, *m, prob.b, x, opts);
+  const engine::SolveReport res = pcg_solve(cluster, a, *m, prob.b, x, opts);
   EXPECT_TRUE(res.converged) << precond;
   EXPECT_LE(res.rel_residual, 1e-10);
   EXPECT_LT(max_diff(x.gather_global(), prob.x_ref), 1e-6) << precond;
@@ -62,12 +62,12 @@ TEST(Pcg, PreconditioningReducesIterations) {
   Cluster c1(prob.part, CommParams{});
   const auto id = make_identity_preconditioner();
   DistVector x1(prob.part);
-  const PcgResult plain = pcg_solve(c1, a, *id, prob.b, x1, opts);
+  const engine::SolveReport plain = pcg_solve(c1, a, *id, prob.b, x1, opts);
 
   Cluster c2(prob.part, CommParams{});
   const auto bj = make_preconditioner("bjacobi", prob.a, prob.part);
   DistVector x2(prob.part);
-  const PcgResult prec = pcg_solve(c2, a, *bj, prob.b, x2, opts);
+  const engine::SolveReport prec = pcg_solve(c2, a, *bj, prob.b, x2, opts);
 
   EXPECT_LT(prec.iterations, plain.iterations);
 }
@@ -80,7 +80,7 @@ TEST(Pcg, DeltaMetricSmallForHealthyRun) {
   DistVector x(prob.part);
   PcgOptions opts;
   opts.rtol = 1e-8;
-  const PcgResult res = pcg_solve(cluster, a, *m, prob.b, x, opts);
+  const engine::SolveReport res = pcg_solve(cluster, a, *m, prob.b, x, opts);
   ASSERT_TRUE(res.converged);
   // The recurrence residual and the true residual agree closely relative to
   // the 1e8 residual reduction (Table 3's healthy-solver baseline).
@@ -104,7 +104,7 @@ TEST(Pcg, ZeroRhs) {
   const DistMatrix a = DistMatrix::distribute(prob.a, prob.part);
   const auto m = make_identity_preconditioner();
   DistVector x(prob.part), zero_b(prob.part);
-  const PcgResult res = pcg_solve(cluster, a, *m, zero_b, x, PcgOptions{});
+  const auto res = pcg_solve(cluster, a, *m, zero_b, x, PcgOptions{});
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
 }

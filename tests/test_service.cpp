@@ -97,14 +97,21 @@ TEST(JobParsing, ParsesFullJobWithConfigForwarding) {
 }
 
 TEST(JobParsing, UnknownKeyListsValidKeys) {
-  try {
-    (void)rpcg::service::parse_job(JsonValue::parse(R"({"solvr": "pcg"})"));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("solvr"), std::string::npos);
-    EXPECT_NE(what.find("solver"), std::string::npos);  // the valid-key list
-    EXPECT_NE(what.find("rtol"), std::string::npos);
+  // A typo, and the report opt-in keys of the retired v1 report schema: the
+  // complete report needs no opt-in, so a job file still naming one fails
+  // fast instead of silently running.
+  for (const char* key : {"solvr", "report-cache-stats", "report-checkpoint",
+                          "report-scenario"}) {
+    try {
+      (void)rpcg::service::parse_job(
+          JsonValue::parse(std::string("{\"") + key + "\": true}"));
+      FAIL() << "expected std::invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find("solver"), std::string::npos);  // the valid-key list
+      EXPECT_NE(what.find("rtol"), std::string::npos);
+    }
   }
 }
 
@@ -122,15 +129,13 @@ TEST(JobParsing, ScenarioKeysForwardToTheGeneratorConfig) {
   const JobSpec job = rpcg::service::parse_job(JsonValue::parse(
       R"({"solver": "checkpoint-recovery", "scenario": "cascading",
           "scenario-seed": 7, "scenario-events": 4, "scenario-nodes": 2,
-          "scenario-horizon": 20, "scenario-window": 5,
-          "report-scenario": true})"));
+          "scenario-horizon": 20, "scenario-window": 5})"));
   EXPECT_EQ(job.config.scenario.kind, rpcg::ScenarioKind::kCascading);
   EXPECT_EQ(job.config.scenario.seed, 7u);
   EXPECT_EQ(job.config.scenario.events, 4);
   EXPECT_EQ(job.config.scenario.max_nodes_per_event, 2);
   EXPECT_EQ(job.config.scenario.horizon, 20);
   EXPECT_EQ(job.config.scenario.window, 5);
-  EXPECT_TRUE(job.config.report_scenario);
   // The generator expands at solve time; the parsed spec stays data-only.
   EXPECT_TRUE(job.schedule.events().empty());
 }
@@ -302,7 +307,7 @@ std::vector<JobSpec> mixed_batch() {
 {"name": "pipe", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pipelined-resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 5, "nodes": [4, 5]}]}
 {"name": "esr-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 1, "psi": 2}]}
 {"name": "threaded", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "bjacobi", "exec": "threaded", "workers": 2}
-{"name": "report-stats", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "report-cache-stats": true, "failures": [{"iteration": 4, "first": 3, "psi": 1}]})");
+{"name": "esr-late", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 4, "first": 3, "psi": 1}]})");
   return rpcg::service::parse_job_lines(in);
 }
 
@@ -400,10 +405,12 @@ TEST(SolverService, FailedJobDoesNotAbortBatchAndReportParses) {
   // The emitted service report is valid JSON (parsed by our own parser) and
   // carries the failure through the summary.
   const JsonValue parsed = JsonValue::parse(run.to_json());
-  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v1");
+  EXPECT_EQ(parsed.find("schema")->as_string(), "rpcg-service-report/v3");
   const JsonValue* summary = parsed.find("summary");
   ASSERT_NE(summary, nullptr);
   EXPECT_DOUBLE_EQ(summary->find("failed")->as_number(), 1.0);
+  const JsonValue& failed = parsed.find("jobs")->as_array()[2];
+  EXPECT_EQ(failed.find("error_class")->as_string(), "invalid-job");
   EXPECT_EQ(parsed.find("jobs")->as_array().size(), jobs.size());
 }
 
@@ -419,8 +426,8 @@ TEST(SolverService, DefaultJobNamesUseSubmissionIndex) {
 /// explicit schedule, covering all four new strategy/scenario pairings
 /// through the service front end. Two jobs are byte-identical on purpose.
 std::vector<JobSpec> scenario_batch() {
-  std::istringstream in(R"({"name": "ckpt-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "report-scenario": true}
-{"name": "ckpt-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "report-scenario": true}
+  std::istringstream in(R"({"name": "ckpt-a", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
+{"name": "ckpt-b", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "scenario": "during-recovery", "scenario-seed": 5, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
 {"name": "twin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "twin-pcg", "scenario": "correlated", "scenario-seed": 9, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8}
 {"name": "esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 3, "scenario": "cascading", "scenario-seed": 11, "scenario-events": 2, "scenario-nodes": 1, "scenario-horizon": 8, "scenario-window": 3})");
   return rpcg::service::parse_job_lines(in);
@@ -441,11 +448,14 @@ TEST(SolverService, ScenarioJobsRunDeterministicallyAcrossWorkers) {
     a.wall_seconds = b.wall_seconds = 0.0;
     EXPECT_EQ(a.to_json(), b.to_json());
   }
-  // The opted-in scenario block lands in the job's report JSON.
-  EXPECT_NE(ref.jobs[0].report.to_json().find("\"kind\": \"during-recovery\""),
+  // The generated scenario lands in every job's report.
+  ASSERT_TRUE(ref.jobs[0].report.scenario.has_value());
+  EXPECT_EQ(ref.jobs[0].report.scenario->kind, "during-recovery");
+  EXPECT_EQ(ref.jobs[0].report.scenario->seed, 5u);
+  ASSERT_TRUE(ref.jobs[3].report.scenario.has_value());
+  EXPECT_EQ(ref.jobs[3].report.scenario->kind, "cascading");
+  EXPECT_NE(ref.jobs[3].report.to_json().find("\"kind\": \"cascading\""),
             std::string::npos);
-  EXPECT_EQ(ref.jobs[3].report.to_json().find("\"scenario\""),
-            std::string::npos);  // not opted in
 
   const std::vector<std::string> ref_reports = normalized_job_reports(ref);
   for (const int workers : {2, 8}) {

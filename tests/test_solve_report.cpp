@@ -1,8 +1,14 @@
-// SolveReport: field mapping from every per-family result struct and the
-// deterministic JSON serialization (golden test).
+// SolveReport: the deterministic rpcg-solve-report/v2 serialization (golden
+// test) and the shared finish step every solver family runs through.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "engine/registry.hpp"
 #include "engine/solve_report.hpp"
+#include "solver/pcg.hpp"
+#include "sparse/generators.hpp"
 
 namespace rpcg {
 namespace {
@@ -33,14 +39,24 @@ engine::SolveReport sample_report() {
   rec.stats.local_solve_rel_residual = 9.5e-15;
   rec.stats.sim_seconds = 0.25;
   rep.recoveries.push_back(rec);
+  rep.reductions = {0.5, 0.375, 0.125, 84, 2};
+  rep.reduction_depth = 2;
   return rep;
 }
 
-// Exact golden string: key order, indentation, and double formatting
-// (shortest round-trip) are part of the rpcg-solve-report/v1 contract.
-TEST(SolveReport, GoldenJson) {
-  const char* expected = R"({
-  "schema": "rpcg-solve-report/v1",
+/// The sample with both optional sections populated.
+engine::SolveReport full_report() {
+  engine::SolveReport rep = sample_report();
+  rep.checkpoint = engine::CheckpointSection{"disk", 10, 1e-9, 2e-9, 0.001};
+  rep.scenario = engine::ScenarioSection{"during-recovery", 42, 3};
+  return rep;
+}
+
+// Exact golden strings: key order, indentation, and double formatting
+// (shortest round-trip) are part of the rpcg-solve-report/v2 contract. Every
+// key is always present; the optional sections are either objects or null.
+constexpr const char* kGoldenHead = R"({
+  "schema": "rpcg-solve-report/v2",
   "solver": "resilient-pcg",
   "preconditioner": "bjacobi",
   "converged": true,
@@ -58,70 +74,27 @@ TEST(SolveReport, GoldenJson) {
   },
   "wall_seconds": 0.125,
   "redundancy_overhead_per_iteration": 0.0078125,
+  "reduction_time": {
+    "posted": 0.5,
+    "hidden": 0.375,
+    "exposed": 0.125,
+    "count": 84,
+    "depth": 2,
+    "max_in_flight": 2
+  },
+)";
+
+constexpr const char* kGoldenTail = R"(
   "checkpoints_written": 2,
   "rolled_back_iterations": 7,
   "recoveries": [
     {"iteration": 21, "nodes": [3, 4], "psi": 2, "lost_rows": 36, "gathered_elements": 144, "local_solve_iterations": 17, "local_solve_rel_residual": 9.5e-15, "sim_seconds": 0.25}
   ]
 })";
-  EXPECT_EQ(sample_report().to_json(), expected);
-}
 
-TEST(SolveReport, CacheStatsBlockIsOptInAndLegacyJsonUnchanged) {
-  engine::SolveReport rep = sample_report();
-  // Counters alone must not leak into the serialization — only the flag
-  // opts the block in, mirroring the reductions contract.
-  rep.cache_stats.hits = 5;
-  rep.cache_stats.misses = 2;
-  rep.cache_stats.invalidated = 1;
-  rep.cache_stats.entries = 3;
-  const std::string legacy = sample_report().to_json();
-  EXPECT_EQ(rep.to_json(), legacy);
-
-  rep.report_cache_stats = true;
-  const std::string json = rep.to_json();
-  const char* expected_block = R"(  "factorization_cache": {
-    "hits": 5,
-    "misses": 2,
-    "invalidated": 1,
-    "entries": 3
-  },
-  "checkpoints_written": 2,)";
-  EXPECT_NE(json.find(expected_block), std::string::npos) << json;
-}
-
-TEST(SolveReport, CheckpointAndScenarioBlocksAreOptInAndLegacyJsonUnchanged) {
-  engine::SolveReport rep = sample_report();
-  // Populated fields alone must not change the serialization — exactly the
-  // cache-stats contract: only the report_* flag opts a block in, keeping
-  // the rpcg-solve-report/v1 output of every pre-existing solver
-  // byte-identical.
-  rep.checkpoint_medium = "disk";
-  rep.checkpoint_interval = 10;
-  rep.checkpoint_write_per_element_s = 1e-9;
-  rep.checkpoint_read_per_element_s = 2e-9;
-  rep.checkpoint_latency_s = 0.001;
-  rep.scenario_kind = "during-recovery";
-  rep.scenario_seed = 42;
-  rep.scenario_events = 3;
-  const std::string legacy = sample_report().to_json();
-  EXPECT_EQ(rep.to_json(), legacy);
-
-  rep.report_checkpoint = true;
-  const char* checkpoint_block = R"(  "checkpoint": {
-    "medium": "disk",
-    "interval": 10,
-    "write_per_element": 1e-09,
-    "read_per_element": 2e-09,
-    "access_latency": 0.001
-  },
-  "checkpoints_written": 2,)";
-  EXPECT_NE(rep.to_json().find(checkpoint_block), std::string::npos)
-      << rep.to_json();
-  EXPECT_EQ(rep.to_json().find("\"scenario\""), std::string::npos);
-
-  rep.report_scenario = true;
-  const char* both_blocks = R"(  "checkpoint": {
+TEST(SolveReport, GoldenJsonEverySectionPopulated) {
+  const std::string expected = std::string(kGoldenHead) +
+                               R"(  "checkpoint": {
     "medium": "disk",
     "interval": 10,
     "write_per_element": 1e-09,
@@ -132,25 +105,15 @@ TEST(SolveReport, CheckpointAndScenarioBlocksAreOptInAndLegacyJsonUnchanged) {
     "kind": "during-recovery",
     "seed": 42,
     "events": 3
-  },
-  "checkpoints_written": 2,)";
-  EXPECT_NE(rep.to_json().find(both_blocks), std::string::npos)
-      << rep.to_json();
+  },)" + kGoldenTail;
+  EXPECT_EQ(full_report().to_json(), expected);
+}
 
-  // Scenario alone, without the checkpoint block, also lands right before
-  // checkpoints_written.
-  rep.report_checkpoint = false;
-  const char* scenario_block = R"(  "scenario": {
-    "kind": "during-recovery",
-    "seed": 42,
-    "events": 3
-  },
-  "checkpoints_written": 2,)";
-  EXPECT_NE(rep.to_json().find(scenario_block), std::string::npos)
-      << rep.to_json();
-  // "checkpoint" as a bare key still exists inside sim_time_phase; the
-  // *block* (an object) must be gone.
-  EXPECT_EQ(rep.to_json().find("\"checkpoint\": {"), std::string::npos);
+TEST(SolveReport, GoldenJsonOptionalSectionsNull) {
+  const std::string expected = std::string(kGoldenHead) +
+                               R"(  "checkpoint": null,
+  "scenario": null,)" + kGoldenTail;
+  EXPECT_EQ(sample_report().to_json(), expected);
 }
 
 TEST(SolveReport, IndentShiftsEveryLine) {
@@ -165,65 +128,86 @@ TEST(SolveReport, EmptyReportSerializesWithEmptyRecoveries) {
   EXPECT_NE(json.find("\"converged\": false"), std::string::npos);
 }
 
-TEST(SolveReport, MakeReportFromResilientPcgResultCopiesEverything) {
-  ResilientPcgResult r;
-  r.converged = true;
-  r.iterations = 10;
-  r.rel_residual = 1e-9;
-  r.solver_residual_norm = 2e-6;
-  r.true_residual_norm = 3e-6;
-  r.delta_metric = -0.25;
-  r.sim_time = 2.0;
-  r.sim_time_phase = {1.0, 0.5, 0.25, 0.25};
-  r.wall_seconds = 0.5;
-  r.checkpoints_written = 3;
-  r.rolled_back_iterations = 12;
-  r.recoveries.push_back({4, {1}, {}});
-
-  const auto rep = engine::make_report("resilient-pcg", "ssor", r);
-  EXPECT_EQ(rep.solver, "resilient-pcg");
-  EXPECT_EQ(rep.preconditioner, "ssor");
-  EXPECT_EQ(rep.converged, r.converged);
-  EXPECT_EQ(rep.iterations, r.iterations);
-  EXPECT_EQ(rep.rel_residual, r.rel_residual);
-  EXPECT_EQ(rep.solver_residual_norm, r.solver_residual_norm);
-  EXPECT_EQ(rep.true_residual_norm, r.true_residual_norm);
-  EXPECT_EQ(rep.delta_metric, r.delta_metric);
-  EXPECT_EQ(rep.sim_time, r.sim_time);
-  EXPECT_EQ(rep.sim_time_phase, r.sim_time_phase);
-  EXPECT_EQ(rep.wall_seconds, r.wall_seconds);
-  EXPECT_EQ(rep.checkpoints_written, r.checkpoints_written);
-  EXPECT_EQ(rep.rolled_back_iterations, r.rolled_back_iterations);
-  ASSERT_EQ(rep.recoveries.size(), 1u);
-  EXPECT_EQ(rep.recoveries[0].iteration, 4);
-  EXPECT_EQ(rep.redundancy_sim_time(), 0.5);
-  EXPECT_EQ(rep.recovery_sim_time(), 0.25);
+engine::Problem small_problem() {
+  return engine::ProblemBuilder()
+      .matrix(poisson2d_5pt(16, 16))
+      .nodes(8)
+      .preconditioner("bjacobi")
+      .build();
 }
 
-TEST(SolveReport, MakeReportFromOtherFamilies) {
-  PcgResult pcg;
-  pcg.converged = true;
-  pcg.iterations = 5;
-  pcg.delta_metric = 0.5;
-  const auto rep_pcg = engine::make_report("pcg", "none", pcg);
-  EXPECT_EQ(rep_pcg.iterations, 5);
-  EXPECT_EQ(rep_pcg.delta_metric, 0.5);
-  EXPECT_TRUE(rep_pcg.recoveries.empty());
+// On a fresh cluster the phase deltas are the clock's phases and their sum
+// is SimClock::total() bit for bit — the identity that keeps every family's
+// sim_time unchanged by the shared finish step.
+TEST(SolveMeter, FreshClusterMatchesTheClockBitForBit) {
+  const engine::Problem problem = small_problem();
+  Cluster cluster = problem.make_cluster();
+  DistVector x = problem.make_x();
+  const engine::SolveReport rep =
+      pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
+                problem.rhs(), x, PcgOptions{});
+  EXPECT_EQ(rep.sim_time, cluster.clock().total());
+  for (int ph = 0; ph < kNumPhases; ++ph) {
+    EXPECT_EQ(rep.sim_time_phase[static_cast<std::size_t>(ph)],
+              cluster.clock().in_phase(static_cast<Phase>(ph)));
+  }
+  EXPECT_EQ(rep.reductions.count, cluster.reduction_times().count);
+}
 
-  BicgstabResult bi;
-  bi.iterations = 6;
-  bi.recoveries.push_back({2, {0}, {}});
-  const auto rep_bi = engine::make_report("resilient-bicgstab", "bjacobi", bi);
-  EXPECT_EQ(rep_bi.iterations, 6);
-  ASSERT_EQ(rep_bi.recoveries.size(), 1u);
+// A report covers its own solve only: a second solve on the same cluster
+// reports the time since its entry, not the clock's running total.
+TEST(SolveMeter, ReusedClusterReportsOnlyItsOwnSolve) {
+  const engine::Problem problem = small_problem();
+  Cluster cluster = problem.make_cluster();
+  DistVector x1 = problem.make_x();
+  const engine::SolveReport first =
+      pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
+                problem.rhs(), x1, PcgOptions{});
+  DistVector x2 = problem.make_x();
+  const engine::SolveReport second =
+      pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
+                problem.rhs(), x2, PcgOptions{});
+  EXPECT_EQ(second.iterations, first.iterations);
+  EXPECT_NEAR(second.sim_time, first.sim_time, 1e-12 * first.sim_time);
+  EXPECT_NEAR(cluster.clock().total(), first.sim_time + second.sim_time,
+              1e-12 * cluster.clock().total());
+}
 
-  StationaryResult st;
-  st.iterations = 7;
-  st.recoveries.push_back({3, {1, 2}, {}});
-  const auto rep_st = engine::make_report("stationary", "none", st);
-  EXPECT_EQ(rep_st.iterations, 7);
-  ASSERT_EQ(rep_st.recoveries.size(), 1u);
-  EXPECT_EQ(rep_st.recoveries[0].nodes, (std::vector<NodeId>{1, 2}));
+// Every family goes through the shared finish step, so the two that once
+// skipped it — BiCGSTAB never computed Delta, the stationary sweeps never
+// the true residual — now report both, comparable with the PCG families on
+// Table 3.
+TEST(SolveReport, EveryFamilyReportsTrueResidualAndDelta) {
+  engine::Problem problem = small_problem();
+  for (const std::string name :
+       {"pcg", "resilient-pcg", "resilient-bicgstab", "stationary"}) {
+    engine::SolverConfig c;
+    c.rtol = 1e-6;
+    c.phi = name == "pcg" ? 0 : 1;
+    if (name == "resilient-pcg") c.recovery = RecoveryMethod::kEsr;
+    if (name == "stationary") c.omega = 0.9;
+    const FailureSchedule schedule = name == "pcg"
+                                         ? FailureSchedule{}
+                                         : FailureSchedule::contiguous(3, 2, 1);
+    DistVector x = problem.make_x();
+    const engine::SolveReport rep =
+        engine::SolverRegistry::instance().create(name, c)->solve(problem, x,
+                                                                  schedule);
+    ASSERT_TRUE(rep.converged) << name;
+    EXPECT_EQ(rep.recoveries.size(), schedule.events().size()) << name;
+    EXPECT_GT(rep.solver_residual_norm, 0.0) << name;
+    EXPECT_GT(rep.true_residual_norm, 0.0) << name;
+    EXPECT_TRUE(std::isfinite(rep.delta_metric)) << name;
+    EXPECT_EQ(rep.delta_metric,
+              (rep.solver_residual_norm - rep.true_residual_norm) /
+                  rep.true_residual_norm)
+        << name;
+    double phases = 0.0;
+    for (const double t : rep.sim_time_phase) phases += t;
+    EXPECT_EQ(rep.sim_time, phases) << name;
+    EXPECT_GT(rep.reductions.count, 0) << name;
+    EXPECT_GT(rep.wall_seconds, 0.0) << name;
+  }
 }
 
 TEST(SolveReport, JsonEscapesSolverNames) {

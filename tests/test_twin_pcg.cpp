@@ -43,8 +43,8 @@ struct Fixture {
     b.set_global(bg);
   }
 
-  ResilientPcgResult run(const FailureSchedule& schedule,
-                         std::vector<double>& solution) const {
+  engine::SolveReport run(const FailureSchedule& schedule,
+                          std::vector<double>& solution) const {
     Cluster cluster(part, CommParams{});
     TwinPcgOptions opts;
     opts.pcg.rtol = 1e-9;

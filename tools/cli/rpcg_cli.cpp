@@ -14,10 +14,10 @@
 //   rpcg-cli list-solvers
 //   rpcg-cli list-preconds
 //
-// `solve` runs one job and prints its rpcg-solve-report/v1 JSON to stdout.
+// `solve` runs one job and prints its rpcg-solve-report/v2 JSON to stdout.
 // `batch` reads a JSON-lines job file (see src/service/job.hpp for the
 // format; `--jobs -` reads stdin), runs it through the SolverService, and
-// prints the rpcg-service-report/v1 summary to stdout (or --out FILE), with
+// prints the rpcg-service-report/v3 summary to stdout (or --out FILE), with
 // per-job progress lines on stderr. Solver-config flags are identical in
 // both modes and in job files — all three go through
 // SolverConfig::from_options.
@@ -151,8 +151,7 @@ int cmd_batch(const Options& opts) {
       "order", rpcg::service::OutputOrder::kSubmission);
 
   // Batch-wide robustness defaults; per-job "retry"/"fallbacks" keys in the
-  // job file override the whole policy. Any of these flags flips the report
-  // to the rpcg-service-report/v2 schema.
+  // job file override the whole policy.
   sopts.retry.max_attempts = static_cast<int>(opts.get_int("retry", 1));
   const std::string fallbacks = opts.get_string("fallbacks", "");
   for (std::size_t pos = 0; pos < fallbacks.size();) {

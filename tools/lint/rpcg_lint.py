@@ -4,7 +4,7 @@ cannot express.
 
 The repo's core guarantees — threaded == sequential bit-for-bit solves,
 byte-identical sim-time charging on factorization-cache hits, and a
-legacy-stable ``rpcg-solve-report/v1`` JSON surface — all reduce to a few
+deterministic ``rpcg-solve-report/v2`` JSON surface — all reduce to a few
 source-level disciplines. This tool encodes them as mechanical rules so a
 new solver or ``register_solver()`` contribution cannot quietly break them
 before a single test runs.
