@@ -34,10 +34,30 @@ CsrMatrix repro_node_block(int matrix_index) {
   return m.matrix.submatrix(rows, rows);
 }
 
-// Ordering x supernodal sweep over the LDLᵀ factor/solve kernels. Arg pairs:
-// (0) matrix: 1 = M1-band block, 2 = M2-random block;
+// The A_{IF,IF} of the rpcg_bench m2-recover workload: M2 at scale 12 on 64
+// nodes with the 8 contiguous nodes 20..27 failed — the fill-heavy local
+// system whose exact factorization dominates that workload's recovery.
+CsrMatrix m2_recover_a_ff() {
+  const auto m = repro::make_matrix(2, 12.0);
+  const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+  const std::vector<NodeId> failed{20, 21, 22, 23, 24, 25, 26, 27};
+  const auto rows = part.rows_of_set(failed);
+  return m.matrix.submatrix(rows, rows);
+}
+
+// Matrix argument of the LDLᵀ benches: 1 = M1-band block, 2 = M2-random
+// block, 3 = the m2-recover A_FF.
+CsrMatrix ldlt_bench_matrix(long matrix) {
+  return matrix == 3 ? m2_recover_a_ff()
+                     : repro_node_block(static_cast<int>(matrix));
+}
+
+// Ordering x kernel sweep over the LDLᵀ factor/solve kernels. Arg pairs:
+// (0) matrix (see ldlt_bench_matrix);
 // (1) ordering: 0 = natural, 1 = RCM, 2 = AMD;
-// (2) supernodal panels: 0 = scalar sweeps, 1 = packed.
+// (2) kernel: 0 = scalar reference path (up-looking factor, unpacked
+//     solve), 1 = production (kernel chosen by the factor's flops per L
+//     entry, packed solve panels).
 void ldlt_sweep_args(benchmark::internal::Benchmark* b) {
   for (const long matrix : {1, 2})
     for (const long ordering : {0, 1, 2})
@@ -46,7 +66,7 @@ void ldlt_sweep_args(benchmark::internal::Benchmark* b) {
 }
 
 void BM_LdltOrderedFactor(benchmark::State& state) {
-  const CsrMatrix a = repro_node_block(static_cast<int>(state.range(0)));
+  const CsrMatrix a = ldlt_bench_matrix(state.range(0));
   const auto ordering = static_cast<LdltOrdering>(state.range(1));
   const bool supernodal = state.range(2) != 0;
   for (auto _ : state) {
@@ -55,11 +75,17 @@ void BM_LdltOrderedFactor(benchmark::State& state) {
   }
   const auto f = ReorderedLdlt::factor_with(a, ordering, supernodal);
   state.counters["l_nnz"] = static_cast<double>(f->l_nnz());
+  state.counters["gflops"] =
+      benchmark::Counter(f->factor_flops() * 1e-9,
+                         benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_LdltOrderedFactor)->Apply(ldlt_sweep_args);
+BENCHMARK(BM_LdltOrderedFactor)
+    ->Apply(ldlt_sweep_args)
+    ->Args({3, 2, 0})
+    ->Args({3, 2, 1});
 
 void BM_LdltOrderedSolve(benchmark::State& state) {
-  const CsrMatrix a = repro_node_block(static_cast<int>(state.range(0)));
+  const CsrMatrix a = ldlt_bench_matrix(state.range(0));
   const auto ordering = static_cast<LdltOrdering>(state.range(1));
   const bool supernodal = state.range(2) != 0;
   const auto f = ReorderedLdlt::factor_with(a, ordering, supernodal);

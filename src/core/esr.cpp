@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/errors.hpp"
 #include "core/factorization_cache.hpp"
 #include "solver/seq_pcg.hpp"
 #include "sparse/ic0.hpp"
@@ -95,7 +96,11 @@ LocalSolveOutcome esr_solve_lost_x(Cluster& cluster, const CsrMatrix& a_global,
   std::fill(x_f.begin(), x_f.end(), 0.0);
   if (opts.exact_local_solve) {
     const auto& fact = entry->ldlt;
-    RPCG_REQUIRE(fact.has_value(), "A_{IF,IF} must be positive definite");
+    // A_{IF,IF} of an SPD A is SPD; a failed factorization means A is not
+    // numerically positive definite on I_F. Typed as divergence so a retry
+    // policy can escalate to a strategy that never factors A_{IF,IF}.
+    if (!fact.has_value())
+      throw DivergenceError("A_{IF,IF} is not positive definite");
     fact->solve(w, x_f);
     outcome.iterations = 1;
     outcome.rel_residual = 0.0;

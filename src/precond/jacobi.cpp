@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/errors.hpp"
 #include "sparse/ldlt.hpp"
 #include "util/check.hpp"
 
@@ -110,7 +111,8 @@ void ExplicitPreconditioner::esr_recover_residual(
         return e;
       });
   const auto& fact = entry->ldlt;
-  RPCG_REQUIRE(fact.has_value(), "P_{If,If} must be positive definite");
+  if (!fact.has_value())
+    throw DivergenceError("P_{If,If} is not positive definite");
   fact->solve(v, r_f);
   cluster.charge(
       Phase::kRecovery,

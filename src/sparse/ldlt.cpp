@@ -1,6 +1,7 @@
 #include "sparse/ldlt.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sparse/amd.hpp"
 #include "sparse/reorder.hpp"
@@ -17,6 +18,449 @@ namespace {
 // PR 3 code path; fill-heavy AMD-ordered factors pack their wide trailing
 // supernodes and solve them dense.
 constexpr Index kMinPanelWidth = 8;
+
+// Factors doing at least this many flops per stored L entry
+// (factor_flops / l_nnz) run the supernodal numeric kernel; sparser ones
+// keep the up-looking kernel, whose scattered per-entry updates cost less
+// than a supernode's bookkeeping when the dense blocks are small. Set at the
+// measured crossover: on 72 node blocks of M2 and M4-M8 (scales 12-32,
+// 32-64 nodes, 250-1230 rows; Release, one core of an x86-64 Xeon) the
+// supernodal/up-looking time ratio had a median of 1.16 at 15-20 flops per
+// entry, 0.89 at 20-25, 1.03 at 25-30 (M4 blocks up to 1.38), 0.83 at 30-35
+// (none above 1.05) and 0.5-0.8 from 35 on; the m2-recover A_FF (800 flops
+// per entry) factors in 0.24x the up-looking time.
+constexpr double kMinSupernodalFlopsPerEntry = 30.0;
+
+// Blocking of the supernodal kernel. A supernode is factored kGroup
+// columns at a time; every update into a group — from earlier supernodes and
+// from the supernode's own columns left of it — runs while the group's
+// columns sit in L2. An update accumulates kTile x kTile register tiles
+// (rows x target columns) over up to kChunk source columns, the tile's
+// source rows staying in L1 across the group's column tiles.
+constexpr Index kTile = 4;
+constexpr Index kChunk = 64;
+constexpr Index kGroup = 128;
+// Updates from fewer source columns than this skip the tiles: one fused
+// pass per target column costs less than packing their multipliers.
+constexpr Index kMinTiledSources = 4;
+
+// Two doubles in one vector register (GCC/Clang vector extension; SSE2 on
+// every x86-64 target).
+using Vec2 = double __attribute__((vector_size(16)));
+
+Vec2 load2(const double* p) {
+  Vec2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Up-looking numeric LDLᵀ, row by row: row k of L is the sparse triangular
+// solve against the rows above it, its pattern the row subtree of the
+// elimination tree. Appends each row's entries to their columns of lp/li/lx
+// and fills d; returns false on a pivot that is not positive.
+bool factor_up_looking(const CsrMatrix& a, const std::vector<Index>& parent,
+                       const std::vector<Index>& lp, std::vector<Index>& li,
+                       std::vector<double>& lx, std::vector<double>& d) {
+  const Index n = a.rows();
+  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
+  std::vector<Index> pattern(static_cast<std::size_t>(n));
+  std::vector<Index> flag(static_cast<std::size_t>(n), -1);
+  std::vector<Index> lnz(static_cast<std::size_t>(n), 0);
+
+  for (Index k = 0; k < n; ++k) {
+    Index top = n;
+    flag[static_cast<std::size_t>(k)] = k;
+    const auto cols = a.row_cols(k);
+    const auto vals = a.row_vals(k);
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      Index i = cols[p];
+      if (i > k) continue;
+      y[static_cast<std::size_t>(i)] += vals[p];
+      Index len = 0;
+      for (; flag[static_cast<std::size_t>(i)] != k; i = parent[static_cast<std::size_t>(i)]) {
+        pattern[static_cast<std::size_t>(len++)] = i;
+        flag[static_cast<std::size_t>(i)] = k;
+      }
+      // Reverse the freshly discovered chain onto the pattern stack so the
+      // final pattern [top, n) is in ascending (topological) order.
+      while (len > 0) pattern[static_cast<std::size_t>(--top)] = pattern[static_cast<std::size_t>(--len)];
+    }
+
+    double dk = y[static_cast<std::size_t>(k)];
+    y[static_cast<std::size_t>(k)] = 0.0;
+    for (; top < n; ++top) {
+      const Index i = pattern[static_cast<std::size_t>(top)];
+      const double yi = y[static_cast<std::size_t>(i)];
+      y[static_cast<std::size_t>(i)] = 0.0;
+      const Index p2 = lp[static_cast<std::size_t>(i)] + lnz[static_cast<std::size_t>(i)];
+      for (Index p = lp[static_cast<std::size_t>(i)]; p < p2; ++p)
+        y[static_cast<std::size_t>(li[static_cast<std::size_t>(p)])] -=
+            lx[static_cast<std::size_t>(p)] * yi;
+      const double lki = yi / d[static_cast<std::size_t>(i)];
+      dk -= lki * yi;
+      li[static_cast<std::size_t>(p2)] = k;
+      lx[static_cast<std::size_t>(p2)] = lki;
+      ++lnz[static_cast<std::size_t>(i)];
+    }
+    if (!(dk > 0.0)) return false;  // not positive definite (or NaN)
+    d[static_cast<std::size_t>(k)] = dk;
+  }
+  return true;
+}
+
+// Left-looking supernodal numeric LDLᵀ over the exact supernodes of the
+// symbolic pass, writing L and D in place into the column storage the
+// up-looking kernel fills, so the solves cannot tell the kernels apart.
+//
+// A supernode of columns [c0, c1) has one row list S = (c0, ..., c1 - 1, R),
+// R the rows below it, and column c0 + jj holds exactly the rows of S after
+// position jj. So column c0 + jj keeps the entry of row S[p], p > jj, at
+// lx[base(c0 + jj, jj) + p], base(j, jj) = lp[j] - jj - 1, and S[p] itself is
+// li[base(c0, 0) + p]: every supernode is a dense trapezoid addressed by list
+// position, with no copy and no padding. (A base can be -1, so it stays an
+// integer offset; only offsets of stored entries become pointers.)
+//
+// Supernodes are factored in column order. Each gathers its columns of A,
+// then, a group of columns at a time, takes the updates of every earlier
+// supernode with rows in the group (found through a linked list keyed on
+// each source's next target supernode) and of its own columns left of the
+// group, and factors the group. Updates scatter through rel_, the target's
+// row -> list position map. The order of every update is fixed, so the
+// factor is deterministic; all state lives in the instance, and no scratch
+// grows beyond O(n).
+class SupernodalKernel {
+ public:
+  SupernodalKernel(const std::vector<Index>& lp, std::vector<Index>& li,
+                   std::vector<double>& lx, std::vector<double>& d)
+      : lp_(lp.data()),
+        li_(li),
+        lx_(lx.data()),
+        d_(d.data()),
+        n_(static_cast<Index>(d.size())),
+        rel_(d.size()),
+        w_(static_cast<std::size_t>(kGroup * kChunk)) {}
+
+  /// Factors A; returns false on a pivot that is not positive (or NaN).
+  /// `count` holds the sub-diagonal count of every column of L.
+  bool run(const CsrMatrix& a, const std::vector<Index>& parent,
+           const std::vector<Index>& count);
+
+ private:
+  /// A supernode as the source of an update: first column, list length.
+  struct Source {
+    Index c0;
+    Index nrows;
+  };
+
+  void fill_patterns(const CsrMatrix& a, const std::vector<Index>& parent);
+  /// Offset of list position 0 in column j, the jj-th of its supernode.
+  [[nodiscard]] Index base(Index j, Index jj) const { return lp_[j] - jj - 1; }
+  [[nodiscard]] Index row_at(Source src, Index p) const {
+    return li_[static_cast<std::size_t>(base(src.c0, 0) + p)];
+  }
+  void update(Source src, Index ka, Index kb, Index c_lo, Index c_hi);
+  template <Index KN>
+  void update_narrow(Source src, Index ka, Index c_lo, Index c_hi);
+  template <Index R>
+  void tile(Source src, Index k0, Index k1, Index p, const Vec2* w,
+            double (&acc)[R][kTile]) const;
+  template <Index R>
+  void scatter(Source src, Index p, Index nc, const Index* tcol,
+               const double (&acc)[R][kTile]);
+  bool factor_columns(Source self, Index jb, Index je);
+  bool factor_block(Index c0, Index nrows, Index jb, Index je);
+
+  const Index* lp_;
+  std::vector<Index>& li_;
+  double* lx_;
+  double* d_;
+  Index n_;
+  std::vector<Index> rel_;  // row -> position in the target's row list
+  std::vector<Vec2> w_;     // d_kk L(c, kk) of one group and chunk, twice
+};
+
+void SupernodalKernel::fill_patterns(const CsrMatrix& a,
+                                     const std::vector<Index>& parent) {
+  // Row k of L is the row subtree of A's row k; appending k to each of its
+  // columns leaves every column's rows ascending.
+  std::vector<Index> next(lp_, lp_ + n_);
+  std::vector<Index> flag(static_cast<std::size_t>(n_), -1);
+  for (Index k = 0; k < n_; ++k) {
+    flag[static_cast<std::size_t>(k)] = k;
+    for (Index i : a.row_cols(k)) {
+      if (i >= k) continue;
+      for (; flag[static_cast<std::size_t>(i)] != k;
+           i = parent[static_cast<std::size_t>(i)]) {
+        li_[static_cast<std::size_t>(next[static_cast<std::size_t>(i)]++)] = k;
+        flag[static_cast<std::size_t>(i)] = k;
+      }
+    }
+  }
+}
+
+// acc[r][c] = sum over source columns kk in [k0, k1) of L(p + r, kk) w[kk][c]
+// (w packs kTile broadcast multipliers per kk). Spelled out in Vec2 because
+// the auto-vectorizer picks the kk loop and gathers across columns instead.
+template <Index R>
+void SupernodalKernel::tile(Source src, Index k0, Index k1, Index p,
+                            const Vec2* w, double (&acc)[R][kTile]) const {
+  // Column kk + 1 keeps list position p nrows - kk - 2 entries after
+  // column kk does.
+  Index off = base(src.c0 + k0, k0) + p;
+  Index stride = src.nrows - k0 - 2;
+  if constexpr (R == 1) {
+    Vec2 s01 = {0.0, 0.0};
+    Vec2 s23 = {0.0, 0.0};
+    for (Index kk = k0; kk < k1; ++kk, w += kTile, off += stride--) {
+      const Vec2 v = {lx_[off], lx_[off]};
+      s01 += v * Vec2{w[0][0], w[1][0]};
+      s23 += v * Vec2{w[2][0], w[3][0]};
+    }
+    acc[0][0] = s01[0];
+    acc[0][1] = s01[1];
+    acc[0][2] = s23[0];
+    acc[0][3] = s23[1];
+  } else {
+    static_assert(R == kTile && kTile == 4, "the row tile is two Vec2 pairs");
+    Vec2 sum[2][kTile] = {};
+    for (Index kk = k0; kk < k1; ++kk, w += kTile, off += stride--) {
+      const Vec2 lo = load2(lx_ + off);
+      const Vec2 hi = load2(lx_ + off + 2);
+      for (Index c = 0; c < kTile; ++c) {
+        sum[0][c] += lo * w[c];
+        sum[1][c] += hi * w[c];
+      }
+    }
+    for (Index c = 0; c < kTile; ++c) {
+      acc[0][c] = sum[0][c][0];
+      acc[1][c] = sum[0][c][1];
+      acc[2][c] = sum[1][c][0];
+      acc[3][c] = sum[1][c][1];
+    }
+  }
+}
+
+// Subtracts a tile of source positions [p, p + R) from its nc target
+// columns tcol: entries below a column's diagonal from its slot
+// for the row, the diagonal from the pivot; entries above it do not exist.
+template <Index R>
+void SupernodalKernel::scatter(Source src, Index p, Index nc,
+                               const Index* tcol,
+                               const double (&acc)[R][kTile]) {
+  Index tp[R] = {};
+  for (Index r = 0; r < R; ++r) tp[r] = rel_[row_at(src, p + r)];
+  for (Index c = 0; c < nc; ++c) {
+    const Index tc = tcol[c];
+    const Index tc_pos = rel_[tc];
+    const Index tbase = base(tc, tc_pos);
+    for (Index r = 0; r < R; ++r) {
+      if (tp[r] > tc_pos)
+        lx_[tbase + tp[r]] -= acc[r][c];
+      else if (tp[r] == tc_pos)
+        d_[tc] -= acc[r][c];
+    }
+  }
+}
+
+// Subtracts sum_kk L(p, kk) d_kk L(c, kk) over the source's columns kk in
+// [ka, kb) from the target entry of every list position pair p >= c of the
+// source, c in [c_lo, c_hi) (at most kGroup target columns): row S[p] of
+// column S[c], its pivot when p == c.
+void SupernodalKernel::update(Source src, Index ka, Index kb, Index c_lo,
+                              Index c_hi) {
+  static_assert(kMinTiledSources == 4, "narrow updates take 1 to 3 columns");
+  switch (kb - ka) {
+    case 1: update_narrow<1>(src, ka, c_lo, c_hi); return;
+    case 2: update_narrow<2>(src, ka, c_lo, c_hi); return;
+    case 3: update_narrow<3>(src, ka, c_lo, c_hi); return;
+    default: break;
+  }
+  Index tcol[kGroup] = {};
+  for (Index c = c_lo; c < c_hi; ++c) tcol[c - c_lo] = row_at(src, c);
+  for (Index k0 = ka; k0 < kb; k0 += kChunk) {
+    const Index k1 = std::min(k0 + kChunk, kb);
+    Vec2* w = w_.data();
+    for (Index cb = c_lo; cb < c_hi; cb += kTile) {
+      for (Index kk = k0; kk < k1; ++kk, w += kTile) {
+        const Index col = base(src.c0 + kk, kk);
+        const double dk = d_[src.c0 + kk];
+        for (Index c = 0; c < kTile; ++c) {
+          const double v = cb + c < c_hi ? dk * lx_[col + cb + c] : 0.0;
+          w[c] = Vec2{v, v};
+        }
+      }
+    }
+    // Row tiles start at c_lo, so a tile meets a column tile either on its
+    // diagonal (p == cb) or wholly below it.
+    Index p = c_lo;
+    for (; p + kTile <= src.nrows; p += kTile) {
+      for (Index cb = c_lo; cb <= p && cb < c_hi; cb += kTile) {
+        double acc[kTile][kTile] = {};
+        tile<kTile>(src, k0, k1, p, w_.data() + (cb - c_lo) * (k1 - k0), acc);
+        scatter<kTile>(src, p, std::min(kTile, c_hi - cb), tcol + (cb - c_lo),
+                       acc);
+      }
+    }
+    for (; p < src.nrows; ++p) {
+      for (Index cb = c_lo; cb <= p && cb < c_hi; cb += kTile) {
+        double acc[1][kTile] = {};
+        tile<1>(src, k0, k1, p, w_.data() + (cb - c_lo) * (k1 - k0), acc);
+        scatter<1>(src, p, std::min(kTile, c_hi - cb), tcol + (cb - c_lo), acc);
+      }
+    }
+  }
+}
+
+// update() for KN < kMinTiledSources source columns starting at ka: per
+// target column, one pass sums every source column's contribution to each
+// row before the scatter.
+template <Index KN>
+void SupernodalKernel::update_narrow(Source src, Index ka, Index c_lo,
+                                     Index c_hi) {
+  Index col[KN] = {};
+  double dk[KN] = {};
+  for (Index kk = 0; kk < KN; ++kk) {
+    col[kk] = base(src.c0 + ka + kk, ka + kk);
+    dk[kk] = d_[src.c0 + ka + kk];
+  }
+  const Index* li = li_.data();
+  const Index rows = base(src.c0, 0);  // row of position p: li[rows + p]
+  for (Index c = c_lo; c < c_hi; ++c) {
+    const Index tc = li[rows + c];
+    const Index tc_pos = rel_[tc];
+    const Index tbase = base(tc, tc_pos);
+    double t[KN] = {};
+    for (Index kk = 0; kk < KN; ++kk) {
+      t[kk] = dk[kk] * lx_[col[kk] + c];
+      d_[tc] -= t[kk] * lx_[col[kk] + c];
+    }
+    for (Index p = c + 1; p < src.nrows; ++p) {
+      double sum = 0.0;
+      for (Index kk = 0; kk < KN; ++kk) sum += t[kk] * lx_[col[kk] + p];
+      lx_[tbase + rel_[li[rows + p]]] -= sum;
+    }
+  }
+}
+
+// Factors columns [jb, je) of a supernode once every column left of jb has
+// updated them: halves recursively, the left half updating the right one
+// through the blocked kernel, down to single tiles.
+bool SupernodalKernel::factor_columns(Source self, Index jb, Index je) {
+  if (je - jb <= kTile) return factor_block(self.c0, self.nrows, jb, je);
+  const Index mid = jb + std::max(kTile, (je - jb) / (2 * kTile) * kTile);
+  if (!factor_columns(self, jb, mid)) return false;
+  update(self, jb, mid, mid, je);
+  return factor_columns(self, mid, je);
+}
+
+// Factors columns [jb, je) of a supernode starting at c0 once every column
+// left of jb has updated them: the within-tile left-looking updates, then
+// each pivot check and the division by it.
+bool SupernodalKernel::factor_block(Index c0, Index nrows, Index jb,
+                                    Index je) {
+  for (Index jj = jb; jj < je; ++jj) {
+    const Index col = base(c0 + jj, jj);
+    for (Index kk = jb; kk < jj; ++kk) {
+      const Index src = base(c0 + kk, kk);
+      const double ljk = lx_[src + jj];
+      const double t = d_[c0 + kk] * ljk;
+      d_[c0 + jj] -= t * ljk;
+      for (Index p = jj + 1; p < nrows; ++p) lx_[col + p] -= t * lx_[src + p];
+    }
+    const double dj = d_[c0 + jj];
+    if (!(dj > 0.0)) return false;  // not positive definite (or NaN)
+    for (Index p = jj + 1; p < nrows; ++p) lx_[col + p] /= dj;
+  }
+  return true;
+}
+
+bool SupernodalKernel::run(const CsrMatrix& a, const std::vector<Index>& parent,
+                           const std::vector<Index>& count) {
+  fill_patterns(a, parent);
+
+  // Exact supernodes: column j + 1 joins column j's iff it is j's parent and
+  // j's pattern is {j + 1} plus j + 1's.
+  std::vector<Index> first;
+  for (Index j = 0; j < n_; ++j) {
+    if (j == 0 || parent[static_cast<std::size_t>(j - 1)] != j ||
+        count[static_cast<std::size_t>(j - 1)] != count[static_cast<std::size_t>(j)] + 1)
+      first.push_back(j);
+  }
+  first.push_back(n_);
+  const auto ns = static_cast<Index>(first.size()) - 1;
+  std::vector<Index> sn_of(static_cast<std::size_t>(n_));
+  for (Index s = 0; s < ns; ++s)
+    std::fill(sn_of.begin() + first[static_cast<std::size_t>(s)],
+              sn_of.begin() + first[static_cast<std::size_t>(s) + 1], s);
+  const auto source = [&](Index s) {
+    const Index c0 = first[static_cast<std::size_t>(s)];
+    return Source{c0, count[static_cast<std::size_t>(c0)] + 1};
+  };
+
+  // head[t] lists the supernodes whose next rows to apply lie in t; next[s]
+  // is the first list position of s not yet applied.
+  std::vector<Index> head(static_cast<std::size_t>(ns), -1);
+  std::vector<Index> link(static_cast<std::size_t>(ns), -1);
+  std::vector<Index> next(static_cast<std::size_t>(ns), 0);
+  const auto enqueue = [&](Index s, Index pos) {
+    const Index t = sn_of[static_cast<std::size_t>(row_at(source(s), pos))];
+    next[static_cast<std::size_t>(s)] = pos;
+    link[static_cast<std::size_t>(s)] = head[static_cast<std::size_t>(t)];
+    head[static_cast<std::size_t>(t)] = s;
+  };
+  std::vector<Index> pending;  // the supernodes updating the current one
+
+  for (Index s = 0; s < ns; ++s) {
+    const Source self = source(s);
+    const Index c0 = self.c0;
+    const Index w = first[static_cast<std::size_t>(s) + 1] - c0;
+    for (Index p = 0; p < w; ++p) rel_[static_cast<std::size_t>(c0 + p)] = p;
+    for (Index p = w; p < self.nrows; ++p)
+      rel_[static_cast<std::size_t>(row_at(self, p))] = p;
+
+    // Gather A's lower triangle of the supernode's columns.
+    for (Index jj = 0; jj < w; ++jj) {
+      const Index j = c0 + jj;
+      const Index col = base(j, jj);
+      const auto cols = a.row_cols(j);
+      const auto vals = a.row_vals(j);
+      for (std::size_t q = 0; q < cols.size(); ++q) {
+        if (cols[q] == j)
+          d_[j] += vals[q];
+        else if (cols[q] > j)
+          lx_[col + rel_[static_cast<std::size_t>(cols[q])]] += vals[q];
+      }
+    }
+
+    pending.clear();
+    for (Index k = head[static_cast<std::size_t>(s)]; k != -1;
+         k = link[static_cast<std::size_t>(k)])
+      pending.push_back(k);
+
+    for (Index jb = 0; jb < w; jb += kGroup) {
+      const Index je = std::min(jb + kGroup, w);
+      // Earlier supernodes' rows in [c0 + jb, c0 + je), each the next run
+      // of its row list.
+      for (const Index k : pending) {
+        const Source src = source(k);
+        const Index p1 = next[static_cast<std::size_t>(k)];
+        Index p2 = p1;
+        while (p2 < src.nrows && row_at(src, p2) < c0 + je) ++p2;
+        const Index kw = first[static_cast<std::size_t>(k) + 1] - src.c0;
+        if (p2 > p1) update(src, 0, kw, p1, p2);
+        next[static_cast<std::size_t>(k)] = p2;
+      }
+      // The supernode's own columns left of the group, in one blocked pass.
+      if (jb > 0) update(self, 0, jb, jb, je);
+      if (!factor_columns(self, jb, je)) return false;
+    }
+    for (const Index k : pending)
+      if (next[static_cast<std::size_t>(k)] < source(k).nrows)
+        enqueue(k, next[static_cast<std::size_t>(k)]);
+    if (self.nrows > w) enqueue(s, w);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -78,58 +522,29 @@ std::optional<SparseLdlt> SparseLdlt::factor(const CsrMatrix& a,
     }
   }
   f.lp_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Index j = 0; j < n; ++j)
-    f.lp_[static_cast<std::size_t>(j) + 1] =
-        f.lp_[static_cast<std::size_t>(j)] + lnz[static_cast<std::size_t>(j)];
+  for (Index j = 0; j < n; ++j) {
+    const Index c = lnz[static_cast<std::size_t>(j)];
+    f.lp_[static_cast<std::size_t>(j) + 1] = f.lp_[static_cast<std::size_t>(j)] + c;
+    // A column with c sub-diagonal entries costs c^2 + 3c flops: its t-th
+    // entry takes a 2t-flop sparse dot plus a division and two madds. Every
+    // partial sum is an integer below 2^53, so the total is exact.
+    f.factor_flops_ += static_cast<double>(c) * static_cast<double>(c + 3);
+  }
   f.li_.assign(static_cast<std::size_t>(f.lp_.back()), 0);
   f.lx_.assign(static_cast<std::size_t>(f.lp_.back()), 0.0);
   f.d_.assign(static_cast<std::size_t>(n), 0.0);
 
-  // --- Numeric pass (up-looking, row by row). ---
-  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
-  std::vector<Index> pattern(static_cast<std::size_t>(n));
-  std::fill(flag.begin(), flag.end(), Index{-1});
-  std::fill(lnz.begin(), lnz.end(), Index{0});
-
-  for (Index k = 0; k < n; ++k) {
-    Index top = n;
-    flag[static_cast<std::size_t>(k)] = k;
-    const auto cols = a.row_cols(k);
-    const auto vals = a.row_vals(k);
-    for (std::size_t p = 0; p < cols.size(); ++p) {
-      Index i = cols[p];
-      if (i > k) continue;
-      y[static_cast<std::size_t>(i)] += vals[p];
-      Index len = 0;
-      for (; flag[static_cast<std::size_t>(i)] != k; i = parent[static_cast<std::size_t>(i)]) {
-        pattern[static_cast<std::size_t>(len++)] = i;
-        flag[static_cast<std::size_t>(i)] = k;
-      }
-      // Reverse the freshly discovered chain onto the pattern stack so the
-      // final pattern [top, n) is in ascending (topological) order.
-      while (len > 0) pattern[static_cast<std::size_t>(--top)] = pattern[static_cast<std::size_t>(--len)];
-    }
-
-    double dk = y[static_cast<std::size_t>(k)];
-    y[static_cast<std::size_t>(k)] = 0.0;
-    for (; top < n; ++top) {
-      const Index i = pattern[static_cast<std::size_t>(top)];
-      const double yi = y[static_cast<std::size_t>(i)];
-      y[static_cast<std::size_t>(i)] = 0.0;
-      const Index p2 = f.lp_[static_cast<std::size_t>(i)] + lnz[static_cast<std::size_t>(i)];
-      for (Index p = f.lp_[static_cast<std::size_t>(i)]; p < p2; ++p)
-        y[static_cast<std::size_t>(f.li_[static_cast<std::size_t>(p)])] -=
-            f.lx_[static_cast<std::size_t>(p)] * yi;
-      f.factor_flops_ += 2.0 * static_cast<double>(p2 - f.lp_[static_cast<std::size_t>(i)]) + 4.0;
-      const double lki = yi / f.d_[static_cast<std::size_t>(i)];
-      dk -= lki * yi;
-      f.li_[static_cast<std::size_t>(p2)] = k;
-      f.lx_[static_cast<std::size_t>(p2)] = lki;
-      ++lnz[static_cast<std::size_t>(i)];
-    }
-    if (dk <= 0.0) return std::nullopt;  // not positive definite
-    f.d_[static_cast<std::size_t>(k)] = dk;
-  }
+  // --- Numeric pass: supernodal when the factor is dense enough per entry
+  // for its supernodes to pay off, else up-looking. ---
+  const auto l_nnz = static_cast<double>(f.lp_.back());
+  const bool use_supernodal =
+      supernodal && l_nnz > 0.0 &&
+      f.factor_flops_ >= kMinSupernodalFlopsPerEntry * l_nnz;
+  const bool ok =
+      use_supernodal
+          ? SupernodalKernel(f.lp_, f.li_, f.lx_, f.d_).run(a, parent, lnz)
+          : factor_up_looking(a, parent, f.lp_, f.li_, f.lx_, f.d_);
+  if (!ok) return std::nullopt;
   if (supernodal) f.build_supernodes();
   return f;
 }

@@ -1,20 +1,29 @@
-// Sparse LDLᵀ factorization: simplicial (elimination-tree based, up-looking)
-// numeric factorization with an optional supernodal solve layer, behind a
-// pluggable fill-reducing ordering. Provides the *exact* local solves the
-// library needs:
+// Sparse LDLᵀ factorization behind a pluggable fill-reducing ordering, with
+// two numeric kernels and an optional supernodal solve layer. Provides the
+// *exact* local solves the library needs:
 //   * block Jacobi preconditioner blocks are "solved exactly" (paper Sec. 6),
 //   * the explicit-P variant of Alg. 2 solves P_{If,If} r_{If} = v exactly,
-//   * the accuracy ablation solves A_{If,If} x_{If} = w directly instead of
-//     iteratively.
-// The factorization follows the classical LDL approach of Davis (elimination
+//   * the ESR exact local solve factors A_{If,If} once per failed node set
+//     and solves A_{If,If} x_{If} = w directly instead of iteratively.
+// The symbolic pass follows the classical LDL approach of Davis (elimination
 // tree + per-row pattern via tree walks), reimplemented from the textbook
-// description. After the numeric pass, maximal sets of contiguous columns
-// sharing one sub-diagonal pattern (exact supernodes) are packed into dense
-// panels; solves then run blocked forward/diagonal/backward sweeps over the
-// panels — cache-friendly, auto-vectorizable — instead of scalar per-column
-// sweeps. Exact supernodes store no padding zeros, so the flop accounting is
-// identical either way and sim-model times shift only with the *ordering*
-// (real work), never with the storage format.
+// description; it yields the column counts of L, from which the flop count
+// of the factorization follows in closed form. That count per stored entry
+// picks the numeric kernel:
+//   * sparse factors (banded and near-banded node blocks) run the up-looking
+//     kernel: row k of L is a sparse triangular solve against rows < k;
+//   * fill-heavy factors (random-pattern blocks, multi-node A_{If,If}) run a
+//     left-looking supernodal kernel over the exact supernodes (maximal runs
+//     of contiguous columns sharing one sub-diagonal pattern): descendant
+//     supernodes update each supernode through register-tiled dense blocks,
+//     then each supernode runs a dense LDLᵀ on itself.
+// Both kernels write L into the same column storage, in place, so nothing
+// downstream depends on which one ran. After the numeric pass the wide
+// supernodes are also packed into dense panels; solves then run blocked
+// forward/diagonal/backward sweeps over the panels instead of scalar
+// per-column sweeps. Exact supernodes store no padding zeros, so the flop
+// accounting is identical either way and sim-model times shift only with
+// the *ordering* (real work), never with the kernel or storage format.
 #pragma once
 
 #include <optional>
@@ -34,11 +43,15 @@ enum class LdltOrdering { kNatural, kRcm, kAmd };
 class SparseLdlt {
  public:
   /// Factorizes the SPD matrix A (full symmetric storage, sorted rows).
-  /// Returns std::nullopt if a nonpositive pivot arises (A not numerically
-  /// positive definite). With `supernodal` (the default) the factor is
-  /// post-processed into dense supernode panels when the detected supernodes
-  /// are wide enough to pay off; pass false to force the scalar column
-  /// sweeps (micro-benches and equivalence tests).
+  /// Returns std::nullopt if a pivot is not positive (zero, negative or
+  /// NaN: A is not numerically positive definite). With `supernodal` (the
+  /// default) the numeric kernel is chosen by factor_flops() / l_nnz(): the
+  /// supernodal kernel from 30 flops per entry on, the up-looking kernel
+  /// below; and the factor is post-processed into dense supernode panels
+  /// when the detected supernodes are wide enough to pay off. Pass false to
+  /// force the scalar reference path — the up-looking kernel and the
+  /// unpacked column sweeps (micro-benches and equivalence tests). Either
+  /// way l_nnz(), solve_flops() and factor_flops() are the same.
   [[nodiscard]] static std::optional<SparseLdlt> factor(const CsrMatrix& a,
                                                         bool supernodal = true);
 
@@ -77,8 +90,9 @@ class SparseLdlt {
     return 4.0 * static_cast<double>(l_nnz()) + static_cast<double>(n_);
   }
 
-  /// Flops spent in the numeric factorization (cost model for the local
-  /// solves set up during reconstruction).
+  /// Flops of the numeric factorization (cost model for the local solves
+  /// set up during reconstruction): sum over columns of c^2 + 3c, c the
+  /// column's sub-diagonal count. Independent of the kernel.
   [[nodiscard]] double factor_flops() const { return factor_flops_; }
 
  private:
@@ -134,9 +148,10 @@ class ReorderedLdlt {
  public:
   [[nodiscard]] static std::optional<ReorderedLdlt> factor(const CsrMatrix& a);
 
-  /// Forces one ordering candidate (and optionally the scalar kernel)
-  /// instead of selecting by symbolic fill — the measurement hook for the
-  /// micro-benches and the ordering property tests.
+  /// Forces one ordering candidate (and, with `supernodal` false, the
+  /// scalar reference path of SparseLdlt::factor) instead of selecting by
+  /// symbolic fill — the measurement hook for the micro-benches and the
+  /// ordering property tests.
   [[nodiscard]] static std::optional<ReorderedLdlt> factor_with(
       const CsrMatrix& a, LdltOrdering ordering, bool supernodal = true);
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/errors.hpp"
 #include "core/resilient_pcg.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/ldlt.hpp"
 #include "test_util.hpp"
 
 namespace rpcg {
@@ -92,6 +95,33 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{3, 0, 0},   // failure at the very first SpMV
                       std::tuple{3, 5, 15},  // includes the last rank
                       std::tuple{4, 2, 7}));
+
+TEST(Esr, IndefiniteLocalSystemIsClassifiedAsDivergence) {
+  // A = [[I, B], [Bᵀ, I]] with B = 2 I on 2 nodes: each node block is I
+  // (positive definite), but A itself has eigenvalues 1 ± 2, so the exact
+  // local solve of both nodes' A_{IF,IF} = A cannot factor it.
+  TripletBuilder tb;
+  for (Index i = 0; i < 4; ++i) tb.add(i, i, 1.0);
+  tb.add_sym(0, 2, 2.0);
+  tb.add_sym(1, 3, 2.0);
+  Problem p(tb.build(4, 4), 2);
+  for (NodeId node = 0; node < 2; ++node) {
+    const auto rows = p.part.rows_of(node);
+    EXPECT_TRUE(SparseLdlt::factor(p.a.submatrix(rows, rows)).has_value());
+  }
+  Cluster cluster(p.part, CommParams{});
+  const DistVector x(p.part);
+  const std::vector<Index> rows{0, 1, 2, 3};
+  std::vector<double> x_f(rows.size());
+  EsrOptions opts;
+  opts.exact_local_solve = true;
+  try {
+    (void)esr_solve_lost_x(cluster, p.a, rows, {}, p.b, x, x_f, opts);
+    FAIL() << "an indefinite A_{IF,IF} must not be solved";
+  } catch (const std::exception& e) {
+    EXPECT_EQ(classify_exception(e), ErrorClass::kDivergence) << e.what();
+  }
+}
 
 TEST(Esr, IterativeLocalSolveMatchesPaperSetting) {
   // IC(0)-PCG local solve at rtol 1e-14 (the paper's configuration) is as

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
+#include "repro/matrices.hpp"
+#include "sim/partition.hpp"
+#include "sparse/amd.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/reorder.hpp"
 #include "test_util.hpp"
 
 namespace rpcg {
@@ -143,6 +151,124 @@ TEST(LdltSupernodes, DenseSupernodalSolveIsExact) {
   std::vector<double> x(b.size());
   fact->solve(b, x);
   EXPECT_LT(max_diff(x, x_ref), 1e-9);
+}
+
+// The kernel threshold of SparseLdlt::factor, in flops per stored L entry.
+constexpr double kSupernodalFlopsPerEntry = 30.0;
+
+double flops_per_entry(const SparseLdlt& f) {
+  return f.factor_flops() / static_cast<double>(f.l_nnz());
+}
+
+// The A_{IF,IF} of three failed nodes of a small M2 (random long-range
+// pattern) under AMD: a fill-heavy local system like the m2-recover one.
+CsrMatrix small_m2_a_ff() {
+  const auto m = repro::make_matrix(2, 128.0);
+  const Partition part = Partition::block_rows(m.matrix.rows(), 8);
+  const std::vector<NodeId> failed{2, 3, 4};
+  const auto rows = part.rows_of_set(failed);
+  const CsrMatrix a_ff = m.matrix.submatrix(rows, rows);
+  return a_ff.permuted_symmetric(amd_ordering(a_ff));
+}
+
+TEST(LdltKernels, FactorFlopsHaveTheClosedForm) {
+  // Column j of a dense factor has c = n - 1 - j sub-diagonal entries, and
+  // the count is sum c^2 + 3c for either kernel.
+  const CsrMatrix a = dense_random_spd(80, 4);
+  double expect = 0.0;
+  for (Index c = 0; c < 80; ++c) expect += static_cast<double>(c * (c + 3));
+  const auto on = SparseLdlt::factor(a);
+  const auto off = SparseLdlt::factor(a, false);
+  ASSERT_TRUE(on.has_value());
+  ASSERT_TRUE(off.has_value());
+  EXPECT_EQ(on->factor_flops(), expect);
+  EXPECT_EQ(off->factor_flops(), expect);
+  // A tridiagonal factor: 99 columns with one entry each.
+  EXPECT_EQ(SparseLdlt::factor(tridiag_spd(100))->factor_flops(), 99.0 * 4.0);
+}
+
+TEST(LdltKernels, SupernodalKernelMatchesReferenceAboveThreshold) {
+  const std::vector<std::pair<const char*, CsrMatrix>> inputs = {
+      {"dense80", dense_random_spd(80, 3)},
+      {"fill-heavy random", random_spd(300, 8, 0.4, 50, 5)},
+      {"M2 A_FF", small_m2_a_ff()},
+  };
+  for (const auto& [name, a] : inputs) {
+    const auto on = SparseLdlt::factor(a);
+    const auto off = SparseLdlt::factor(a, false);
+    ASSERT_TRUE(on.has_value()) << name;
+    ASSERT_TRUE(off.has_value()) << name;
+    // The input must stay above the threshold, or this test would quietly
+    // compare the up-looking kernel with itself.
+    EXPECT_GE(flops_per_entry(*on), kSupernodalFlopsPerEntry) << name;
+    EXPECT_EQ(on->l_nnz(), off->l_nnz()) << name;
+    EXPECT_EQ(on->solve_flops(), off->solve_flops()) << name;
+    EXPECT_EQ(on->factor_flops(), off->factor_flops()) << name;
+
+    const auto x_ref = random_vector(a.rows(), 11);
+    std::vector<double> b(x_ref.size());
+    a.spmv(x_ref, b);
+    std::vector<double> x_on(b.size()), x_off(b.size());
+    on->solve(b, x_on);
+    off->solve(b, x_off);
+    EXPECT_LT(max_diff(x_on, x_off), 1e-11) << name;
+    EXPECT_LT(max_diff(x_on, x_ref), 1e-11) << name;
+    EXPECT_LT(max_diff(x_off, x_ref), 1e-11) << name;
+  }
+}
+
+TEST(LdltKernels, SupernodalKernelIsDeterministic) {
+  const CsrMatrix a = small_m2_a_ff();
+  const auto f1 = SparseLdlt::factor(a);
+  const auto f2 = SparseLdlt::factor(a);
+  ASSERT_TRUE(f1.has_value());
+  ASSERT_TRUE(f2.has_value());
+  const auto b = random_vector(a.rows(), 4);
+  std::vector<double> x1(b.size()), x2(b.size());
+  f1->solve(b, x1);
+  f2->solve(b, x2);
+  EXPECT_EQ(x1, x2);
+}
+
+TEST(LdltKernels, SparseBlockKeepsTheReferencePath) {
+  // An RCM-ordered M1 (banded FEM) node block is far below the threshold
+  // and packs no panel, so factor(a) must run exactly the reference path:
+  // the solves agree bit for bit.
+  const auto m = repro::make_matrix(1, 64.0);
+  const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+  const auto rows = part.rows_of(1);
+  const CsrMatrix block = m.matrix.submatrix(rows, rows);
+  const CsrMatrix a = block.permuted_symmetric(rcm_ordering(block));
+  const auto on = SparseLdlt::factor(a);
+  const auto off = SparseLdlt::factor(a, false);
+  ASSERT_TRUE(on.has_value());
+  ASSERT_TRUE(off.has_value());
+  EXPECT_LT(flops_per_entry(*on), kSupernodalFlopsPerEntry);
+  EXPECT_FALSE(on->supernodal());
+  const auto b = random_vector(a.rows(), 6);
+  std::vector<double> x_on(b.size()), x_off(b.size());
+  on->solve(b, x_on);
+  off->solve(b, x_off);
+  EXPECT_EQ(x_on, x_off);
+}
+
+TEST(LdltKernels, NonPositivePivotAboveThresholdIsRejectedByBothPaths) {
+  // A dense SPD matrix whose last diagonal entry is made negative enough
+  // (or NaN) that the last pivot is not positive.
+  const CsrMatrix spd = dense_random_spd(60, 9);
+  for (const double last : {-1e6, std::numeric_limits<double>::quiet_NaN()}) {
+    CsrMatrix a = spd;
+    const auto start = a.row_ptr()[59];
+    const auto cols = a.row_cols(59);
+    const auto diag = std::lower_bound(cols.begin(), cols.end(), Index{59});
+    ASSERT_NE(diag, cols.end());
+    a.mutable_values()[static_cast<std::size_t>(start + (diag - cols.begin()))] =
+        last;
+    EXPECT_GE(flops_per_entry(*SparseLdlt::factor(spd)),
+              kSupernodalFlopsPerEntry);
+    EXPECT_FALSE(SparseLdlt::factor(a).has_value()) << last;
+    EXPECT_FALSE(SparseLdlt::factor(a, false).has_value()) << last;
+  }
 }
 
 }  // namespace
