@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "core/errors.hpp"
 #include "core/factorization_cache.hpp"
 #include "sim/collectives.hpp"
 #include "util/check.hpp"
@@ -468,12 +469,16 @@ engine::SolveReport PipelinedPcg::solve_depth1(
     double beta, alpha;
     if (k == 0) {
       beta = 0.0;
-      RPCG_REQUIRE(delta > 0.0, "matrix is not positive definite along u");
+      if (!(delta > 0.0))
+        throw DivergenceError(
+            "CG breakdown: matrix is not positive definite along u");
       alpha = gamma / delta;
     } else {
       beta = gamma / st.gamma_prev;
       const double denom = delta - beta * gamma / st.alpha_prev;
-      RPCG_REQUIRE(denom > 0.0, "matrix is not positive definite along p");
+      if (!(denom > 0.0))
+        throw DivergenceError(
+            "CG breakdown: matrix is not positive definite along p");
       alpha = gamma / denom;
     }
 
@@ -715,12 +720,16 @@ engine::SolveReport PipelinedPcg::solve_deep(
     double beta, alpha;
     if (k == 0 || restarted) {
       beta = 0.0;
-      RPCG_REQUIRE(delta > 0.0, "matrix is not positive definite along u");
+      if (!(delta > 0.0))
+        throw DivergenceError(
+            "CG breakdown: matrix is not positive definite along u");
       alpha = gamma / delta;
     } else {
       beta = gamma / st.gamma_prev;
       const double denom = delta - beta * gamma / st.alpha_prev;
-      RPCG_REQUIRE(denom > 0.0, "matrix is not positive definite along p");
+      if (!(denom > 0.0))
+        throw DivergenceError(
+            "CG breakdown: matrix is not positive definite along p");
       alpha = gamma / denom;
     }
     history.push_back({beta, alpha});

@@ -108,8 +108,9 @@ ProblemBuilder& ProblemBuilder::preconditioner(
   return *this;
 }
 
-ProblemBuilder& ProblemBuilder::borrow_preconditioner(const Preconditioner& m) {
-  precond_name_ = m.name();
+ProblemBuilder& ProblemBuilder::borrow_preconditioner(const Preconditioner& m,
+                                                      std::string name) {
+  precond_name_ = name.empty() ? m.name() : std::move(name);
   precond_ = MaybeOwned<Preconditioner>::borrowed(m);
   return *this;
 }

@@ -139,7 +139,11 @@ class ProblemBuilder {
   /// "ssor", "ic0-split", "none"); constructed at build() time.
   ProblemBuilder& preconditioner(std::string name);
   ProblemBuilder& preconditioner(std::unique_ptr<Preconditioner> m);
-  ProblemBuilder& borrow_preconditioner(const Preconditioner& m);
+  /// Borrows a built preconditioner. Reports name it `name`, or m.name()
+  /// when `name` is empty; pass the registry key it was created under to
+  /// keep an alias ("none", "ic0-split") as a by-name build would.
+  ProblemBuilder& borrow_preconditioner(const Preconditioner& m,
+                                        std::string name = {});
 
   /// Right-hand side as a global vector.
   ProblemBuilder& rhs(std::vector<double> b_global);

@@ -58,7 +58,10 @@ ExplicitPreconditioner::ExplicitPreconditioner(CsrMatrix p,
 
 void ExplicitPreconditioner::apply(Cluster& cluster, const DistVector& r,
                                    DistVector& z, Phase phase) const {
-  p_dist_.spmv(cluster, r, z, halos_, phase);
+  // Thread-local halo workspace, not a member: concurrent solves may apply
+  // one shared instance.
+  static thread_local std::vector<std::vector<double>> halos;
+  p_dist_.spmv(cluster, r, z, halos, phase);
 }
 
 void ExplicitPreconditioner::esr_recover_residual(

@@ -52,7 +52,6 @@ class ExplicitPreconditioner final : public Preconditioner {
   CsrMatrix p_global_;
   FactorizationCache::MatrixKey p_key_;  // content key of the immutable P
   DistMatrix p_dist_;
-  mutable std::vector<std::vector<double>> halos_;  // apply() workspace
   // P_{IF,IF} factorizations reused across recoveries of the same failed
   // set (the preconditioner outlives individual solves, so the cache spans
   // harness reps; simulated costs are charged on hits too). Unlike the ESR

@@ -29,12 +29,19 @@ class DistMatrix;
 /// Which of the paper's reconstruction variants applies.
 enum class PrecondKind { kIdentity, kPGiven, kMGiven, kSplit };
 
+/// Concurrency contract: apply() and esr_recover_residual() may be called on
+/// one instance from concurrent solves (each with its own cluster and
+/// vectors). The SolverService shares one preconditioner among every job of
+/// a batch that names the same problem, so an implementation keeps any
+/// workspace per call or thread_local, never in a mutable member, and
+/// guards any memoization with a lock.
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
 
   /// z = M^{-1} r on the simulated cluster; charges compute (and, for
-  /// non-local preconditioners, communication) cost to `phase`.
+  /// non-local preconditioners, communication) cost to `phase`. Safe to call
+  /// from concurrent solves (see the class comment).
   virtual void apply(Cluster& cluster, const DistVector& r, DistVector& z,
                      Phase phase) const = 0;
 
@@ -45,6 +52,7 @@ class Preconditioner {
   /// sorted lost global rows `rows` (the set I_F), computes the lost
   /// residual values `r_f`. May read surviving blocks of r and z (valid on
   /// all alive nodes) and charges any gather/solve cost to Phase::kRecovery.
+  /// Safe to call from concurrent solves (see the class comment).
   virtual void esr_recover_residual(Cluster& cluster,
                                     std::span<const Index> rows,
                                     std::span<const double> z_f,

@@ -1,5 +1,6 @@
 #include "service/solver_service.hpp"
 
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -26,8 +27,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Batch-level robustness knobs threaded into every job task.
+/// Batch-level state threaded into every job task: the problem store, the
+/// shared factorization cache and the robustness knobs.
 struct RunContext {
+  ProblemStore* store = nullptr;
+  SharedFactorizationCache* shared = nullptr;  ///< null when sharing is off
   const RetryPolicy* default_retry = nullptr;
   double default_deadline = 0.0;
   const FaultInjector* injector = nullptr;  ///< null when injection is off
@@ -35,13 +39,30 @@ struct RunContext {
   double wall_timeout = 0.0;
 };
 
+/// The job fields problem_parts reads, and nothing else: jobs with equal
+/// keys share one store entry, so a field construction starts to read must
+/// join the key in the same change.
+ProblemStore::Key problem_key(const JobSpec& spec) {
+  return {spec.matrix, std::bit_cast<std::uint64_t>(spec.scale), spec.nodes,
+          spec.precond};
+}
+
+/// Builds the immutable parts of a job's problem in place, as
+/// ProblemBuilder::build would for the same fields.
+void problem_parts(const JobSpec& spec, ProblemStore::Parts& parts) {
+  parts.matrix = repro::make_matrix(spec.matrix, spec.scale).matrix;
+  parts.partition = Partition::block_rows(parts.matrix.rows(), spec.nodes);
+  parts.dist = DistMatrix::distribute(parts.matrix, parts.partition);
+  parts.precond = engine::PreconditionerRegistry::instance().create(
+      spec.precond, parts.matrix, parts.partition);
+}
+
 /// Runs one attempt of one job; any exception propagates to the retry loop.
 /// `rec` is filled with what ran and (on success) how it ended.
 void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
                  const RetryPolicy& policy, double deadline,
-                 bool classify_budget, SharedFactorizationCache* shared,
-                 const FaultInjector* injector, JobResult& result,
-                 AttemptRecord& rec) {
+                 bool classify_budget, const RunContext& ctx,
+                 JobResult& result, AttemptRecord& rec) {
   result.report = engine::SolveReport{};  // never a stale earlier attempt's
   engine::SolverConfig config = spec.config;
   if (deadline > 0.0) config.deadline_sim_seconds = deadline;
@@ -54,21 +75,29 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
   }
   rec.scenario_seed = config.scenario.seed;
 
-  if (injector != nullptr && injector->worker_fault(index, attempt)) {
+  if (ctx.injector != nullptr && ctx.injector->worker_fault(index, attempt)) {
     throw SolverError(ErrorClass::kInternal,
                       "injected worker-task fault (job " +
                           std::to_string(index) + ", attempt " +
                           std::to_string(attempt) + ")");
   }
-  repro::ReproMatrix mat = repro::make_matrix(spec.matrix, spec.scale);
-  engine::Problem problem = engine::ProblemBuilder()
-                                .matrix(std::move(mat.matrix))
-                                .nodes(spec.nodes)
-                                .preconditioner(spec.precond)
-                                .rhs_strategy(spec.rhs)
-                                .noise(spec.noise_cv, spec.noise_seed)
+  // The per-job inputs are validated before the shared parts are requested,
+  // so a job with a bad rhs spec fails on it as a private build did.
+  engine::ProblemBuilder builder;
+  builder.nodes(spec.nodes)
+      .rhs_strategy(spec.rhs)
+      .noise(spec.noise_cv, spec.noise_seed);
+  const ProblemStore::Lease parts =
+      ctx.store->acquire(problem_key(spec), [&spec](ProblemStore::Parts& p) {
+        problem_parts(spec, p);
+      });
+  engine::Problem problem = builder.borrow_matrix(parts->matrix)
+                                .borrow_dist_matrix(parts->dist)
+                                .borrow_preconditioner(*parts->precond,
+                                                       spec.precond)
                                 .build();
-  if (injector != nullptr && injector->cache_build_fault(index, attempt)) {
+  if (ctx.injector != nullptr &&
+      ctx.injector->cache_build_fault(index, attempt)) {
     // The injected upstream fires on the first factorization lookup the
     // attempt would have sent past its private cache.
     problem.factorization_cache().set_upstream(
@@ -80,8 +109,8 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
                                   std::to_string(index) + ", attempt " +
                                   std::to_string(attempt) + ")");
         });
-  } else if (shared != nullptr) {
-    problem.factorization_cache().set_upstream(shared->as_upstream());
+  } else if (ctx.shared != nullptr) {
+    problem.factorization_cache().set_upstream(ctx.shared->as_upstream());
   }
   const auto solver =
       engine::SolverRegistry::instance().create(rec.solver, config);
@@ -106,7 +135,7 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
 /// Runs the job's retry loop and folds any failure into JobResult::error —
 /// one broken job must never take the batch down.
 JobResult run_one(const JobSpec& spec, std::size_t index,
-                  SharedFactorizationCache* shared, const RunContext& ctx) {
+                  const RunContext& ctx) {
   JobResult result;
   result.index = index;
   if (spec.name.empty()) {
@@ -144,8 +173,8 @@ JobResult run_one(const JobSpec& spec, std::size_t index,
     rec.solver = policy.solver_for_attempt(spec.solver, attempt);
     rec.backoff_sim_seconds = policy.backoff_before(attempt);
     try {
-      run_attempt(spec, index, attempt, policy, deadline, classify_budget,
-                  shared, ctx.injector, result, rec);
+      run_attempt(spec, index, attempt, policy, deadline, classify_budget, ctx,
+                  result, rec);
       result.error.clear();
       result.attempts.push_back(std::move(rec));
       break;
@@ -186,11 +215,16 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   summary.jobs.resize(jobs.size());
 
   SharedFactorizationCache shared(options_.shared_cache_capacity);
-  SharedFactorizationCache* shared_ptr =
-      options_.shared_cache ? &shared : nullptr;
+
+  // At most max_in_flight jobs run at once and each holds one entry, so the
+  // store never needs more: a requesting job holds none, leaving an unheld
+  // entry to release whenever the store is full.
+  ProblemStore store(static_cast<std::size_t>(max_in_flight));
 
   const FaultInjector injector(options_.fault_injection);
   RunContext ctx;
+  ctx.store = &store;
+  ctx.shared = options_.shared_cache ? &shared : nullptr;
   ctx.default_retry = &options_.retry;
   ctx.default_deadline = options_.default_deadline_sim_seconds;
   ctx.injector = options_.fault_injection.enabled ? &injector : nullptr;
@@ -228,10 +262,9 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
         ++emit.in_flight;
       }
       const JobSpec& spec = jobs[i];
-      futures.push_back(pool.submit([&summary, &emit, &sink, &spec, i,
-                                     shared_ptr, &ctx,
+      futures.push_back(pool.submit([&summary, &emit, &sink, &spec, i, &ctx,
                                      order = options_.order] {
-        JobResult result = run_one(spec, i, shared_ptr, ctx);
+        JobResult result = run_one(spec, i, ctx);
         {
           std::lock_guard<std::mutex> lock(emit.mu);
           summary.jobs[i] = std::move(result);
@@ -259,6 +292,7 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
 
   summary.wall_seconds = seconds_since(t0);
   summary.shared_stats = shared.stats();
+  summary.problem_store = store.stats();
   summary.total_factorizations = 0;
   for (const JobResult& job : summary.jobs) {
     if (!job.ok()) ++summary.failed;

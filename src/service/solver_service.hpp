@@ -1,12 +1,21 @@
 // SolverService: the concurrent multi-problem engine.
 //
-// A service run takes a batch of JobSpecs, builds one engine::Problem per
-// job (repro matrix -> ProblemBuilder -> registry solver), schedules the
-// jobs over a private worker pool with a bounded in-flight count, and
-// streams one JobResult per job to a caller-supplied sink. Two output
-// orders: completion order (lowest latency to first result) and submission
-// order (deterministic stream — the mode the byte-identical-across-worker-
-// counts battery locks in).
+// A service run takes a batch of JobSpecs, schedules the jobs over a private
+// worker pool with a bounded in-flight count, and streams one JobResult per
+// job to a caller-supplied sink. Two output orders: completion order (lowest
+// latency to first result) and submission order (deterministic stream — the
+// mode the byte-identical-across-worker-counts battery locks in).
+//
+// Problems: each distinct problem is built once per batch. The immutable
+// parts construction derives from a job's (matrix, scale, nodes, precond) —
+// repro matrix, partition, DistMatrix with its scatter plan, preconditioner —
+// live in a ProblemStore (service/problem_store.hpp) for the duration of the
+// run; every job builds its own engine::Problem around them with its own
+// RHS, noise and factorization cache, then resolves its solver from the
+// registry. The store keeps at most max_in_flight entries resident (the
+// bound on live Problems), so sharing never raises peak memory. Reports are
+// byte-identical to solves on privately built Problems: the borrowed parts
+// are exactly what a private build would produce.
 //
 // Pools: jobs run on a *private* pool, never on ThreadPool::shared(). A job
 // whose SolverConfig asks for threaded execution fans its per-node loops
@@ -45,6 +54,7 @@
 #include "engine/solve_report.hpp"
 #include "service/fault_injection.hpp"
 #include "service/job.hpp"
+#include "service/problem_store.hpp"
 #include "service/retry.hpp"
 #include "service/shared_cache.hpp"
 #include "util/enum_names.hpp"
@@ -80,7 +90,7 @@ struct ServiceOptions {
   int workers = 0;
   /// Jobs admitted into the worker queue at once; 0 means `workers`.
   /// Submission blocks when the limit is reached, bounding the memory held
-  /// by queued Problems.
+  /// by queued Problems; it also sizes the batch's problem store.
   int max_in_flight = 0;
   bool shared_cache = true;
   std::size_t shared_cache_capacity =
@@ -160,6 +170,10 @@ struct ServiceReport {
   OutputOrder order = OutputOrder::kSubmission;
   bool shared_cache = false;
   SharedFactorizationCache::Stats shared_stats;
+  /// Host-side counters of the batch's problem store. Not part of the JSON
+  /// document (rpcg-service-report/v3 is unchanged): when a batch names
+  /// more keys than the store holds, they depend on scheduling order.
+  ProblemStore::Stats problem_store;
   /// Factorizations actually built: the shared cache's misses when it is
   /// on, the sum of per-Problem misses when it is off. The cache-on vs
   /// cache-off delta of this number is the bench/service_throughput

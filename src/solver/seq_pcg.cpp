@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "util/check.hpp"
 
 namespace rpcg {
@@ -45,7 +46,9 @@ SeqPcgResult seq_pcg_solve(const CsrMatrix& a, std::span<const double> b,
     a.spmv(p, ap);
     double pap = 0.0;
     for (std::size_t i = 0; i < nsz; ++i) pap += p[i] * ap[i];
-    RPCG_REQUIRE(pap > 0.0, "matrix is not positive definite along p");
+    if (!(pap > 0.0))
+      throw DivergenceError(
+          "CG breakdown: matrix is not positive definite along p");
     const double alpha = rz / pap;
     for (std::size_t i = 0; i < nsz; ++i) {
       x[i] += alpha * p[i];

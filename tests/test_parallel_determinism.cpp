@@ -5,17 +5,23 @@
 // same per-iteration residual history, same recovery records, same
 // simulated times, byte-identical report JSON. This is the contract that
 // makes the threaded cluster safe to switch on anywhere (see
-// util/thread_pool.hpp).
+// util/thread_pool.hpp). It also holds the preconditioners to their
+// contract of concurrent calls on one shared instance.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/registry.hpp"
 #include "precond/block_jacobi.hpp"
+#include "precond/jacobi.hpp"
+#include "precond/preconditioner.hpp"
 #include "sim/partition.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ldlt.hpp"
+#include "test_util.hpp"
 
 namespace rpcg {
 namespace {
@@ -201,6 +207,73 @@ TEST(ParallelDeterminismExtra, MoreWorkersThanNodes) {
   const RunOutput thr =
       run_once("resilient-pcg", "bjacobi", ExecutionPolicy::threaded_with(64));
   EXPECT_EQ(seq.report_json, thr.report_json);
+}
+
+// The Preconditioner concurrency contract (precond/preconditioner.hpp): the
+// SolverService hands one instance to every concurrent job of a batch that
+// names the same problem, so apply() and esr_recover_residual() called on
+// one object from two threads must return exactly what sequential calls on a
+// fresh instance return. ExplicitPreconditioner kept its halo workspace in a
+// mutable member before; the registry preconditioners ride along.
+TEST(SharedPreconditioner, ConcurrentCallsMatchSequentialCalls) {
+  const CsrMatrix a = poisson2d_5pt(16, 16);
+  const Partition part = Partition::block_rows(a.rows(), 8);
+  const std::vector<Index> rows = part.rows_of_set(std::vector<NodeId>{2, 3});
+  const auto make = [&a, &part](const std::string& name) {
+    if (name == "explicit-p") {
+      return std::unique_ptr<Preconditioner>(
+          std::make_unique<ExplicitPreconditioner>(
+              tridiag_spd(a.rows(), 3.0, -1.0), part));
+    }
+    return make_preconditioner(name, a, part);
+  };
+  struct Output {
+    std::vector<double> z;
+    std::vector<double> r_f;
+  };
+  // One solve's calls, on its own cluster and vectors.
+  const auto call = [&a, &part, &rows](const Preconditioner& m,
+                                       std::uint64_t seed) {
+    Cluster cluster(part, CommParams{});
+    DistVector r(part);
+    DistVector z(part);
+    r.set_global(testing::random_vector(a.rows(), seed));
+    m.apply(cluster, r, z, Phase::kIteration);
+    std::vector<double> z_f(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k) z_f[k] = z.value(rows[k]);
+    Output out{z.gather_global(), std::vector<double>(rows.size())};
+    m.esr_recover_residual(cluster, rows, z_f, r, z, out.r_f);
+    return out;
+  };
+
+  constexpr int kReps = 20;
+  for (const std::string name :
+       {"explicit-p", "jacobi", "bjacobi", "ssor", "ic0"}) {
+    const std::unique_ptr<Preconditioner> shared = make(name);
+    std::vector<Output> outs_a;
+    std::vector<Output> outs_b;
+    outs_a.reserve(kReps);
+    outs_b.reserve(kReps);
+    std::thread ta([&] {
+      for (int rep = 0; rep < kReps; ++rep) outs_a.push_back(call(*shared, 1));
+    });
+    std::thread tb([&] {
+      for (int rep = 0; rep < kReps; ++rep) outs_b.push_back(call(*shared, 2));
+    });
+    ta.join();
+    tb.join();
+
+    const std::unique_ptr<Preconditioner> fresh = make(name);
+    const Output ref_a = call(*fresh, 1);
+    const Output ref_b = call(*fresh, 2);
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto i = static_cast<std::size_t>(rep);
+      EXPECT_EQ(outs_a[i].z, ref_a.z) << name << " rep " << rep;
+      EXPECT_EQ(outs_a[i].r_f, ref_a.r_f) << name << " rep " << rep;
+      EXPECT_EQ(outs_b[i].z, ref_b.z) << name << " rep " << rep;
+      EXPECT_EQ(outs_b[i].r_f, ref_b.r_f) << name << " rep " << rep;
+    }
+  }
 }
 
 }  // namespace

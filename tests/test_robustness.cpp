@@ -14,14 +14,19 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/errors.hpp"
+#include "engine/problem.hpp"
+#include "engine/registry.hpp"
 #include "service/fault_injection.hpp"
 #include "service/job.hpp"
 #include "service/json_value.hpp"
 #include "service/retry.hpp"
 #include "service/solver_service.hpp"
+#include "solver/seq_pcg.hpp"
+#include "sparse/coo.hpp"
 
 namespace {
 
@@ -237,6 +242,60 @@ TEST(Classification, InvalidJobIsNotRetried) {
   // The registry rejection is config-shaped: one attempt, no retries.
   ASSERT_EQ(run.jobs[0].attempts.size(), 1u);
   EXPECT_EQ(run.retries, 0u);
+}
+
+TEST(Classification, CgBreakdownIsDivergence) {
+  // A = [[I, 2I], [2I, I]] on 2 nodes: each node block is I (positive
+  // definite, so block Jacobi is M = I), but A has eigenvalues 1 ± 2. With
+  // b = +1 on node 0 and -1 on node 1, the first direction p = b has
+  // pᵀAp = -4: a numerical breakdown, not an internal error.
+  rpcg::TripletBuilder tb;
+  for (rpcg::Index i = 0; i < 4; ++i) tb.add(i, i, 1.0);
+  tb.add_sym(0, 2, 2.0);
+  tb.add_sym(1, 3, 2.0);
+  const rpcg::CsrMatrix a = tb.build(4, 4);
+  const std::vector<double> b{1.0, 1.0, -1.0, -1.0};
+  const auto expect_divergence = [](const auto& solve, const std::string& what) {
+    try {
+      solve();
+      ADD_FAILURE() << what << ": an indefinite direction must not be solved";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(rpcg::classify_exception(e), ErrorClass::kDivergence)
+          << what << ": " << e.what();
+    }
+  };
+
+  rpcg::engine::Problem problem = rpcg::engine::ProblemBuilder()
+                                      .matrix(rpcg::CsrMatrix(a))
+                                      .nodes(2)
+                                      .preconditioner("bjacobi")
+                                      .rhs(b)
+                                      .build();
+  // Depth 1 and depth 2 run the two pipelined loops.
+  const std::vector<std::pair<std::string, int>> runs{
+      {"pcg", 1},
+      {"resilient-pcg", 1},
+      {"pipelined-resilient-pcg", 1},
+      {"pipelined-resilient-pcg", 2}};
+  for (const auto& [solver, depth] : runs) {
+    rpcg::engine::SolverConfig config;
+    config.pipeline_depth = depth;
+    expect_divergence(
+        [&] {
+          rpcg::DistVector x = problem.make_x();
+          (void)rpcg::engine::SolverRegistry::instance()
+              .create(solver, config)
+              ->solve(problem, x);
+        },
+        solver + " depth " + std::to_string(depth));
+  }
+  // The sequential kernel the ESR local solve runs.
+  expect_divergence(
+      [&] {
+        std::vector<double> x(b.size(), 0.0);
+        (void)rpcg::seq_pcg_solve(a, b, x, rpcg::SeqPcgOptions{});
+      },
+      "seq_pcg_solve");
 }
 
 // ---- budgets -------------------------------------------------------------

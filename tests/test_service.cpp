@@ -14,9 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "core/failure_scenario.hpp"
+#include "engine/problem.hpp"
+#include "engine/registry.hpp"
+#include "repro/matrices.hpp"
 #include "service/job.hpp"
 #include "service/json_value.hpp"
+#include "service/problem_store.hpp"
 #include "service/shared_cache.hpp"
 #include "service/solver_service.hpp"
 #include "util/thread_pool.hpp"
@@ -27,6 +32,7 @@ using rpcg::FactorizationCache;
 using rpcg::service::JobResult;
 using rpcg::service::JobSpec;
 using rpcg::service::JsonValue;
+using rpcg::service::ProblemStore;
 using rpcg::service::ServiceOptions;
 using rpcg::service::ServiceReport;
 using rpcg::service::SharedFactorizationCache;
@@ -273,6 +279,130 @@ TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+// ---- ProblemStore --------------------------------------------------------
+
+ProblemStore::Key store_key(int matrix) {
+  return {matrix, 0, 8, "bjacobi"};
+}
+
+/// Waits until `pred` holds (the store's counters are the only signal a
+/// waiting thread gives), for at most ten seconds: a store that fails to
+/// coalesce makes the test fail, not hang.
+template <typename Pred>
+bool eventually(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ProblemStore, ConcurrentFirstRequestsBuildOnce) {
+  ProblemStore store(4);
+  constexpr int kThreads = 4;
+  std::atomic<int> builds{0};
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  std::vector<const ProblemStore::Parts*> seen(kThreads, nullptr);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ProblemStore::Lease lease =
+          store.acquire(store_key(1), [&](ProblemStore::Parts&) {
+            ++builds;
+            gate.wait();  // hold the build open until every request joined
+          });
+      seen[static_cast<std::size_t>(t)] = &*lease;
+    });
+  }
+  // One request claimed the build; the others joined it as hits.
+  EXPECT_TRUE(eventually([&store] {
+    return store.stats().hits == static_cast<std::uint64_t>(kThreads - 1);
+  }));
+  EXPECT_EQ(builds.load(), 1);
+  release.set_value();
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(store.stats().builds, 1u);
+  for (const ProblemStore::Parts* parts : seen) EXPECT_EQ(parts, seen[0]);
+}
+
+TEST(ProblemStore, FailedBuildReachesEveryWaiterUnwrappedAndIsRebuilt) {
+  ProblemStore store(4);
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  const auto expect_original = [](const std::function<void()>& request) {
+    try {
+      request();
+      ADD_FAILURE() << "the build failure must reach this request";
+    } catch (const rpcg::CacheBuildFailure&) {
+      ADD_FAILURE() << "the original exception must not be wrapped";
+    } catch (const rpcg::SolverError& e) {
+      EXPECT_EQ(e.error_class(), rpcg::ErrorClass::kInternal);
+      EXPECT_STREQ(e.what(), "transient build failure");
+    }
+  };
+  std::thread builder([&] {
+    expect_original([&] {
+      (void)store.acquire(store_key(1), [&](ProblemStore::Parts&) {
+        gate.wait();
+        throw rpcg::SolverError(rpcg::ErrorClass::kInternal,
+                                "transient build failure");
+      });
+    });
+  });
+  EXPECT_TRUE(eventually([&store] { return store.stats().builds == 1; }));
+  std::thread waiter([&] {
+    expect_original([&] {
+      (void)store.acquire(store_key(1), [](ProblemStore::Parts&) {
+        ADD_FAILURE() << "a coalesced request must not build";
+      });
+    });
+  });
+  EXPECT_TRUE(eventually([&store] { return store.stats().hits == 1; }));
+  release.set_value();
+  builder.join();
+  waiter.join();
+  EXPECT_EQ(store.stats().resident, 0u);  // the failed slot was dropped
+
+  // A retry builds afresh instead of inheriting the failure.
+  int rebuilds = 0;
+  {
+    const ProblemStore::Lease lease = store.acquire(
+        store_key(1), [&rebuilds](ProblemStore::Parts&) { ++rebuilds; });
+  }
+  EXPECT_EQ(rebuilds, 1);
+  EXPECT_EQ(store.stats().builds, 2u);
+  EXPECT_EQ(store.stats().resident, 1u);
+}
+
+TEST(ProblemStore, FullStoreReleasesTheLeastRecentlyUsedUnheldEntry) {
+  ProblemStore store(2);
+  int builds = 0;
+  const auto build = [&builds](ProblemStore::Parts&) { ++builds; };
+  (void)store.acquire(store_key(1), build);
+  (void)store.acquire(store_key(2), build);
+  (void)store.acquire(store_key(1), build);  // hit: key 2 is now the LRU
+  {
+    const ProblemStore::Lease held = store.acquire(store_key(1), build);
+    (void)store.acquire(store_key(3), build);  // releases key 2
+    EXPECT_EQ(builds, 3);
+    EXPECT_EQ(store.stats().evictions, 1u);
+    (void)store.acquire(store_key(1), build);  // still resident
+    EXPECT_EQ(builds, 3);
+
+    // Key 1 is held, so key 3 goes; a second held entry fills the store.
+    const ProblemStore::Lease also_held = store.acquire(store_key(4), build);
+    EXPECT_EQ(builds, 4);
+    EXPECT_THROW((void)store.acquire(store_key(5), build), std::logic_error);
+  }
+  EXPECT_EQ(store.stats().resident, 2u);
+  EXPECT_EQ(store.stats().peak_resident, 2u);
+}
+
 // ---- ThreadPool::submit --------------------------------------------------
 
 TEST(ThreadPoolSubmit, FuturesCompleteAndCount) {
@@ -465,6 +595,151 @@ TEST(SolverService, ScenarioJobsRunDeterministicallyAcrossWorkers) {
     EXPECT_EQ(normalized_job_reports(run), ref_reports)
         << "scenario reports diverged at workers=" << workers;
   }
+}
+
+/// A batch whose jobs repeat (matrix, scale, nodes, precond) keys across
+/// bjacobi, jacobi, ic0 and ssor, with per-job inputs (rhs, noise, exec)
+/// that differ between jobs of one key, an alias preconditioner name, and
+/// keys that differ from another only in scale or only in nodes.
+std::vector<JobSpec> shared_parts_batch() {
+  std::istringstream in(R"({"name": "bj-esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 1, "psi": 2}]}
+{"name": "jac", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "jacobi"}
+{"name": "ic0-esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "precond": "ic0", "recovery": "esr", "phi": 1, "failures": [{"iteration": 4, "nodes": [2]}]}
+{"name": "ssor-esr", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "precond": "ssor", "recovery": "esr", "phi": 1, "failures": [{"iteration": 4, "nodes": [5]}]}
+{"name": "bj-smooth", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "rhs": "random-smooth:3", "failures": [{"iteration": 5, "first": 4, "psi": 2}]}
+{"name": "jac-noise", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "precond": "jacobi", "noise": 0.05, "noise-seed": 9, "checkpoint-interval": 4, "failures": [{"iteration": 6, "nodes": [0]}]}
+{"name": "m2-pipe", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pipelined-resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 5, "nodes": [4, 5]}]}
+{"name": "m2-threaded", "matrix": "M2", "scale": 256, "nodes": 8, "solver": "pcg", "exec": "threaded", "workers": 2}
+{"name": "ic0-plain", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "ic0"}
+{"name": "ssor-twin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "twin-pcg", "precond": "ssor", "failures": [{"iteration": 3, "nodes": [6]}]}
+{"name": "ic0-alias", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pcg", "precond": "ic0-split"}
+{"name": "bj-scale", "matrix": "M1", "scale": 128, "nodes": 8, "solver": "pcg"}
+{"name": "bj-nodes", "matrix": "M1", "scale": 256, "nodes": 16, "solver": "pcg"})");
+  return rpcg::service::parse_job_lines(in);
+}
+
+/// The job solved on a Problem built privately from its spec — every
+/// component owned by the Problem, as the service built them before it
+/// shared parts — normalized like normalized_job_reports.
+std::string private_solve(const JobSpec& spec) {
+  rpcg::engine::Problem problem =
+      rpcg::engine::ProblemBuilder()
+          .matrix(rpcg::repro::make_matrix(spec.matrix, spec.scale).matrix)
+          .nodes(spec.nodes)
+          .preconditioner(spec.precond)
+          .rhs_strategy(spec.rhs)
+          .noise(spec.noise_cv, spec.noise_seed)
+          .build();
+  rpcg::DistVector x = problem.make_x();
+  rpcg::engine::SolveReport report =
+      rpcg::engine::SolverRegistry::instance()
+          .create(spec.solver, spec.config)
+          ->solve(problem, x, spec.schedule);
+  report.wall_seconds = 0.0;
+  const FactorizationCache::Stats cache = problem.factorization_cache().stats();
+  return report.to_json() + " cache " + std::to_string(cache.hits) + "/" +
+         std::to_string(cache.misses) + "/" + std::to_string(cache.entries);
+}
+
+std::string shared_solve(const JobResult& job) {
+  EXPECT_TRUE(job.ok()) << job.name << ": " << job.error;
+  rpcg::engine::SolveReport report = job.report;
+  report.wall_seconds = 0.0;
+  return report.to_json() + " cache " +
+         std::to_string(job.problem_cache.hits) + "/" +
+         std::to_string(job.problem_cache.misses) + "/" +
+         std::to_string(job.problem_cache.entries);
+}
+
+TEST(SolverService, SharedPartsMatchPrivatelyBuiltProblems) {
+  const std::vector<JobSpec> jobs = shared_parts_batch();
+  std::vector<std::string> reference;
+  reference.reserve(jobs.size());
+  for (const JobSpec& spec : jobs) reference.push_back(private_solve(spec));
+
+  for (const int workers : {1, 4}) {
+    const ServiceReport run =
+        run_batch(jobs, workers, rpcg::service::OutputOrder::kSubmission);
+    ASSERT_EQ(run.failed, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(shared_solve(run.jobs[i]), reference[i])
+          << jobs[i].name << " at workers=" << workers;
+    }
+  }
+  // With room for all eight keys (M1 at scale 256 on 8 nodes x {bjacobi,
+  // jacobi, ic0, ssor, ic0-split}, M2/bjacobi, and M1/bjacobi at scale 128
+  // or on 16 nodes), each is built once for the thirteen jobs.
+  ServiceOptions opts;
+  opts.workers = 4;
+  opts.max_in_flight = 8;
+  const ServiceReport run = SolverService(opts).run(jobs);
+  EXPECT_EQ(run.problem_store.builds, 8u);
+  EXPECT_EQ(run.problem_store.hits, jobs.size() - 8);
+  EXPECT_EQ(run.problem_store.evictions, 0u);
+  // The alias name survives borrowing the shared instance.
+  EXPECT_EQ(run.jobs[10].report.preconditioner, "ic0-split");
+}
+
+TEST(SolverService, SimultaneousRequestsForOneKeyBuildItOnce) {
+  const std::vector<JobSpec> jobs(8, shared_parts_batch().front());
+  for (const int workers : {4, 8}) {
+    const ServiceReport run =
+        run_batch(jobs, workers, rpcg::service::OutputOrder::kCompletion);
+    EXPECT_EQ(run.failed, 0u);
+    EXPECT_EQ(run.problem_store.builds, 1u) << "workers=" << workers;
+    EXPECT_EQ(run.problem_store.hits, jobs.size() - 1) << "workers=" << workers;
+  }
+}
+
+TEST(SolverService, UnknownPreconditionerFailsEveryJobAsAPrivateBuildDid) {
+  std::vector<JobSpec> jobs = shared_parts_batch();
+  for (const std::size_t i : {0u, 4u, 6u}) jobs[i].precond = "no-such-precond";
+  for (const std::size_t i : {0u, 4u, 6u}) jobs[i].retry.max_attempts = 3;
+  // The message a private build raises for the same spec.
+  std::string expected;
+  try {
+    (void)rpcg::engine::ProblemBuilder()
+        .matrix(rpcg::repro::make_matrix(1, 256.0).matrix)
+        .nodes(8)
+        .preconditioner("no-such-precond")
+        .build();
+  } catch (const std::invalid_argument& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  for (const int workers : {1, 4}) {
+    const ServiceReport run =
+        run_batch(jobs, workers, rpcg::service::OutputOrder::kSubmission);
+    EXPECT_EQ(run.failed, 3u) << "workers=" << workers;
+    for (const std::size_t i : {0u, 4u, 6u}) {
+      const JobResult& job = run.jobs[i];
+      EXPECT_EQ(job.error_class, rpcg::ErrorClass::kInvalidJob) << job.name;
+      EXPECT_EQ(job.error, expected) << job.name;
+      EXPECT_EQ(job.attempts.size(), 1u) << job.name;  // never retried
+    }
+  }
+}
+
+TEST(SolverService, MaxInFlightOneKeepsOneEntryResident) {
+  // Keys alternate M1/bjacobi, M1/jacobi on every job.
+  const std::vector<JobSpec> batch = shared_parts_batch();
+  std::vector<JobSpec> jobs;
+  jobs.reserve(6);
+  for (std::size_t i = 0; i < 6; ++i) jobs.push_back(batch[i % 2]);
+  const ServiceReport ref =
+      run_batch(jobs, 4, rpcg::service::OutputOrder::kSubmission);
+  EXPECT_EQ(ref.problem_store.builds, 2u);
+  ServiceOptions opts;
+  opts.workers = 4;
+  opts.max_in_flight = 1;
+  const ServiceReport run = SolverService(opts).run(jobs);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_EQ(run.problem_store.peak_resident, 1u);
+  // Every key change releases the one entry and builds the next.
+  EXPECT_EQ(run.problem_store.builds, jobs.size());
+  EXPECT_EQ(run.problem_store.evictions, jobs.size() - 1);
+  EXPECT_EQ(normalized_job_reports(run), normalized_job_reports(ref));
 }
 
 TEST(SolverService, MaxInFlightOneStillCompletes) {
