@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks of the kernels underlying the solver:
 // sequential SpMV, the distributed SpMV with halo exchange, preconditioner
-// applications, the factorizations, the redundancy-scheme construction, and
-// the backup record/gather path. Real wall-clock time (the table/figure
-// benches report model time; these kernels are what the compute model
-// abstracts).
+// applications, the factorizations, the redundancy-scheme construction, the
+// backup record/gather path, and the pipelined solvers' fused Gram
+// reduction. Real wall-clock time (the table/figure benches report model
+// time; these kernels are what the compute model abstracts).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -17,6 +17,7 @@
 #include "sparse/generators.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/ldlt.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -249,6 +250,35 @@ void BM_DotPair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DotPair);
+
+// The depth-l pipelined solvers' fused Gram reduction (post + wait) at the
+// rpcg_bench pipelined-latency shape, 64 nodes x 512 rows: nb = 8 is CG at
+// depth 2, nb = 12 CR at depth 2. Every row feeds nb (nb + 1) / 2
+// multiply-adds.
+void BM_PipelinedGram(benchmark::State& state) {
+  const auto nb = static_cast<int>(state.range(0));
+  const Partition part = Partition::block_rows(Index{64} * 512, 64);
+  Cluster cluster(part, CommParams{});
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  std::vector<DistVector> basis;
+  std::vector<double> g(static_cast<std::size_t>(part.n()));
+  for (int i = 0; i < nb; ++i) {
+    for (double& v : g) v = rng.uniform(-1.0, 1.0);
+    basis.emplace_back(part);
+    basis.back().set_global(g);
+  }
+  std::vector<const DistVector*> ptrs;
+  for (const DistVector& b : basis) ptrs.push_back(&b);
+  for (auto _ : state) {
+    PendingReduction red = ipipelined_gram(cluster, ptrs, Phase::kIteration);
+    red.wait();
+    benchmark::DoNotOptimize(red.value(0));
+  }
+  state.counters["madds"] = benchmark::Counter(
+      static_cast<double>(nb * (nb + 1) / 2) * static_cast<double>(part.n()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_PipelinedGram)->Arg(8)->Arg(12);
 
 }  // namespace
 

@@ -24,7 +24,7 @@ FactorizationCache::EntryPtr SharedFactorizationCache::get_or_build(
 
   std::promise<FactorizationCache::EntryPtr> promise;
   std::shared_future<FactorizationCache::EntryPtr> future;
-  std::uint64_t claim = 0;
+  std::uint64_t claim = 0;  // nonzero once this request claimed the slot
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(key);
@@ -38,15 +38,16 @@ FactorizationCache::EntryPtr SharedFactorizationCache::get_or_build(
     } else {
       ++stats_.misses;
       claim = ++tick_;
+      future = promise.get_future().share();
       Slot slot;
-      slot.future = promise.get_future().share();
+      slot.future = future;
       slot.last_use = claim;
       slot.claim = claim;
       entries_.emplace(key, std::move(slot));
       if (entries_.size() > capacity_) evict_locked();
     }
   }
-  if (future.valid()) return future.get();  // rethrows a builder's failure
+  if (claim == 0) return future.get();  // rethrows a builder's failure
 
   // This thread claimed the slot: build outside the lock — factorization is
   // the expensive part and must not serialize the whole service — then
@@ -65,20 +66,22 @@ FactorizationCache::EntryPtr SharedFactorizationCache::get_or_build(
     const CacheBuildFailure wrapped(
         "shared-cache factorization build failed: " + std::string(e.what()));
     promise.set_exception(std::make_exception_ptr(wrapped));
-    withdraw_slot(key, claim);
+    withdraw_slot(key, claim, std::move(future));
     throw wrapped;
   } catch (...) {
     promise.set_exception(std::current_exception());
-    withdraw_slot(key, claim);
+    withdraw_slot(key, claim, std::move(future));
     throw;
   }
 }
 
-void SharedFactorizationCache::withdraw_slot(const Key& key,
-                                             std::uint64_t claim) {
+void SharedFactorizationCache::withdraw_slot(
+    const Key& key, std::uint64_t claim,
+    std::shared_future<FactorizationCache::EntryPtr> failed) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it != entries_.end() && it->second.claim == claim) entries_.erase(it);
+  failed_.push_back(std::move(failed));
 }
 
 void SharedFactorizationCache::evict_locked() {

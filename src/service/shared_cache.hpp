@@ -67,7 +67,8 @@ class SharedFactorizationCache {
   /// If the build throws, the slot is withdrawn and the failure surfaces as
   /// a typed CacheBuildFailure (core/errors.hpp) carrying the original
   /// message — to the builder and to every coalesced waiter alike; later
-  /// callers retry from scratch.
+  /// callers build afresh. The failed build's shared state is kept until
+  /// the cache is destroyed.
   [[nodiscard]] FactorizationCache::EntryPtr get_or_build(
       std::string_view tag, const FactorizationCache::MatrixKey& matrix,
       std::string_view ordering, std::span<const NodeId> nodes,
@@ -103,13 +104,22 @@ class SharedFactorizationCache {
   };
 
   void evict_locked();
-  /// Removes the poisoned slot a failed build claimed (claim-tick guarded).
-  void withdraw_slot(const Key& key, std::uint64_t claim);
+  /// Removes the poisoned slot a failed build claimed (claim-tick guarded)
+  /// and keeps the failed build's shared state in failed_.
+  void withdraw_slot(const Key& key, std::uint64_t claim,
+                     std::shared_future<FactorizationCache::EntryPtr> failed);
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
   std::map<Key, Slot> entries_;
+  /// Failed builds' shared states, kept until the cache is destroyed. Their
+  /// exception object is shared by every coalesced waiter, and the C++
+  /// runtime frees it through a reference count that thread sanitizers
+  /// cannot observe; freeing it only after the waiters' threads are joined
+  /// keeps every read of it ordered before the free (the same rule as
+  /// ProblemStore's failed slots).
+  std::vector<std::shared_future<FactorizationCache::EntryPtr>> failed_;
   Stats stats_;
 };
 

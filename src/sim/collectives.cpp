@@ -1,6 +1,9 @@
 #include "sim/collectives.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -18,6 +21,216 @@ void charge_blas1(Cluster& cluster, double flops_per_element, Phase phase) {
     mx = std::max(mx, static_cast<double>(part.size(i)));
   cluster.clock().advance(phase,
                           cluster.comm().compute_cost(flops_per_element * mx));
+}
+
+// ---- The Gram kernel of ipipelined_gram ---------------------------------
+//
+// Entry (i, j), i <= j, of one node's Gram block is a single accumulator
+// lane that starts at 0.0 and adds b_i[k] * b_j[k] for k ascending: the
+// exact sequence of the plain dot loop, so every entry equals
+// dot(cluster, b_i, b_j)'s node partial bit for bit, and so does everything
+// built on it. What the kernel changes is how many of those chains run at
+// once. One scalar chain per entry runs at the FP-add latency; here one pass
+// over a chunk of rows runs up to 2 * kGramPassPairs independent chains.
+//
+// kGramChunk rows of the nb slices are packed k-major into a stack buffer
+// (row k holds b_0[k] ... b_{nb-1}[k], plus a zero pad column when nb is
+// odd). A Vec2 holds the lanes (i, j) and (i, j + 1), j even: the broadcast
+// b_i[k] times the packed pair. Rows come in pairs 2m, 2m + 1, which share
+// the column pairs from 2m on, so the strip of row pair m is h - m column
+// pairs wide (h = padded nb / 2), two chains per column pair. Strip m is
+// folded with strip h - 1 - m into h + 1 column pairs, which are cut into
+// passes of near-equal width: the short strips at the bottom of the
+// triangle ride along with the long ones instead of running alone on one
+// or two chains.
+
+// Two doubles in one vector register (GCC/Clang vector extension; SSE2 on
+// every x86-64 target).
+using Vec2 = double __attribute__((vector_size(16)));
+
+Vec2 load2(const double* p) {
+  Vec2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof v); }
+
+// Rows per packed chunk, and column pairs (two chains each) per pass.
+constexpr std::size_t kGramChunk = 64;
+constexpr std::size_t kGramPassPairs = 5;
+
+// Widest basis one fused reduction can carry, rounded up to even: bounds
+// the packed row.
+constexpr int kMaxGramBasis = [] {
+  int nb = 1;
+  while ((nb + 1) * (nb + 2) / 2 <= PendingReduction::kMaxScalars) ++nb;
+  return nb + nb % 2;
+}();
+// Row pair x column pair blocks of that basis's upper triangle, two chains
+// each: bounds the passes and the accumulators.
+constexpr auto kMaxGramPairs = static_cast<std::size_t>(kMaxGramBasis / 2);
+constexpr std::size_t kMaxGramBlocks = kMaxGramPairs * (kMaxGramPairs + 1) / 2;
+
+// Rows `row`, `row` + 1 against `pairs` column pairs from column `col`.
+struct GramStrip {
+  int row = 0;
+  int col = 0;
+  int pairs = 0;
+};
+
+struct GramPass;
+using GramPassFn = void (*)(const double* buf, std::size_t rows,
+                            std::size_t stride, const GramPass& pass,
+                            Vec2* acc);
+
+// Strip b may be empty. The pass owns the accumulators from index acc on,
+// two per column pair (rows row, row + 1): strip a's first, then strip b's.
+struct GramPass {
+  GramStrip a, b;
+  int acc = 0;
+  GramPassFn run = nullptr;
+};
+
+struct GramPlan {
+  int nb = 0;
+  std::size_t stride = 0;  // padded nb
+  int passes = 0;
+  std::array<GramPass, kMaxGramBlocks> pass{};
+};
+
+// One step (one packed row) of a C-pair strip.
+template <std::size_t C>
+void strip_step(const double* row, const GramStrip& strip, Vec2* s) {
+  const double* x = row + strip.row;
+  const double* y = row + strip.col;
+  const Vec2 x0 = {x[0], x[0]};
+  const Vec2 x1 = {x[1], x[1]};
+  for (std::size_t q = 0; q < C; ++q) {
+    const Vec2 pair = load2(y + 2 * q);
+    s[2 * q] += x0 * pair;
+    s[2 * q + 1] += x1 * pair;
+  }
+}
+
+// One pass over `rows` packed rows, its accumulators held in registers.
+template <std::size_t A, std::size_t B>
+void gram_pass(const double* buf, std::size_t rows, std::size_t stride,
+               const GramPass& pass, Vec2* acc) {
+  std::array<Vec2, 2 * (A + B)> s;
+  std::copy_n(acc, s.size(), s.begin());
+  for (std::size_t k = 0; k < rows; ++k) {
+    const double* row = buf + k * stride;
+    strip_step<A>(row, pass.a, s.data());
+    if constexpr (B > 0) strip_step<B>(row, pass.b, s.data() + 2 * A);
+  }
+  std::copy_n(s.begin(), s.size(), acc);
+}
+
+// kGramPasses[a * (kGramPassPairs + 1) + b] runs a pass of strips a and b
+// pairs wide; null where a is 0 or the pass would be too wide.
+template <std::size_t I>
+constexpr GramPassFn gram_pass_fn() {
+  constexpr std::size_t a = I / (kGramPassPairs + 1);
+  constexpr std::size_t b = I % (kGramPassPairs + 1);
+  if constexpr (a >= 1 && a + b <= kGramPassPairs)
+    return &gram_pass<a, b>;
+  else
+    return nullptr;
+}
+
+template <std::size_t... I>
+constexpr auto gram_pass_table(std::index_sequence<I...>) {
+  return std::array<GramPassFn, sizeof...(I)>{gram_pass_fn<I>()...};
+}
+
+constexpr auto kGramPasses = gram_pass_table(
+    std::make_index_sequence<(kGramPassPairs + 1) * (kGramPassPairs + 1)>{});
+
+GramPlan make_gram_plan(int nb) {
+  GramPlan plan;
+  plan.nb = nb;
+  plan.stride = static_cast<std::size_t>(nb + nb % 2);
+  const int h = static_cast<int>(plan.stride) / 2;
+  int chains = 0;
+  for (int m = 0; m <= h - 1 - m; ++m) {
+    const int fold = h - 1 - m;
+    const int wa = h - m;
+    const int width = fold > m ? h + 1 : wa;
+    const int per_pass = static_cast<int>(kGramPassPairs);
+    const int passes = (width + per_pass - 1) / per_pass;
+    for (int p = 0, lo = 0; p < passes; ++p) {
+      // Column pairs [lo, hi) of strip m followed by strip `fold`.
+      const int hi = lo + (width - lo) / (passes - p);
+      GramPass& pass = plan.pass[static_cast<std::size_t>(plan.passes++)];
+      if (lo < wa)
+        pass.a = {2 * m, 2 * (m + lo), std::min(hi, wa) - lo};
+      if (hi > wa) {
+        const int first = std::max(lo, wa) - wa;
+        pass.b = {2 * fold, 2 * (fold + first), hi - wa - first};
+        if (pass.a.pairs == 0) std::swap(pass.a, pass.b);
+      }
+      pass.acc = chains;
+      pass.run = kGramPasses[static_cast<std::size_t>(pass.a.pairs) *
+                                 (kGramPassPairs + 1) +
+                             static_cast<std::size_t>(pass.b.pairs)];
+      chains += 2 * (hi - lo);
+      lo = hi;
+    }
+  }
+  return plan;
+}
+
+// Fills out[gram_index(i, j, nb)] with slice[i] . slice[j] over n rows.
+void gram_block(const GramPlan& plan, const double* const* slice,
+                std::size_t n, double* out) {
+  const int nb = plan.nb;
+  const std::size_t stride = plan.stride;
+  // Left uninitialized: each chunk's pack writes every element its passes
+  // read (rows x stride), and zeroing 11 KB per node would cost more than
+  // the packing. Pairs start at even columns, so with 16-byte alignment no
+  // pair load splits a cache line.
+  alignas(16) std::array<double, kGramChunk * kMaxGramBasis> buf;
+  const std::array<double, kGramChunk> zeros{};  // the pad column's slice
+  std::array<Vec2, 2 * kMaxGramBlocks> acc{};
+  for (std::size_t k0 = 0; k0 < n; k0 += kGramChunk) {
+    const std::size_t rows = std::min(kGramChunk, n - k0);
+    // Two slices and two rows per step: two pair loads, two shuffles.
+    for (int i = 0; i < nb; i += 2) {
+      const double* lo = slice[i] + k0;
+      const double* hi = i + 1 < nb ? slice[i + 1] + k0 : zeros.data();
+      double* dst = buf.data() + i;
+      std::size_t k = 0;
+      for (; k + 2 <= rows; k += 2, dst += 2 * stride) {
+        const Vec2 u = load2(lo + k);
+        const Vec2 v = load2(hi + k);
+        store2(dst, Vec2{u[0], v[0]});
+        store2(dst + stride, Vec2{u[1], v[1]});
+      }
+      if (k < rows) store2(dst, Vec2{lo[k], hi[k]});
+    }
+    for (int p = 0; p < plan.passes; ++p) {
+      const GramPass& pass = plan.pass[static_cast<std::size_t>(p)];
+      pass.run(buf.data(), rows, stride, pass, acc.data() + pass.acc);
+    }
+  }
+  for (int p = 0; p < plan.passes; ++p) {
+    const GramPass& pass = plan.pass[static_cast<std::size_t>(p)];
+    int chain = pass.acc;
+    for (const GramStrip& strip : {pass.a, pass.b}) {
+      for (int q = 0; q < strip.pairs; ++q) {
+        for (int r = 0; r < 2; ++r, ++chain) {
+          const int i = strip.row + r;
+          for (int lane = 0; lane < 2; ++lane) {
+            const int j = strip.col + 2 * q + lane;
+            if (i <= j && j < nb)
+              out[gram_index(i, j, nb)] =
+                  acc[static_cast<std::size_t>(chain)][lane];
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -178,21 +391,20 @@ PendingReduction ipipelined_gram(Cluster& cluster,
   const int nn = cluster.num_nodes();
   std::vector<double> partial(
       static_cast<std::size_t>(nn) * static_cast<std::size_t>(entries), 0.0);
+  const GramPlan plan = make_gram_plan(nb);
   exec_parallel_for(
       cluster.execution_policy(), static_cast<std::size_t>(nn),
       [&](std::size_t node) {
-        double* out = &partial[node * static_cast<std::size_t>(entries)];
+        std::array<const double*, kMaxGramBasis> slice{};
+        std::size_t n = 0;
         for (int i = 0; i < nb; ++i) {
-          const auto bi = basis[static_cast<std::size_t>(i)]->block(
+          const auto b = basis[static_cast<std::size_t>(i)]->block(
               static_cast<NodeId>(node));
-          for (int j = i; j < nb; ++j) {
-            const auto bj = basis[static_cast<std::size_t>(j)]->block(
-                static_cast<NodeId>(node));
-            double s = 0.0;
-            for (std::size_t k = 0; k < bi.size(); ++k) s += bi[k] * bj[k];
-            out[gram_index(i, j, nb)] = s;
-          }
+          slice[static_cast<std::size_t>(i)] = b.data();
+          n = b.size();
         }
+        gram_block(plan, slice.data(), n,
+                   &partial[node * static_cast<std::size_t>(entries)]);
       });
   // Every element feeds nb*(nb+1)/2 multiply-adds — the all-pairs Gram is
   // the compute price of posting l iterations of dots at once.

@@ -171,6 +171,43 @@ TEST(SplitPhase, PipelinedDotsMatchSeparateReductions) {
   EXPECT_NEAR(red.value(2), rr, 1e-14);
 }
 
+TEST(SplitPhase, PipelinedGramMatchesOrderedDots) {
+  // Each Gram entry sums b_i[k] * b_j[k] from 0.0 with k ascending per node
+  // and the nodes in order: the sequence dot() runs, so the two agree bit
+  // for bit. The charge is the fused reduction's: nb (nb + 1) flops per
+  // element of the largest block, then one nb (nb + 1) / 2-scalar allreduce.
+  for (const Partition& part : testing::gram_partitions()) {
+    for (const int nb : testing::kGramWidths) {
+      const std::vector<DistVector> basis = testing::random_basis(part, nb, 7);
+      std::vector<const DistVector*> ptrs;
+      for (const DistVector& b : basis) ptrs.push_back(&b);
+
+      Cluster cluster(part, CommParams{});
+      PendingReduction red = ipipelined_gram(cluster, ptrs, Phase::kIteration);
+      red.wait();
+      const int entries = nb * (nb + 1) / 2;
+      EXPECT_DOUBLE_EQ(
+          cluster.clock().total(),
+          cluster.comm().compute_cost(
+              static_cast<double>(nb * (nb + 1)) *
+              static_cast<double>(part.max_block_size())) +
+              cluster.comm().allreduce_cost(cluster.alive_count(), entries))
+          << "n " << part.n() << " nb " << nb;
+
+      Cluster dots(part, CommParams{});
+      for (int i = 0; i < nb; ++i) {
+        for (int j = i; j < nb; ++j) {
+          EXPECT_EQ(red.value(gram_index(i, j, nb)),
+                    dot(dots, basis[static_cast<std::size_t>(i)],
+                        basis[static_cast<std::size_t>(j)], Phase::kIteration))
+              << "n " << part.n() << " nb " << nb << " (" << i << ", " << j
+              << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(SplitPhase, AccountingTracksEveryBlockingReduction) {
   Fixture f;
   (void)dot(f.cluster, f.a, f.b, Phase::kIteration);       // 1 reduction

@@ -6,7 +6,8 @@
 // simulated times, byte-identical report JSON. This is the contract that
 // makes the threaded cluster safe to switch on anywhere (see
 // util/thread_pool.hpp). It also holds the preconditioners to their
-// contract of concurrent calls on one shared instance.
+// contract of concurrent calls on one shared instance, and the pipelined
+// Gram kernel to the same threaded == sequential contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +19,7 @@
 #include "precond/block_jacobi.hpp"
 #include "precond/jacobi.hpp"
 #include "precond/preconditioner.hpp"
+#include "sim/collectives.hpp"
 #include "sim/partition.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ldlt.hpp"
@@ -207,6 +209,33 @@ TEST(ParallelDeterminismExtra, MoreWorkersThanNodes) {
   const RunOutput thr =
       run_once("resilient-pcg", "bjacobi", ExecutionPolicy::threaded_with(64));
   EXPECT_EQ(seq.report_json, thr.report_json);
+}
+
+// The pipelined Gram kernel runs every node block on its own stack buffer:
+// node blocks computed concurrently by the worker pool must give what the
+// sequential policy gives, entry for entry.
+TEST(ParallelDeterminismExtra, PipelinedGramThreadedMatchesSequential) {
+  for (const Partition& part : testing::gram_partitions()) {
+    for (const int nb : testing::kGramWidths) {
+      const std::vector<DistVector> basis = testing::random_basis(part, nb, 7);
+      std::vector<const DistVector*> ptrs;
+      for (const DistVector& b : basis) ptrs.push_back(&b);
+      const auto gram = [&](const ExecutionPolicy& exec) {
+        Cluster cluster(part, CommParams{});
+        cluster.set_execution_policy(exec);
+        PendingReduction red =
+            ipipelined_gram(cluster, ptrs, Phase::kIteration);
+        red.wait();
+        std::vector<double> values;
+        for (int e = 0; e < nb * (nb + 1) / 2; ++e)
+          values.push_back(red.value(e));
+        return values;
+      };
+      EXPECT_EQ(gram(ExecutionPolicy::threaded_with(2)),
+                gram(ExecutionPolicy::sequential()))
+          << "n " << part.n() << " nb " << nb;
+    }
+  }
 }
 
 // The Preconditioner concurrency contract (precond/preconditioner.hpp): the

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <sstream>
 #include <stdexcept>
@@ -177,6 +178,20 @@ TEST(JobParsing, MissingJobFileThrows) {
 
 // ---- SharedFactorizationCache --------------------------------------------
 
+/// Waits until `pred` holds (a cache's or store's counters are the only
+/// signal a waiting thread gives), for at most ten seconds: a cache that
+/// fails to coalesce makes the test fail, not hang.
+template <typename Pred>
+bool eventually(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 FactorizationCache::MatrixKey test_key(int seed) {
   FactorizationCache::MatrixKey key;
   key.rows = key.cols = 4;
@@ -258,7 +273,7 @@ TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
     });
   });
   // The builder has claimed the slot once misses hits 1.
-  while (cache.stats().misses == 0) std::this_thread::yield();
+  EXPECT_TRUE(eventually([&cache] { return cache.stats().misses == 1; }));
 
   std::thread waiter([&] {
     (void)cache.get_or_build("t", test_key(1), "auto", nodes, [&] {
@@ -268,7 +283,7 @@ TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
   });
   // The waiter joined the in-flight build (counted as a hit) without
   // starting a second factorization.
-  while (cache.stats().hits == 0) std::this_thread::yield();
+  EXPECT_TRUE(eventually([&cache] { return cache.stats().hits == 1; }));
   EXPECT_EQ(builds.load(), 1);
 
   release.set_value();
@@ -279,24 +294,67 @@ TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+TEST(SharedCache, FailedBuildReachesEveryCoalescedWaiter) {
+  // One failure, shared by the builder and every waiter that joined its
+  // build: each sees the typed CacheBuildFailure with the original message,
+  // none builds a second time, and the poisoned slot is withdrawn.
+  SharedFactorizationCache cache(8);
+  constexpr int kWaiters = 3;
+  std::atomic<int> builds{0};
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  const std::vector<rpcg::NodeId> nodes{0};
+  const auto expect_failure =
+      [&](const std::function<FactorizationCache::Entry()>& build) {
+        try {
+          (void)cache.get_or_build("t", test_key(1), "auto", nodes, build);
+          ADD_FAILURE() << "the build failure must reach this request";
+        } catch (const rpcg::CacheBuildFailure& e) {
+          EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos)
+              << e.what();
+        }
+      };
+
+  std::thread builder([&] {
+    expect_failure([&]() -> FactorizationCache::Entry {
+      ++builds;
+      gate.wait();  // hold the build open until every waiter has joined it
+      throw std::runtime_error("boom");
+    });
+  });
+  EXPECT_TRUE(eventually([&cache] { return cache.stats().misses == 1; }));
+  std::vector<std::thread> waiters;
+  waiters.reserve(kWaiters);
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&] {
+      expect_failure([&] {
+        ++builds;
+        return FactorizationCache::Entry{};
+      });
+    });
+  }
+  EXPECT_TRUE(eventually([&cache] {
+    return cache.stats().hits == static_cast<std::uint64_t>(kWaiters);
+  }));
+  release.set_value();
+  builder.join();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  // The next request builds afresh instead of inheriting the failure.
+  (void)cache.get_or_build("t", test_key(1), "auto", nodes, [&builds] {
+    ++builds;
+    return FactorizationCache::Entry{};
+  });
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
 // ---- ProblemStore --------------------------------------------------------
 
 ProblemStore::Key store_key(int matrix) {
   return {matrix, 0, 8, "bjacobi"};
-}
-
-/// Waits until `pred` holds (the store's counters are the only signal a
-/// waiting thread gives), for at most ten seconds: a store that fails to
-/// coalesce makes the test fail, not hang.
-template <typename Pred>
-bool eventually(const Pred& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
 }
 
 TEST(ProblemStore, ConcurrentFirstRequestsBuildOnce) {

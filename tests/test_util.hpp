@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "sim/dist_vector.hpp"
+#include "sim/partition.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "util/rng.hpp"
@@ -35,6 +37,30 @@ inline std::vector<double> random_vector(Index n, std::uint64_t seed) {
   std::vector<double> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = rng.uniform(-1.0, 1.0);
   return v;
+}
+
+/// Partitions for the pipelined Gram reduction's tests: blocks of 1 row and
+/// of odd lengths, and blocks longer than the kernel's 64-row chunk (143
+/// rows: two full chunks and an odd tail).
+inline std::vector<Partition> gram_partitions() {
+  return {Partition::block_rows(7, 5), Partition::block_rows(23, 5),
+          Partition::block_rows(1000, 7)};
+}
+
+/// Every basis width the pipelined layouts produce (8, 12, 16, 20), plus
+/// narrow and odd ones.
+inline constexpr int kGramWidths[] = {1, 2, 3, 5, 8, 12, 16, 20};
+
+/// nb random vectors on `part` (which must outlive them).
+inline std::vector<DistVector> random_basis(const Partition& part, int nb,
+                                            std::uint64_t seed) {
+  std::vector<DistVector> basis;
+  for (int i = 0; i < nb; ++i) {
+    basis.emplace_back(part);
+    basis.back().set_global(
+        random_vector(part.n(), seed + static_cast<std::uint64_t>(i)));
+  }
+  return basis;
 }
 
 /// Max-norm distance between two vectors.
