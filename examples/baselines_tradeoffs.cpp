@@ -1,7 +1,8 @@
 // ESR vs the classic alternatives, on one problem and one failure scenario:
 //
-//   * checkpoint/restart  — pays overhead on every run (writes), failures
-//                           roll *all* nodes back and redo iterations;
+//   * checkpoint/restart  — pays overhead on every run (writes to reliable
+//                           storage), failures roll *all* nodes back and
+//                           redo iterations;
 //   * interpolation/restart (Langou et al.) — free when nothing fails, but a
 //                           failure discards the Krylov space and costs
 //                           extra iterations;
@@ -37,6 +38,7 @@ int main() {
     config.recovery = method;
     config.phi = phi;
     config.checkpoint_interval = ckpt_interval;
+    config.checkpoint.medium = CheckpointMedium::kDisk;  // checkpoint rows only
     const auto solver =
         engine::SolverRegistry::instance().create("resilient-pcg", config);
 

@@ -4,45 +4,6 @@
 
 namespace rpcg {
 
-void CheckpointStorage::save(Cluster& cluster, int iteration, const DistVector& x,
-                             const DistVector& r, const DistVector& z,
-                             const DistVector& p, double rz, double beta_prev) {
-  {
-    ClockPause pause(cluster.clock());
-    x_ = x.gather_global();
-    r_ = r.gather_global();
-    z_ = z.gather_global();
-    p_ = p.gather_global();
-  }
-  rz_ = rz;
-  beta_prev_ = beta_prev;
-  iter_ = iteration;
-  has_ = true;
-  // All nodes write their 4 blocks concurrently; the phase costs as much as
-  // the largest block.
-  cluster.charge(
-      Phase::kCheckpoint,
-      cluster.comm().storage_cost(4 * cluster.partition().max_block_size()));
-}
-
-void CheckpointStorage::restore(Cluster& cluster, DistVector& x, DistVector& r,
-                                DistVector& z, DistVector& p, double& rz,
-                                double& beta_prev) const {
-  RPCG_CHECK(has_, "no checkpoint to restore");
-  {
-    ClockPause pause(cluster.clock());
-    x.set_global(x_);
-    r.set_global(r_);
-    z.set_global(z_);
-    p.set_global(p_);
-  }
-  rz = rz_;
-  beta_prev = beta_prev_;
-  cluster.charge(
-      Phase::kRecovery,
-      cluster.comm().storage_cost(4 * cluster.partition().max_block_size()));
-}
-
 std::string to_string(CheckpointMedium m) { return enum_to_string(m); }
 
 CheckpointCostModel CheckpointCostModel::resolved(const CommModel& comm) const {

@@ -1,18 +1,9 @@
-// Checkpoint/restart baseline (the in-practice standard technique the paper
-// positions ESR against, Sec. 1.2): every c iterations the full solver state
-// {x, r, z, p, scalars} is written to reliable storage; after a node failure
-// *all* nodes roll back to the last checkpoint and the iterations since then
-// are redone.
-//
-// Two stores live here. CheckpointStorage is the legacy fixed-cost store of
-// the kCheckpointRestart baseline (4 vectors at disk rates, untouched — its
-// charge sequence is part of the byte-identity contract of existing
-// reports). CostedCheckpointStore backs the "checkpoint-recovery" solver
-// (algorithm-based checkpointing à la Pachajoa et al., arXiv:2007.04066):
-// it persists the minimal PCG state {x, r, p, rz, beta_prev} — z is
-// recomputed from r through the preconditioner on restore — under a
-// parameterized cost model that distinguishes in-memory (neighbor/NVRAM at
-// network rates) from disk (reliable storage rates) checkpoints.
+// The checkpoint store of ResilientPcg's kCheckpointRestart method
+// (core/resilient_pcg.hpp; arXiv:2007.04066). It persists the minimal PCG
+// state {x, r, p, rz, beta_prev} — z is recomputed from r through the
+// preconditioner on restore — under a parameterized cost model that
+// distinguishes in-memory (neighbor/NVRAM at network rates) from disk
+// (reliable storage rates) checkpoints.
 #pragma once
 
 #include <array>
@@ -26,32 +17,7 @@
 
 namespace rpcg {
 
-class CheckpointStorage {
- public:
-  /// Writes a checkpoint of the full solver state. Charges the parallel
-  /// write cost (4 vector blocks per node) to Phase::kCheckpoint.
-  void save(Cluster& cluster, int iteration, const DistVector& x,
-            const DistVector& r, const DistVector& z, const DistVector& p,
-            double rz, double beta_prev);
-
-  [[nodiscard]] bool has_checkpoint() const { return has_; }
-  [[nodiscard]] int iteration() const { return iter_; }
-
-  /// Restores the full solver state on all nodes (the failed node reads its
-  /// block from storage like everyone else; replacement must already be
-  /// online). Charges the parallel read cost to Phase::kRecovery.
-  void restore(Cluster& cluster, DistVector& x, DistVector& r, DistVector& z,
-               DistVector& p, double& rz, double& beta_prev) const;
-
- private:
-  bool has_ = false;
-  int iter_ = 0;
-  std::vector<double> x_, r_, z_, p_;
-  double rz_ = 0.0;
-  double beta_prev_ = 0.0;
-};
-
-/// Where checkpoint-recovery keeps its copies.
+/// Where the checkpoints are kept.
 enum class CheckpointMedium {
   kMemory,  ///< partner memory / NVRAM, reached at network rates
   kDisk,    ///< reliable external storage, reached at storage rates
@@ -85,9 +51,9 @@ struct CheckpointCostModel {
   [[nodiscard]] double read_cost(const CommModel& comm, Index elements) const;
 };
 
-/// The 3-vector store of the "checkpoint-recovery" solver. All nodes write
-/// their blocks concurrently, so an access costs as much as the largest
-/// block under the cost model.
+/// The 3-vector checkpoint store. All nodes write their blocks
+/// concurrently, so an access costs as much as the largest block under the
+/// cost model.
 class CostedCheckpointStore {
  public:
   explicit CostedCheckpointStore(CheckpointCostModel costs)

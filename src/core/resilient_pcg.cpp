@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/checkpoint.hpp"
 #include "core/factorization_cache.hpp"
 #include "core/interpolation_restart.hpp"
 #include "sim/collectives.hpp"
@@ -43,6 +42,9 @@ ResilientPcg::ResilientPcg(Cluster& cluster, const CsrMatrix& a_global,
                "redundant copies are an ESR feature; set phi = 0 for " +
                    to_string(opts_.method));
   }
+  if (opts_.method == RecoveryMethod::kCheckpointRestart)
+    RPCG_CHECK(opts_.checkpoint_interval >= 1,
+               "checkpoint interval must be >= 1");
   if (opts_.phi > 0) {
     scheme_ = RedundancyScheme::build(a_->scatter_plan(), cluster_.partition(),
                                       opts_.phi, opts_.strategy,
@@ -82,20 +84,49 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
 
   engine::SolveReport res;
   res.redundancy_overhead_per_iteration = redundancy_step_cost_;
-  CheckpointStorage ckpt;
+  CostedCheckpointStore ckpt(opts_.checkpoint);
   int last_ckpt_saved_at = -1;
+  if (opts_.method == RecoveryMethod::kCheckpointRestart) {
+    const CheckpointCostModel costs =
+        opts_.checkpoint.resolved(cluster_.comm());
+    res.checkpoint = engine::CheckpointSection{
+        to_string(costs.medium), opts_.checkpoint_interval,
+        costs.write_per_element_s, costs.read_per_element_s,
+        costs.access_latency_s};
+  }
   FailureCursor cursor(schedule);
   const EsrReconstructor reconstructor(*a_global_, *m_, opts_.esr);
+
+  // Injects the due events in order and returns the union of their failed
+  // nodes. A during_recovery event after the first struck while the
+  // recovery of the nodes so far was underway; `on_overlap(so_far)` charges
+  // the work it cut short.
+  const auto inject_due = [&](const std::vector<int>& evs,
+                              const auto& on_overlap) {
+    std::vector<NodeId> merged;
+    bool first = true;
+    for (const int idx : evs) {
+      const FailureEvent& ev = cursor.event(idx);
+      if (!first && ev.during_recovery) on_overlap(merged);
+      inject_failures(ev.nodes, kernel.state_vectors(x));
+      if (opts_.events.on_failure_injected)
+        opts_.events.on_failure_injected(ev);
+      merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
+      first = false;
+    }
+    return merged;
+  };
 
   bool done = rnorm0 == 0.0;
   if (done) res.converged = true;
 
   int j = 0;
   while (!done && j < opts_.pcg.max_iterations) {
-    // Checkpoint/restart baseline: periodic state save at the loop top.
+    // Checkpoint/restart: periodic state save at the loop top; iteration 0
+    // always saves, so a rollback target exists before the first failure.
     if (opts_.method == RecoveryMethod::kCheckpointRestart &&
         j % opts_.checkpoint_interval == 0 && j != last_ckpt_saved_at) {
-      ckpt.save(cluster_, j, x, kernel.r, kernel.z, kernel.p, kernel.rz,
+      ckpt.save(cluster_, j, x, kernel.r, kernel.p, kernel.rz,
                 kernel.beta_prev);
       last_ckpt_saved_at = j;
       ++res.checkpoints_written;
@@ -122,26 +153,17 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           throw UnrecoverableFailure(
               "node failure injected into a non-resilient solver");
         case RecoveryMethod::kEsr: {
-          std::vector<NodeId> merged;
-          bool first = true;
-          for (const int idx : evs) {
-            const FailureEvent& ev = cursor.event(idx);
-            if (!first && ev.during_recovery) {
-              // Overlapping failure: the reconstruction of `merged` was
-              // underway. Charge the work performed so far (the gather, its
-              // dominant communication part), discard its cached
-              // factorizations — the surviving block structure changed under
-              // them — and restart with the union.
-              (void)store_.gather_lost(cluster_, part.rows_of_set(merged));
-              if (opts_.esr.cache != nullptr)
-                (void)opts_.esr.cache->invalidate_overlapping(merged);
-            }
-            inject_failures(ev.nodes, kernel.state_vectors(x));
-            if (opts_.events.on_failure_injected)
-              opts_.events.on_failure_injected(ev);
-            merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-            first = false;
-          }
+          const std::vector<NodeId> merged =
+              inject_due(evs, [&](const std::vector<NodeId>& so_far) {
+                // The reconstruction of `so_far` was underway. Charge the
+                // work performed so far (the gather, its dominant
+                // communication part), discard its cached factorizations —
+                // the surviving block structure changed under them — and
+                // restart with the union.
+                (void)store_.gather_lost(cluster_, part.rows_of_set(so_far));
+                if (opts_.esr.cache != nullptr)
+                  (void)opts_.esr.cache->invalidate_overlapping(so_far);
+              });
           RecoveryRecord rec;
           rec.iteration = j;
           rec.nodes = merged;
@@ -157,23 +179,32 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           break;
         }
         case RecoveryMethod::kCheckpointRestart: {
-          std::vector<NodeId> merged;
-          for (const int idx : evs) {
-            const FailureEvent& ev = cursor.event(idx);
-            inject_failures(ev.nodes, kernel.state_vectors(x));
-            if (opts_.events.on_failure_injected)
-              opts_.events.on_failure_injected(ev);
-            merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
+          // An overlapping failure cuts the rollback read of the nodes so
+          // far short; it is redone for the union.
+          const std::vector<NodeId> merged = inject_due(
+              evs, [&](const std::vector<NodeId>&) {
+                ckpt.charge_aborted_restore(cluster_);
+              });
+          if (static_cast<int>(merged.size()) >= cluster_.num_nodes()) {
+            throw UnrecoverableFailure(
+                "checkpoint recovery needs at least one survivor to detect "
+                "the failure and trigger the rollback");
           }
-          cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection
-          for (const NodeId f : merged) cluster_.replace_node(f);
+          // Replacements come online and re-fetch static data, then everyone
+          // rolls back to the checkpointed iterate. z is not checkpointed:
+          // it is recomputed from the restored residual through the
+          // preconditioner (bit-identical to the z the unfailed run held at
+          // the checkpointed iteration).
           const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-          ckpt.restore(cluster_, x, kernel.r, kernel.z, kernel.p, kernel.rz,
+          esr_replace_and_refetch(cluster_, *a_global_, merged);
+          ckpt.restore(cluster_, x, kernel.r, kernel.p, kernel.rz,
                        kernel.beta_prev);
           for (const NodeId f : merged) {
+            kernel.z.revalidate_zero(f);
+            kernel.p_prev.revalidate_zero(f);
             kernel.u.revalidate_zero(f);
-            kernel.p_prev.revalidate_zero(f);  // rebuilt before it is needed again
           }
+          m_->apply(cluster_, kernel.r, kernel.z, Phase::kRecovery);
           RecoveryRecord rec;
           rec.iteration = j;
           rec.nodes = merged;
@@ -190,14 +221,8 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           break;
         }
         case RecoveryMethod::kInterpolationRestart: {
-          std::vector<NodeId> merged;
-          for (const int idx : evs) {
-            const FailureEvent& ev = cursor.event(idx);
-            inject_failures(ev.nodes, kernel.state_vectors(x));
-            if (opts_.events.on_failure_injected)
-              opts_.events.on_failure_injected(ev);
-            merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-          }
+          const std::vector<NodeId> merged =
+              inject_due(evs, [](const std::vector<NodeId>&) {});
           RecoveryRecord rec;
           rec.iteration = j;
           rec.nodes = merged;

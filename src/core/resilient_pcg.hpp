@@ -7,6 +7,18 @@
 // state reconstruction (Alg. 2), checkpoint rollback, or interpolation
 // restart, depending on the configured method. With phi = 0 and method
 // kNone, the engine is exactly the reference (non-resilient) PCG.
+//
+// kCheckpointRestart is the algorithm-based checkpoint-recovery of Pachajoa
+// et al. (arXiv:2007.04066), the baseline the paper sets ESR against (Sec.
+// 1.2, 2.2): every `checkpoint_interval` iterations the minimal state {x, r,
+// p, rz, beta_prev} goes to a CostedCheckpointStore under the `checkpoint`
+// cost model (memory or disk). On a failure the replacements come online and
+// re-fetch their static data, *all* nodes roll back to the last checkpoint,
+// z is recomputed from the restored r through the preconditioner, and the
+// iterations since the checkpoint are redone. The restored state is
+// bit-exact, so a failed run's final iterate equals the unfailed run's; only
+// the simulated clock differs. Any failed-node subset with a survivor is
+// recoverable. The "checkpoint-recovery" registry key is this method.
 #pragma once
 
 #include <array>
@@ -14,6 +26,7 @@
 #include <vector>
 
 #include "core/backup_store.hpp"
+#include "core/checkpoint.hpp"
 #include "core/esr.hpp"
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
@@ -56,8 +69,11 @@ struct ResilientPcgOptions {
   int phi = 0;
   BackupStrategy strategy = BackupStrategy::kPaperAlternating;
   EsrOptions esr;
-  /// Checkpoint interval in iterations (kCheckpointRestart only).
+  /// Checkpoint interval in iterations and the store's cost model
+  /// (kCheckpointRestart only; a checkpoint is always written at iteration
+  /// 0, so every failure has a rollback target).
   int checkpoint_interval = 50;
+  CheckpointCostModel checkpoint;
   /// Seed for the kRandom backup strategy.
   std::uint64_t strategy_seed = 0;
   /// Typed event hooks (core/events.hpp).
@@ -79,7 +95,8 @@ class ResilientPcg {
                const Preconditioner& m, ResilientPcgOptions opts);
 
   /// Solves A x = b from the initial guess in x; failures are injected per
-  /// schedule. The cluster must have all nodes alive on entry.
+  /// schedule. The cluster must have all nodes alive on entry. A failure
+  /// the method cannot recover throws UnrecoverableFailure.
   [[nodiscard]] engine::SolveReport solve(const DistVector& b, DistVector& x,
                                           const FailureSchedule& schedule = {});
 

@@ -77,7 +77,8 @@ struct SolveReport {
   /// inside the reduction_time block next to `reductions.max_in_flight`.
   int reduction_depth = 1;
 
-  /// Set by the "checkpoint-recovery" family.
+  /// Set by checkpoint-restart solves ("checkpoint-recovery", or
+  /// "resilient-pcg" with recovery=checkpoint-restart).
   std::optional<CheckpointSection> checkpoint;
   /// Set when the failure schedule was generated from a configured scenario.
   std::optional<ScenarioSection> scenario;

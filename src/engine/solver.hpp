@@ -30,10 +30,10 @@
 namespace rpcg::engine {
 
 /// One config for every registered solver family. Fields a family does not
-/// use are ignored (e.g. `omega` outside "stationary"; `recovery` and
-/// `checkpoint_interval` outside "resilient-pcg"). The string-keyed enum
-/// fields round-trip via from_string/to_string, so a config is fully
-/// constructible from command-line options (see from_options).
+/// use are ignored (e.g. `omega` outside "stationary"; `recovery` outside
+/// "resilient-pcg"). The string-keyed enum fields round-trip via
+/// from_string/to_string, so a config is fully constructible from
+/// command-line options (see from_options).
 struct SolverConfig {
   double rtol = 1e-8;
   int max_iterations = 100000;
@@ -55,12 +55,12 @@ struct SolverConfig {
   BackupStrategy strategy = BackupStrategy::kPaperAlternating;
   std::uint64_t strategy_seed = 0;
   EsrOptions esr;
-  /// Checkpoint interval in iterations ("resilient-pcg" with
-  /// checkpoint-restart, and the "checkpoint-recovery" family).
+  /// Checkpoint interval in iterations and the checkpoint cost model: where
+  /// the checkpoints live (memory vs disk) and, optionally, explicit
+  /// per-element/latency charges overriding the medium defaults
+  /// (core/checkpoint.hpp). Both feed the one checkpoint engine, reached as
+  /// "checkpoint-recovery" or as "resilient-pcg" with checkpoint-restart.
   int checkpoint_interval = 50;
-  /// Cost model of the "checkpoint-recovery" family: where the checkpoints
-  /// live (memory vs disk) and, optionally, explicit per-element/latency
-  /// charges overriding the medium defaults (core/checkpoint.hpp).
   CheckpointCostModel checkpoint;
 
   /// Generated failure scenario (core/failure_scenario.hpp). When the

@@ -11,7 +11,6 @@
 #include <string>
 #include <utility>
 
-#include "core/checkpoint_recovery.hpp"
 #include "core/errors.hpp"
 #include "core/failure_scenario.hpp"
 #include "core/pipelined_pcg.hpp"
@@ -158,11 +157,19 @@ class PcgSolver final : public Solver {
   SolverConfig config_;
 };
 
+/// The resilient PCG engine (core/resilient_pcg.hpp). One adapter serves two
+/// registry keys: "resilient-pcg" runs the config's recovery method, and
+/// "checkpoint-recovery" is the preset that pins it to checkpoint-restart
+/// with phi = 0 and no ESR cache, so the config's recovery, phi, strategy
+/// and ESR fields are ignored there.
 class ResilientPcgSolver final : public Solver {
  public:
-  explicit ResilientPcgSolver(const SolverConfig& config) : config_(config) {}
+  ResilientPcgSolver(const SolverConfig& config, bool checkpoint_preset)
+      : config_(config), checkpoint_preset_(checkpoint_preset) {}
 
-  [[nodiscard]] std::string name() const override { return "resilient-pcg"; }
+  [[nodiscard]] std::string name() const override {
+    return checkpoint_preset_ ? "checkpoint-recovery" : "resilient-pcg";
+  }
 
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
@@ -172,13 +179,18 @@ class ResilientPcgSolver final : public Solver {
     ResilientPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
     opts.pcg.max_iterations = config_.max_iterations;
-    opts.method = config_.recovery;
-    opts.phi = config_.phi;
-    opts.strategy = config_.strategy;
-    opts.strategy_seed = config_.strategy_seed;
-    opts.esr = config_.esr;
-    wire_esr_cache(opts.esr, problem, config_);
+    if (checkpoint_preset_) {
+      opts.method = RecoveryMethod::kCheckpointRestart;
+    } else {
+      opts.method = config_.recovery;
+      opts.phi = config_.phi;
+      opts.strategy = config_.strategy;
+      opts.strategy_seed = config_.strategy_seed;
+      opts.esr = config_.esr;
+      wire_esr_cache(opts.esr, problem, config_);
+    }
     opts.checkpoint_interval = config_.checkpoint_interval;
+    opts.checkpoint = config_.checkpoint;
     opts.events = deadline_events(config_, cluster);
     ResilientPcg engine(cluster, problem.matrix_global(), problem.matrix(),
                         problem.preconditioner(), opts);
@@ -188,6 +200,7 @@ class ResilientPcgSolver final : public Solver {
 
  private:
   SolverConfig config_;
+  bool checkpoint_preset_;
 };
 
 /// Communication-hiding Krylov methods (core/pipelined_pcg.hpp). One engine
@@ -270,41 +283,6 @@ class BicgstabSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     ResilientBicgstab engine(cluster, problem.matrix_global(), problem.matrix(),
                              problem.preconditioner(), opts);
-    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
-                 problem.preconditioner_name(), std::move(run.scenario));
-  }
-
- private:
-  SolverConfig config_;
-};
-
-/// Algorithm-based checkpoint-recovery (core/checkpoint_recovery.hpp):
-/// periodic {x, r, p} checkpoints under the config's memory/disk cost
-/// model, global rollback on failure. No redundant copies, so any
-/// failed-node subset with a survivor is recoverable.
-class CheckpointRecoverySolver final : public Solver {
- public:
-  explicit CheckpointRecoverySolver(const SolverConfig& config)
-      : config_(config) {}
-
-  [[nodiscard]] std::string name() const override {
-    return "checkpoint-recovery";
-  }
-
-  [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
-                                  const FailureSchedule& schedule) override {
-    Cluster cluster = make_cluster(problem, config_);
-    RunSchedule run =
-        effective_schedule(config_, schedule, cluster.num_nodes());
-    CheckpointRecoveryOptions opts;
-    opts.pcg.rtol = config_.rtol;
-    opts.pcg.max_iterations = config_.max_iterations;
-    opts.interval = config_.checkpoint_interval;
-    opts.costs = config_.checkpoint;
-    opts.events = deadline_events(config_, cluster);
-    CheckpointRecoveryPcg engine(cluster, problem.matrix_global(),
-                                 problem.matrix(), problem.preconditioner(),
-                                 opts);
     return named(engine.solve(problem.rhs(), x, run.schedule), name(),
                  problem.preconditioner_name(), std::move(run.scenario));
   }
@@ -433,7 +411,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
     return std::make_unique<PcgSolver>(c);
   });
   registry.register_solver("resilient-pcg", [](const SolverConfig& c) {
-    return std::make_unique<ResilientPcgSolver>(c);
+    return std::make_unique<ResilientPcgSolver>(c, /*checkpoint_preset=*/false);
   });
   registry.register_solver("pipelined-pcg", [](const SolverConfig& c) {
     return std::make_unique<PipelinedSolver>(
@@ -455,7 +433,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
     return std::make_unique<BicgstabSolver>(c);
   });
   registry.register_solver("checkpoint-recovery", [](const SolverConfig& c) {
-    return std::make_unique<CheckpointRecoverySolver>(c);
+    return std::make_unique<ResilientPcgSolver>(c, /*checkpoint_preset=*/true);
   });
   registry.register_solver("twin-pcg", [](const SolverConfig& c) {
     return std::make_unique<TwinPcgSolver>(c);

@@ -96,14 +96,6 @@ engine::SolveReport ExperimentRunner::run_baseline(RecoveryMethod method,
   return run_solver("resilient-pcg", c, schedule, rep_seed);
 }
 
-engine::SolveReport ExperimentRunner::run_baseline_failure_free(
-    RecoveryMethod method, int checkpoint_interval, std::uint64_t rep_seed) {
-  engine::SolverConfig c = base_config();
-  c.recovery = method;
-  c.checkpoint_interval = checkpoint_interval;
-  return run_solver("resilient-pcg", c, {}, rep_seed);
-}
-
 engine::SolveReport ExperimentRunner::run_with_schedule(
     int phi, const FailureSchedule& schedule, std::uint64_t rep_seed) {
   engine::SolverConfig c = base_config();

@@ -87,12 +87,6 @@ class ExperimentRunner {
                                    int checkpoint_interval,
                                    std::uint64_t rep_seed);
 
-  /// Failure-free run under a baseline method (shows e.g. the checkpoint
-  /// cost that accrues even without failures).
-  engine::SolveReport run_baseline_failure_free(RecoveryMethod method,
-                                                int checkpoint_interval,
-                                                std::uint64_t rep_seed);
-
   /// Run with an arbitrary schedule (overlapping-failure studies).
   engine::SolveReport run_with_schedule(int phi, const FailureSchedule& schedule,
                                         std::uint64_t rep_seed);

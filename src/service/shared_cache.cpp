@@ -16,11 +16,11 @@ SharedFactorizationCache::SharedFactorizationCache(std::size_t capacity)
 
 FactorizationCache::EntryPtr SharedFactorizationCache::get_or_build(
     std::string_view tag, const FactorizationCache::MatrixKey& matrix,
-    std::string_view ordering, std::span<const NodeId> nodes,
+    std::span<const NodeId> nodes,
     const std::function<FactorizationCache::Entry()>& build) {
   std::vector<NodeId> sorted(nodes.begin(), nodes.end());
   std::sort(sorted.begin(), sorted.end());
-  Key key{std::string(tag), matrix, std::string(ordering), std::move(sorted)};
+  Key key{std::string(tag), matrix, std::move(sorted)};
 
   std::promise<FactorizationCache::EntryPtr> promise;
   std::shared_future<FactorizationCache::EntryPtr> future;
@@ -93,13 +93,12 @@ void SharedFactorizationCache::evict_locked() {
   ++stats_.evictions;
 }
 
-FactorizationCache::Upstream SharedFactorizationCache::as_upstream(
-    std::string ordering) {
-  return [this, ordering = std::move(ordering)](
-             std::string_view tag, const FactorizationCache::MatrixKey& matrix,
-             std::span<const NodeId> nodes,
-             const std::function<FactorizationCache::Entry()>& build) {
-    return get_or_build(tag, matrix, ordering, nodes, build);
+FactorizationCache::Upstream SharedFactorizationCache::as_upstream() {
+  return [this](std::string_view tag,
+                const FactorizationCache::MatrixKey& matrix,
+                std::span<const NodeId> nodes,
+                const std::function<FactorizationCache::Entry()>& build) {
+    return get_or_build(tag, matrix, nodes, build);
   };
 }
 

@@ -9,15 +9,13 @@
 // before building, so identical reconstruction setups are extracted and
 // factorized once per batch, not once per job.
 //
-// Keying: (consumer tag, content-derived MatrixKey, ordering, sorted failed
-// node set). The content key — not an object address — is what makes
-// sharing sound: every job builds its own CsrMatrix copy, and two copies of
-// M1 at the same scale hash identically while any value or pattern change
-// separates them. The ordering slot exists because cached LDLᵀ entries bake
-// in a fill-reducing permutation; today every consumer selects it
-// deterministically from the pattern ("auto"), but a future explicit
-// natural/RCM/AMD knob must not alias entries built under a different
-// permutation.
+// Keying: (consumer tag, content-derived MatrixKey, sorted failed node
+// set). The content key — not an object address — is what makes sharing
+// sound: every job builds its own CsrMatrix copy, and two copies of M1 at
+// the same scale hash identically while any value or pattern change
+// separates them. Cached LDLᵀ entries bake in a fill-reducing permutation,
+// but every consumer selects it deterministically from the pattern, so the
+// key needs no ordering slot.
 //
 // Eviction: least-recently-used by a monotonic use counter (never wall
 // time — the service layer is bound by the same determinism rules as the
@@ -59,7 +57,7 @@ class SharedFactorizationCache {
 
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// Returns the entry for (tag, matrix, ordering, nodes), building it with
+  /// Returns the entry for (tag, matrix, nodes), building it with
   /// `build` on a miss. Thread-safe; `build` runs outside the lock, and
   /// concurrent requests for one key are coalesced: the first requester
   /// builds while the rest block on its result instead of duplicating the
@@ -71,15 +69,13 @@ class SharedFactorizationCache {
   /// the cache is destroyed.
   [[nodiscard]] FactorizationCache::EntryPtr get_or_build(
       std::string_view tag, const FactorizationCache::MatrixKey& matrix,
-      std::string_view ordering, std::span<const NodeId> nodes,
+      std::span<const NodeId> nodes,
       const std::function<FactorizationCache::Entry()>& build);
 
   /// Adapter for FactorizationCache::set_upstream: per-Problem misses are
-  /// served from this cache under the given ordering slot. The returned
-  /// callable borrows `this`; the shared cache must outlive every Problem
-  /// cache it is wired into.
-  [[nodiscard]] FactorizationCache::Upstream as_upstream(
-      std::string ordering = "auto");
+  /// served from this cache. The returned callable borrows `this`; the
+  /// shared cache must outlive every Problem cache it is wired into.
+  [[nodiscard]] FactorizationCache::Upstream as_upstream();
 
   void clear();
 
@@ -89,7 +85,6 @@ class SharedFactorizationCache {
   struct Key {
     std::string tag;
     FactorizationCache::MatrixKey matrix;
-    std::string ordering;
     std::vector<NodeId> nodes;  // sorted
     friend auto operator<=>(const Key&, const Key&) = default;
   };

@@ -92,6 +92,15 @@ TEST(CheckpointRestart, RepeatedFailuresReplayCorrectly) {
   EXPECT_LT(max_diff(x.gather_global(), p.x_ref), 1e-6);
 }
 
+TEST(CheckpointRestart, IntervalBelowOneIsRejected) {
+  Problem p;
+  const auto m = make_preconditioner("bjacobi", p.a, p.part);
+  Cluster cluster(p.part, CommParams{});
+  EXPECT_THROW(ResilientPcg(cluster, p.a, *m,
+                            options_for(RecoveryMethod::kCheckpointRestart, 0)),
+               std::invalid_argument);
+}
+
 TEST(InterpolationRestart, ConvergesButLosesKrylovProgress) {
   Problem p;
   const auto m = make_preconditioner("bjacobi", p.a, p.part);

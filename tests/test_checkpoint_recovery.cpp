@@ -1,9 +1,10 @@
-// The checkpoint-recovery engine (arXiv:2007.04066): exhaustive failed-node
-// subsets at small scale must restore to the exact checkpointed iterate —
-// the redone trajectory, final iterate, and residual-deviation metric of a
-// failed run are byte-identical to the unfailed run's — plus the cost-model
-// contract (memory vs disk media, explicit per-element knobs land in the
-// kCheckpoint/kRecovery clocks exactly) and the unrecoverable edge.
+// The checkpoint engine (ResilientPcg's kCheckpointRestart method, the
+// algorithm-based checkpoint-recovery of arXiv:2007.04066): exhaustive
+// failed-node subsets at small scale must restore to the exact checkpointed
+// iterate — the redone trajectory, final iterate, and residual-deviation
+// metric of a failed run are byte-identical to the unfailed run's — plus the
+// cost-model contract (memory vs disk media, explicit per-element knobs land
+// in the kCheckpoint/kRecovery clocks exactly) and the unrecoverable edge.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "core/backup_store.hpp"  // UnrecoverableFailure
-#include "core/checkpoint_recovery.hpp"
+#include "core/resilient_pcg.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
@@ -42,11 +43,11 @@ struct Fixture {
     b.set_global(bg);
   }
 
-  engine::SolveReport run(const CheckpointRecoveryOptions& opts,
+  engine::SolveReport run(const ResilientPcgOptions& opts,
                           const FailureSchedule& schedule,
                           std::vector<double>& solution) const {
     Cluster cluster(part, CommParams{});
-    CheckpointRecoveryPcg solver(cluster, a, dist, *m, opts);
+    ResilientPcg solver(cluster, a, dist, *m, opts);
     DistVector x(part);
     const auto res = solver.solve(b, x, schedule);
     solution = x.gather_global();
@@ -54,10 +55,11 @@ struct Fixture {
   }
 };
 
-CheckpointRecoveryOptions base_opts(int interval) {
-  CheckpointRecoveryOptions opts;
+ResilientPcgOptions base_opts(int interval) {
+  ResilientPcgOptions opts;
   opts.pcg.rtol = 1e-9;
-  opts.interval = interval;
+  opts.method = RecoveryMethod::kCheckpointRestart;
+  opts.checkpoint_interval = interval;
   return opts;
 }
 
@@ -152,7 +154,7 @@ TEST(CheckpointRecovery, LosingTheWholeClusterIsUnrecoverable) {
   FailureSchedule schedule;
   schedule.add({4, {0, 1, 2, 3, 4, 5}, false});
   Cluster cluster(fx.part, CommParams{});
-  CheckpointRecoveryPcg solver(cluster, fx.a, fx.dist, *fx.m, base_opts(5));
+  ResilientPcg solver(cluster, fx.a, fx.dist, *fx.m, base_opts(5));
   DistVector x(fx.part);
   EXPECT_THROW((void)solver.solve(fx.b, x, schedule), UnrecoverableFailure);
 }
@@ -162,10 +164,10 @@ TEST(CheckpointRecovery, DiskCostsMoreThanMemoryWithIdenticalIterates) {
   FailureSchedule schedule;
   schedule.add({7, {2, 4}, false});
 
-  CheckpointRecoveryOptions mem = base_opts(5);
-  mem.costs.medium = CheckpointMedium::kMemory;
-  CheckpointRecoveryOptions disk = base_opts(5);
-  disk.costs.medium = CheckpointMedium::kDisk;
+  ResilientPcgOptions mem = base_opts(5);
+  mem.checkpoint.medium = CheckpointMedium::kMemory;
+  ResilientPcgOptions disk = base_opts(5);
+  disk.checkpoint.medium = CheckpointMedium::kDisk;
 
   std::vector<double> x_mem, x_disk;
   const auto rm = fx.run(mem, schedule, x_mem);
@@ -189,13 +191,13 @@ TEST(CheckpointRecovery, DiskCostsMoreThanMemoryWithIdenticalIterates) {
 
 TEST(CheckpointRecovery, ReportCarriesTheResolvedCostModel) {
   const Fixture fx(6, 47);
-  CheckpointRecoveryOptions opts = base_opts(4);
-  opts.costs.medium = CheckpointMedium::kDisk;
-  opts.costs.read_per_element_s = 2e-6;  // explicit; the rest from defaults
+  ResilientPcgOptions opts = base_opts(4);
+  opts.checkpoint.medium = CheckpointMedium::kDisk;
+  opts.checkpoint.read_per_element_s = 2e-6;  // explicit; rest from defaults
 
   Cluster cluster(fx.part, CommParams{});
-  CheckpointRecoveryPcg solver(cluster, fx.a, fx.dist, *fx.m, opts);
-  const CheckpointCostModel costs = solver.resolved_costs();
+  ResilientPcg solver(cluster, fx.a, fx.dist, *fx.m, opts);
+  const CheckpointCostModel costs = opts.checkpoint.resolved(cluster.comm());
   DistVector x(fx.part);
   const engine::SolveReport res = solver.solve(fx.b, x, {});
   ASSERT_TRUE(res.checkpoint.has_value());
@@ -210,9 +212,9 @@ TEST(CheckpointRecovery, ReportCarriesTheResolvedCostModel) {
 
 TEST(CheckpointRecovery, ExplicitCostKnobsLandInTheCheckpointClockExactly) {
   const Fixture fx(6, 47);
-  CheckpointRecoveryOptions opts = base_opts(4);
-  opts.costs.write_per_element_s = 1e-3;
-  opts.costs.access_latency_s = 0.5;
+  ResilientPcgOptions opts = base_opts(4);
+  opts.checkpoint.write_per_element_s = 1e-3;
+  opts.checkpoint.access_latency_s = 0.5;
 
   std::vector<double> x_sol;
   const auto res = fx.run(opts, {}, x_sol);
@@ -233,8 +235,8 @@ TEST(CheckpointRecovery, ReadCostKnobChargesTheRollbackRead) {
   schedule.add({6, {1}, false});
 
   const auto run_with_read_cost = [&](double read_per_element) {
-    CheckpointRecoveryOptions opts = base_opts(5);
-    opts.costs.read_per_element_s = read_per_element;
+    ResilientPcgOptions opts = base_opts(5);
+    opts.checkpoint.read_per_element_s = read_per_element;
     std::vector<double> x_sol;
     return fx.run(opts, schedule, x_sol)
         .sim_time_phase[static_cast<std::size_t>(Phase::kRecovery)];

@@ -110,21 +110,28 @@ TEST(CostModel, RedundancyPhaseEqualsSchemeOverheadTimesIterations) {
 TEST(CostModel, CheckpointPhaseEqualsWritesTimesCost) {
   Problem p;
   const auto m = make_preconditioner("bjacobi", p.a, p.part);
-  Cluster cluster(p.part, CommParams{});
-  ResilientPcgOptions opts;
-  opts.pcg.rtol = 1e-8;
-  opts.method = RecoveryMethod::kCheckpointRestart;
-  opts.checkpoint_interval = 10;
-  ResilientPcg solver(cluster, p.a, p.dist, *m, opts);
-  DistVector x(p.part);
-  const auto res = solver.solve(p.b, x, {});
-  ASSERT_TRUE(res.converged);
   const CommModel model{CommParams{}};
-  const double expected =
-      res.checkpoints_written *
-      model.storage_cost(4 * p.part.max_block_size());
-  EXPECT_NEAR(res.sim_time_phase[static_cast<int>(Phase::kCheckpoint)],
-              expected, 1e-12 * std::max(1.0, expected));
+  for (const CheckpointMedium medium :
+       {CheckpointMedium::kMemory, CheckpointMedium::kDisk}) {
+    Cluster cluster(p.part, CommParams{});
+    ResilientPcgOptions opts;
+    opts.pcg.rtol = 1e-8;
+    opts.method = RecoveryMethod::kCheckpointRestart;
+    opts.checkpoint_interval = 10;
+    opts.checkpoint.medium = medium;
+    ResilientPcg solver(cluster, p.a, p.dist, *m, opts);
+    DistVector x(p.part);
+    const auto res = solver.solve(p.b, x, {});
+    ASSERT_TRUE(res.converged) << to_string(medium);
+    // Every save writes {x, r, p}: 3 blocks of the largest node at the
+    // medium's default rates.
+    const double expected =
+        res.checkpoints_written *
+        opts.checkpoint.write_cost(model, 3 * p.part.max_block_size());
+    EXPECT_NEAR(res.sim_time_phase[static_cast<int>(Phase::kCheckpoint)],
+                expected, 1e-12 * std::max(1.0, expected))
+        << to_string(medium);
+  }
 }
 
 TEST(CostModel, NoiseIsUnbiasedOverManyIterations) {

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "engine/registry.hpp"
 #include "solver/pcg.hpp"
@@ -215,6 +218,65 @@ TEST(SolverRegistry, ScenarioSectionNamesOnlyGeneratedSchedules) {
   x = problem.make_x();
   const auto reference = reg.create("pcg", c)->solve(problem, x);
   EXPECT_FALSE(reference.scenario.has_value());
+}
+
+// "checkpoint-recovery" is a preset of the resilient-pcg adapter: the same
+// engine with the method pinned to checkpoint-restart and phi pinned to 0.
+// Its report equals "resilient-pcg" + recovery=checkpoint-restart apart from
+// the solver name and the host wall time.
+TEST(SolverRegistry, CheckpointRecoveryIsResilientPcgCheckpointRestart) {
+  engine::Problem problem = engine::ProblemBuilder()
+                                .matrix(poisson2d_5pt(16, 16))
+                                .nodes(8)
+                                .preconditioner("bjacobi")
+                                .noise(0.02, 7)  // same draws in both runs
+                                .build();
+  auto& reg = engine::SolverRegistry::instance();
+  const auto run = [&](const std::string& name, const engine::SolverConfig& c,
+                       const FailureSchedule& schedule) {
+    DistVector x = problem.make_x();
+    engine::SolveReport rep = reg.create(name, c)->solve(problem, x, schedule);
+    EXPECT_EQ(rep.solver, name);
+    EXPECT_TRUE(rep.converged) << name;
+    EXPECT_TRUE(rep.checkpoint.has_value()) << name;
+    rep.solver.clear();
+    rep.wall_seconds = 0.0;
+    return std::make_pair(rep.to_json(), rep.recoveries.size());
+  };
+
+  engine::SolverConfig failure_free;
+  failure_free.checkpoint_interval = 5;
+
+  engine::SolverConfig on_disk = failure_free;
+  on_disk.checkpoint.medium = CheckpointMedium::kDisk;
+  FailureSchedule overlap;
+  overlap.add({7, {1}, false});
+  overlap.add({7, {3, 4}, true});  // strikes during the rollback read
+
+  // The fuzz battery sets phi = 3 for every family; the preset ignores it.
+  engine::SolverConfig with_phi = failure_free;
+  with_phi.phi = 3;
+  with_phi.scenario.kind = ScenarioKind::kDuringRecovery;
+  with_phi.scenario.seed = 2;
+  with_phi.scenario.events = 3;
+  with_phi.scenario.max_nodes_per_event = 1;
+  with_phi.scenario.horizon = 12;
+  with_phi.scenario.window = 3;
+
+  const std::vector<std::tuple<const char*, engine::SolverConfig,
+                               FailureSchedule, std::size_t>>
+      cases{{"failure-free", failure_free, {}, 0u},
+            {"overlap on disk", on_disk, overlap, 1u},
+            {"phi = 3 scenario", with_phi, {}, 1u}};
+  for (const auto& [what, preset, schedule, recoveries] : cases) {
+    engine::SolverConfig resilient = preset;
+    resilient.recovery = RecoveryMethod::kCheckpointRestart;
+    resilient.phi = 0;
+    const auto ckpt = run("checkpoint-recovery", preset, schedule);
+    const auto rpcg = run("resilient-pcg", resilient, schedule);
+    EXPECT_EQ(ckpt.second, recoveries) << what;
+    EXPECT_EQ(ckpt.first, rpcg.first) << what;
+  }
 }
 
 TEST(SolverRegistry, CustomRegistrationIsVisible) {

@@ -27,6 +27,7 @@
 #include "service/solver_service.hpp"
 #include "solver/seq_pcg.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/generators.hpp"
 
 namespace {
 
@@ -296,6 +297,33 @@ TEST(Classification, CgBreakdownIsDivergence) {
         (void)rpcg::seq_pcg_solve(a, b, x, rpcg::SeqPcgOptions{});
       },
       "seq_pcg_solve");
+}
+
+TEST(Classification, NonConvergingEsrLocalSolveIsDivergence) {
+  // One IC(0)-PCG iteration cannot reconstruct the lost iterate. That is a
+  // deterministic numerical failure, not an internal error, so a retry
+  // policy must not rerun it as transient.
+  rpcg::engine::Problem problem = rpcg::engine::ProblemBuilder()
+                                      .matrix(rpcg::poisson2d_5pt(16, 16))
+                                      .nodes(8)
+                                      .preconditioner("bjacobi")
+                                      .build();
+  for (const std::string solver : {"resilient-pcg", "pipelined-resilient-pcg"}) {
+    rpcg::engine::SolverConfig config;
+    config.recovery = rpcg::RecoveryMethod::kEsr;
+    config.phi = 2;
+    config.esr.local_max_iterations = 1;
+    try {
+      rpcg::DistVector x = problem.make_x();
+      (void)rpcg::engine::SolverRegistry::instance()
+          .create(solver, config)
+          ->solve(problem, x, rpcg::FailureSchedule::contiguous(5, 2, 2));
+      ADD_FAILURE() << solver << ": one local iteration must not reconstruct";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(rpcg::classify_exception(e), ErrorClass::kDivergence)
+          << solver << ": " << e.what();
+    }
+  }
 }
 
 // ---- budgets -------------------------------------------------------------

@@ -208,22 +208,22 @@ TEST(SharedCache, HitsMissesAndLruEviction) {
     return FactorizationCache::Entry{};
   };
   const std::vector<rpcg::NodeId> nodes{1, 2};
-  (void)cache.get_or_build("t", test_key(1), "auto", nodes, build);
-  (void)cache.get_or_build("t", test_key(1), "auto", nodes, build);
+  (void)cache.get_or_build("t", test_key(1), nodes, build);
+  (void)cache.get_or_build("t", test_key(1), nodes, build);
   EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 
   // Capacity 1: the second key evicts the first, so it misses again.
-  (void)cache.get_or_build("t", test_key(2), "auto", nodes, build);
-  (void)cache.get_or_build("t", test_key(1), "auto", nodes, build);
+  (void)cache.get_or_build("t", test_key(2), nodes, build);
+  (void)cache.get_or_build("t", test_key(1), nodes, build);
   EXPECT_EQ(builds.load(), 3);
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(SharedCache, KeyIncludesTagOrderingAndSortedNodes) {
+TEST(SharedCache, KeyIncludesTagMatrixAndSortedNodes) {
   SharedFactorizationCache cache(8);
   std::atomic<int> builds{0};
   const auto build = [&builds] {
@@ -232,11 +232,11 @@ TEST(SharedCache, KeyIncludesTagOrderingAndSortedNodes) {
   };
   const std::vector<rpcg::NodeId> ab{1, 2};
   const std::vector<rpcg::NodeId> ba{2, 1};
-  (void)cache.get_or_build("t", test_key(1), "auto", ab, build);
-  (void)cache.get_or_build("t", test_key(1), "auto", ba, build);  // sorted: hit
+  (void)cache.get_or_build("t", test_key(1), ab, build);
+  (void)cache.get_or_build("t", test_key(1), ba, build);  // sorted: hit
   EXPECT_EQ(builds.load(), 1);
-  (void)cache.get_or_build("u", test_key(1), "auto", ab, build);  // other tag
-  (void)cache.get_or_build("t", test_key(1), "amd", ab, build);  // other order
+  (void)cache.get_or_build("u", test_key(1), ab, build);  // other tag
+  (void)cache.get_or_build("t", test_key(2), ab, build);  // other matrix
   EXPECT_EQ(builds.load(), 3);
 }
 
@@ -244,13 +244,13 @@ TEST(SharedCache, FailedBuildIsRetriedNotCached) {
   SharedFactorizationCache cache(8);
   int calls = 0;
   const std::vector<rpcg::NodeId> nodes{0};
-  EXPECT_THROW((void)cache.get_or_build("t", test_key(1), "auto", nodes,
+  EXPECT_THROW((void)cache.get_or_build("t", test_key(1), nodes,
                                         [&calls]() -> FactorizationCache::Entry {
                                           ++calls;
                                           throw std::runtime_error("boom");
                                         }),
                std::runtime_error);
-  (void)cache.get_or_build("t", test_key(1), "auto", nodes, [&calls] {
+  (void)cache.get_or_build("t", test_key(1), nodes, [&calls] {
     ++calls;
     return FactorizationCache::Entry{};
   });
@@ -266,7 +266,7 @@ TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
   const std::vector<rpcg::NodeId> nodes{0};
 
   std::thread builder([&] {
-    (void)cache.get_or_build("t", test_key(1), "auto", nodes, [&] {
+    (void)cache.get_or_build("t", test_key(1), nodes, [&] {
       ++builds;
       gate.wait();  // hold the build open until the waiter has joined it
       return FactorizationCache::Entry{};
@@ -276,7 +276,7 @@ TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
   EXPECT_TRUE(eventually([&cache] { return cache.stats().misses == 1; }));
 
   std::thread waiter([&] {
-    (void)cache.get_or_build("t", test_key(1), "auto", nodes, [&] {
+    (void)cache.get_or_build("t", test_key(1), nodes, [&] {
       ++builds;
       return FactorizationCache::Entry{};
     });
@@ -307,7 +307,7 @@ TEST(SharedCache, FailedBuildReachesEveryCoalescedWaiter) {
   const auto expect_failure =
       [&](const std::function<FactorizationCache::Entry()>& build) {
         try {
-          (void)cache.get_or_build("t", test_key(1), "auto", nodes, build);
+          (void)cache.get_or_build("t", test_key(1), nodes, build);
           ADD_FAILURE() << "the build failure must reach this request";
         } catch (const rpcg::CacheBuildFailure& e) {
           EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos)
@@ -343,7 +343,7 @@ TEST(SharedCache, FailedBuildReachesEveryCoalescedWaiter) {
   EXPECT_EQ(cache.stats().entries, 0u);
 
   // The next request builds afresh instead of inheriting the failure.
-  (void)cache.get_or_build("t", test_key(1), "auto", nodes, [&builds] {
+  (void)cache.get_or_build("t", test_key(1), nodes, [&builds] {
     ++builds;
     return FactorizationCache::Entry{};
   });
