@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "core/factorization_cache.hpp"
@@ -11,6 +13,22 @@
 #include "util/check.hpp"
 
 namespace rpcg {
+
+namespace {
+
+/// kTwin: one concurrent round of {x, r, p} block transfers from `nodes`,
+/// which costs its largest transfer.
+double twin_round_cost(const Cluster& cluster,
+                       const std::vector<NodeId>& nodes) {
+  double cost = 0.0;
+  for (const NodeId f : nodes) {
+    cost = std::max(cost, cluster.comm().message_cost(
+                              3 * cluster.partition().size(f)));
+  }
+  return cost;
+}
+
+}  // namespace
 
 std::string to_string(RecoveryMethod m) { return enum_to_string(m); }
 
@@ -45,6 +63,15 @@ ResilientPcg::ResilientPcg(Cluster& cluster, const CsrMatrix& a_global,
   if (opts_.method == RecoveryMethod::kCheckpointRestart)
     RPCG_CHECK(opts_.checkpoint_interval >= 1,
                "checkpoint interval must be >= 1");
+  if (opts_.method == RecoveryMethod::kTwin) {
+    RPCG_CHECK(cluster_.num_nodes() >= 2 && cluster_.num_nodes() % 2 == 0,
+               "twin-pcg pairs each node with a buddy; the node count must be "
+               "even and >= 2");
+    // Every node pushes its 3 updated blocks to its buddy each iteration.
+    std::vector<NodeId> all(static_cast<std::size_t>(cluster_.num_nodes()));
+    std::iota(all.begin(), all.end(), NodeId{0});
+    redundancy_step_cost_ = twin_round_cost(cluster_, all);
+  }
   if (opts_.phi > 0) {
     scheme_ = RedundancyScheme::build(a_->scatter_plan(), cluster_.partition(),
                                       opts_.phi, opts_.strategy,
@@ -97,6 +124,22 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
   FailureCursor cursor(schedule);
   const EsrReconstructor reconstructor(*a_global_, *m_, opts_.esr);
 
+  // Twin mirror of the loop-top state {x, r, p}: node i's blocks live on
+  // buddy_of(i). Host-side the mirror is three global snapshots; the
+  // simulated placement only matters for the coverage check and charges.
+  const bool twin = opts_.method == RecoveryMethod::kTwin;
+  std::vector<double> mirror_x, mirror_r, mirror_p;
+  const auto push_mirror = [&](Phase phase, double cost) {
+    {
+      ClockPause pause(cluster_.clock());
+      mirror_x = x.gather_global();
+      mirror_r = kernel.r.gather_global();
+      mirror_p = kernel.p.gather_global();
+    }
+    cluster_.charge(phase, cost);
+  };
+  if (twin) push_mirror(Phase::kRedundancy, redundancy_step_cost_);
+
   // Injects the due events in order and returns the union of their failed
   // nodes. A during_recovery event after the first struck while the
   // recovery of the nodes so far was underway; `on_overlap(so_far)` charges
@@ -115,6 +158,15 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
       first = false;
     }
     return merged;
+  };
+
+  // Appends a finished recovery and fires its hook.
+  const auto record_recovery = [&](int iteration,
+                                   const std::vector<NodeId>& nodes,
+                                   const RecoveryStats& stats) {
+    res.recoveries.push_back(RecoveryRecord{iteration, nodes, stats});
+    if (opts_.events.on_recovery_complete)
+      opts_.events.on_recovery_complete(res.recoveries.back());
   };
 
   bool done = rnorm0 == 0.0;
@@ -164,15 +216,11 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
                 if (opts_.esr.cache != nullptr)
                   (void)opts_.esr.cache->invalidate_overlapping(so_far);
               });
-          RecoveryRecord rec;
-          rec.iteration = j;
-          rec.nodes = merged;
-          rec.stats = reconstructor.recover(cluster_, merged, store_,
-                                            kernel.beta_prev, b, x, kernel.r,
-                                            kernel.z, kernel.p, kernel.p_prev);
-          res.recoveries.push_back(std::move(rec));
-          if (opts_.events.on_recovery_complete)
-            opts_.events.on_recovery_complete(res.recoveries.back());
+          record_recovery(
+              j, merged,
+              reconstructor.recover(cluster_, merged, store_, kernel.beta_prev,
+                                    b, x, kernel.r, kernel.z, kernel.p,
+                                    kernel.p_prev));
           // Resume iteration j: recompute u = A p on the recovered state.
           for (const NodeId f : merged) kernel.u.revalidate_zero(f);
           kernel.spmv_direction(Phase::kRecovery);
@@ -205,16 +253,11 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
             kernel.u.revalidate_zero(f);
           }
           m_->apply(cluster_, kernel.r, kernel.z, Phase::kRecovery);
-          RecoveryRecord rec;
-          rec.iteration = j;
-          rec.nodes = merged;
-          rec.stats.psi = static_cast<int>(merged.size());
-          rec.stats.lost_rows = static_cast<Index>(part.rows_of_set(merged).size());
-          rec.stats.sim_seconds =
-              cluster_.clock().in_phase(Phase::kRecovery) - t0;
-          res.recoveries.push_back(std::move(rec));
-          if (opts_.events.on_recovery_complete)
-            opts_.events.on_recovery_complete(res.recoveries.back());
+          RecoveryStats stats;
+          stats.psi = static_cast<int>(merged.size());
+          stats.lost_rows = static_cast<Index>(part.rows_of_set(merged).size());
+          stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
+          record_recovery(j, merged, stats);
           res.rolled_back_iterations += j - ckpt.iteration();
           j = ckpt.iteration();
           skip_update = true;
@@ -223,14 +266,10 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
         case RecoveryMethod::kInterpolationRestart: {
           const std::vector<NodeId> merged =
               inject_due(evs, [](const std::vector<NodeId>&) {});
-          RecoveryRecord rec;
-          rec.iteration = j;
-          rec.nodes = merged;
-          rec.stats = interpolation_restart_recover(cluster_, *a_global_,
-                                                    merged, b, x, opts_.esr);
-          res.recoveries.push_back(std::move(rec));
-          if (opts_.events.on_recovery_complete)
-            opts_.events.on_recovery_complete(res.recoveries.back());
+          record_recovery(j, merged,
+                          interpolation_restart_recover(cluster_, *a_global_,
+                                                        merged, b, x,
+                                                        opts_.esr));
           // Restart CG from the interpolated iterate: the Krylov history is
           // lost (r, z, p rebuilt from scratch).
           for (const NodeId f : merged) {
@@ -243,6 +282,65 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           (void)kernel.initialize(b, x, Phase::kRecovery);
           kernel.beta_prev = 0.0;
           skip_update = true;
+          break;
+        }
+        case RecoveryMethod::kTwin: {
+          // An overlapping failure cuts the buddy copy-back of the nodes so
+          // far short; it is redone for the union.
+          const std::vector<NodeId> merged =
+              inject_due(evs, [&](const std::vector<NodeId>& so_far) {
+                cluster_.charge(Phase::kRecovery,
+                                twin_round_cost(cluster_, so_far));
+              });
+          // Each failed node's mirror lives on its buddy; losing both
+          // members of a pair before the next push destroys original and
+          // copy.
+          for (const NodeId f : merged) {
+            const NodeId buddy = buddy_of(f, cluster_.num_nodes());
+            if (std::find(merged.begin(), merged.end(), buddy) !=
+                merged.end()) {
+              throw UnrecoverableFailure(
+                  "twin redundancy does not cover the simultaneous loss of "
+                  "buddy pair {" + std::to_string(f) + ", " +
+                  std::to_string(buddy) + "}");
+            }
+          }
+          const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
+          esr_replace_and_refetch(cluster_, *a_global_, merged);
+          // Forward recovery: replacements copy {x, r, p} from their
+          // buddies; the scalars rz/beta_prev are replicated on every
+          // survivor and cost nothing.
+          Index lost_rows = 0;
+          {
+            ClockPause pause(cluster_.clock());
+            for (const NodeId f : merged) {
+              const auto block = [&](const std::vector<double>& mirror) {
+                return std::span<const double>(mirror).subspan(
+                    static_cast<std::size_t>(part.begin(f)),
+                    static_cast<std::size_t>(part.size(f)));
+              };
+              x.restore_block(f, block(mirror_x));
+              kernel.r.restore_block(f, block(mirror_r));
+              kernel.p.restore_block(f, block(mirror_p));
+              kernel.z.revalidate_zero(f);       // recomputed next precondition
+              kernel.p_prev.revalidate_zero(f);  // never read by twin
+              kernel.u.revalidate_zero(f);       // recomputed below
+              lost_rows += part.size(f);
+            }
+          }
+          const double copy_cost = twin_round_cost(cluster_, merged);
+          cluster_.charge(Phase::kRecovery, copy_cost);
+          // Resume iteration j on the recovered state: u = A p again.
+          kernel.spmv_direction(Phase::kRecovery);
+          // Re-arm: the fresh nodes push their blocks to their buddies and
+          // re-host their buddies' mirrors (two transfers per pair).
+          push_mirror(Phase::kRecovery, 2.0 * copy_cost);
+          RecoveryStats stats;
+          stats.psi = static_cast<int>(merged.size());
+          stats.lost_rows = lost_rows;
+          stats.gathered_elements = 3 * lost_rows;
+          stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
+          record_recovery(j, merged, stats);
           break;
         }
       }
@@ -272,6 +370,8 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
       break;
     }
     kernel.advance_direction(d, /*track_prev=*/true, it);
+    // Twin: the mirror again holds the loop-top state of iteration j + 1.
+    if (twin) push_mirror(Phase::kRedundancy, redundancy_step_cost_);
     ++j;
   }
 

@@ -4,9 +4,10 @@
 // ESR is enabled, distributes phi redundant copies of the two most recent
 // search directions during every SpMV (piggybacked per Eqns. 5-6). Scheduled
 // node failures are injected right after the SpMV; recovery runs via exact
-// state reconstruction (Alg. 2), checkpoint rollback, or interpolation
-// restart, depending on the configured method. With phi = 0 and method
-// kNone, the engine is exactly the reference (non-resilient) PCG.
+// state reconstruction (Alg. 2), checkpoint rollback, interpolation restart,
+// or a copy from a twin's mirror, depending on the configured method. With
+// phi = 0 and method kNone, the engine is exactly the reference
+// (non-resilient) PCG.
 //
 // kCheckpointRestart is the algorithm-based checkpoint-recovery of Pachajoa
 // et al. (arXiv:2007.04066), the baseline the paper sets ESR against (Sec.
@@ -19,6 +20,19 @@
 // bit-exact, so a failed run's final iterate equals the unfailed run's; only
 // the simulated clock differs. Any failed-node subset with a survivor is
 // recoverable. The "checkpoint-recovery" registry key is this method.
+//
+// kTwin is TwinCG-style dual redundancy (arXiv:1605.04580): every node
+// mirrors its buddy's live iteration state, so a failed node's replacement
+// copies {x, r, p} straight from the twin and the iteration continues
+// *forward* — no reconstruction solve, no rollback, zero lost iterations.
+// The buddy map pairs node i with (i + N/2) mod N (an involution; the node
+// count must be even). After initialization and after every direction
+// update the three blocks are pushed to the buddy, charged to
+// Phase::kRedundancy (redundancy_overhead_per_iteration). A failure that
+// takes out both members of a buddy pair before the next push is
+// uncoverable and throws UnrecoverableFailure; the scenario generators'
+// forbid_pair_shift knob (= N/2) produces schedules that respect exactly
+// this constraint. The "twin-pcg" registry key is this method.
 #pragma once
 
 #include <array>
@@ -47,16 +61,18 @@ enum class RecoveryMethod {
   kEsr,                   ///< exact state reconstruction (this paper)
   kCheckpointRestart,     ///< periodic checkpoint + global rollback
   kInterpolationRestart,  ///< Langou-style interpolation + restart
+  kTwin,                  ///< buddy-mirrored state + forward recovery
 };
 
 template <>
 struct EnumNames<RecoveryMethod> {
   static constexpr const char* context = "recovery method";
-  static constexpr std::array<std::pair<RecoveryMethod, const char*>, 4> table{
+  static constexpr std::array<std::pair<RecoveryMethod, const char*>, 5> table{
       {{RecoveryMethod::kNone, "none"},
        {RecoveryMethod::kEsr, "esr"},
        {RecoveryMethod::kCheckpointRestart, "checkpoint-restart"},
-       {RecoveryMethod::kInterpolationRestart, "interpolation-restart"}}};
+       {RecoveryMethod::kInterpolationRestart, "interpolation-restart"},
+       {RecoveryMethod::kTwin, "twin"}}};
 };
 
 [[nodiscard]] std::string to_string(RecoveryMethod m);
@@ -82,6 +98,12 @@ struct ResilientPcgOptions {
 
 class ResilientPcg {
  public:
+  /// kTwin: the buddy hosting node i's mirror (and whose mirror node i
+  /// hosts).
+  [[nodiscard]] static NodeId buddy_of(NodeId i, int num_nodes) {
+    return (i + num_nodes / 2) % num_nodes;
+  }
+
   /// `a_global` is the reliable static copy of A (kept for reconstruction),
   /// `a` its distributed form over the cluster's partition. Both must
   /// outlive the solver, as must the preconditioner and cluster. (Keeping
@@ -105,7 +127,8 @@ class ResilientPcg {
   [[nodiscard]] const ResilientPcgOptions& options() const { return opts_; }
 
   /// Failure-free per-iteration communication overhead of the redundancy
-  /// (simulated seconds), i.e. the quantity bounded in Sec. 4.2.
+  /// (simulated seconds), i.e. the quantity bounded in Sec. 4.2; for kTwin,
+  /// one buddy push of the three blocks.
   [[nodiscard]] double redundancy_overhead_per_iteration() const {
     return redundancy_step_cost_;
   }
@@ -127,7 +150,8 @@ class ResilientPcg {
   MaybeOwned<DistMatrix> a_;
   RedundancyScheme scheme_;
   BackupStore store_;
-  double redundancy_step_cost_ = 0.0;  // max_i(base+extra) - max_i(base)
+  // ESR: max_i(base+extra) - max_i(base); kTwin: one buddy push.
+  double redundancy_step_cost_ = 0.0;
 };
 
 }  // namespace rpcg

@@ -1,10 +1,10 @@
 // The one result type of every solver family.
 //
-// Every engine — the reference PCG, the resilient, pipelined, checkpoint and
-// twin PCG variants, resilient BiCGSTAB and the stationary smoothers —
-// returns a SolveReport from its solve(), finished by the shared SolveMeter
-// below, so Table 2's time split and Table 3's residual deviation Delta
-// (Eqn. 7) mean the same thing for every family. The registry adapters add
+// Every engine — the reference PCG, the resilient PCG (every recovery
+// method), the pipelined variants, resilient BiCGSTAB and the stationary
+// smoothers — returns a SolveReport from its solve(), finished by the shared
+// SolveMeter below, so Table 2's time split and Table 3's residual deviation
+// Delta (Eqn. 7) mean the same thing for every family. The registry adapters add
 // only the names (and the scenario section, which only they know).
 //
 // to_json() writes schema `rpcg-solve-report/v2`: every key is always

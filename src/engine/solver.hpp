@@ -48,7 +48,8 @@ struct SolverConfig {
   double deadline_sim_seconds = 0.0;
 
   /// Recovery method of the resilient PCG engine ("none", "esr",
-  /// "checkpoint-restart", "interpolation-restart").
+  /// "checkpoint-restart", "interpolation-restart", "twin"). The presets
+  /// "checkpoint-recovery" and "twin-pcg" pin it.
   RecoveryMethod recovery = RecoveryMethod::kNone;
   /// Redundant copies; >= 1 enables ESR-style resilience, 0 disables it.
   int phi = 0;
@@ -103,7 +104,8 @@ struct SolverConfig {
   /// --scenario-rate, --scenario-shape, --scenario-node-spread,
   /// --stationary-method, --omega, --pipeline-depth, --exec, --workers,
   /// --factorization-cache. Unknown enum names throw std::invalid_argument
-  /// listing the valid keys.
+  /// listing the valid keys; so does an integer option with trailing
+  /// characters ("2.9", "2x").
   [[nodiscard]] static SolverConfig from_options(const Options& o);
 };
 

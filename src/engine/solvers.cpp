@@ -16,7 +16,6 @@
 #include "core/pipelined_pcg.hpp"
 #include "core/resilient_bicgstab.hpp"
 #include "core/resilient_pcg.hpp"
-#include "core/twin_pcg.hpp"
 #include "engine/registry.hpp"
 #include "solver/pcg.hpp"
 #include "solver/stationary.hpp"
@@ -102,8 +101,8 @@ struct RunSchedule {
 };
 
 /// An explicit schedule wins; otherwise a configured scenario generates one
-/// for this cluster size. `forbid_pair_shift` lets a family overlay its own
-/// coverage constraint (twin-pcg forbids buddy pairs) without the caller
+/// for this cluster size. `forbid_pair_shift` lets a method overlay its own
+/// coverage constraint (twin forbids buddy pairs) without the caller
 /// knowing it.
 RunSchedule effective_schedule(const SolverConfig& config,
                                const FailureSchedule& schedule, int num_nodes,
@@ -157,30 +156,29 @@ class PcgSolver final : public Solver {
   SolverConfig config_;
 };
 
-/// The resilient PCG engine (core/resilient_pcg.hpp). One adapter serves two
-/// registry keys: "resilient-pcg" runs the config's recovery method, and
-/// "checkpoint-recovery" is the preset that pins it to checkpoint-restart
-/// with phi = 0 and no ESR cache, so the config's recovery, phi, strategy
-/// and ESR fields are ignored there.
+/// The resilient PCG engine (core/resilient_pcg.hpp). One adapter serves
+/// three registry keys: "resilient-pcg" runs the config's recovery method,
+/// and the presets "checkpoint-recovery" and "twin-pcg" pin it to
+/// checkpoint-restart and twin with phi = 0 and no ESR cache, so the
+/// config's recovery, phi, strategy and ESR fields are ignored there.
+/// Whenever the method is twin, generated scenarios avoid buddy pairs
+/// (forbid_pair_shift = N/2), the losses twin redundancy cannot cover.
 class ResilientPcgSolver final : public Solver {
  public:
-  ResilientPcgSolver(const SolverConfig& config, bool checkpoint_preset)
-      : config_(config), checkpoint_preset_(checkpoint_preset) {}
+  ResilientPcgSolver(const SolverConfig& config, std::string name,
+                     std::optional<RecoveryMethod> preset = std::nullopt)
+      : config_(config), name_(std::move(name)), preset_(preset) {}
 
-  [[nodiscard]] std::string name() const override {
-    return checkpoint_preset_ ? "checkpoint-recovery" : "resilient-pcg";
-  }
+  [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
                                   const FailureSchedule& schedule) override {
     Cluster cluster = make_cluster(problem, config_);
-    RunSchedule run =
-        effective_schedule(config_, schedule, cluster.num_nodes());
     ResilientPcgOptions opts;
     opts.pcg.rtol = config_.rtol;
     opts.pcg.max_iterations = config_.max_iterations;
-    if (checkpoint_preset_) {
-      opts.method = RecoveryMethod::kCheckpointRestart;
+    if (preset_) {
+      opts.method = *preset_;
     } else {
       opts.method = config_.recovery;
       opts.phi = config_.phi;
@@ -189,6 +187,10 @@ class ResilientPcgSolver final : public Solver {
       opts.esr = config_.esr;
       wire_esr_cache(opts.esr, problem, config_);
     }
+    const int num_nodes = cluster.num_nodes();
+    RunSchedule run = effective_schedule(
+        config_, schedule, num_nodes,
+        opts.method == RecoveryMethod::kTwin ? num_nodes / 2 : 0);
     opts.checkpoint_interval = config_.checkpoint_interval;
     opts.checkpoint = config_.checkpoint;
     opts.events = deadline_events(config_, cluster);
@@ -200,7 +202,8 @@ class ResilientPcgSolver final : public Solver {
 
  private:
   SolverConfig config_;
-  bool checkpoint_preset_;
+  std::string name_;
+  std::optional<RecoveryMethod> preset_;
 };
 
 /// Communication-hiding Krylov methods (core/pipelined_pcg.hpp). One engine
@@ -283,35 +286,6 @@ class BicgstabSolver final : public Solver {
     opts.events = deadline_events(config_, cluster);
     ResilientBicgstab engine(cluster, problem.matrix_global(), problem.matrix(),
                              problem.preconditioner(), opts);
-    return named(engine.solve(problem.rhs(), x, run.schedule), name(),
-                 problem.preconditioner_name(), std::move(run.scenario));
-  }
-
- private:
-  SolverConfig config_;
-};
-
-/// TwinCG-style dual redundancy (core/twin_pcg.hpp): buddy nodes mirror
-/// each other's live state, failures forward-recover by copying from the
-/// twin — no reconstruction, no rollback. Generated scenarios are
-/// constrained to buddy-pair-free episodes (forbid_pair_shift = N/2).
-class TwinPcgSolver final : public Solver {
- public:
-  explicit TwinPcgSolver(const SolverConfig& config) : config_(config) {}
-
-  [[nodiscard]] std::string name() const override { return "twin-pcg"; }
-
-  [[nodiscard]] SolveReport solve(Problem& problem, DistVector& x,
-                                  const FailureSchedule& schedule) override {
-    Cluster cluster = make_cluster(problem, config_);
-    RunSchedule run = effective_schedule(config_, schedule, cluster.num_nodes(),
-                                         cluster.num_nodes() / 2);
-    TwinPcgOptions opts;
-    opts.pcg.rtol = config_.rtol;
-    opts.pcg.max_iterations = config_.max_iterations;
-    opts.events = deadline_events(config_, cluster);
-    TwinPcg engine(cluster, problem.matrix_global(), problem.matrix(),
-                   problem.preconditioner(), opts);
     return named(engine.solve(problem.rhs(), x, run.schedule), name(),
                  problem.preconditioner_name(), std::move(run.scenario));
   }
@@ -411,7 +385,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
     return std::make_unique<PcgSolver>(c);
   });
   registry.register_solver("resilient-pcg", [](const SolverConfig& c) {
-    return std::make_unique<ResilientPcgSolver>(c, /*checkpoint_preset=*/false);
+    return std::make_unique<ResilientPcgSolver>(c, "resilient-pcg");
   });
   registry.register_solver("pipelined-pcg", [](const SolverConfig& c) {
     return std::make_unique<PipelinedSolver>(
@@ -433,10 +407,12 @@ void register_builtin_solvers(SolverRegistry& registry) {
     return std::make_unique<BicgstabSolver>(c);
   });
   registry.register_solver("checkpoint-recovery", [](const SolverConfig& c) {
-    return std::make_unique<ResilientPcgSolver>(c, /*checkpoint_preset=*/true);
+    return std::make_unique<ResilientPcgSolver>(
+        c, "checkpoint-recovery", RecoveryMethod::kCheckpointRestart);
   });
   registry.register_solver("twin-pcg", [](const SolverConfig& c) {
-    return std::make_unique<TwinPcgSolver>(c);
+    return std::make_unique<ResilientPcgSolver>(c, "twin-pcg",
+                                                RecoveryMethod::kTwin);
   });
   registry.register_solver("stationary", [](const SolverConfig& c) {
     return std::make_unique<StationarySolver>(c);

@@ -59,6 +59,16 @@ constexpr const char* kJobKeys[] = {
   return static_cast<int>(d);
 }
 
+/// A seed: an integer in [0, 2^53], the range a JSON number holds exactly.
+[[nodiscard]] std::uint64_t as_seed(const JsonValue& v, const char* key) {
+  const double d = v.as_number();
+  if (d != std::floor(d) || d < 0.0 || d > 9007199254740992.0) {
+    fail(std::string(key) + " must be an integer in [0, 2^53], got " +
+         format_compact(d));
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
 /// "M3" / "m3" / 3 -> 3.
 [[nodiscard]] int parse_matrix(const JsonValue& v) {
   int index = 0;
@@ -205,7 +215,7 @@ JobSpec parse_job(const JsonValue& value) {
       spec.noise_cv = member.as_number();
       if (spec.noise_cv < 0.0) fail("noise must be >= 0");
     } else if (key == "noise-seed") {
-      spec.noise_seed = static_cast<std::uint64_t>(member.as_number());
+      spec.noise_seed = as_seed(member, "noise-seed");
     } else if (key == "failures") {
       spec.schedule = parse_failures(member);
     } else if (key == "retry") {
@@ -224,7 +234,7 @@ JobSpec parse_job(const JsonValue& value) {
         fail("retry-backoff-multiplier must be >= 1");
       }
     } else if (key == "retry-seed-bump") {
-      spec.retry.seed_bump = static_cast<std::uint64_t>(member.as_number());
+      spec.retry.seed_bump = as_seed(member, "retry-seed-bump");
     } else if (is_config_key(key)) {
       config_args.push_back("--" + key + "=" + scalar_to_option(member, key));
     } else {

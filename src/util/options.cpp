@@ -1,10 +1,29 @@
 #include "util/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/check.hpp"
 
 namespace rpcg {
+
+namespace {
+
+/// The whole token as a base-10 long; "2x", "2.9", "" and out-of-range
+/// values throw instead of parsing a prefix.
+long parse_long(const std::string& key, const std::string& token) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(token.c_str(), &end, 10);
+  if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + key + " must be an integer, got \"" +
+                                token + "\"");
+  }
+  return v;
+}
+
+}  // namespace
 
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -33,7 +52,7 @@ std::string Options::get_string(const std::string& key,
 
 long Options::get_int(const std::string& key, long fallback) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
+  return it == kv_.end() ? fallback : parse_long(key, it->second);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
@@ -57,7 +76,7 @@ std::vector<long> Options::get_int_list(const std::string& key,
   while (pos < s.size()) {
     auto comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtol(s.substr(pos, comma - pos).c_str(), nullptr, 10));
+    out.push_back(parse_long(key, s.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   RPCG_CHECK(!out.empty(), "empty integer list for --" + key);

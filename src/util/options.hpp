@@ -22,11 +22,14 @@ class Options {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  /// Throws std::invalid_argument unless the whole value is a base-10
+  /// integer in range ("2x" and "2.9" are rejected, not truncated).
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Comma-separated integer list, e.g. "--phis=1,3,8".
+  /// Comma-separated integer list, e.g. "--phis=1,3,8"; each item is
+  /// checked like get_int.
   [[nodiscard]] std::vector<long> get_int_list(const std::string& key,
                                                std::vector<long> fallback) const;
 

@@ -220,10 +220,10 @@ TEST(SolverRegistry, ScenarioSectionNamesOnlyGeneratedSchedules) {
   EXPECT_FALSE(reference.scenario.has_value());
 }
 
-// "checkpoint-recovery" is a preset of the resilient-pcg adapter: the same
-// engine with the method pinned to checkpoint-restart and phi pinned to 0.
-// Its report equals "resilient-pcg" + recovery=checkpoint-restart apart from
-// the solver name and the host wall time.
+// "checkpoint-recovery" and "twin-pcg" are presets of the resilient-pcg
+// adapter: the same engine with the method pinned (to checkpoint-restart and
+// twin) and phi pinned to 0. Each report equals "resilient-pcg" with that
+// recovery method apart from the solver name and the host wall time.
 TEST(SolverRegistry, CheckpointRecoveryIsResilientPcgCheckpointRestart) {
   engine::Problem problem = engine::ProblemBuilder()
                                 .matrix(poisson2d_5pt(16, 16))
@@ -233,12 +233,12 @@ TEST(SolverRegistry, CheckpointRecoveryIsResilientPcgCheckpointRestart) {
                                 .build();
   auto& reg = engine::SolverRegistry::instance();
   const auto run = [&](const std::string& name, const engine::SolverConfig& c,
-                       const FailureSchedule& schedule) {
+                       const FailureSchedule& schedule, bool checkpointed) {
     DistVector x = problem.make_x();
     engine::SolveReport rep = reg.create(name, c)->solve(problem, x, schedule);
     EXPECT_EQ(rep.solver, name);
     EXPECT_TRUE(rep.converged) << name;
-    EXPECT_TRUE(rep.checkpoint.has_value()) << name;
+    EXPECT_EQ(rep.checkpoint.has_value(), checkpointed) << name;
     rep.solver.clear();
     rep.wall_seconds = 0.0;
     return std::make_pair(rep.to_json(), rep.recoveries.size());
@@ -249,11 +249,13 @@ TEST(SolverRegistry, CheckpointRecoveryIsResilientPcgCheckpointRestart) {
 
   engine::SolverConfig on_disk = failure_free;
   on_disk.checkpoint.medium = CheckpointMedium::kDisk;
+  // Strikes during the rollback read (checkpoint) or the buddy copy-back
+  // (twin); {1, 3, 4} holds no buddy pair (i, i + 4).
   FailureSchedule overlap;
   overlap.add({7, {1}, false});
-  overlap.add({7, {3, 4}, true});  // strikes during the rollback read
+  overlap.add({7, {3, 4}, true});
 
-  // The fuzz battery sets phi = 3 for every family; the preset ignores it.
+  // The fuzz battery sets phi = 3 for every family; the presets ignore it.
   engine::SolverConfig with_phi = failure_free;
   with_phi.phi = 3;
   with_phi.scenario.kind = ScenarioKind::kDuringRecovery;
@@ -268,14 +270,19 @@ TEST(SolverRegistry, CheckpointRecoveryIsResilientPcgCheckpointRestart) {
       cases{{"failure-free", failure_free, {}, 0u},
             {"overlap on disk", on_disk, overlap, 1u},
             {"phi = 3 scenario", with_phi, {}, 1u}};
-  for (const auto& [what, preset, schedule, recoveries] : cases) {
-    engine::SolverConfig resilient = preset;
-    resilient.recovery = RecoveryMethod::kCheckpointRestart;
-    resilient.phi = 0;
-    const auto ckpt = run("checkpoint-recovery", preset, schedule);
-    const auto rpcg = run("resilient-pcg", resilient, schedule);
-    EXPECT_EQ(ckpt.second, recoveries) << what;
-    EXPECT_EQ(ckpt.first, rpcg.first) << what;
+  for (const auto& [preset, method] :
+       {std::pair{"checkpoint-recovery", RecoveryMethod::kCheckpointRestart},
+        std::pair{"twin-pcg", RecoveryMethod::kTwin}}) {
+    const bool checkpointed = method == RecoveryMethod::kCheckpointRestart;
+    for (const auto& [what, config, schedule, recoveries] : cases) {
+      engine::SolverConfig resilient = config;
+      resilient.recovery = method;
+      resilient.phi = 0;
+      const auto pinned = run(preset, config, schedule, checkpointed);
+      const auto rpcg = run("resilient-pcg", resilient, schedule, checkpointed);
+      EXPECT_EQ(pinned.second, recoveries) << preset << ", " << what;
+      EXPECT_EQ(pinned.first, rpcg.first) << preset << ", " << what;
+    }
   }
 }
 

@@ -48,5 +48,19 @@ TEST(Options, MalformedThrows) {
   EXPECT_THROW(parse({"positional"}), std::invalid_argument);
 }
 
+// strtol parses a prefix; an integer option must consume its whole value.
+TEST(Options, IntRejectsWhatItCannotParseWhole) {
+  for (const char* bad : {"--phi=2.9", "--phi=2x", "--phi=", "--phi=x2",
+                          "--phi=99999999999999999999"}) {
+    const Options o = parse({bad});
+    EXPECT_THROW((void)o.get_int("phi", 0), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW((void)parse({"--phi", "2x"}).get_int("phi", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--phis=1,3.5,8"}).get_int_list("phis", {}),
+               std::invalid_argument);
+  EXPECT_EQ(parse({"--phi=-3"}).get_int("phi", 0), -3);
+}
+
 }  // namespace
 }  // namespace rpcg

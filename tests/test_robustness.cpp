@@ -198,6 +198,41 @@ TEST(JobParsingRobust, RejectsInvalidRetryValues) {
                std::invalid_argument);
 }
 
+// A fractional, negative or oversized seed used to be cast (UB out of
+// range); a fractional integer config key used to be truncated.
+TEST(JobParsingRobust, RejectsMalformedIntegersNamingTheKey) {
+  for (const char* key : {"noise-seed", "retry-seed-bump"}) {
+    for (const char* value : {"1.5", "-1", "1e30", "9007199254740994"}) {
+      const std::string line =
+          std::string(R"({")") + key + R"(": )" + value + "}";
+      try {
+        (void)rpcg::service::parse_job(JsonValue::parse(line));
+        ADD_FAILURE() << line << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(rpcg::classify_exception(e), ErrorClass::kInvalidJob) << line;
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  const JobSpec edge = rpcg::service::parse_job(JsonValue::parse(
+      R"({"noise-seed": 9007199254740992, "retry-seed-bump": 0})"));
+  EXPECT_EQ(edge.noise_seed, 9007199254740992u);
+  EXPECT_EQ(edge.retry.seed_bump, 0u);
+
+  try {
+    (void)rpcg::service::parse_job(JsonValue::parse(R"({"phi": 2.9})"));
+    ADD_FAILURE() << "\"phi\": 2.9 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(rpcg::classify_exception(e), ErrorClass::kInvalidJob);
+    EXPECT_NE(std::string(e.what()).find("phi"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rpcg::service::parse_job(JsonValue::parse(R"({"phi": 2})"))
+                .config.phi,
+            2);
+}
+
 // ---- classification through the service ----------------------------------
 
 /// Every resilient family against a failure shape its redundancy provably

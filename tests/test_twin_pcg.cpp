@@ -1,9 +1,10 @@
-// TwinCG-style dual redundancy (arXiv:1605.04580 adaptation): forward
-// recovery from the buddy's mirror keeps the trajectory — a failed run's
-// final iterate AND iteration count are byte-identical to the unfailed
-// run's — while a simultaneous buddy-pair loss is provably uncoverable and
-// throws. The scenario generators' forbid_pair_shift knob produces exactly
-// the schedules twin redundancy survives.
+// TwinCG-style dual redundancy (arXiv:1605.04580 adaptation), ResilientPcg
+// with RecoveryMethod::kTwin: forward recovery from the buddy's mirror keeps
+// the trajectory — a failed run's final iterate AND iteration count are
+// byte-identical to the unfailed run's — while a simultaneous buddy-pair
+// loss is provably uncoverable and throws. The scenario generators'
+// forbid_pair_shift knob produces exactly the schedules twin redundancy
+// survives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,7 @@
 
 #include "core/backup_store.hpp"  // UnrecoverableFailure
 #include "core/failure_scenario.hpp"
-#include "core/twin_pcg.hpp"
+#include "core/resilient_pcg.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
 
@@ -22,6 +23,12 @@ namespace {
 
 using testing::max_diff;
 using testing::random_vector;
+
+ResilientPcgOptions twin_options() {
+  ResilientPcgOptions opts;
+  opts.method = RecoveryMethod::kTwin;
+  return opts;
+}
 
 struct Fixture {
   CsrMatrix a;
@@ -43,12 +50,14 @@ struct Fixture {
     b.set_global(bg);
   }
 
-  engine::SolveReport run(const FailureSchedule& schedule,
-                          std::vector<double>& solution) const {
+  engine::SolveReport run(
+      const FailureSchedule& schedule, std::vector<double>& solution,
+      int max_iterations = PcgOptions{}.max_iterations) const {
     Cluster cluster(part, CommParams{});
-    TwinPcgOptions opts;
+    ResilientPcgOptions opts = twin_options();
     opts.pcg.rtol = 1e-9;
-    TwinPcg solver(cluster, a, dist, *m, opts);
+    opts.pcg.max_iterations = max_iterations;
+    ResilientPcg solver(cluster, a, dist, *m, opts);
     DistVector x(part);
     const auto res = solver.solve(b, x, schedule);
     solution = x.gather_global();
@@ -59,9 +68,9 @@ struct Fixture {
 TEST(TwinPcg, BuddyMapIsAnInvolutionWithoutFixedPoints) {
   for (const int n : {2, 4, 8, 10}) {
     for (NodeId i = 0; i < n; ++i) {
-      const NodeId buddy = TwinPcg::buddy_of(i, n);
+      const NodeId buddy = ResilientPcg::buddy_of(i, n);
       EXPECT_NE(buddy, i) << "n " << n;
-      EXPECT_EQ(TwinPcg::buddy_of(buddy, n), i) << "n " << n;
+      EXPECT_EQ(ResilientPcg::buddy_of(buddy, n), i) << "n " << n;
     }
   }
 }
@@ -69,7 +78,7 @@ TEST(TwinPcg, BuddyMapIsAnInvolutionWithoutFixedPoints) {
 TEST(TwinPcg, RedundancyOverheadIsOneBuddyPushOfThreeBlocks) {
   const Fixture fx(8, 11);
   Cluster cluster(fx.part, CommParams{});
-  TwinPcg solver(cluster, fx.a, fx.dist, *fx.m, TwinPcgOptions{});
+  ResilientPcg solver(cluster, fx.a, fx.dist, *fx.m, twin_options());
   double expected = 0.0;
   for (NodeId i = 0; i < 8; ++i)
     expected = std::max(expected,
@@ -78,13 +87,38 @@ TEST(TwinPcg, RedundancyOverheadIsOneBuddyPushOfThreeBlocks) {
   EXPECT_DOUBLE_EQ(solver.redundancy_overhead_per_iteration(), expected);
 }
 
+// The mirror is pushed after initialization and after every direction
+// update. A converged run stops before its last update, so it pushes once
+// per iteration; a run stopped by max_iterations pushes once more.
+TEST(TwinPcg, MirrorPushFollowsInitializationAndEveryDirectionUpdate) {
+  const Fixture fx(8, 11);
+  Cluster cluster(fx.part, CommParams{});
+  const double push =
+      ResilientPcg(cluster, fx.a, fx.dist, *fx.m, twin_options())
+          .redundancy_overhead_per_iteration();
+  const auto pushes = [&](const engine::SolveReport& res) {
+    return res.sim_time_phase[static_cast<std::size_t>(Phase::kRedundancy)] /
+           push;
+  };
+  std::vector<double> x_sol;
+  const auto converged = fx.run({}, x_sol);
+  ASSERT_TRUE(converged.converged);
+  ASSERT_GT(converged.iterations, 7);
+  EXPECT_NEAR(pushes(converged), converged.iterations, 1e-9);
+
+  const auto stopped = fx.run({}, x_sol, 7);
+  ASSERT_FALSE(stopped.converged);
+  ASSERT_EQ(stopped.iterations, 7);
+  EXPECT_NEAR(pushes(stopped), 8.0, 1e-9);
+}
+
 TEST(TwinPcg, OddNodeCountIsRejected) {
   const Fixture fx(8, 11);
   const Partition odd = Partition::block_rows(fx.a.rows(), 7);
   const DistMatrix dist = DistMatrix::distribute(fx.a, odd);
   const auto m = make_preconditioner("bjacobi", fx.a, odd);
   Cluster cluster(odd, CommParams{});
-  EXPECT_THROW(TwinPcg(cluster, fx.a, dist, *m, TwinPcgOptions{}),
+  EXPECT_THROW(ResilientPcg(cluster, fx.a, dist, *m, twin_options()),
                std::invalid_argument);
 }
 
