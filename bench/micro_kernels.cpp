@@ -35,6 +35,25 @@ CsrMatrix repro_node_block(int matrix_index) {
   return m.matrix.submatrix(rows, rows);
 }
 
+// Matrix argument of the distributed-kernel benches (BM_DistSpmv,
+// BM_BlockJacobiApply): 0 = the 24³ Poisson matrix; 1, 8 and 2 = the matrices
+// of the rpcg_bench workloads m1-iterate (M1 at scale 8), m8-dense-rows (M8 at
+// scale 32) and m2-recover (M2 at scale 12), which run on 64 nodes.
+CsrMatrix layout_matrix(long matrix) {
+  switch (matrix) {
+    case 1: return repro::make_matrix(1, 8.0).matrix;
+    case 8: return repro::make_matrix(8, 32.0).matrix;
+    case 2: return repro::make_matrix(2, 12.0).matrix;
+    default: return bench_matrix();
+  }
+}
+
+// (matrix, nodes) pairs: the Poisson matrix, then the workloads' layouts.
+void layout_args(benchmark::internal::Benchmark* b) {
+  for (const long nodes : {16, 64, 128}) b->Args({0, nodes});
+  for (const long matrix : {1, 8, 2}) b->Args({matrix, 64});
+}
+
 // The A_{IF,IF} of the rpcg_bench m2-recover workload: M2 at scale 12 on 64
 // nodes with the 8 contiguous nodes 20..27 failed — the fill-heavy local
 // system whose exact factorization dominates that workload's recovery.
@@ -130,9 +149,9 @@ void BM_SeqSpmv(benchmark::State& state) {
 BENCHMARK(BM_SeqSpmv);
 
 void BM_DistSpmv(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix();
+  const CsrMatrix a = layout_matrix(state.range(0));
   const Partition part =
-      Partition::block_rows(a.rows(), static_cast<int>(state.range(0)));
+      Partition::block_rows(a.rows(), static_cast<int>(state.range(1)));
   Cluster cluster(part, CommParams{});
   const DistMatrix d = DistMatrix::distribute(a, part);
   DistVector x(part), y(part);
@@ -142,14 +161,16 @@ void BM_DistSpmv(benchmark::State& state) {
   for (auto _ : state) {
     d.spmv(cluster, x, y, halos, Phase::kIteration);
     benchmark::DoNotOptimize(y.block(0).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_DistSpmv)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_DistSpmv)->Apply(layout_args);
 
 void BM_BlockJacobiApply(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix();
-  const Partition part = Partition::block_rows(a.rows(), 64);
+  const CsrMatrix a = layout_matrix(state.range(0));
+  const Partition part =
+      Partition::block_rows(a.rows(), static_cast<int>(state.range(1)));
   Cluster cluster(part, CommParams{});
   const BlockJacobiPreconditioner m(a, part);
   DistVector r(part), z(part);
@@ -158,9 +179,12 @@ void BM_BlockJacobiApply(benchmark::State& state) {
   for (auto _ : state) {
     m.apply(cluster, r, z, Phase::kIteration);
     benchmark::DoNotOptimize(z.block(0).data());
+    benchmark::ClobberMemory();
   }
+  state.counters["supernodal_blocks"] =
+      static_cast<double>(m.supernodal_blocks());
 }
-BENCHMARK(BM_BlockJacobiApply);
+BENCHMARK(BM_BlockJacobiApply)->Apply(layout_args);
 
 void BM_LdltFactor(benchmark::State& state) {
   const CsrMatrix a =

@@ -55,11 +55,20 @@ BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
 
 void BlockJacobiPreconditioner::apply(Cluster& cluster, const DistVector& r,
                                       DistVector& z, Phase phase) const {
-  const int nn = cluster.num_nodes();
-  exec_parallel_for(cluster.execution_policy(), static_cast<std::size_t>(nn),
-                    [&](std::size_t i) {
-                      const auto node = static_cast<NodeId>(i);
-                      factor_[i].solve(r.block(node), z.block(node));
+  const auto nn = static_cast<std::size_t>(cluster.num_nodes());
+  // Node pairs (2k, 2k + 1) solve together; an odd last node solves alone.
+  exec_parallel_for(cluster.execution_policy(), (nn + 1) / 2,
+                    [&](std::size_t k) {
+                      const std::size_t i = 2 * k;
+                      const auto a = static_cast<NodeId>(i);
+                      if (i + 1 == nn) {
+                        factor_[i].solve(r.block(a), z.block(a));
+                        return;
+                      }
+                      const NodeId b = a + 1;
+                      ReorderedLdlt::solve_pair(factor_[i], r.block(a), z.block(a),
+                                                factor_[i + 1], r.block(b),
+                                                z.block(b));
                     });
   cluster.charge_compute(phase, apply_flops_);
 }

@@ -4,6 +4,10 @@
 // blocks exactly"). Blocks match the node index sets by default; an optional
 // sub-block size yields finer blocks (still node-aligned, i.e. M stays
 // block-diagonal with respect to the partition, keeping ESR recovery local).
+// apply() solves the node blocks in pairs (2k, 2k + 1) through
+// ReorderedLdlt::solve_pair: two factors without packed supernode panels run
+// their scalar sweeps interleaved, so the two dependency chains overlap, and
+// every block's result is bit for bit its own ReorderedLdlt::solve.
 #pragma once
 
 #include <array>

@@ -3,7 +3,7 @@
 // charges simulated time.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -21,7 +21,9 @@ class DistMatrix {
 
   /// Distributes a global square matrix over the partition: node i stores the
   /// CSR block A_{I_i, I} with global column indices, the derived scatter
-  /// plan, and a column remap for fast local SpMV.
+  /// plan, and the block's columns remapped into node i's SpMV operand.
+  /// Throws std::invalid_argument when a node's operand has more than
+  /// INT32_MAX entries (the remapped columns are 32-bit).
   [[nodiscard]] static DistMatrix distribute(const CsrMatrix& a,
                                              const Partition& partition);
 
@@ -43,20 +45,22 @@ class DistMatrix {
 
   /// y = A x on the simulated cluster: scatter (halo exchange) + local
   /// multiplies. Requires all nodes alive. Charges communication and compute
-  /// to `phase`. `halos` is working storage reused across calls.
+  /// to `phase`. `halos` is working storage reused across calls: on return
+  /// halos[i] holds node i's operand [x_i | halo_i] (see execute_scatter).
+  /// Each row of y starts at 0.0 and adds vals[p] * x[col[p]] in the row's
+  /// CSR order, so y equals CsrMatrix::spmv of the global matrix bit for bit;
+  /// rows run in pairs (two independent add chains) over the operand, with
+  /// no own-versus-halo branch.
   void spmv(Cluster& cluster, const DistVector& x, DistVector& y,
             std::vector<std::vector<double>>& halos, Phase phase) const;
 
-  /// Local multiply only, for one node, given a filled halo buffer:
-  /// y_i = A_{I_i, I} [x_own; halo]. No cost accounting (callers aggregate).
-  void local_spmv(NodeId i, std::span<const double> x_own,
-                  std::span<const double> halo, std::span<double> y) const;
-
-  /// Remapped column indices of node i's local rows, aligned with
-  /// local_rows(i).col_idx(): values < partition().size(i) index the own
-  /// block, larger values index slot (value - size_i) of the halo buffer.
-  /// Enables custom local kernels (e.g. the stationary solvers' sweeps).
-  [[nodiscard]] std::span<const Index> remapped_cols(NodeId i) const {
+  /// Column indices of node i's local rows, aligned with
+  /// local_rows(i).col_idx() and remapped into node i's operand
+  /// [x_i | halo_i]: values < partition().size(i) index the own block,
+  /// larger values the halo in the plan's receive order. Lets custom local
+  /// kernels (the stationary solvers' sweeps) read the operand that
+  /// execute_scatter fills.
+  [[nodiscard]] std::span<const std::int32_t> remapped_cols(NodeId i) const {
     return remap_cols_[static_cast<std::size_t>(i)];
   }
 
@@ -64,9 +68,8 @@ class DistMatrix {
   const Partition* partition_ = nullptr;
   std::vector<CsrMatrix> local_;  // per node, global columns
   ScatterPlan plan_;
-  // Per node: columns remapped for local SpMV: value c < size(i) refers to
-  // the own block, c >= size(i) refers to halo slot c - size(i).
-  std::vector<std::vector<Index>> remap_cols_;
+  // Per node: columns remapped into the operand [x_i | halo_i].
+  std::vector<std::vector<std::int32_t>> remap_cols_;
   std::vector<double> spmv_flops_;
 };
 

@@ -93,22 +93,26 @@ void execute_scatter(Cluster& cluster, const ScatterPlan& plan,
   const int nn = part.num_nodes();
   halos.resize(static_cast<std::size_t>(nn));
   for (NodeId k = 0; k < nn; ++k) {
-    auto& halo = halos[static_cast<std::size_t>(k)];
-    halo.clear();
-    if (!cluster.is_alive(k)) continue;
+    auto& operand = halos[static_cast<std::size_t>(k)];
+    if (!cluster.is_alive(k)) {
+      operand.clear();
+      continue;
+    }
+    const auto own = x.block(k);
+    operand.resize(own.size() + static_cast<std::size_t>(plan.halo_size(k)));
+    double* out = std::copy(own.begin(), own.end(), operand.data());
     for (const int id : plan.recvs_of(k)) {
       const auto& m = plan.messages()[static_cast<std::size_t>(id)];
       if (!cluster.is_alive(m.src)) {
         // Keep the halo layout stable: a dead source contributes poison
         // values (consumers must recover before the next SpMV).
-        halo.resize(halo.size() + m.indices.size(),
-                    std::numeric_limits<double>::quiet_NaN());
+        out = std::fill_n(out, m.indices.size(),
+                          std::numeric_limits<double>::quiet_NaN());
         continue;
       }
-      const auto src_block = x.block(m.src);
+      const double* src = x.block(m.src).data();
       const Index base = part.begin(m.src);
-      for (const Index g : m.indices)
-        halo.push_back(src_block[static_cast<std::size_t>(g - base)]);
+      for (const Index g : m.indices) *out++ = src[g - base];
     }
   }
   if (charge_cost) {

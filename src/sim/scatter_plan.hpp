@@ -40,8 +40,8 @@ class ScatterPlan {
   [[nodiscard]] std::span<const int> sends_of(NodeId i) const;
 
   /// Ids (into messages()) of the messages received by node k, ordered by
-  /// src. The halo buffer of node k is the concatenation of these messages'
-  /// values in this order.
+  /// src. The halo of node k is the concatenation of these messages' values
+  /// in this order.
   [[nodiscard]] std::span<const int> recvs_of(NodeId k) const;
 
   /// S_{i,k}: sorted indices sent from i to k; empty when no message exists.
@@ -71,9 +71,14 @@ class ScatterPlan {
   std::vector<int> multiplicity_;           // per global index
 };
 
-/// Executes the plan: fills each alive node's halo buffer from the source
-/// vector, and charges the communication cost to `phase`. halos[k] is resized
-/// to halo_size(k). Failed nodes neither send nor receive.
+/// Executes the plan: fills each alive node's SpMV operand from the source
+/// vector, and charges the communication cost to `phase`. The operand of node
+/// k, halos[k], is one contiguous buffer [x_k | halo_k]: its first
+/// partition.size(k) entries copy x's own block, the next halo_size(k) hold
+/// the received halo in recvs_of(k) order; DistMatrix::remapped_cols indexes
+/// this layout. The only gather routine of the SpMV and the stationary
+/// sweeps. Failed nodes neither send nor receive; a failed node's operand is
+/// left empty.
 void execute_scatter(Cluster& cluster, const ScatterPlan& plan,
                      const DistVector& x, std::vector<std::vector<double>>& halos,
                      Phase phase, bool charge_cost = true);

@@ -79,11 +79,11 @@ void ResilientStationary::record_backups(const DistVector& x) {
 }
 
 void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
-                                      std::span<const double> halo,
+                                      std::span<double> operand,
                                       std::span<double> x_own) const {
   const Partition& part = cluster_.partition();
   const CsrMatrix& rows = a_->local_rows(i);
-  const auto remap = a_->remapped_cols(i);
+  const auto cols = a_->remapped_cols(i);
   const auto rp = rows.row_ptr();
   const auto vals = rows.values();
   const Index own = part.size(i);
@@ -91,13 +91,17 @@ void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
 
   const auto row_residual = [&](Index r) {
     double acc = b_own[static_cast<std::size_t>(r)];
-    for (Index p = rp[static_cast<std::size_t>(r)]; p < rp[static_cast<std::size_t>(r) + 1]; ++p) {
-      const Index c = remap[static_cast<std::size_t>(p)];
-      const double xv = c < own ? x_own[static_cast<std::size_t>(c)]
-                                : halo[static_cast<std::size_t>(c - own)];
-      acc -= vals[static_cast<std::size_t>(p)] * xv;
-    }
+    for (Index p = rp[static_cast<std::size_t>(r)]; p < rp[static_cast<std::size_t>(r) + 1]; ++p)
+      acc -= vals[static_cast<std::size_t>(p)] *
+             operand[static_cast<std::size_t>(cols[static_cast<std::size_t>(p)])];
     return acc;
+  };
+  // Writes the updated entry back into the operand too, so later rows of a
+  // Gauss-Seidel, SOR or SSOR sweep read the live iterate.
+  const auto update = [&](Index r, double step) {
+    const auto k = static_cast<std::size_t>(r);
+    x_own[k] += step;
+    operand[k] = x_own[k];
   };
 
   switch (opts_.method) {
@@ -108,8 +112,7 @@ void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
         delta[static_cast<std::size_t>(r)] =
             opts_.omega * row_residual(r) *
             inv_diag_[static_cast<std::size_t>(base + r)];
-      for (Index r = 0; r < own; ++r)
-        x_own[static_cast<std::size_t>(r)] += delta[static_cast<std::size_t>(r)];
+      for (Index r = 0; r < own; ++r) update(r, delta[static_cast<std::size_t>(r)]);
       break;
     }
     case StationaryMethod::kGaussSeidel:
@@ -118,19 +121,16 @@ void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
                            ? 1.0
                            : opts_.omega;
       for (Index r = 0; r < own; ++r)
-        x_own[static_cast<std::size_t>(r)] +=
-            w * row_residual(r) * inv_diag_[static_cast<std::size_t>(base + r)];
+        update(r, w * row_residual(r) * inv_diag_[static_cast<std::size_t>(base + r)]);
       break;
     }
     case StationaryMethod::kSsor: {
       for (Index r = 0; r < own; ++r)
-        x_own[static_cast<std::size_t>(r)] +=
-            opts_.omega * row_residual(r) *
-            inv_diag_[static_cast<std::size_t>(base + r)];
+        update(r, opts_.omega * row_residual(r) *
+                      inv_diag_[static_cast<std::size_t>(base + r)]);
       for (Index r = own - 1; r >= 0; --r)
-        x_own[static_cast<std::size_t>(r)] +=
-            opts_.omega * row_residual(r) *
-            inv_diag_[static_cast<std::size_t>(base + r)];
+        update(r, opts_.omega * row_residual(r) *
+                      inv_diag_[static_cast<std::size_t>(base + r)]);
       break;
     }
   }

@@ -78,9 +78,11 @@ class ResilientStationary {
   [[nodiscard]] const RedundancyScheme& redundancy() const { return scheme_; }
 
  private:
-  // One local sweep on node i: updates x_own in place given the halo.
+  // One local sweep on node i: updates x_own in place, reading the node's
+  // SpMV operand [x_own | halo] (filled by execute_scatter) and writing each
+  // updated own entry back into it.
   void local_sweep(NodeId i, std::span<const double> b_own,
-                   std::span<const double> halo, std::span<double> x_own) const;
+                   std::span<double> operand, std::span<double> x_own) const;
 
   void recover(const std::vector<NodeId>& failed, DistVector& x);
 

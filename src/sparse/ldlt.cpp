@@ -462,6 +462,27 @@ bool SupernodalKernel::run(const CsrMatrix& a, const std::vector<Index>& parent,
   return true;
 }
 
+// The scalar column sweeps of a unit lower-triangular L stored by columns,
+// over a vector b being solved in place. Both walk column j's entries in
+// storage order: forward() scatters b[j] into the rows below; backward()
+// subtracts them from s, the column's starting value (b[j], or b[j] / d[j]
+// when it runs the D solve too), through one chain and stores b[j].
+struct ColumnSweeps {
+  const Index* lp;
+  const Index* li;
+  const double* lx;
+  double* b;
+
+  void forward(Index j) const {
+    const double bj = b[j];
+    for (Index p = lp[j]; p < lp[j + 1]; ++p) b[li[p]] -= lx[p] * bj;
+  }
+  void backward(Index j, double s) const {
+    for (Index p = lp[j]; p < lp[j + 1]; ++p) s -= lx[p] * b[li[p]];
+    b[j] = s;
+  }
+};
+
 }  // namespace
 
 const char* to_string(LdltOrdering o) {
@@ -632,22 +653,12 @@ void SparseLdlt::build_supernodes() {
 }
 
 void SparseLdlt::solve_in_place_simplicial(std::span<double> b) const {
-  // L y = b (unit lower triangular, stored by columns).
-  for (Index j = 0; j < n_; ++j) {
-    const double bj = b[static_cast<std::size_t>(j)];
-    for (Index p = lp_[static_cast<std::size_t>(j)]; p < lp_[static_cast<std::size_t>(j) + 1]; ++p)
-      b[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])] -=
-          lx_[static_cast<std::size_t>(p)] * bj;
-  }
-  // D z = y.
-  for (Index j = 0; j < n_; ++j) b[static_cast<std::size_t>(j)] /= d_[static_cast<std::size_t>(j)];
-  // Lᵀ x = z.
-  for (Index j = n_ - 1; j >= 0; --j) {
-    double s = b[static_cast<std::size_t>(j)];
-    for (Index p = lp_[static_cast<std::size_t>(j)]; p < lp_[static_cast<std::size_t>(j) + 1]; ++p)
-      s -= lx_[static_cast<std::size_t>(p)] * b[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])];
-    b[static_cast<std::size_t>(j)] = s;
-  }
+  // L y = b; then D z = y and Lᵀ x = z in one backward pass: b[j] is
+  // divided just before column j's backward chain reads it.
+  const ColumnSweeps l{lp_.data(), li_.data(), lx_.data(), b.data()};
+  const double* d = d_.data();
+  for (Index j = 0; j < n_; ++j) l.forward(j);
+  for (Index j = n_ - 1; j >= 0; --j) l.backward(j, l.b[j] / d[j]);
 }
 
 void SparseLdlt::solve_in_place_supernodal(std::span<double> b) const {
@@ -655,6 +666,7 @@ void SparseLdlt::solve_in_place_supernodal(std::span<double> b) const {
   // shared factors (cache entries) can be solved from concurrent threads.
   static thread_local std::vector<double> acc;
   const auto nblk = static_cast<Index>(blk_first_.size());
+  const ColumnSweeps l{lp_.data(), li_.data(), lx_.data(), b.data()};
 
   // L y = b: packed blocks run a dense unit-lower triangle solve followed by
   // a row-major panel update (each panel row is one contiguous dot product);
@@ -685,10 +697,7 @@ void SparseLdlt::solve_in_place_supernodal(std::span<double> b) const {
       j = blk_last_[s];
       ++bi;
     } else {
-      const double bj = b[static_cast<std::size_t>(j)];
-      for (Index p = lp_[static_cast<std::size_t>(j)]; p < lp_[static_cast<std::size_t>(j) + 1]; ++p)
-        b[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])] -=
-            lx_[static_cast<std::size_t>(p)] * bj;
+      l.forward(j);
       ++j;
     }
   }
@@ -730,10 +739,7 @@ void SparseLdlt::solve_in_place_supernodal(std::span<double> b) const {
       j = c0 - 1;
       --bi;
     } else {
-      double sum = b[static_cast<std::size_t>(j)];
-      for (Index p = lp_[static_cast<std::size_t>(j)]; p < lp_[static_cast<std::size_t>(j) + 1]; ++p)
-        sum -= lx_[static_cast<std::size_t>(p)] * b[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])];
-      b[static_cast<std::size_t>(j)] = sum;
+      l.backward(j, l.b[j]);
       --j;
     }
   }
@@ -751,6 +757,37 @@ void SparseLdlt::solve(std::span<const double> b, std::span<double> x) const {
   RPCG_CHECK(b.size() == x.size(), "solve size mismatch");
   std::copy(b.begin(), b.end(), x.begin());
   solve_in_place(x);
+}
+
+void SparseLdlt::solve_pair_in_place(const SparseLdlt& f, std::span<double> x,
+                                     const SparseLdlt& g, std::span<double> y) {
+  if (f.supernodal() || g.supernodal()) {
+    f.solve_in_place(x);
+    g.solve_in_place(y);
+    return;
+  }
+  RPCG_CHECK(static_cast<Index>(x.size()) == f.n_ &&
+                 static_cast<Index>(y.size()) == g.n_,
+             "solve size mismatch");
+  // solve_in_place_simplicial on both, column j of f then column j of g:
+  // the two chains are independent, so each hides the other's latency.
+  const ColumnSweeps lf{f.lp_.data(), f.li_.data(), f.lx_.data(), x.data()};
+  const ColumnSweeps lg{g.lp_.data(), g.li_.data(), g.lx_.data(), y.data()};
+  const double* fd = f.d_.data();
+  const double* gd = g.d_.data();
+  const Index both = std::min(f.n_, g.n_);
+  for (Index j = 0; j < both; ++j) {
+    lf.forward(j);
+    lg.forward(j);
+  }
+  for (Index j = both; j < f.n_; ++j) lf.forward(j);
+  for (Index j = both; j < g.n_; ++j) lg.forward(j);
+  for (Index j = f.n_ - 1; j >= both; --j) lf.backward(j, lf.b[j] / fd[j]);
+  for (Index j = g.n_ - 1; j >= both; --j) lg.backward(j, lg.b[j] / gd[j]);
+  for (Index j = both - 1; j >= 0; --j) {
+    lf.backward(j, lf.b[j] / fd[j]);
+    lg.backward(j, lg.b[j] / gd[j]);
+  }
 }
 
 std::optional<ReorderedLdlt> ReorderedLdlt::factor(const CsrMatrix& a) {
@@ -823,22 +860,48 @@ std::optional<ReorderedLdlt> ReorderedLdlt::factor_with(const CsrMatrix& a,
   return ReorderedLdlt(std::move(*f), std::move(perm), reported);
 }
 
-void ReorderedLdlt::solve(std::span<const double> b, std::span<double> x) const {
+std::span<double> ReorderedLdlt::permute_in(std::span<const double> b,
+                                            std::span<double> x,
+                                            std::span<double> work) const {
   RPCG_CHECK(b.size() == x.size(), "solve size mismatch");
   if (perm_.empty()) {
-    ldlt_.solve(b, x);
-    return;
+    std::copy(b.begin(), b.end(), x.begin());
+    return x;
   }
-  // B = P A Pᵀ with B-row i = A-row perm[i]: solve B (P x) = P b. The
-  // workspace is thread-local (not a member) so shared instances — e.g.
+  // B = P A Pᵀ with B-row i = A-row perm[i]: solve B (P x) = P b.
+  for (std::size_t i = 0; i < b.size(); ++i)
+    work[i] = b[static_cast<std::size_t>(perm_[i])];
+  return work;
+}
+
+void ReorderedLdlt::permute_out(std::span<const double> work,
+                                std::span<double> x) const {
+  if (perm_.empty()) return;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[static_cast<std::size_t>(perm_[i])] = work[i];
+}
+
+void ReorderedLdlt::solve(std::span<const double> b, std::span<double> x) const {
+  // The workspace is thread-local (not a member) so shared instances — e.g.
   // FactorizationCache entries — can be solved from concurrent threads.
   static thread_local std::vector<double> scratch;
   scratch.resize(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    scratch[i] = b[static_cast<std::size_t>(perm_[i])];
-  ldlt_.solve_in_place(scratch);
-  for (std::size_t i = 0; i < b.size(); ++i)
-    x[static_cast<std::size_t>(perm_[i])] = scratch[i];
+  const std::span<double> w = permute_in(b, x, scratch);
+  ldlt_.solve_in_place(w);
+  permute_out(w, x);
+}
+
+void ReorderedLdlt::solve_pair(const ReorderedLdlt& f, std::span<const double> bf,
+                               std::span<double> xf, const ReorderedLdlt& g,
+                               std::span<const double> bg, std::span<double> xg) {
+  static thread_local std::vector<double> scratch;
+  scratch.resize(bf.size() + bg.size());
+  const std::span<double> work(scratch);
+  const std::span<double> wf = f.permute_in(bf, xf, work.first(bf.size()));
+  const std::span<double> wg = g.permute_in(bg, xg, work.subspan(bf.size()));
+  SparseLdlt::solve_pair_in_place(f.ldlt_, wf, g.ldlt_, wg);
+  f.permute_out(wf, xf);
+  g.permute_out(wg, xg);
 }
 
 }  // namespace rpcg

@@ -24,6 +24,10 @@
 // per-column sweeps. Exact supernodes store no padding zeros, so the flop
 // accounting is identical either way and sim-model times shift only with
 // the *ordering* (real work), never with the kernel or storage format.
+// Two factors without panels can also be solved as one pair
+// (SparseLdlt::solve_pair_in_place, ReorderedLdlt::solve_pair): their scalar
+// sweeps interleave column by column, each in its own unchanged order, so
+// the pair's results are those of two solves bit for bit.
 #pragma once
 
 #include <optional>
@@ -65,6 +69,16 @@ class SparseLdlt {
 
   /// Convenience out-of-place solve.
   void solve(std::span<const double> b, std::span<double> x) const;
+
+  /// Solves two systems in place, x by f and y by g, with results equal bit
+  /// for bit to f.solve_in_place(x) and g.solve_in_place(y). When neither
+  /// factor has packed supernode panels, the two factors' scalar forward and
+  /// backward sweeps run interleaved column by column (column j of f, then
+  /// column j of g), so the two dependency chains overlap; every factor keeps
+  /// the exact per-entry order of its own simplicial solve. A pair with a
+  /// packed factor solves one system after the other.
+  static void solve_pair_in_place(const SparseLdlt& f, std::span<double> x,
+                                  const SparseLdlt& g, std::span<double> y);
 
   [[nodiscard]] Index dim() const { return n_; }
 
@@ -158,6 +172,16 @@ class ReorderedLdlt {
   /// Solves A x = b; b and x must not alias. Thread-safe.
   void solve(std::span<const double> b, std::span<double> x) const;
 
+  /// Solves f xf = bf and g xg = bg, with results equal bit for bit to
+  /// f.solve(bf, xf) and g.solve(bg, xg): both right-hand sides are permuted
+  /// into one thread-local workspace and solved through
+  /// SparseLdlt::solve_pair_in_place, so two simplicial factors run their
+  /// sweeps interleaved and a pair with a packed factor one after the other.
+  /// No argument may alias another. Thread-safe.
+  static void solve_pair(const ReorderedLdlt& f, std::span<const double> bf,
+                         std::span<double> xf, const ReorderedLdlt& g,
+                         std::span<const double> bg, std::span<double> xg);
+
   [[nodiscard]] Index dim() const { return ldlt_.dim(); }
   [[nodiscard]] Index l_nnz() const { return ldlt_.l_nnz(); }
   [[nodiscard]] double solve_flops() const { return ldlt_.solve_flops(); }
@@ -178,6 +202,12 @@ class ReorderedLdlt {
       : ldlt_(std::move(ldlt)),
         perm_(std::move(perm)),
         ordering_(ordering) {}
+
+  // The vector a solve runs in: P b gathered into `work`, or, without a
+  // permutation, b copied into x. permute_out scatters it back into x.
+  std::span<double> permute_in(std::span<const double> b, std::span<double> x,
+                               std::span<double> work) const;
+  void permute_out(std::span<const double> work, std::span<double> x) const;
 
   SparseLdlt ldlt_;
   std::vector<Index> perm_;  // new-to-old; empty = identity

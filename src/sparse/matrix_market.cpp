@@ -28,18 +28,21 @@ CsrMatrix read_matrix_market(std::istream& in) {
   }
   std::istringstream dims(line);
   Index rows = 0, cols = 0, entries = 0;
-  dims >> rows >> cols >> entries;
+  RPCG_CHECK(static_cast<bool>(dims >> rows >> cols >> entries),
+             "size line must hold rows, columns and entry count");
   RPCG_CHECK(rows > 0 && cols > 0 && entries >= 0, "invalid size line");
 
+  // The entry count is not trusted to size an allocation: a header can claim
+  // any count, and the stream running out is what bounds the entries read.
   TripletBuilder b;
-  b.reserve(static_cast<std::size_t>(symmetric ? 2 * entries : entries));
   for (Index e = 0; e < entries; ++e) {
     RPCG_CHECK(static_cast<bool>(std::getline(in, line)),
                "unexpected end of MatrixMarket stream");
     std::istringstream es(line);
     Index r = 0, c = 0;
     double v = 0.0;
-    es >> r >> c >> v;
+    RPCG_CHECK(static_cast<bool>(es >> r >> c >> v),
+               "entry line must hold row, column and value");
     RPCG_CHECK(r >= 1 && r <= rows && c >= 1 && c <= cols,
                "entry index out of range");
     b.add(r - 1, c - 1, v);

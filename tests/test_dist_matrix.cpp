@@ -25,8 +25,11 @@ class DistSpmv : public ::testing::TestWithParam<std::tuple<int, int>> {
         return circuit_like(10, 10, 0.08, 5);
       case 2:
         return elasticity3d(3, 3, 4, Stencil3d::kFacesCorners14, 0.0, 2);
-      default:
+      case 3:
         return random_spd(96, 11, 0.5, 12, 9);
+      default:
+        // Long-range: no band, so most of every row's columns are halo.
+        return random_spd(150, 13, 0.0, 1, 31);
     }
   }
 };
@@ -52,10 +55,12 @@ TEST_P(DistSpmv, MatchesSequentialSpmv) {
   EXPECT_GT(cluster.clock().total(), 0.0);
 }
 
+// 7 nodes split every matrix into unequal blocks, some of odd length, whose
+// last row runs outside the row pairs.
 INSTANTIATE_TEST_SUITE_P(
     MatricesAndNodes, DistSpmv,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3),
-                       ::testing::Values(2, 4, 8, 16)));
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+                       ::testing::Values(2, 4, 7, 8, 16)));
 
 TEST(DistMatrix, LocalRowsMatchGlobal) {
   const CsrMatrix a = poisson2d_5pt(6, 6);

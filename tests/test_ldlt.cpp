@@ -80,6 +80,37 @@ TEST(Ldlt, IdentityIsItsOwnFactor) {
   EXPECT_LT(max_diff(b, expect), 1e-15);
 }
 
+// ReorderedLdlt::solve_pair must return exactly what two solve() calls
+// return: two simplicial factors of unequal size in both orders (interleaved
+// sweeps, one factor permuted and one not) and a pair with a packed factor.
+TEST(Ldlt, SolvePairMatchesTwoSolvesBitForBit) {
+  const auto grid =
+      ReorderedLdlt::factor_with(poisson2d_5pt(9, 7), LdltOrdering::kRcm);
+  const auto band = ReorderedLdlt::factor(tridiag_spd(50));
+  const auto dense = ReorderedLdlt::factor(dense_random_spd(30, 2));
+  ASSERT_TRUE(grid && band && dense);
+  ASSERT_TRUE(grid->reordered());
+  ASSERT_FALSE(band->reordered());
+  ASSERT_FALSE(grid->factorization().supernodal());
+  ASSERT_FALSE(band->factorization().supernodal());
+  ASSERT_TRUE(dense->factorization().supernodal());
+  const std::pair<const ReorderedLdlt*, const ReorderedLdlt*> pairs[] = {
+      {&*grid, &*band}, {&*band, &*grid}, {&*grid, &*dense}};
+  for (const auto& [f, g] : pairs) {
+    const std::vector<double> bf = random_vector(f->dim(), 3);
+    const std::vector<double> bg = random_vector(g->dim(), 4);
+    std::vector<double> ef(bf.size());
+    std::vector<double> eg(bg.size());
+    f->solve(bf, ef);
+    g->solve(bg, eg);
+    std::vector<double> xf(bf.size());
+    std::vector<double> xg(bg.size());
+    ReorderedLdlt::solve_pair(*f, bf, xf, *g, bg, xg);
+    EXPECT_EQ(xf, ef) << f->dim() << " paired with " << g->dim();
+    EXPECT_EQ(xg, eg) << f->dim() << " paired with " << g->dim();
+  }
+}
+
 TEST(LdltSupernodes, DenseFactorIsOneSupernode) {
   const Index n = 20;
   const auto fact = SparseLdlt::factor(dense_random_spd(n, 5));

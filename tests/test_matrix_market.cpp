@@ -53,6 +53,29 @@ TEST(MatrixMarket, RejectsMalformed) {
   std::stringstream truncated;
   truncated << "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
   EXPECT_THROW((void)read_matrix_market(truncated), std::invalid_argument);
+
+  std::stringstream no_count;
+  no_count << "%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1.0\n";
+  EXPECT_THROW((void)read_matrix_market(no_count), std::invalid_argument);
+
+  for (const char* entry : {"1 1\n", "1 1 abc\n"}) {
+    std::stringstream no_value;
+    no_value << "%%MatrixMarket matrix coordinate real general\n2 2 1\n" << entry;
+    EXPECT_THROW((void)read_matrix_market(no_value), std::invalid_argument)
+        << entry;
+  }
+
+  // Counts far beyond the entries present must not size an allocation
+  // (bad_alloc), nor overflow when a symmetric file doubles them.
+  std::stringstream huge_count;
+  huge_count << "%%MatrixMarket matrix coordinate real general\n"
+             << "1 1 1000000000000\n1 1 1.0\n";
+  EXPECT_THROW((void)read_matrix_market(huge_count), std::invalid_argument);
+
+  std::stringstream huge_symmetric;
+  huge_symmetric << "%%MatrixMarket matrix coordinate real symmetric\n"
+                 << "1 1 4611686018427387905\n1 1 1.0\n";
+  EXPECT_THROW((void)read_matrix_market(huge_symmetric), std::invalid_argument);
 }
 
 TEST(MatrixMarket, FileRoundTrip) {

@@ -243,10 +243,11 @@ TEST(ParallelDeterminismExtra, PipelinedGramThreadedMatchesSequential) {
 // names the same problem, so apply() and esr_recover_residual() called on
 // one object from two threads must return exactly what sequential calls on a
 // fresh instance return. ExplicitPreconditioner kept its halo workspace in a
-// mutable member before; the registry preconditioners ride along.
-TEST(SharedPreconditioner, ConcurrentCallsMatchSequentialCalls) {
+// mutable member before; the registry preconditioners ride along. An odd
+// node count leaves block Jacobi's last block outside its node pairs.
+void expect_concurrent_calls_match_sequential(int nodes) {
   const CsrMatrix a = poisson2d_5pt(16, 16);
-  const Partition part = Partition::block_rows(a.rows(), 8);
+  const Partition part = Partition::block_rows(a.rows(), nodes);
   const std::vector<Index> rows = part.rows_of_set(std::vector<NodeId>{2, 3});
   const auto make = [&a, &part](const std::string& name) {
     if (name == "explicit-p") {
@@ -297,12 +298,17 @@ TEST(SharedPreconditioner, ConcurrentCallsMatchSequentialCalls) {
     const Output ref_b = call(*fresh, 2);
     for (int rep = 0; rep < kReps; ++rep) {
       const auto i = static_cast<std::size_t>(rep);
-      EXPECT_EQ(outs_a[i].z, ref_a.z) << name << " rep " << rep;
-      EXPECT_EQ(outs_a[i].r_f, ref_a.r_f) << name << " rep " << rep;
-      EXPECT_EQ(outs_b[i].z, ref_b.z) << name << " rep " << rep;
-      EXPECT_EQ(outs_b[i].r_f, ref_b.r_f) << name << " rep " << rep;
+      EXPECT_EQ(outs_a[i].z, ref_a.z) << name << " nodes " << nodes << " rep " << rep;
+      EXPECT_EQ(outs_a[i].r_f, ref_a.r_f) << name << " nodes " << nodes << " rep " << rep;
+      EXPECT_EQ(outs_b[i].z, ref_b.z) << name << " nodes " << nodes << " rep " << rep;
+      EXPECT_EQ(outs_b[i].r_f, ref_b.r_f) << name << " nodes " << nodes << " rep " << rep;
     }
   }
+}
+
+TEST(SharedPreconditioner, ConcurrentCallsMatchSequentialCalls) {
+  expect_concurrent_calls_match_sequential(8);
+  expect_concurrent_calls_match_sequential(7);
 }
 
 }  // namespace

@@ -72,6 +72,42 @@ TEST(BlockJacobi, ApplySolvesNodeBlocksExactly) {
   }
 }
 
+// apply() solves the node blocks in pairs; every node's z must still be
+// exactly its own factor's solve. 7 nodes leave the last block unpaired; the
+// banded matrix's 418 rows make nodes 0-4 one row longer than nodes 5-6, so
+// pair (4, 5) is unequal. Its blocks are simplicial (interleaved sweeps), the
+// random matrix's pack supernode panels (pairs solved one block after the
+// other).
+TEST(BlockJacobi, ApplyMatchesPerNodeSolvesBitForBit) {
+  struct Case {
+    const char* name;
+    CsrMatrix a;
+    bool packed;
+  };
+  const Case cases[] = {{"banded", fem2d_p1(22, 19), false},
+                        {"random", random_spd(700, 12, 0.5, 80, 0xD7), true}};
+  for (const Case& c : cases) {
+    const Partition part = Partition::block_rows(c.a.rows(), 7);
+    Cluster cluster(part, CommParams{});
+    const BlockJacobiPreconditioner m(c.a, part);
+    EXPECT_EQ(m.supernodal_blocks(), c.packed ? 7 : 0) << c.name;
+    DistVector r(part);
+    DistVector z(part);
+    r.set_global(random_vector(c.a.rows(), 5));
+    m.apply(cluster, r, z, Phase::kIteration);
+    for (NodeId i = 0; i < part.num_nodes(); ++i) {
+      const auto rows = part.rows_of(i);
+      const auto f = ReorderedLdlt::factor(c.a.submatrix(rows, rows));
+      ASSERT_TRUE(f.has_value());
+      std::vector<double> expected(rows.size());
+      f->solve(r.block(i), expected);
+      const auto got = z.block(i);
+      EXPECT_EQ(std::vector<double>(got.begin(), got.end()), expected)
+          << c.name << " node " << i;
+    }
+  }
+}
+
 TEST(BlockJacobi, EsrResidualRoundtripSingleAndMulti) {
   {
     PrecondEnv s;

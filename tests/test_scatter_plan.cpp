@@ -108,10 +108,13 @@ TEST(ScatterPlan, ExecuteScatterDeliversValues) {
   x.set_global(g);
   std::vector<std::vector<double>> halos;
   execute_scatter(cluster, d.scatter_plan(), x, halos, Phase::kIteration);
-  // Node 1 owns rows 4..7; its halo is {row 3 (from node 0), row 8 (node 2)}.
-  ASSERT_EQ(halos[1].size(), 2u);
-  EXPECT_DOUBLE_EQ(halos[1][0], 13.0);
-  EXPECT_DOUBLE_EQ(halos[1][1], 18.0);
+  // Node 1 owns rows 4..7; its operand is those 4 own entries followed by
+  // the halo {row 3 (from node 0), row 8 (node 2)}.
+  ASSERT_EQ(halos[1].size(), 6u);
+  for (int k = 0; k < 4; ++k)
+    EXPECT_DOUBLE_EQ(halos[1][static_cast<std::size_t>(k)], 14.0 + k);
+  EXPECT_DOUBLE_EQ(halos[1][4], 13.0);
+  EXPECT_DOUBLE_EQ(halos[1][5], 18.0);
   EXPECT_GT(cluster.clock().total(), 0.0);  // cost was charged
 }
 
