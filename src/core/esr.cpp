@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "core/errors.hpp"
 #include "core/factorization_cache.hpp"
@@ -131,21 +132,35 @@ LocalSolveOutcome esr_solve_lost_x(Cluster& cluster, const CsrMatrix& a_global,
   return outcome;
 }
 
-void esr_replace_and_refetch(Cluster& cluster, const CsrMatrix& a_global,
-                             std::span<const NodeId> failed) {
-  const Partition& part = cluster.partition();
+void esr_abort_recovery(Cluster& cluster, std::span<const NodeId> so_far,
+                        std::initializer_list<const BackupStore*> stores,
+                        FactorizationCache* cache) {
+  const std::vector<Index> rows = cluster.partition().rows_of_set(so_far);
+  for (const BackupStore* store : stores)
+    (void)store->gather_lost(cluster, rows);
+  if (cache != nullptr) (void)cache->invalidate_overlapping(so_far);
+}
 
-  // Replacement nodes come online; failure detection and agreement is one
-  // collective over the survivors (ULFM-style shrink/agree).
+LostBlocks::LostBlocks(Cluster& cluster, const CsrMatrix& a_global,
+                       std::span<const NodeId> failed, int static_vectors)
+    : cluster_(&cluster),
+      nodes_(failed.begin(), failed.end()),
+      rows_(cluster.partition().rows_of_set(failed)),
+      t0_(cluster.clock().in_phase(Phase::kRecovery)) {
+  RPCG_CHECK(!failed.empty(), "nothing to recover");
+  std::sort(nodes_.begin(), nodes_.end());
+  stats_.psi = static_cast<int>(failed.size());
+  stats_.lost_rows = static_cast<Index>(rows_.size());
+
   cluster.charge_allreduce(Phase::kRecovery, 1);
   for (const NodeId f : failed) cluster.replace_node(f);
 
-  // Static data re-fetch from reliable storage: A rows, preconditioner rows,
-  // and b rows of the failed blocks (Sec. 1.1.2). Replacements read in
-  // parallel; cost is the slowest one.
+  // Replacements read their static data in parallel (Sec. 1.1.2); the
+  // round costs the slowest one.
+  const Partition& part = cluster.partition();
   std::vector<double> per_node(static_cast<std::size_t>(cluster.num_nodes()), 0.0);
   for (const NodeId f : failed) {
-    Index doubles = part.size(f);  // b block
+    Index doubles = static_vectors * part.size(f);
     for (Index row = part.begin(f); row < part.end(f); ++row)
       doubles += 2 * static_cast<Index>(a_global.row_cols(row).size());
     per_node[static_cast<std::size_t>(f)] = cluster.comm().storage_cost(doubles);
@@ -153,71 +168,54 @@ void esr_replace_and_refetch(Cluster& cluster, const CsrMatrix& a_global,
   cluster.charge_parallel_seconds(Phase::kRecovery, per_node);
 }
 
-RecoveryStats EsrReconstructor::recover(Cluster& cluster,
-                                        std::span<const NodeId> failed,
-                                        BackupStore& store, double beta_prev,
-                                        const DistVector& b, DistVector& x,
-                                        DistVector& r, DistVector& z,
-                                        DistVector& p,
-                                        DistVector& p_prev) const {
-  RPCG_CHECK(!failed.empty(), "nothing to recover");
-  const Partition& part = cluster.partition();
-  const double t_before = cluster.clock().in_phase(Phase::kRecovery);
-  RecoveryStats stats;
-  stats.psi = static_cast<int>(failed.size());
+BackupStore::Gathered LostBlocks::gather(const BackupStore& store) {
+  BackupStore::Gathered got = store.gather_lost(*cluster_, rows_);
+  stats_.gathered_elements += got.elements_transferred;
+  return got;
+}
 
-  esr_replace_and_refetch(cluster, *a_global_, failed);
-
-  const std::vector<Index> rows = part.rows_of_set(failed);
-  stats.lost_rows = static_cast<Index>(rows.size());
-
-  // Recover the replicated scalar beta^(j-1) (one message from any survivor)
-  // and both generations of the lost search-direction blocks.
-  cluster.charge(Phase::kRecovery, cluster.comm().message_cost(1));
-  const BackupStore::Gathered got = store.gather_lost(cluster, rows);
-  stats.gathered_elements = got.elements_transferred;
-
-  // z_{IF} = p^(j)_{IF} - beta^(j-1) p^(j-1)_{IF}   (Alg. 2, line 4).
-  std::vector<double> z_f(rows.size());
-  for (std::size_t k = 0; k < rows.size(); ++k)
-    z_f[k] = got.gens[0][k] - beta_prev * got.gens[1][k];
-  cluster.charge(Phase::kRecovery, cluster.comm().compute_cost(
-                                       2.0 * static_cast<double>(rows.size())));
-
-  // r_{IF} through the preconditioner (lines 5-6 / the [23] variants).
-  std::vector<double> r_f(rows.size());
-  m_->esr_recover_residual(cluster, rows, z_f, r, z, r_f);
-
-  // x_{IF} from the local system (lines 7-8).
-  std::vector<double> x_f(rows.size());
+std::vector<double> LostBlocks::solve_x(const CsrMatrix& a_global,
+                                        std::span<const double> r_f,
+                                        const DistVector& b,
+                                        const DistVector& x,
+                                        const EsrOptions& opts) {
+  std::vector<double> x_f(rows_.size());
   const LocalSolveOutcome outcome =
-      esr_solve_lost_x(cluster, *a_global_, rows, r_f, b, x, x_f, opts_);
-  stats.local_solve_iterations = outcome.iterations;
-  stats.local_solve_rel_residual = outcome.rel_residual;
+      esr_solve_lost_x(*cluster_, a_global, rows_, r_f, b, x, x_f, opts);
+  stats_.local_solve_iterations = outcome.iterations;
+  stats_.local_solve_rel_residual = outcome.rel_residual;
+  return x_f;
+}
 
-  // Install the reconstructed blocks on the replacement nodes.
+void LostBlocks::install(DistVector& dst,
+                         std::span<const double> values) const {
+  RPCG_CHECK(values.size() == rows_.size(), "values must match the lost rows");
+  const Partition& part = cluster_->partition();
   std::size_t pos = 0;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
+  for (const NodeId f : nodes_) {
     const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& v) {
-      return std::span<const double>(v.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    r.restore_block(f, slice(r_f));
-    z.restore_block(f, slice(z_f));
-    p.restore_block(f, slice(got.gens[0]));
-    p_prev.restore_block(f, slice(got.gens[1]));
+    dst.restore_block(f, values.subspan(pos, bsize));
     pos += bsize;
   }
+}
 
-  // Restore full phi+1 redundancy right away: survivors re-send the backup
-  // data hosted on the replacements.
-  store.re_arm(cluster, sorted, p, p_prev);
+void LostBlocks::install_from(DistVector& dst, const DistVector& src) const {
+  for (const NodeId f : nodes_) dst.restore_block(f, src.block(f));
+}
 
-  stats.sim_seconds = cluster.clock().in_phase(Phase::kRecovery) - t_before;
-  return stats;
+RecoveryStats LostBlocks::finish() {
+  stats_.sim_seconds = cluster_->clock().in_phase(Phase::kRecovery) - t0_;
+  return stats_;
+}
+
+RecoveryStats interpolation_restart_recover(Cluster& cluster,
+                                            const CsrMatrix& a_global,
+                                            std::span<const NodeId> failed,
+                                            const DistVector& b, DistVector& x,
+                                            const EsrOptions& opts) {
+  LostBlocks lost(cluster, a_global, failed);
+  lost.install(x, lost.solve_x(a_global, {}, b, x, opts));
+  return lost.finish();
 }
 
 }  // namespace rpcg

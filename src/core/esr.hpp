@@ -12,15 +12,23 @@
 //   7. A_{IF,IF} x_{IF} = w is solved with IC(0)-PCG to a tight tolerance
 //      (the paper's 1e-14), or exactly with sparse LDLᵀ (ablation option)
 //   8. the redundant stores hosted on the replacements are re-armed.
+//
+// Steps 1, 3 and 7-8 are the same in every resilient engine — blocking PCG,
+// pipelined PCG/CR, BiCGSTAB and the stationary sweeps — so they live here
+// as LostBlocks' shared steps, together with the lost-block layout. What
+// differs per engine is only which vectors are backed up and how the rest of
+// the state follows from them (steps 4-5 here; s = Ap, w = Au and the chain
+// ladders in the pipelined engine; a plain gather of x in the stationary
+// sweeps).
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <span>
-#include <utility>
+#include <vector>
 
 #include "core/backup_store.hpp"
 #include "core/factorization_cache.hpp"
-#include "precond/preconditioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/dist_vector.hpp"
 #include "sparse/csr.hpp"
@@ -66,45 +74,88 @@ struct LocalSolveOutcome {
   double rel_residual = 0.0;
 };
 
-/// Steps 1-2 of Alg. 2, shared by every reconstruction flavor (blocking and
-/// pipelined): failure detection/agreement (one collective over the
-/// survivors, ULFM-style shrink/agree), replacement nodes coming online,
-/// and their parallel re-fetch of the static data (A rows, preconditioner
-/// rows, b rows) from reliable storage. Charges Phase::kRecovery.
-void esr_replace_and_refetch(Cluster& cluster, const CsrMatrix& a_global,
-                             std::span<const NodeId> failed);
 [[nodiscard]] LocalSolveOutcome esr_solve_lost_x(
     Cluster& cluster, const CsrMatrix& a_global, std::span<const Index> rows,
     std::span<const double> r_f, const DistVector& b, const DistVector& x,
     std::span<double> x_f, const EsrOptions& opts);
 
-class EsrReconstructor {
+/// An overlapping failure struck while the nodes `so_far` were being
+/// reconstructed: charges the work performed so far — the gather of their
+/// lost blocks from each backup store, the dominant communication part —
+/// and drops the cached factorizations the changed survivor structure
+/// invalidated. The reconstruction then restarts with the union.
+void esr_abort_recovery(Cluster& cluster, std::span<const NodeId> so_far,
+                        std::initializer_list<const BackupStore*> stores,
+                        FactorizationCache* cache);
+
+/// One recovery of a merged failed-node set, run as Alg. 2's shared steps.
+/// Every resilient engine calls them in order:
+///
+///   1. the constructor (replacement + static re-fetch; starts the clock),
+///   2. gather() of the backed-up generations from each store,
+///   3. the engine's own relations (r through M, derived vectors),
+///   4. solve_x() of A_{IF,IF} x_{IF} = w for the lost iterate,
+///   5. install() / install_from() of the rebuilt blocks,
+///   6. BackupStore::re_arm on nodes(), and
+///   7. finish(), which stamps the recovery time into the stats.
+///
+/// The lost-block layout: nodes() are the failed nodes sorted ascending, and
+/// rows() their rows concatenated in that order (I_F). Every reconstructed
+/// block vector is aligned with rows().
+class LostBlocks {
  public:
-  /// `a_global` is the reliable static copy of the system matrix; `m` the
-  /// preconditioner (also static data). Both must outlive the reconstructor.
-  EsrReconstructor(const CsrMatrix& a_global, const Preconditioner& m,
-                   EsrOptions opts)
-      : a_global_(&a_global), m_(&m), opts_(std::move(opts)) {
-    if (opts_.cache != nullptr && !opts_.matrix_key)
-      opts_.matrix_key = FactorizationCache::matrix_key(a_global);
-  }
+  /// Steps 1-2 of Alg. 2: failure detection/agreement (one collective over
+  /// the survivors, ULFM-style shrink/agree), the replacement nodes coming
+  /// online, and their parallel re-fetch of the static data from reliable
+  /// storage — the A rows, the preconditioner rows, and `static_vectors`
+  /// per-row vectors (b; BiCGSTAB adds its shadow residual r̂0).
+  LostBlocks(Cluster& cluster, const CsrMatrix& a_global,
+             std::span<const NodeId> failed, int static_vectors = 1);
 
-  /// Recovers the complete solver state {x, r, z, p, p_prev} of the failed
-  /// nodes. On entry the failed nodes are marked failed in the cluster and
-  /// their blocks are invalidated; on exit they are replaced and all blocks
-  /// are valid again, and the backup store is re-armed. Throws
-  /// UnrecoverableFailure when the redundancy does not cover the failure.
-  RecoveryStats recover(Cluster& cluster, std::span<const NodeId> failed,
-                        BackupStore& store, double beta_prev,
-                        const DistVector& b, DistVector& x, DistVector& r,
-                        DistVector& z, DistVector& p, DistVector& p_prev) const;
+  [[nodiscard]] const std::vector<NodeId>& nodes() const { return nodes_; }
+  [[nodiscard]] const std::vector<Index>& rows() const { return rows_; }
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  [[nodiscard]] RecoveryStats& stats() { return stats_; }
 
-  [[nodiscard]] const EsrOptions& options() const { return opts_; }
+  /// Every generation of the lost elements from `store`, counted in
+  /// gathered_elements.
+  [[nodiscard]] BackupStore::Gathered gather(const BackupStore& store);
+
+  /// The lost iterate block x_{IF} (esr_solve_lost_x), with the local-solve
+  /// statistics recorded.
+  [[nodiscard]] std::vector<double> solve_x(const CsrMatrix& a_global,
+                                            std::span<const double> r_f,
+                                            const DistVector& b,
+                                            const DistVector& x,
+                                            const EsrOptions& opts);
+
+  /// Installs `values` (aligned with rows()) as the lost blocks of `dst`.
+  void install(DistVector& dst, std::span<const double> values) const;
+
+  /// Copies the lost blocks of the full vector `src` into `dst`.
+  void install_from(DistVector& dst, const DistVector& src) const;
+
+  /// The statistics, with sim_seconds = recovery-phase time since the
+  /// constructor.
+  [[nodiscard]] RecoveryStats finish();
 
  private:
-  const CsrMatrix* a_global_;
-  const Preconditioner* m_;
-  EsrOptions opts_;
+  Cluster* cluster_;
+  std::vector<NodeId> nodes_;
+  std::vector<Index> rows_;
+  RecoveryStats stats_;
+  double t0_ = 0.0;
 };
+
+/// The interpolation/restart baseline (Langou et al. 2007, Sec. 1.2 of the
+/// paper): the lost iterate block is *approximated* from A_{IF,IF} x_{IF} =
+/// b_{IF} - A_{IF,I\IF} x_{I\IF}, with no residual term and no redundancy
+/// kept during normal operation. Brings the replacements online and
+/// recovers x only; the caller restarts CG, losing the Krylov history.
+RecoveryStats interpolation_restart_recover(Cluster& cluster,
+                                            const CsrMatrix& a_global,
+                                            std::span<const NodeId> failed,
+                                            const DistVector& b, DistVector& x,
+                                            const EsrOptions& opts);
 
 }  // namespace rpcg

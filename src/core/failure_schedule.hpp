@@ -5,6 +5,7 @@
 // iteration count.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "util/check.hpp"
@@ -61,36 +62,53 @@ class FailureSchedule {
   std::vector<FailureEvent> events_;
 };
 
-/// Fire-once traversal of a FailureSchedule during a solve: each event is
-/// surfaced exactly once, at its scheduled iteration. Shared by the
-/// resilient solver engines (blocking and pipelined), which previously each
-/// kept their own fired-flag bookkeeping. The schedule must outlive the
-/// cursor.
+/// Fire-once traversal of a FailureSchedule during a solve, and the one
+/// place where the events due at an iteration are merged into the failed
+/// set a recovery rebuilds. Every resilient engine (blocking PCG, pipelined
+/// PCG/CR, BiCGSTAB, the stationary sweeps) injects its failures through
+/// merge_due(). The schedule must outlive the cursor.
 class FailureCursor {
  public:
   FailureCursor() = default;
   explicit FailureCursor(const FailureSchedule& schedule)
       : schedule_(&schedule), fired_(schedule.events().size(), 0) {}
 
-  /// Indices of not-yet-fired events scheduled at `iteration`, in schedule
-  /// order; the returned events are marked fired (the caller processes the
-  /// whole batch — rollbacks that revisit the iteration must not re-fire
-  /// them).
-  [[nodiscard]] std::vector<int> take_due(int iteration) {
-    std::vector<int> due;
-    if (schedule_ == nullptr) return due;
+  /// Whether a not-yet-fired event is scheduled at `iteration`.
+  [[nodiscard]] bool due(int iteration) const {
+    if (schedule_ == nullptr) return false;
     const auto& events = schedule_->events();
-    for (std::size_t idx = 0; idx < events.size(); ++idx) {
-      if (!fired_[idx] && events[idx].iteration == iteration) {
-        fired_[idx] = 1;
-        due.push_back(static_cast<int>(idx));
-      }
-    }
-    return due;
+    for (std::size_t idx = 0; idx < events.size(); ++idx)
+      if (!fired_[idx] && events[idx].iteration == iteration) return true;
+    return false;
   }
 
-  [[nodiscard]] const FailureEvent& event(int idx) const {
-    return schedule_->events()[static_cast<std::size_t>(idx)];
+  /// Injects the not-yet-fired events scheduled at `iteration`, in schedule
+  /// order, and returns the union of their failed nodes (empty when none is
+  /// due). For each event, `inject` kills its nodes and then `on_injected`
+  /// fires (when set). A during_recovery event after the first struck while
+  /// the recovery of the nodes so far was underway: `on_overlap(so_far)`
+  /// runs before it is injected, to charge the work it cut short. The
+  /// events are marked fired, so a rollback that revisits the iteration
+  /// does not re-fire them.
+  std::vector<NodeId> merge_due(
+      int iteration, const std::function<void(const FailureEvent&)>& inject,
+      const std::function<void(const FailureEvent&)>& on_injected,
+      const std::function<void(const std::vector<NodeId>&)>& on_overlap) {
+    std::vector<NodeId> merged;
+    if (schedule_ == nullptr) return merged;
+    const auto& events = schedule_->events();
+    bool first = true;
+    for (std::size_t idx = 0; idx < events.size(); ++idx) {
+      const FailureEvent& ev = events[idx];
+      if (fired_[idx] || ev.iteration != iteration) continue;
+      fired_[idx] = 1;
+      if (!first && ev.during_recovery && on_overlap) on_overlap(merged);
+      inject(ev);
+      if (on_injected) on_injected(ev);
+      merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
+      first = false;
+    }
+    return merged;
   }
 
  private:

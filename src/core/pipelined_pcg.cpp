@@ -12,29 +12,14 @@
 namespace rpcg {
 
 /// The live iteration state at loop top k (k completed updates): the
-/// current-generation vectors r_k, u_k, w_k, the previous direction p_{k-1}
-/// (plus p_{k-2}, u_{k-1} for the period-2 backup), the in-flight m/n, and
-/// the recurrence vectors s/q/z of update k-1. Replicated scalars ride
-/// along: gamma_{k-1}, alpha_{k-1} (recovered from any survivor on failure).
-struct PipelinedPcg::LoopState {
-  explicit LoopState(const Partition& part)
-      : r(part), u(part), w(part), m(part), n(part), z(part), q(part), s(part),
-        p(part), p_prev(part), u_prev(part) {}
-
-  DistVector r, u, w, m, n, z, q, s, p, p_prev, u_prev;
-  double gamma_prev = 0.0;
-  double alpha_prev = 0.0;
-
-  [[nodiscard]] std::vector<DistVector*> all() {
-    return {&r, &u, &w, &m, &n, &z, &q, &s, &p, &p_prev, &u_prev};
-  }
-};
-
-/// The depth-l iteration state: besides the depth-1 recurrence vectors, the
-/// full chains m_i = (M^-1 A)^i u, n_i = A m_i (i = 1..L) and
+/// current-generation vectors r_k, u_k, w_k, the recurrence vectors s/q/z
+/// of update k-1, the directions p_{k-1}, p_{k-2}, the `depth` previous
+/// generations of u that the backup set keeps reconstructible, and the
+/// chains m_i = (M^-1 A)^i u, n_i = A m_i (i = 1..L) and
 /// zeta_i = (M^-1 A)^i q, xi_i = A zeta_i (i = 1..L-1) that close the
-/// coefficient-space replay, plus the `depth` previous generations of u that
-/// the widened backup set keeps reconstructible.
+/// coefficient-space replay. Depth 1 has one chain rung (its in-flight
+/// m = M^-1 w, n = A m) and one old u generation. Replicated scalars ride
+/// along: gamma_{k-1}, alpha_{k-1} (recovered from any survivor on failure).
 struct PipelinedPcg::DeepState {
   DeepState(const Partition& part, const PipelinedBasisLayout& layout)
       : r(part), u(part), w(part), s(part), q(part), z(part), p(part),
@@ -119,193 +104,79 @@ PipelinedPcg::PipelinedPcg(Cluster& cluster, const CsrMatrix& a_global,
   }
 }
 
-void PipelinedPcg::inject_failures(const std::vector<NodeId>& nodes,
-                                   DistVector& x,
-                                   std::vector<DistVector*> state) {
-  for (const NodeId f : nodes) {
-    cluster_.fail_node(f);
-    x.invalidate(f);
-    for (DistVector* v : state) v->invalidate(f);
-    store_p_.invalidate_node(f);
-    store_u_.invalidate_node(f);
-  }
-}
-
 RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
                                     const DistVector& b, DistVector& x,
-                                    LoopState& st) {
-  RPCG_CHECK(!failed.empty(), "nothing to recover");
+                                    DeepState& st) {
   const Partition& part = cluster_.partition();
-  const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
-  RecoveryStats stats;
-  stats.psi = static_cast<int>(failed.size());
+  const int L = layout_.chain;
+  LostBlocks lost(cluster_, *a_global_, failed);
 
-  esr_replace_and_refetch(cluster_, *a_global_, failed);
-
-  const std::vector<Index> rows = part.rows_of_set(failed);
-  stats.lost_rows = static_cast<Index>(rows.size());
-
-  // Replicated scalars gamma^(k-1), alpha^(k-1) from any survivor, then both
-  // generations of the lost u and p blocks from the redundant copies.
+  // Replicated scalars gamma^(k-1), alpha^(k-1) from any survivor, then every
+  // backed-up generation of the lost u blocks (depth+1 of them) and both p
+  // generations.
   cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
-  const BackupStore::Gathered got_u = store_u_.gather_lost(cluster_, rows);
-  const BackupStore::Gathered got_p = store_p_.gather_lost(cluster_, rows);
-  stats.gathered_elements =
-      got_u.elements_transferred + got_p.elements_transferred;
+  const BackupStore::Gathered got_u = lost.gather(store_u_);
+  const BackupStore::Gathered got_p = lost.gather(store_p_);
 
   // r_{IF} through the preconditioner from the backed-up u = M^{-1} r —
-  // the same Alg. 2 step the blocking engine applies to z.
-  std::vector<double> r_f(rows.size());
-  m_->esr_recover_residual(cluster_, rows, got_u.gens[0], st.r, st.u, r_f);
+  // the same Alg. 2 step the blocking engine applies to z — and x_{IF} from
+  // the A_{IF,IF} local system (lines 7-8, cache-served).
+  std::vector<double> r_f(lost.size());
+  m_->esr_recover_residual(cluster_, lost.rows(), got_u.gens[0], st.r, st.u,
+                           r_f);
+  lost.install(x, lost.solve_x(*a_global_, r_f, b, x, opts_.esr));
+  lost.install(st.r, r_f);
+  lost.install(st.u, got_u.gens[0]);
+  for (int g = 0; g < opts_.depth; ++g)
+    lost.install(st.u_hist[static_cast<std::size_t>(g)],
+                 got_u.gens[static_cast<std::size_t>(g) + 1]);
+  lost.install(st.p, got_p.gens[0]);
+  lost.install(st.p_prev, got_p.gens[1]);
 
-  // x_{IF} from the A_{IF,IF} local system (lines 7-8, cache-served).
-  std::vector<double> x_f(rows.size());
-  const LocalSolveOutcome outcome =
-      esr_solve_lost_x(cluster_, *a_global_, rows, r_f, b, x, x_f, opts_.esr);
-  stats.local_solve_iterations = outcome.iterations;
-  stats.local_solve_rel_residual = outcome.rel_residual;
+  // Relation-based rebuild of the lost blocks (Levonyak et al.): s = A p,
+  // q = M^{-1} s, z = A q, w = A u, then the chain ladders
+  // m_i = (M^{-1} A)^i u (seeded from the rebuilt w = A u) and
+  // zeta_i = (M^{-1} A)^i q (seeded from z = A q); n_i = A m_i and
+  // xi_i = A zeta_i ride each rung. All identities the recurrences preserve
+  // exactly, so replacements rejoin consistently. Full operator applications
+  // charged to recovery — the same resume-recompute accounting as the
+  // blocking engine's u = A p.
+  DistVector tmp(part);
+  std::vector<std::vector<double>> halos;
+  const auto rebuild_lost = [&](DistVector& dst) {
+    lost.install_from(dst, tmp);
+  };
+  a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
+  rebuild_lost(st.s);
+  m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
+  rebuild_lost(st.q);
+  a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
+  rebuild_lost(st.z);
+  a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
+  rebuild_lost(st.w);
 
-  // Install the exactly reconstructed blocks on the replacement nodes.
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::size_t pos = 0;
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& v) {
-      return std::span<const double>(v.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    st.r.restore_block(f, slice(r_f));
-    st.u.restore_block(f, slice(got_u.gens[0]));
-    st.u_prev.restore_block(f, slice(got_u.gens[1]));
-    st.p.restore_block(f, slice(got_p.gens[0]));
-    st.p_prev.restore_block(f, slice(got_p.gens[1]));
-    pos += bsize;
-  }
-
-  // Rebuild the remaining recurrence vectors on the replacements from their
-  // defining relations (Levonyak et al.): s = A p, q = M^{-1} s, z = A q,
-  // w = A u. Full operator applications charged to recovery — the same
-  // resume-recompute accounting as the blocking engine's u = A p.
-  {
-    DistVector tmp(part);
-    std::vector<std::vector<double>> halos;
-    const auto rebuild_lost = [&](DistVector& dst) {
-      for (const NodeId f : sorted) dst.restore_block(f, tmp.block(f));
-    };
-    a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.s);
-    m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
-    rebuild_lost(st.q);
-    a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.z);
-    a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.w);
-  }
-
-  // The in-flight m = M^{-1} w, n = A m are recomputed whole — they are
-  // minted fresh every iteration, so survivors reproduce their values
-  // bit-for-bit and the replacements obtain consistent ones.
-  for (const NodeId f : sorted) {
-    st.m.revalidate_zero(f);
-    st.n.revalidate_zero(f);
-  }
-  {
-    std::vector<std::vector<double>> halos;
-    m_->apply(cluster_, st.w, st.m, Phase::kRecovery);
-    a_->spmv(cluster_, st.m, st.n, halos, Phase::kRecovery);
-  }
-
-  // Restore full phi+1 redundancy of both backup sets right away.
-  store_p_.re_arm(cluster_, sorted, st.p, st.p_prev);
-  store_u_.re_arm(cluster_, sorted, st.u, st.u_prev);
-
-  stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
-  return stats;
-}
-
-RecoveryStats PipelinedPcg::recover_deep(std::span<const NodeId> failed,
-                                         const DistVector& b, DistVector& x,
-                                         DeepState& st) {
-  RPCG_CHECK(!failed.empty(), "nothing to recover");
-  const Partition& part = cluster_.partition();
-  const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
-  const int L = layout_.chain;
-  RecoveryStats stats;
-  stats.psi = static_cast<int>(failed.size());
-
-  esr_replace_and_refetch(cluster_, *a_global_, failed);
-
-  const std::vector<Index> rows = part.rows_of_set(failed);
-  stats.lost_rows = static_cast<Index>(rows.size());
-
-  // Replicated scalars from any survivor, then every backed-up generation of
-  // the lost u blocks (depth+1 of them) and both p generations.
-  cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
-  const BackupStore::Gathered got_u = store_u_.gather_lost(cluster_, rows);
-  const BackupStore::Gathered got_p = store_p_.gather_lost(cluster_, rows);
-  stats.gathered_elements =
-      got_u.elements_transferred + got_p.elements_transferred;
-
-  std::vector<double> r_f(rows.size());
-  m_->esr_recover_residual(cluster_, rows, got_u.gens[0], st.r, st.u, r_f);
-
-  std::vector<double> x_f(rows.size());
-  const LocalSolveOutcome outcome =
-      esr_solve_lost_x(cluster_, *a_global_, rows, r_f, b, x, x_f, opts_.esr);
-  stats.local_solve_iterations = outcome.iterations;
-  stats.local_solve_rel_residual = outcome.rel_residual;
-
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::size_t pos = 0;
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& v) {
-      return std::span<const double>(v.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    st.r.restore_block(f, slice(r_f));
-    st.u.restore_block(f, slice(got_u.gens[0]));
-    for (int g = 0; g < opts_.depth; ++g)
-      st.u_hist[static_cast<std::size_t>(g)].restore_block(
-          f, slice(got_u.gens[static_cast<std::size_t>(g) + 1]));
-    st.p.restore_block(f, slice(got_p.gens[0]));
-    st.p_prev.restore_block(f, slice(got_p.gens[1]));
-    pos += bsize;
-  }
-
-  // Relation-based rebuild of the lost blocks: s = A p, q = M^{-1} s,
-  // z = A q, w = A u, then the chain ladders m_i = (M^{-1} A)^i u (seeded
-  // from the rebuilt w = A u) and zeta_i = (M^{-1} A)^i q (seeded from
-  // z = A q); n_i = A m_i and xi_i = A zeta_i ride each rung. All identities
-  // the recurrences preserve exactly, so replacements rejoin consistently.
-  {
-    DistVector tmp(part);
-    std::vector<std::vector<double>> halos;
-    const auto rebuild_lost = [&](DistVector& dst) {
-      for (const NodeId f : sorted) dst.restore_block(f, tmp.block(f));
-    };
-    a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.s);
-    m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
-    rebuild_lost(st.q);
-    a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.z);
-    a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.w);
-
+  if (opts_.depth == 1) {
+    // Depth 1's in-flight m = M^{-1} w, n = A m are minted fresh every
+    // iteration, so they are recomputed whole: survivors reproduce their
+    // values bit-for-bit from the rebuilt w and the replacements obtain
+    // consistent ones.
+    for (const NodeId f : lost.nodes()) {
+      st.m[0].revalidate_zero(f);
+      st.n[0].revalidate_zero(f);
+    }
+    m_->apply(cluster_, st.w, st.m[0], Phase::kRecovery);
+    a_->spmv(cluster_, st.m[0], st.n[0], halos, Phase::kRecovery);
+  } else {
     m_->apply(cluster_, st.w, tmp, Phase::kRecovery);
     rebuild_lost(st.m[0]);
     a_->spmv(cluster_, st.m[0], tmp, halos, Phase::kRecovery);
     rebuild_lost(st.n[0]);
     for (int i = 1; i < L; ++i) {
-      m_->apply(cluster_, st.n[static_cast<std::size_t>(i) - 1], tmp,
-                Phase::kRecovery);
-      rebuild_lost(st.m[static_cast<std::size_t>(i)]);
-      a_->spmv(cluster_, st.m[static_cast<std::size_t>(i)], tmp, halos,
-               Phase::kRecovery);
-      rebuild_lost(st.n[static_cast<std::size_t>(i)]);
+      const auto iz = static_cast<std::size_t>(i);
+      m_->apply(cluster_, st.n[iz - 1], tmp, Phase::kRecovery);
+      rebuild_lost(st.m[iz]);
+      a_->spmv(cluster_, st.m[iz], tmp, halos, Phase::kRecovery);
+      rebuild_lost(st.n[iz]);
     }
     if (L >= 2) {
       m_->apply(cluster_, st.z, tmp, Phase::kRecovery);
@@ -313,25 +184,47 @@ RecoveryStats PipelinedPcg::recover_deep(std::span<const NodeId> failed,
       a_->spmv(cluster_, st.zeta[0], tmp, halos, Phase::kRecovery);
       rebuild_lost(st.xi[0]);
       for (int i = 1; i + 1 < L; ++i) {
-        m_->apply(cluster_, st.xi[static_cast<std::size_t>(i) - 1], tmp,
-                  Phase::kRecovery);
-        rebuild_lost(st.zeta[static_cast<std::size_t>(i)]);
-        a_->spmv(cluster_, st.zeta[static_cast<std::size_t>(i)], tmp, halos,
-                 Phase::kRecovery);
-        rebuild_lost(st.xi[static_cast<std::size_t>(i)]);
+        const auto iz = static_cast<std::size_t>(i);
+        m_->apply(cluster_, st.xi[iz - 1], tmp, Phase::kRecovery);
+        rebuild_lost(st.zeta[iz]);
+        a_->spmv(cluster_, st.zeta[iz], tmp, halos, Phase::kRecovery);
+        rebuild_lost(st.xi[iz]);
       }
     }
   }
 
   // Restore full phi+1 redundancy of both backup sets right away.
-  store_p_.re_arm(cluster_, sorted, st.p, st.p_prev);
+  store_p_.re_arm(cluster_, lost.nodes(), st.p, st.p_prev);
   std::vector<const DistVector*> ugens;
   ugens.push_back(&st.u);
   for (const DistVector& uh : st.u_hist) ugens.push_back(&uh);
-  store_u_.re_arm(cluster_, sorted, ugens);
+  store_u_.re_arm(cluster_, lost.nodes(), ugens);
+  return lost.finish();
+}
 
-  stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
-  return stats;
+void PipelinedPcg::recover_due(FailureCursor& cursor, int k,
+                               const DistVector& b, DistVector& x,
+                               DeepState& st, engine::SolveReport& res) {
+  const std::vector<NodeId> merged = cursor.merge_due(
+      k,
+      [&](const FailureEvent& ev) {
+        for (const NodeId f : ev.nodes) {
+          cluster_.fail_node(f);
+          x.invalidate(f);
+          for (DistVector* v : st.all()) v->invalidate(f);
+          store_p_.invalidate_node(f);
+          store_u_.invalidate_node(f);
+        }
+      },
+      opts_.events.on_failure_injected,
+      [&](const std::vector<NodeId>& so_far) {
+        esr_abort_recovery(cluster_, so_far, {&store_u_, &store_p_},
+                           opts_.esr.cache);
+      });
+  res.recoveries.push_back(
+      RecoveryRecord{k, merged, recover(merged, b, x, st)});
+  if (opts_.events.on_recovery_complete)
+    opts_.events.on_recovery_complete(res.recoveries.back());
 }
 
 engine::SolveReport PipelinedPcg::solve(const DistVector& b, DistVector& x,
@@ -355,7 +248,10 @@ engine::SolveReport PipelinedPcg::solve_depth1(
   const engine::SolveMeter meter(cluster_);
   engine::SolveReport res;
 
-  LoopState st(part);
+  DeepState st(part, layout_);
+  DistVector& m = st.m[0];
+  DistVector& n = st.n[0];
+  DistVector& u_prev = st.u_hist[0];
   std::vector<std::vector<double>> halos;
   const Phase it = Phase::kIteration;
   const bool cg = opts_.method == PipelinedMethod::kConjugateGradient;
@@ -363,9 +259,9 @@ engine::SolveReport PipelinedPcg::solve_depth1(
   // r^(0) = b - A x^(0); u^(0) = M^{-1} r^(0); w^(0) = A u^(0). The first
   // loop turn delivers ||r^(0)|| with its fused reduction, so no separate
   // startup reduction is needed.
-  a_->spmv(cluster_, x, st.n, halos, it);  // n as scratch
+  a_->spmv(cluster_, x, n, halos, it);  // n as scratch
   copy(cluster_, b, st.r, it);
-  axpy(cluster_, -1.0, st.n, st.r, it);
+  axpy(cluster_, -1.0, n, st.r, it);
   m_->apply(cluster_, st.r, st.u, it);
   a_->spmv(cluster_, st.u, st.w, halos, it);
 
@@ -380,12 +276,12 @@ engine::SolveReport PipelinedPcg::solve_depth1(
     PendingReduction red;
     if (cg) {
       red = ipipelined_dots(cluster_, st.r, st.u, st.w, it);
-      m_->apply(cluster_, st.w, st.m, it);
+      m_->apply(cluster_, st.w, m, it);
     } else {
-      m_->apply(cluster_, st.w, st.m, it);
-      red = ipipelined_cr_dots(cluster_, st.r, st.u, st.w, st.m, it);
+      m_->apply(cluster_, st.w, m, it);
+      red = ipipelined_cr_dots(cluster_, st.r, st.u, st.w, m, it);
     }
-    a_->spmv(cluster_, st.m, st.n, halos, it);
+    a_->spmv(cluster_, m, n, halos, it);
     if (opts_.phi > 0) {
       store_p_.record(st.p);
       store_u_.record(st.u);
@@ -393,42 +289,14 @@ engine::SolveReport PipelinedPcg::solve_depth1(
     }
 
     // --- Failure injection point (backups of both generations in place). ---
-    const std::vector<int> evs = cursor.take_due(k);
-    if (!evs.empty()) {
+    if (cursor.due(k)) {
       if (opts_.phi == 0)
         throw UnrecoverableFailure(
             "node failure injected into a non-resilient pipelined solver");
       // The posted reduction completes among the survivors before the
       // reconstruction starts.
       red.wait();
-      std::vector<NodeId> merged;
-      bool first = true;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        if (!first && ev.during_recovery) {
-          // Overlapping failure: charge the gathers performed so far for
-          // `merged` and drop factorizations the changed survivor structure
-          // invalidated, then restart with the union (as in the blocking
-          // engine).
-          const std::vector<Index> partial_rows = part.rows_of_set(merged);
-          (void)store_u_.gather_lost(cluster_, partial_rows);
-          (void)store_p_.gather_lost(cluster_, partial_rows);
-          if (opts_.esr.cache != nullptr)
-            (void)opts_.esr.cache->invalidate_overlapping(merged);
-        }
-        inject_failures(ev.nodes, x, st.all());
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        first = false;
-      }
-      RecoveryRecord rec;
-      rec.iteration = k;
-      rec.nodes = merged;
-      rec.stats = recover(merged, b, x, st);
-      res.recoveries.push_back(std::move(rec));
-      if (opts_.events.on_recovery_complete)
-        opts_.events.on_recovery_complete(res.recoveries.back());
+      recover_due(cursor, k, b, x, st, res);
     }
 
     red.wait();
@@ -483,15 +351,15 @@ engine::SolveReport PipelinedPcg::solve_depth1(
     }
 
     // Vector recurrences of update k.
-    xpby(cluster_, st.n, beta, st.z, it);  // z = n + beta z
-    xpby(cluster_, st.m, beta, st.q, it);  // q = m + beta q
+    xpby(cluster_, n, beta, st.z, it);  // z = n + beta z
+    xpby(cluster_, m, beta, st.q, it);  // q = m + beta q
     xpby(cluster_, st.w, beta, st.s, it);  // s = w + beta s
     {
       // Keeping the previous p/u generations is a local pointer swap in a
       // real implementation; it costs no time.
       ClockPause pause(cluster_.clock());
       copy(cluster_, st.p, st.p_prev, it);
-      copy(cluster_, st.u, st.u_prev, it);
+      copy(cluster_, st.u, u_prev, it);
     }
     xpby(cluster_, st.u, beta, st.p, it);   // p = u + beta p
     axpy(cluster_, alpha, st.p, x, it);     // x += alpha p
@@ -570,8 +438,7 @@ engine::SolveReport PipelinedPcg::solve_deep(
     }
 
     // --- Failure injection point (backups of all generations in place). ---
-    const std::vector<int> evs = cursor.take_due(k);
-    if (!evs.empty()) {
+    if (cursor.due(k)) {
       if (opts_.phi == 0)
         throw UnrecoverableFailure(
             "node failure injected into a non-resilient pipelined solver");
@@ -582,30 +449,7 @@ engine::SolveReport PipelinedPcg::solve_deep(
         e.red.wait();
         e.iteration = -1;
       }
-      std::vector<NodeId> merged;
-      bool first = true;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        if (!first && ev.during_recovery) {
-          const std::vector<Index> partial_rows = part.rows_of_set(merged);
-          (void)store_u_.gather_lost(cluster_, partial_rows);
-          (void)store_p_.gather_lost(cluster_, partial_rows);
-          if (opts_.esr.cache != nullptr)
-            (void)opts_.esr.cache->invalidate_overlapping(merged);
-        }
-        inject_failures(ev.nodes, x, st.all());
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        first = false;
-      }
-      RecoveryRecord rec;
-      rec.iteration = k;
-      rec.nodes = merged;
-      rec.stats = recover_deep(merged, b, x, st);
-      res.recoveries.push_back(std::move(rec));
-      if (opts_.events.on_recovery_complete)
-        opts_.events.on_recovery_complete(res.recoveries.back());
+      recover_due(cursor, k, b, x, st, res);
       history.clear();
       // Re-post over the reconstructed basis; the next d iterations warm the
       // ring back up on direct (fully exposed) reductions.

@@ -112,24 +112,19 @@ class PipelinedPcg {
                MaybeOwned<DistMatrix> a, const Preconditioner& m,
                PipelinedPcgOptions opts);
 
-  struct LoopState;  // depth-1 recurrence vectors + replicated scalars
-  struct DeepState;  // depth-l basis vectors + u-generation ring
+  struct DeepState;  // recurrence vectors, chains, u generations, scalars
 
-  void inject_failures(const std::vector<NodeId>& nodes, DistVector& x,
-                       std::vector<DistVector*> state);
-
-  /// ESR recovery of the depth-1 pipelined state after the merged failure
-  /// set `failed`: exact reconstruction of x/r/u/p (+ previous generations)
-  /// from the backups, relation-based rebuild of s/q/z/w, full recompute of
-  /// the in-flight m/n. Returns Alg. 2 stats.
+  /// ESR recovery of the pipelined state after the merged failure set
+  /// `failed`: exact reconstruction of x/r/u/p and their backed-up older
+  /// generations, then the relation-based rebuild of s/q/z/w and the chain
+  /// ladders. Returns the Alg. 2 stats.
   RecoveryStats recover(std::span<const NodeId> failed, const DistVector& b,
-                        DistVector& x, LoopState& st);
+                        DistVector& x, DeepState& st);
 
-  /// Depth-l counterpart: additionally restores every u generation and
-  /// ladder-rebuilds the chain vectors of the prediction basis.
-  RecoveryStats recover_deep(std::span<const NodeId> failed,
-                             const DistVector& b, DistVector& x,
-                             DeepState& st);
+  /// Injects the failures due at iteration k (FailureCursor::merge_due),
+  /// recovers the merged set, and records it in `res`.
+  void recover_due(FailureCursor& cursor, int k, const DistVector& b,
+                   DistVector& x, DeepState& st, engine::SolveReport& res);
 
   /// Depth-1 path (classic one-reduction-in-flight pipelining). It cannot
   /// be folded into solve_deep without changing simulated time: at depth 1

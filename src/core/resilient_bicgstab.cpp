@@ -70,56 +70,32 @@ void ResilientBicgstab::recompute_lost_rows(std::span<const Index> rows,
   cluster_.charge(Phase::kRecovery, cluster_.comm().compute_cost(flops));
 }
 
-void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
-                                const DistVector& b,
-                                const DistVector& r0_pristine, DistVector& x,
-                                DistVector& r, DistVector& r0, DistVector& p,
-                                DistVector& v, DistVector& s, DistVector& t,
-                                DistVector& phat, DistVector& shat,
-                                std::vector<RecoveryRecord>& records,
-                                int iteration) {
-  const Partition& part = cluster_.partition();
-  const double t_before = cluster_.clock().in_phase(Phase::kRecovery);
-  RecoveryRecord rec;
-  rec.iteration = iteration;
-  rec.nodes = failed;
-  rec.stats.psi = static_cast<int>(failed.size());
-
-  cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection/agreement
-  for (const NodeId f : failed) cluster_.replace_node(f);
-
-  // Static data re-fetch: A rows, b rows, and the r̂0 block (static data
-  // derived from b and the initial guess).
-  {
-    std::vector<double> per_node(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-    for (const NodeId f : failed) {
-      Index doubles = 2 * part.size(f);  // b and r̂0 blocks
-      for (Index row = part.begin(f); row < part.end(f); ++row)
-        doubles += 2 * static_cast<Index>(a_global_->row_cols(row).size());
-      per_node[static_cast<std::size_t>(f)] = cluster_.comm().storage_cost(doubles);
-    }
-    cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
-  }
-
-  const std::vector<Index> rows = part.rows_of_set(failed);
-  rec.stats.lost_rows = static_cast<Index>(rows.size());
+RecoveryStats ResilientBicgstab::recover(std::span<const NodeId> failed,
+                                         double alpha, const DistVector& b,
+                                         DistVector& x, State& st) {
+  // r̂0 is static data derived from b and the initial guess: it is re-fetched
+  // from reliable storage alongside b.
+  LostBlocks lost(cluster_, *a_global_, failed, /*static_vectors=*/2);
+  const std::vector<Index>& rows = lost.rows();
 
   // Gather the redundant copies of p̂ and ŝ (current generation).
   const auto got_phat = store_phat_.gather_lost(cluster_, rows);
   const auto got_shat = store_shat_.gather_lost(cluster_, rows);
-  rec.stats.gathered_elements =
+  lost.stats().gathered_elements =
       got_phat.elements_transferred / 2 + got_shat.elements_transferred / 2;
 
   // p_IF = M p̂_IF and s_IF = M ŝ_IF through the preconditioner (the same
   // residual-recovery relation as Alg. 2: given M⁻¹y's block, produce y's).
   std::vector<double> p_f(rows.size()), s_f(rows.size());
-  m_->esr_recover_residual(cluster_, rows, got_phat.gens[0], p, phat, p_f);
-  m_->esr_recover_residual(cluster_, rows, got_shat.gens[0], s, shat, s_f);
+  m_->esr_recover_residual(cluster_, rows, got_phat.gens[0], st.p, st.phat,
+                           p_f);
+  m_->esr_recover_residual(cluster_, rows, got_shat.gens[0], st.s, st.shat,
+                           s_f);
 
   // v_IF = (A p̂)_IF and t_IF = (A ŝ)_IF recomputed from the lost rows of A.
   std::vector<double> v_f(rows.size()), t_f(rows.size());
-  recompute_lost_rows(rows, phat, got_phat.gens[0], v_f);
-  recompute_lost_rows(rows, shat, got_shat.gens[0], t_f);
+  recompute_lost_rows(rows, st.phat, got_phat.gens[0], v_f);
+  recompute_lost_rows(rows, st.shat, got_shat.gens[0], t_f);
 
   // r_IF = s_IF + alpha v_IF (from s = r - alpha v; alpha is replicated).
   std::vector<double> r_f(rows.size());
@@ -128,40 +104,20 @@ void ResilientBicgstab::recover(const std::vector<NodeId>& failed, double alpha,
                                         2.0 * static_cast<double>(rows.size())));
 
   // x_IF from the local system (identical to PCG's Alg. 2 lines 7-8).
-  std::vector<double> x_f(rows.size());
-  const LocalSolveOutcome outcome =
-      esr_solve_lost_x(cluster_, *a_global_, rows, r_f, b, x, x_f, opts_.esr);
-  rec.stats.local_solve_iterations = outcome.iterations;
-  rec.stats.local_solve_rel_residual = outcome.rel_residual;
-
-  // Install the reconstructed blocks.
-  std::size_t pos = 0;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
-    const auto bsize = static_cast<std::size_t>(part.size(f));
-    const auto slice = [&pos, bsize](const std::vector<double>& vec) {
-      return std::span<const double>(vec.data() + pos, bsize);
-    };
-    x.restore_block(f, slice(x_f));
-    r.restore_block(f, slice(r_f));
-    p.restore_block(f, slice(p_f));
-    v.restore_block(f, slice(v_f));
-    s.restore_block(f, slice(s_f));
-    t.restore_block(f, slice(t_f));
-    phat.restore_block(f, slice(got_phat.gens[0]));
-    shat.restore_block(f, slice(got_shat.gens[0]));
-    // r̂0 comes from reliable storage (cost charged with the static fetch).
-    r0.restore_block(f, r0_pristine.block(f));
-    pos += bsize;
-  }
+  lost.install(x, lost.solve_x(*a_global_, r_f, b, x, opts_.esr));
+  lost.install(st.r, r_f);
+  lost.install(st.p, p_f);
+  lost.install(st.v, v_f);
+  lost.install(st.s, s_f);
+  lost.install(st.t, t_f);
+  lost.install(st.phat, got_phat.gens[0]);
+  lost.install(st.shat, got_shat.gens[0]);
+  lost.install_from(st.r0, st.r0_pristine);
 
   // Restore full redundancy on the replacements.
-  store_phat_.re_arm(cluster_, sorted, phat, phat);
-  store_shat_.re_arm(cluster_, sorted, shat, shat);
-
-  rec.stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t_before;
-  records.push_back(std::move(rec));
+  store_phat_.re_arm(cluster_, lost.nodes(), st.phat, st.phat);
+  store_shat_.re_arm(cluster_, lost.nodes(), st.shat, st.shat);
+  return lost.finish();
 }
 
 engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
@@ -173,8 +129,8 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
   const Phase it = Phase::kIteration;
   const engine::SolveMeter meter(cluster_);
 
-  DistVector r(part), r0(part), p(part), v(part), s(part), t(part);
-  DistVector phat(part), shat(part);
+  State st(part);
+  auto& [r, r0, p, v, s, t, phat, shat, r0_pristine] = st;
   std::vector<std::vector<double>> halos;
 
   // r = r̂0 = b - A x0; keep a pristine copy of r̂0 as (derived) static data.
@@ -182,7 +138,6 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
   copy(cluster_, b, r, it);
   axpy(cluster_, -1.0, v, r, it);
   copy(cluster_, r, r0, it);
-  DistVector r0_pristine(part);
   {
     ClockPause pause(cluster_.clock());
     copy(cluster_, r0, r0_pristine, it);
@@ -236,25 +191,24 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
     }
 
     // --- Failure injection point: copies of p̂ and ŝ are distributed. ---
-    const std::vector<int> evs = cursor.take_due(j);
-    if (!evs.empty()) {
+    if (cursor.due(j))
       RPCG_CHECK(opts_.phi > 0, "failures injected into a non-resilient solver");
-      std::vector<NodeId> merged;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        for (const NodeId f : ev.nodes) {
-          cluster_.fail_node(f);
-          for (DistVector* vec : {&x, &r, &r0, &p, &v, &s, &t, &phat, &shat})
-            vec->invalidate(f);
-          store_phat_.invalidate_node(f);
-          store_shat_.invalidate_node(f);
-        }
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-      }
-      recover(merged, alpha, b, r0_pristine, x, r, r0, p, v, s, t, phat, shat,
-              res.recoveries, j);
+    const std::vector<NodeId> merged = cursor.merge_due(
+        j,
+        [&](const FailureEvent& ev) {
+          for (const NodeId f : ev.nodes) {
+            cluster_.fail_node(f);
+            x.invalidate(f);
+            for (DistVector* vec : {&r, &r0, &p, &v, &s, &t, &phat, &shat})
+              vec->invalidate(f);
+            store_phat_.invalidate_node(f);
+            store_shat_.invalidate_node(f);
+          }
+        },
+        opts_.events.on_failure_injected, {});
+    if (!merged.empty()) {
+      res.recoveries.push_back(
+          RecoveryRecord{j, merged, recover(merged, alpha, b, x, st)});
       if (opts_.events.on_recovery_complete)
         opts_.events.on_recovery_complete(res.recoveries.back());
     }

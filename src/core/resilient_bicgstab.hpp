@@ -63,11 +63,19 @@ class ResilientBicgstab {
   [[nodiscard]] const RedundancyScheme& redundancy() const { return scheme_; }
 
  private:
-  void recover(const std::vector<NodeId>& failed, double alpha,
-               const DistVector& b, const DistVector& r0_pristine, DistVector& x,
-               DistVector& r, DistVector& r0, DistVector& p, DistVector& v,
-               DistVector& s, DistVector& t, DistVector& phat, DistVector& shat,
-               std::vector<RecoveryRecord>& records, int iteration);
+  /// The iteration vectors, plus the pristine copy of r̂0 that stands in for
+  /// reliable storage.
+  struct State {
+    explicit State(const Partition& part)
+        : r(part), r0(part), p(part), v(part), s(part), t(part), phat(part),
+          shat(part), r0_pristine(part) {}
+    DistVector r, r0, p, v, s, t, phat, shat, r0_pristine;
+  };
+
+  /// Rebuilds the state of the merged failed set `failed` (the header's
+  /// relations) and returns the Alg. 2 stats.
+  RecoveryStats recover(std::span<const NodeId> failed, double alpha,
+                        const DistVector& b, DistVector& x, State& st);
 
   // (A y)_IF recomputed on the replacement nodes: gathers the needed
   // surviving entries of y and multiplies the lost rows of A.

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 
 #include "core/factorization_cache.hpp"
-#include "core/interpolation_restart.hpp"
 #include "sim/collectives.hpp"
 #include "solver/pcg_kernel.hpp"
 #include "util/check.hpp"
@@ -60,6 +58,8 @@ ResilientPcg::ResilientPcg(Cluster& cluster, const CsrMatrix& a_global,
                "redundant copies are an ESR feature; set phi = 0 for " +
                    to_string(opts_.method));
   }
+  if (opts_.esr.cache != nullptr && !opts_.esr.matrix_key)
+    opts_.esr.matrix_key = FactorizationCache::matrix_key(a_global);
   if (opts_.method == RecoveryMethod::kCheckpointRestart)
     RPCG_CHECK(opts_.checkpoint_interval >= 1,
                "checkpoint interval must be >= 1");
@@ -98,7 +98,6 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
                                         const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
              "all nodes must be alive at solve entry");
-  const Partition& part = cluster_.partition();
   const engine::SolveMeter meter(cluster_);
 
   PcgKernel kernel(cluster_, *a_, *m_);
@@ -122,43 +121,19 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
         costs.access_latency_s};
   }
   FailureCursor cursor(schedule);
-  const EsrReconstructor reconstructor(*a_global_, *m_, opts_.esr);
 
   // Twin mirror of the loop-top state {x, r, p}: node i's blocks live on
   // buddy_of(i). Host-side the mirror is three global snapshots; the
   // simulated placement only matters for the coverage check and charges.
   const bool twin = opts_.method == RecoveryMethod::kTwin;
-  std::vector<double> mirror_x, mirror_r, mirror_p;
+  DistVector mirror_x, mirror_r, mirror_p;
   const auto push_mirror = [&](Phase phase, double cost) {
-    {
-      ClockPause pause(cluster_.clock());
-      mirror_x = x.gather_global();
-      mirror_r = kernel.r.gather_global();
-      mirror_p = kernel.p.gather_global();
-    }
+    mirror_x = x;
+    mirror_r = kernel.r;
+    mirror_p = kernel.p;
     cluster_.charge(phase, cost);
   };
   if (twin) push_mirror(Phase::kRedundancy, redundancy_step_cost_);
-
-  // Injects the due events in order and returns the union of their failed
-  // nodes. A during_recovery event after the first struck while the
-  // recovery of the nodes so far was underway; `on_overlap(so_far)` charges
-  // the work it cut short.
-  const auto inject_due = [&](const std::vector<int>& evs,
-                              const auto& on_overlap) {
-    std::vector<NodeId> merged;
-    bool first = true;
-    for (const int idx : evs) {
-      const FailureEvent& ev = cursor.event(idx);
-      if (!first && ev.during_recovery) on_overlap(merged);
-      inject_failures(ev.nodes, kernel.state_vectors(x));
-      if (opts_.events.on_failure_injected)
-        opts_.events.on_failure_injected(ev);
-      merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-      first = false;
-    }
-    return merged;
-  };
 
   // Appends a finished recovery and fires its hook.
   const auto record_recovery = [&](int iteration,
@@ -196,43 +171,71 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
     }
 
     // --- Failure injection point (backups of p^(j), p^(j-1) in place). ---
-    const std::vector<int> evs = cursor.take_due(j);
+    if (opts_.method == RecoveryMethod::kNone && cursor.due(j))
+      throw UnrecoverableFailure(
+          "node failure injected into a non-resilient solver");
+    const std::vector<NodeId> merged = cursor.merge_due(
+        j,
+        [&](const FailureEvent& ev) {
+          inject_failures(ev.nodes, kernel.state_vectors(x));
+        },
+        opts_.events.on_failure_injected,
+        [&](const std::vector<NodeId>& so_far) {
+          // The recovery of `so_far` was underway; the work it cut short is
+          // charged, then redone for the union.
+          switch (opts_.method) {
+            case RecoveryMethod::kEsr:
+              esr_abort_recovery(cluster_, so_far, {&store_},
+                                 opts_.esr.cache);
+              break;
+            case RecoveryMethod::kCheckpointRestart:
+              ckpt.charge_aborted_restore(cluster_);
+              break;
+            case RecoveryMethod::kTwin:
+              cluster_.charge(Phase::kRecovery,
+                              twin_round_cost(cluster_, so_far));
+              break;
+            default:
+              break;
+          }
+        });
 
     bool skip_update = false;
-    if (!evs.empty()) {
+    if (!merged.empty()) {
       switch (opts_.method) {
         case RecoveryMethod::kNone:
-          throw UnrecoverableFailure(
-              "node failure injected into a non-resilient solver");
+          break;
         case RecoveryMethod::kEsr: {
-          const std::vector<NodeId> merged =
-              inject_due(evs, [&](const std::vector<NodeId>& so_far) {
-                // The reconstruction of `so_far` was underway. Charge the
-                // work performed so far (the gather, its dominant
-                // communication part), discard its cached factorizations —
-                // the surviving block structure changed under them — and
-                // restart with the union.
-                (void)store_.gather_lost(cluster_, part.rows_of_set(so_far));
-                if (opts_.esr.cache != nullptr)
-                  (void)opts_.esr.cache->invalidate_overlapping(so_far);
-              });
-          record_recovery(
-              j, merged,
-              reconstructor.recover(cluster_, merged, store_, kernel.beta_prev,
-                                    b, x, kernel.r, kernel.z, kernel.p,
-                                    kernel.p_prev));
+          LostBlocks lost(cluster_, *a_global_, merged);
+          // Recover the replicated scalar beta^(j-1) (one message from any
+          // survivor) and both generations of the lost search directions.
+          cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
+          const BackupStore::Gathered got = lost.gather(store_);
+          // z_{IF} = p^(j)_{IF} - beta^(j-1) p^(j-1)_{IF}   (Alg. 2, line 4).
+          std::vector<double> z_f(lost.size());
+          for (std::size_t k = 0; k < z_f.size(); ++k)
+            z_f[k] = got.gens[0][k] - kernel.beta_prev * got.gens[1][k];
+          cluster_.charge(Phase::kRecovery,
+                          cluster_.comm().compute_cost(
+                              2.0 * static_cast<double>(z_f.size())));
+          // r_{IF} through the preconditioner (lines 5-6), x_{IF} from the
+          // local system (lines 7-8).
+          std::vector<double> r_f(lost.size());
+          m_->esr_recover_residual(cluster_, lost.rows(), z_f, kernel.r,
+                                   kernel.z, r_f);
+          lost.install(x, lost.solve_x(*a_global_, r_f, b, x, opts_.esr));
+          lost.install(kernel.r, r_f);
+          lost.install(kernel.z, z_f);
+          lost.install(kernel.p, got.gens[0]);
+          lost.install(kernel.p_prev, got.gens[1]);
+          store_.re_arm(cluster_, lost.nodes(), kernel.p, kernel.p_prev);
+          record_recovery(j, merged, lost.finish());
           // Resume iteration j: recompute u = A p on the recovered state.
           for (const NodeId f : merged) kernel.u.revalidate_zero(f);
           kernel.spmv_direction(Phase::kRecovery);
           break;
         }
         case RecoveryMethod::kCheckpointRestart: {
-          // An overlapping failure cuts the rollback read of the nodes so
-          // far short; it is redone for the union.
-          const std::vector<NodeId> merged = inject_due(
-              evs, [&](const std::vector<NodeId>&) {
-                ckpt.charge_aborted_restore(cluster_);
-              });
           if (static_cast<int>(merged.size()) >= cluster_.num_nodes()) {
             throw UnrecoverableFailure(
                 "checkpoint recovery needs at least one survivor to detect "
@@ -243,8 +246,7 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           // it is recomputed from the restored residual through the
           // preconditioner (bit-identical to the z the unfailed run held at
           // the checkpointed iteration).
-          const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-          esr_replace_and_refetch(cluster_, *a_global_, merged);
+          LostBlocks lost(cluster_, *a_global_, merged);
           ckpt.restore(cluster_, x, kernel.r, kernel.p, kernel.rz,
                        kernel.beta_prev);
           for (const NodeId f : merged) {
@@ -253,19 +255,13 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
             kernel.u.revalidate_zero(f);
           }
           m_->apply(cluster_, kernel.r, kernel.z, Phase::kRecovery);
-          RecoveryStats stats;
-          stats.psi = static_cast<int>(merged.size());
-          stats.lost_rows = static_cast<Index>(part.rows_of_set(merged).size());
-          stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
-          record_recovery(j, merged, stats);
+          record_recovery(j, merged, lost.finish());
           res.rolled_back_iterations += j - ckpt.iteration();
           j = ckpt.iteration();
           skip_update = true;
           break;
         }
         case RecoveryMethod::kInterpolationRestart: {
-          const std::vector<NodeId> merged =
-              inject_due(evs, [](const std::vector<NodeId>&) {});
           record_recovery(j, merged,
                           interpolation_restart_recover(cluster_, *a_global_,
                                                         merged, b, x,
@@ -285,13 +281,6 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           break;
         }
         case RecoveryMethod::kTwin: {
-          // An overlapping failure cuts the buddy copy-back of the nodes so
-          // far short; it is redone for the union.
-          const std::vector<NodeId> merged =
-              inject_due(evs, [&](const std::vector<NodeId>& so_far) {
-                cluster_.charge(Phase::kRecovery,
-                                twin_round_cost(cluster_, so_far));
-              });
           // Each failed node's mirror lives on its buddy; losing both
           // members of a pair before the next push destroys original and
           // copy.
@@ -305,28 +294,17 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
                   std::to_string(buddy) + "}");
             }
           }
-          const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-          esr_replace_and_refetch(cluster_, *a_global_, merged);
           // Forward recovery: replacements copy {x, r, p} from their
           // buddies; the scalars rz/beta_prev are replicated on every
           // survivor and cost nothing.
-          Index lost_rows = 0;
-          {
-            ClockPause pause(cluster_.clock());
-            for (const NodeId f : merged) {
-              const auto block = [&](const std::vector<double>& mirror) {
-                return std::span<const double>(mirror).subspan(
-                    static_cast<std::size_t>(part.begin(f)),
-                    static_cast<std::size_t>(part.size(f)));
-              };
-              x.restore_block(f, block(mirror_x));
-              kernel.r.restore_block(f, block(mirror_r));
-              kernel.p.restore_block(f, block(mirror_p));
-              kernel.z.revalidate_zero(f);       // recomputed next precondition
-              kernel.p_prev.revalidate_zero(f);  // never read by twin
-              kernel.u.revalidate_zero(f);       // recomputed below
-              lost_rows += part.size(f);
-            }
+          LostBlocks lost(cluster_, *a_global_, merged);
+          lost.install_from(x, mirror_x);
+          lost.install_from(kernel.r, mirror_r);
+          lost.install_from(kernel.p, mirror_p);
+          for (const NodeId f : merged) {
+            kernel.z.revalidate_zero(f);       // recomputed next precondition
+            kernel.p_prev.revalidate_zero(f);  // never read by twin
+            kernel.u.revalidate_zero(f);       // recomputed below
           }
           const double copy_cost = twin_round_cost(cluster_, merged);
           cluster_.charge(Phase::kRecovery, copy_cost);
@@ -335,12 +313,8 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           // Re-arm: the fresh nodes push their blocks to their buddies and
           // re-host their buddies' mirrors (two transfers per pair).
           push_mirror(Phase::kRecovery, 2.0 * copy_cost);
-          RecoveryStats stats;
-          stats.psi = static_cast<int>(merged.size());
-          stats.lost_rows = lost_rows;
-          stats.gathered_elements = 3 * lost_rows;
-          stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
-          record_recovery(j, merged, stats);
+          lost.stats().gathered_elements = 3 * lost.stats().lost_rows;
+          record_recovery(j, merged, lost.finish());
           break;
         }
       }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
-#include "core/backup_store.hpp"  // UnrecoverableFailure
 #include "sim/collectives.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -35,46 +33,8 @@ ResilientStationary::ResilientStationary(Cluster& cluster,
                                       opts_.phi, opts_.strategy,
                                       opts_.strategy_seed);
     redundancy_step_cost_ = scheme_.per_iteration_overhead(cluster.comm());
-
-    // Retained single-generation copies: the SpMV halo plus the extras.
-    std::map<std::pair<NodeId, NodeId>, std::vector<Index>> pair_indices;
-    for (const auto& m : a.scatter_plan().messages()) {
-      auto& v = pair_indices[{m.src, m.dst}];
-      v.insert(v.end(), m.indices.begin(), m.indices.end());
-    }
-    for (NodeId i = 0; i < cluster.num_nodes(); ++i) {
-      for (const auto& round : scheme_.rounds_of(i)) {
-        if (round.extra.empty()) continue;
-        auto& v = pair_indices[{i, round.target}];
-        v.insert(v.end(), round.extra.begin(), round.extra.end());
-      }
-    }
-    retained_by_src_.assign(static_cast<std::size_t>(cluster.num_nodes()), {});
-    retained_by_dst_.assign(static_cast<std::size_t>(cluster.num_nodes()), {});
-    for (auto& [key, indices] : pair_indices) {
-      std::sort(indices.begin(), indices.end());
-      indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-      Retained r;
-      r.src = key.first;
-      r.dst = key.second;
-      r.values.assign(indices.size(), 0.0);
-      r.indices = std::move(indices);
-      const int id = static_cast<int>(retained_.size());
-      retained_by_src_[static_cast<std::size_t>(r.src)].push_back(id);
-      retained_by_dst_[static_cast<std::size_t>(r.dst)].push_back(id);
-      retained_.push_back(std::move(r));
-    }
-  }
-}
-
-void ResilientStationary::record_backups(const DistVector& x) {
-  const Partition& part = cluster_.partition();
-  for (auto& r : retained_) {
-    if (!r.valid) continue;
-    const auto src = x.block(r.src);
-    const Index base = part.begin(r.src);
-    for (std::size_t k = 0; k < r.indices.size(); ++k)
-      r.values[k] = src[static_cast<std::size_t>(r.indices[k] - base)];
+    store_.configure(a.scatter_plan(), scheme_, cluster.partition(),
+                     /*generations=*/1);
   }
 }
 
@@ -136,70 +96,6 @@ void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
   }
 }
 
-void ResilientStationary::recover(const std::vector<NodeId>& failed,
-                                  DistVector& x) {
-  const Partition& part = cluster_.partition();
-  cluster_.charge_allreduce(Phase::kRecovery, 1);  // detection/agreement
-  for (const NodeId f : failed) cluster_.replace_node(f);
-
-  // Static-data re-fetch (A rows + b rows) from reliable storage.
-  std::vector<double> per_node(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-  for (const NodeId f : failed) {
-    Index doubles = part.size(f);
-    for (Index row = part.begin(f); row < part.end(f); ++row)
-      doubles += 2 * static_cast<Index>(a_global_->row_cols(row).size());
-    per_node[static_cast<std::size_t>(f)] = cluster_.comm().storage_cost(doubles);
-  }
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
-
-  // Gather the lost iterate blocks from surviving copies.
-  std::map<std::pair<NodeId, NodeId>, Index> traffic;
-  std::vector<NodeId> sorted(failed.begin(), failed.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const NodeId f : sorted) {
-    std::vector<double> block(static_cast<std::size_t>(part.size(f)));
-    for (Index s = part.begin(f); s < part.end(f); ++s) {
-      bool found = false;
-      for (const int id : retained_by_src_[static_cast<std::size_t>(f)]) {
-        const auto& r = retained_[static_cast<std::size_t>(id)];
-        if (!r.valid || !cluster_.is_alive(r.dst)) continue;
-        const auto it = std::lower_bound(r.indices.begin(), r.indices.end(), s);
-        if (it == r.indices.end() || *it != s) continue;
-        block[static_cast<std::size_t>(s - part.begin(f))] =
-            r.values[static_cast<std::size_t>(it - r.indices.begin())];
-        traffic[{r.dst, f}] += 1;
-        found = true;
-        break;
-      }
-      if (!found)
-        throw UnrecoverableFailure("iterate element " + std::to_string(s) +
-                                   " has no surviving copy");
-    }
-    x.restore_block(f, block);
-  }
-  std::vector<double> per_holder(static_cast<std::size_t>(cluster_.num_nodes()), 0.0);
-  for (const auto& [key, count] : traffic)
-    per_holder[static_cast<std::size_t>(key.first)] +=
-        cluster_.comm().message_cost(count);
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_holder);
-
-  // Re-arm the copies hosted on the replacements.
-  std::fill(per_node.begin(), per_node.end(), 0.0);
-  for (const NodeId f : sorted) {
-    for (const int id : retained_by_dst_[static_cast<std::size_t>(f)]) {
-      auto& r = retained_[static_cast<std::size_t>(id)];
-      const auto src = x.block(r.src);
-      const Index base = part.begin(r.src);
-      for (std::size_t k = 0; k < r.indices.size(); ++k)
-        r.values[k] = src[static_cast<std::size_t>(r.indices[k] - base)];
-      r.valid = true;
-      per_node[static_cast<std::size_t>(r.src)] +=
-          cluster_.comm().message_cost(static_cast<Index>(r.indices.size()));
-    }
-  }
-  cluster_.charge_parallel_seconds(Phase::kRecovery, per_node);
-}
-
 engine::SolveReport ResilientStationary::solve(
     const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
   RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
@@ -230,40 +126,35 @@ engine::SolveReport ResilientStationary::solve(
     // Halo exchange of x^(j) (+ redundant copies).
     execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kIteration);
     if (opts_.phi > 0) {
-      record_backups(x);
+      store_.record(x);
       cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
     }
 
     // Failure injection point: x's copies are distributed.
-    const std::vector<int> evs = cursor.take_due(j);
-    if (!evs.empty()) {
+    if (cursor.due(j))
       RPCG_CHECK(opts_.phi > 0, "failures injected into a non-resilient solver");
-      std::vector<NodeId> merged;
-      for (const int idx : evs) {
-        const FailureEvent& ev = cursor.event(idx);
-        merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());
-        for (const NodeId f : ev.nodes) {
-          cluster_.fail_node(f);
-          x.invalidate(f);
-          resid.invalidate(f);
-          for (const int id : retained_by_dst_[static_cast<std::size_t>(f)])
-            retained_[static_cast<std::size_t>(id)].valid = false;
-        }
-        if (opts_.events.on_failure_injected)
-          opts_.events.on_failure_injected(ev);
-      }
-      const double t0 = cluster_.clock().in_phase(Phase::kRecovery);
-      recover(merged, x);
+    const std::vector<NodeId> merged = cursor.merge_due(
+        j,
+        [&](const FailureEvent& ev) {
+          for (const NodeId f : ev.nodes) {
+            cluster_.fail_node(f);
+            x.invalidate(f);
+            resid.invalidate(f);
+            store_.invalidate_node(f);
+          }
+        },
+        opts_.events.on_failure_injected, {});
+    if (!merged.empty()) {
+      // The iterate is the whole state: its lost blocks are gathered from
+      // the retained copies, with no reconstruction solve.
+      LostBlocks lost(cluster_, *a_global_, merged);
+      lost.install(x, store_.gather_lost(cluster_, lost.rows()).gens[0]);
+      const DistVector* generations[] = {&x};
+      store_.re_arm(cluster_, lost.nodes(), generations);
       resid.set_zero();
       // Redo the halo exchange on the recovered iterate.
       execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kRecovery);
-      RecoveryRecord rec;
-      rec.iteration = j;
-      rec.nodes = merged;
-      rec.stats.psi = static_cast<int>(merged.size());
-      rec.stats.lost_rows = static_cast<Index>(part.rows_of_set(merged).size());
-      rec.stats.sim_seconds = cluster_.clock().in_phase(Phase::kRecovery) - t0;
-      res.recoveries.push_back(std::move(rec));
+      res.recoveries.push_back(RecoveryRecord{j, merged, lost.finish()});
       if (opts_.events.on_recovery_complete)
         opts_.events.on_recovery_complete(res.recoveries.back());
     }

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/backup_store.hpp"
 #include "core/events.hpp"
 #include "core/failure_schedule.hpp"
 #include "core/redundancy.hpp"
@@ -84,8 +85,6 @@ class ResilientStationary {
   void local_sweep(NodeId i, std::span<const double> b_own,
                    std::span<double> operand, std::span<double> x_own) const;
 
-  void recover(const std::vector<NodeId>& failed, DistVector& x);
-
   Cluster& cluster_;
   const CsrMatrix* a_global_;
   const DistMatrix* a_;
@@ -95,18 +94,7 @@ class ResilientStationary {
   double redundancy_step_cost_ = 0.0;
   double sweep_flops_scale_ = 0.0;
 
-  // Simple single-generation backup store specialized for the iterate.
-  struct Retained {
-    NodeId src = -1;
-    NodeId dst = -1;
-    std::vector<Index> indices;
-    std::vector<double> values;
-    bool valid = true;
-  };
-  std::vector<Retained> retained_;
-  std::vector<std::vector<int>> retained_by_src_;
-  std::vector<std::vector<int>> retained_by_dst_;
-  void record_backups(const DistVector& x);
+  BackupStore store_;  // x^(j): one retained generation
 };
 
 }  // namespace rpcg
