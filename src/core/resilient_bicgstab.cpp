@@ -205,7 +205,11 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
             store_shat_.invalidate_node(f);
           }
         },
-        opts_.events.on_failure_injected, {});
+        opts_.events.on_failure_injected,
+        [&](const std::vector<NodeId>& so_far) {
+          esr_abort_recovery(cluster_, so_far, {&store_phat_, &store_shat_},
+                             opts_.esr.cache);
+        });
     if (!merged.empty()) {
       res.recoveries.push_back(
           RecoveryRecord{j, merged, recover(merged, alpha, b, x, st)});

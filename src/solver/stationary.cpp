@@ -143,7 +143,10 @@ engine::SolveReport ResilientStationary::solve(
             store_.invalidate_node(f);
           }
         },
-        opts_.events.on_failure_injected, {});
+        opts_.events.on_failure_injected,
+        [&](const std::vector<NodeId>& so_far) {
+          esr_abort_recovery(cluster_, so_far, {&store_}, nullptr);
+        });
     if (!merged.empty()) {
       // The iterate is the whole state: its lost blocks are gathered from
       // the retained copies, with no reconstruction solve.

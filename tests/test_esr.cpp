@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "core/errors.hpp"
+#include "core/resilient_bicgstab.hpp"
 #include "core/resilient_pcg.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
+#include "solver/stationary.hpp"
 #include "sparse/ldlt.hpp"
 #include "test_util.hpp"
 
@@ -170,37 +172,54 @@ TEST(Esr, SequentialFailuresAtDifferentIterations) {
 }
 
 TEST(Esr, OverlappingFailuresMergeAndRestartReconstruction) {
+  // In every ESR engine, node 4 dying while {2, 3} are being reconstructed
+  // merges into one recovery of all three, and the aborted first attempt is
+  // charged: the overlap costs more recovery time than losing the same
+  // three nodes at once.
   Problem p(poisson2d_5pt(12, 12), 8);
   const auto m = make_preconditioner("bjacobi", p.a, p.part);
-
-  // Reference: simultaneous failure of the same three nodes.
-  double t_simultaneous = 0.0;
-  {
+  const DistMatrix dist = DistMatrix::distribute(p.a, p.part);
+  const auto solve = [&](const std::string& engine,
+                         const FailureSchedule& schedule) {
     Cluster cluster(p.part, CommParams{});
-    ResilientPcg solver(cluster, p.a, *m, esr_options(3));
     DistVector x(p.part);
-    const auto res = solver.solve(p.b, x, FailureSchedule::contiguous(5, 2, 3));
-    ASSERT_TRUE(res.converged);
-    t_simultaneous = res.sim_time_phase[static_cast<int>(Phase::kRecovery)];
-  }
-
-  // Overlapping: node 4 dies while {2,3} are being reconstructed.
-  {
-    Cluster cluster(p.part, CommParams{});
-    ResilientPcg solver(cluster, p.a, *m, esr_options(3));
-    DistVector x(p.part);
-    FailureSchedule schedule;
-    schedule.add({5, {2, 3}, false});
-    schedule.add({5, {4}, true});  // during_recovery
-    const auto res = solver.solve(p.b, x, schedule);
-    ASSERT_TRUE(res.converged);
-    ASSERT_EQ(res.recoveries.size(), 1u);  // merged into one recovery
-    EXPECT_EQ(res.recoveries[0].nodes.size(), 3u);
+    engine::SolveReport res;
+    if (engine == "resilient-pcg") {
+      ResilientPcg solver(cluster, p.a, dist, *m, esr_options(3));
+      res = solver.solve(p.b, x, schedule);
+    } else if (engine == "resilient-bicgstab") {
+      BicgstabOptions o;
+      o.rtol = 1e-10;
+      o.phi = 3;
+      o.esr.exact_local_solve = true;
+      res = ResilientBicgstab(cluster, p.a, dist, *m, o).solve(p.b, x, schedule);
+    } else {
+      StationaryOptions o;
+      o.method = StationaryMethod::kSsor;
+      o.omega = 1.5;
+      o.rtol = 1e-10;
+      o.phi = 3;
+      res = ResilientStationary(cluster, p.a, dist, o).solve(p.b, x, schedule);
+    }
+    EXPECT_TRUE(res.converged);
     EXPECT_LT(max_diff(x.gather_global(), p.x_ref), 1e-6);
-    // The aborted first attempt costs extra: overlapping recovery is more
-    // expensive than the simultaneous one.
-    EXPECT_GT(res.sim_time_phase[static_cast<int>(Phase::kRecovery)],
-              t_simultaneous);
+    return res;
+  };
+  FailureSchedule overlapping;
+  overlapping.add({5, {2, 3}, false});
+  overlapping.add({5, {4}, true});  // during_recovery
+  const auto recovery = [](const engine::SolveReport& r) {
+    return r.sim_time_phase[static_cast<int>(Phase::kRecovery)];
+  };
+  for (const std::string engine :
+       {"resilient-pcg", "resilient-bicgstab", "stationary"}) {
+    SCOPED_TRACE(engine);
+    const auto simultaneous =
+        solve(engine, FailureSchedule::contiguous(5, 2, 3));
+    const auto overlap = solve(engine, overlapping);
+    ASSERT_EQ(overlap.recoveries.size(), 1u);  // merged into one recovery
+    EXPECT_EQ(overlap.recoveries[0].nodes.size(), 3u);
+    EXPECT_GT(recovery(overlap), recovery(simultaneous));
   }
 }
 
