@@ -27,8 +27,9 @@ ResilientBicgstab::ResilientBicgstab(Cluster& cluster, const CsrMatrix& a_global
     scheme_ = RedundancyScheme::build(a.scatter_plan(), cluster.partition(),
                                       opts_.phi, opts_.strategy,
                                       opts_.strategy_seed);
-    store_phat_.configure(a.scatter_plan(), scheme_, cluster.partition());
-    store_shat_.configure(a.scatter_plan(), scheme_, cluster.partition());
+    // Recovery reads only the newest p̂ and ŝ: one generation each.
+    store_phat_.configure(a.scatter_plan(), scheme_, cluster.partition(), 1);
+    store_shat_.configure(a.scatter_plan(), scheme_, cluster.partition(), 1);
     redundancy_step_cost_ = scheme_.per_iteration_overhead(cluster.comm());
   }
 }
@@ -78,11 +79,9 @@ RecoveryStats ResilientBicgstab::recover(std::span<const NodeId> failed,
   LostBlocks lost(cluster_, *a_global_, failed, /*static_vectors=*/2);
   const std::vector<Index>& rows = lost.rows();
 
-  // Gather the redundant copies of p̂ and ŝ (current generation).
-  const auto got_phat = store_phat_.gather_lost(cluster_, rows);
-  const auto got_shat = store_shat_.gather_lost(cluster_, rows);
-  lost.stats().gathered_elements =
-      got_phat.elements_transferred / 2 + got_shat.elements_transferred / 2;
+  // Gather the redundant copies of p̂ and ŝ.
+  const auto got_phat = lost.gather(store_phat_);
+  const auto got_shat = lost.gather(store_shat_);
 
   // p_IF = M p̂_IF and s_IF = M ŝ_IF through the preconditioner (the same
   // residual-recovery relation as Alg. 2: given M⁻¹y's block, produce y's).
@@ -115,8 +114,10 @@ RecoveryStats ResilientBicgstab::recover(std::span<const NodeId> failed,
   lost.install_from(st.r0, st.r0_pristine);
 
   // Restore full redundancy on the replacements.
-  store_phat_.re_arm(cluster_, lost.nodes(), st.phat, st.phat);
-  store_shat_.re_arm(cluster_, lost.nodes(), st.shat, st.shat);
+  const DistVector* phat[] = {&st.phat};
+  const DistVector* shat[] = {&st.shat};
+  store_phat_.re_arm(cluster_, lost.nodes(), phat);
+  store_shat_.re_arm(cluster_, lost.nodes(), shat);
   return lost.finish();
 }
 

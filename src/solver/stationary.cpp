@@ -151,7 +151,7 @@ engine::SolveReport ResilientStationary::solve(
       // The iterate is the whole state: its lost blocks are gathered from
       // the retained copies, with no reconstruction solve.
       LostBlocks lost(cluster_, *a_global_, merged);
-      lost.install(x, store_.gather_lost(cluster_, lost.rows()).gens[0]);
+      lost.install(x, lost.gather(store_).gens[0]);
       const DistVector* generations[] = {&x};
       store_.re_arm(cluster_, lost.nodes(), generations);
       resid.set_zero();
