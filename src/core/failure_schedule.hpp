@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
@@ -69,13 +70,16 @@ class FailureSchedule {
 /// merge_due(). The schedule must outlive the cursor.
 class FailureCursor {
  public:
-  FailureCursor() = default;
-  explicit FailureCursor(const FailureSchedule& schedule)
-      : schedule_(&schedule), fired_(schedule.events().size(), 0) {}
+  /// `recoverable` is false for an engine running without redundancy (or
+  /// without a recovery method): it survives no failure, and merge_due()
+  /// throws UnrecoverableFailure as soon as an event comes due.
+  FailureCursor(const FailureSchedule& schedule, bool recoverable)
+      : schedule_(&schedule),
+        fired_(schedule.events().size(), 0),
+        recoverable_(recoverable) {}
 
   /// Whether a not-yet-fired event is scheduled at `iteration`.
   [[nodiscard]] bool due(int iteration) const {
-    if (schedule_ == nullptr) return false;
     const auto& events = schedule_->events();
     for (std::size_t idx = 0; idx < events.size(); ++idx)
       if (!fired_[idx] && events[idx].iteration == iteration) return true;
@@ -83,7 +87,7 @@ class FailureCursor {
   }
 
   /// Injects the not-yet-fired events scheduled at `iteration`, in schedule
-  /// order, and returns the union of their failed nodes (empty when none is
+  /// order (or throws UnrecoverableFailure, see the constructor), and returns the union of their failed nodes (empty when none is
   /// due). For each event, `inject` kills its nodes and then `on_injected`
   /// fires (when set). A during_recovery event after the first struck while
   /// the recovery of the nodes so far was underway: `on_overlap(so_far)`
@@ -95,7 +99,9 @@ class FailureCursor {
       const std::function<void(const FailureEvent&)>& on_injected,
       const std::function<void(const std::vector<NodeId>&)>& on_overlap) {
     std::vector<NodeId> merged;
-    if (schedule_ == nullptr) return merged;
+    if (!recoverable_ && due(iteration))
+      throw UnrecoverableFailure(
+          "node failure injected into a non-resilient solver");
     const auto& events = schedule_->events();
     bool first = true;
     for (std::size_t idx = 0; idx < events.size(); ++idx) {
@@ -112,8 +118,9 @@ class FailureCursor {
   }
 
  private:
-  const FailureSchedule* schedule_ = nullptr;
+  const FailureSchedule* schedule_;
   std::vector<char> fired_;
+  bool recoverable_;
 };
 
 }  // namespace rpcg

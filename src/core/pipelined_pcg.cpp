@@ -265,7 +265,7 @@ engine::SolveReport PipelinedPcg::solve_depth1(
   m_->apply(cluster_, st.r, st.u, it);
   a_->spmv(cluster_, st.u, st.w, halos, it);
 
-  FailureCursor cursor(schedule);
+  FailureCursor cursor(schedule, opts_.phi > 0);
   double rnorm0 = 0.0;
 
   for (int k = 0;; ++k) {
@@ -290,9 +290,6 @@ engine::SolveReport PipelinedPcg::solve_depth1(
 
     // --- Failure injection point (backups of both generations in place). ---
     if (cursor.due(k)) {
-      if (opts_.phi == 0)
-        throw UnrecoverableFailure(
-            "node failure injected into a non-resilient pipelined solver");
       // The posted reduction completes among the survivors before the
       // reconstruction starts.
       red.wait();
@@ -413,7 +410,7 @@ engine::SolveReport PipelinedPcg::solve_deep(
     return gram;
   };
 
-  FailureCursor cursor(schedule);
+  FailureCursor cursor(schedule, opts_.phi > 0);
   double rnorm0 = 0.0;
 
   // Ring of the depth in-flight Gram reductions: H_k lands in slot
@@ -439,9 +436,6 @@ engine::SolveReport PipelinedPcg::solve_deep(
 
     // --- Failure injection point (backups of all generations in place). ---
     if (cursor.due(k)) {
-      if (opts_.phi == 0)
-        throw UnrecoverableFailure(
-            "node failure injected into a non-resilient pipelined solver");
       // Flush the pipeline: every in-flight reduction completes among the
       // survivors before reconstruction — predicting across a recovery would
       // mix pre- and post-failure bases.

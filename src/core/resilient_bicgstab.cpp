@@ -149,7 +149,7 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
   engine::SolveReport res;
   res.converged = rnorm0 == 0.0;
 
-  FailureCursor cursor(schedule);
+  FailureCursor cursor(schedule, opts_.phi > 0);
   double rho_prev = 1.0, alpha = 1.0, omega = 1.0;
 
   for (int j = 0; !res.converged && j < opts_.max_iterations; ++j) {
@@ -192,8 +192,6 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
     }
 
     // --- Failure injection point: copies of p̂ and ŝ are distributed. ---
-    if (cursor.due(j))
-      RPCG_CHECK(opts_.phi > 0, "failures injected into a non-resilient solver");
     const std::vector<NodeId> merged = cursor.merge_due(
         j,
         [&](const FailureEvent& ev) {

@@ -120,7 +120,7 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
         costs.write_per_element_s, costs.read_per_element_s,
         costs.access_latency_s};
   }
-  FailureCursor cursor(schedule);
+  FailureCursor cursor(schedule, opts_.method != RecoveryMethod::kNone);
 
   // Twin mirror of the loop-top state {x, r, p}: node i's blocks live on
   // buddy_of(i). Host-side the mirror is three global snapshots; the
@@ -171,9 +171,6 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
     }
 
     // --- Failure injection point (backups of p^(j), p^(j-1) in place). ---
-    if (opts_.method == RecoveryMethod::kNone && cursor.due(j))
-      throw UnrecoverableFailure(
-          "node failure injected into a non-resilient solver");
     const std::vector<NodeId> merged = cursor.merge_due(
         j,
         [&](const FailureEvent& ev) {
@@ -203,7 +200,7 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
     bool skip_update = false;
     if (!merged.empty()) {
       switch (opts_.method) {
-        case RecoveryMethod::kNone:
+        case RecoveryMethod::kNone:  // merge_due threw already
           break;
         case RecoveryMethod::kEsr: {
           LostBlocks lost(cluster_, *a_global_, merged);

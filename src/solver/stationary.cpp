@@ -119,7 +119,7 @@ engine::SolveReport ResilientStationary::solve(
   const double rnorm0 = std::sqrt(dot(cluster_, resid, resid, Phase::kIteration));
   res.converged = rnorm0 == 0.0;
 
-  FailureCursor cursor(schedule);
+  FailureCursor cursor(schedule, opts_.phi > 0);
   const double sweep_flops_base = sweep_flops_scale_;
 
   for (int j = 0; !res.converged && j < opts_.max_iterations; ++j) {
@@ -131,8 +131,6 @@ engine::SolveReport ResilientStationary::solve(
     }
 
     // Failure injection point: x's copies are distributed.
-    if (cursor.due(j))
-      RPCG_CHECK(opts_.phi > 0, "failures injected into a non-resilient solver");
     const std::vector<NodeId> merged = cursor.merge_due(
         j,
         [&](const FailureEvent& ev) {

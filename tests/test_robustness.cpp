@@ -244,7 +244,9 @@ std::vector<JobSpec> uncoverable_batch() {
 {"name": "esr-all", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 0, "psi": 8}]}
 {"name": "pipe-all", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "pipelined-resilient-pcg", "recovery": "esr", "phi": 2, "failures": [{"iteration": 3, "first": 0, "psi": 8}]}
 {"name": "ckpt-all", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "checkpoint-recovery", "checkpoint-interval": 4, "failures": [{"iteration": 4, "first": 0, "psi": 8}]}
-{"name": "stationary-thin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "stationary", "phi": 1, "failures": [{"iteration": 2, "first": 0, "psi": 7}]})");
+{"name": "stationary-thin", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "stationary", "phi": 1, "failures": [{"iteration": 2, "first": 0, "psi": 7}]}
+{"name": "bicgstab-bare", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "resilient-bicgstab", "phi": 0, "failures": [{"iteration": 2, "nodes": [1]}]}
+{"name": "stationary-bare", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "stationary", "phi": 0, "failures": [{"iteration": 2, "nodes": [1]}]})");
 }
 
 TEST(Classification, UncoverableFailuresSurfaceTypedThroughTheService) {
