@@ -17,6 +17,7 @@
 #include "core/pipelined_pcg.hpp"
 #include "core/resilient_pcg.hpp"
 #include "engine/registry.hpp"
+#include "solver/stationary.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -394,6 +395,12 @@ TEST_P(ScenarioFuzz, EveryResilientSolverSurvivesEveryScenarioClass) {
     cfg.phi = 3;  // covers the during-recovery union (3 x 1 node)
     cfg.checkpoint_interval = 5;
     if (solver_name == "resilient-pcg") cfg.recovery = RecoveryMethod::kEsr;
+    if (solver_name == "stationary") {
+      // SSOR reaches rtol 1e-9 in a few hundred sweeps here; plain Jacobi
+      // would need thousands.
+      cfg.stationary_method = StationaryMethod::kSsor;
+      cfg.omega = 1.5;
+    }
     cfg.scenario.kind = kind;
     cfg.scenario.seed = seed;
     cfg.scenario.events = 3;
@@ -459,7 +466,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("resilient-pcg", "pipelined-resilient-pcg",
                           "pipelined-resilient-cr", "checkpoint-recovery",
-                          "twin-pcg"),
+                          "twin-pcg", "resilient-bicgstab", "stationary"),
         ::testing::Values(ScenarioKind::kCorrelated, ScenarioKind::kCascading,
                           ScenarioKind::kDuringRecovery, ScenarioKind::kMixed),
         ::testing::Range(1, 4)),
