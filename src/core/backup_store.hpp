@@ -1,9 +1,12 @@
 // The retained redundant data: what every node keeps, beyond its own block,
-// of the most recent generations of a search direction — the SpMV halo it
+// of the most recent generations of a communicated vector — the SpMV halo it
 // receives anyway (retention rule) plus the designated extra sets Rc_ik.
-// The paper's scheme retains two generations (p^(j) and p^(j-1)); the depth-l
+// A store keeps one or more generations, as many as its engine's recovery
+// reads. The paper's scheme retains two (p^(j) and p^(j-1)); the depth-l
 // pipelined engine configures l+1 generations of u so the deeper recurrence
-// window stays reconstructible. A node failure destroys the store entries
+// window stays reconstructible; BiCGSTAB (p̂, ŝ) and the stationary sweeps
+// (the iterate x) keep one, since their recovery reads only the newest
+// copy. A node failure destroys the store entries
 // *on* the failed node; the reconstruction gathers lost elements from
 // surviving holders through a tailored plan (the deterministic alternative to
 // PETSc's reverse scatter discussed in Sec. 6 of the paper).
@@ -29,9 +32,9 @@ class BackupStore {
 
   /// Lays out the retained blocks: one per ordered node pair (src, dst) with
   /// traffic, holding the union of S_{src,dst} and the extra sets Rc
-  /// targeted at dst, carrying `generations` rotating copies. Values start
-  /// at zero (p^(-1) = 0, consistent with the j = 0 reconstruction where
-  /// beta^(-1) = 0). The paper's scheme is generations = 2.
+  /// targeted at dst, carrying `generations` (>= 1) rotating copies. Values
+  /// start at zero (p^(-1) = 0, consistent with the j = 0 reconstruction
+  /// where beta^(-1) = 0). The paper's scheme is generations = 2.
   void configure(const ScatterPlan& plan, const RedundancyScheme& scheme,
                  const Partition& partition, int generations = 2);
 

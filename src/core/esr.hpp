@@ -13,13 +13,16 @@
 //      (the paper's 1e-14), or exactly with sparse LDLᵀ (ablation option)
 //   8. the redundant stores hosted on the replacements are re-armed.
 //
-// Steps 1, 3 and 7-8 are the same in every resilient engine — blocking PCG,
-// pipelined PCG/CR, BiCGSTAB and the stationary sweeps — so they live here
-// as LostBlocks' shared steps, together with the lost-block layout. What
-// differs per engine is only which vectors are backed up and how the rest of
-// the state follows from them (steps 4-5 here; s = Ap, w = Au and the chain
-// ladders in the pipelined engine; a plain gather of x in the stationary
-// sweeps).
+// Steps 1, 3, 7 and 8 recur in every resilient engine — blocking PCG (and
+// its checkpoint, twin and interpolation-restart recoveries, which share
+// step 1), pipelined PCG/CR, BiCGSTAB and the stationary sweeps (no step 7)
+// — so they live here as LostBlocks' shared steps, together with the
+// lost-block layout, and so does the overlap charge (esr_abort_recovery)
+// that FailureCursor::merge_due triggers. What differs per engine is only
+// which vectors are backed up and how the rest of the state follows from
+// them: steps 4-5 above; s = Ap, w = Au and the chain ladders in the
+// pipelined engine; r = s + alpha v in BiCGSTAB; nothing in the stationary
+// sweeps, whose state is the gathered x.
 #pragma once
 
 #include <initializer_list>
@@ -64,16 +67,16 @@ struct RecoveryStats {
   double sim_seconds = 0.0;              ///< recovery time on the model clock
 };
 
-/// Solves the lost-iterate system A_{IF,IF} x_{IF} = b_{IF} - r_{IF} -
-/// A_{IF,I\IF} x_{I\IF} (lines 7-8 of Alg. 2). `r_f` may be empty, in which
-/// case the residual term is dropped — that is exactly the Langou-style
-/// interpolation used by the restart baseline. Charges gather and compute
-/// costs to Phase::kRecovery. Returns iterations/accuracy of the local solve.
 struct LocalSolveOutcome {
   int iterations = 0;
   double rel_residual = 0.0;
 };
 
+/// Solves the lost-iterate system A_{IF,IF} x_{IF} = b_{IF} - r_{IF} -
+/// A_{IF,I\IF} x_{I\IF} (lines 7-8 of Alg. 2). `r_f` may be empty, in which
+/// case the residual term is dropped — that is exactly the Langou-style
+/// interpolation used by the restart baseline. Charges gather and compute
+/// costs to Phase::kRecovery. Returns iterations/accuracy of the local solve.
 [[nodiscard]] LocalSolveOutcome esr_solve_lost_x(
     Cluster& cluster, const CsrMatrix& a_global, std::span<const Index> rows,
     std::span<const double> r_f, const DistVector& b, const DistVector& x,

@@ -37,6 +37,13 @@
 // rebuilt on the replacement nodes from their defining relations:
 // s = A p, q = M^{-1} s, z = A q, w = A u, plus the chain ladders
 // m_i = (M^{-1} A)^i u and zeta_i = (M^{-1} A)^i q at depth >= 2.
+//
+// Both loops share one recovery (recover(), on the shared ESR steps of
+// core/esr.hpp) and one state struct: depth 1 is the depth-l state with one
+// chain rung (m, n) and one old u generation. Its one real difference is
+// kept: depth 1's in-flight m = M^{-1} w and n = A m are recomputed over
+// whole vectors after the rebuild, not on the lost blocks only, so every
+// depth-1 report stays bit-identical to the classic loop's.
 #pragma once
 
 #include <cstdint>
@@ -115,9 +122,10 @@ class PipelinedPcg {
   struct DeepState;  // recurrence vectors, chains, u generations, scalars
 
   /// ESR recovery of the pipelined state after the merged failure set
-  /// `failed`: exact reconstruction of x/r/u/p and their backed-up older
-  /// generations, then the relation-based rebuild of s/q/z/w and the chain
-  /// ladders. Returns the Alg. 2 stats.
+  /// `failed`, at every depth: exact reconstruction of x/r/u/p and their
+  /// backed-up older generations, then the relation-based rebuild of s/q/z/w
+  /// and the chain ladders (depth 1: m and n recomputed whole). Returns the
+  /// Alg. 2 stats.
   RecoveryStats recover(std::span<const NodeId> failed, const DistVector& b,
                         DistVector& x, DeepState& st);
 

@@ -7,7 +7,10 @@
 // SpMV-style halo exchange of every sweep distributes x's elements, the same
 // redundancy machinery (Eqns. 5-6 of the paper) guarantees phi extra copies
 // of every block, and recovery after up to phi node failures is a pure
-// gather — no local linear system needs to be solved at all.
+// gather — no local linear system needs to be solved at all. The copies
+// live in a one-generation BackupStore, and recovery runs the shared ESR
+// steps and failure merge of the other engines (core/esr.hpp,
+// FailureCursor), overlap charge included.
 //
 // The parallel smoother variants implemented here are the standard
 // block-hybrid forms: the off-node contributions always enter through the
