@@ -108,7 +108,7 @@ class FailureCursor {
       const FailureEvent& ev = events[idx];
       if (fired_[idx] || ev.iteration != iteration) continue;
       fired_[idx] = 1;
-      if (!first && ev.during_recovery && on_overlap) on_overlap(merged);
+      if (!first && ev.during_recovery) on_overlap(merged);
       inject(ev);
       if (on_injected) on_injected(ev);
       merged.insert(merged.end(), ev.nodes.begin(), ev.nodes.end());

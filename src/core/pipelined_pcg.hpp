@@ -40,10 +40,11 @@
 //
 // Both loops share one recovery (recover(), on the shared ESR steps of
 // core/esr.hpp) and one state struct: depth 1 is the depth-l state with one
-// chain rung (m, n) and one old u generation. Its one real difference is
-// kept: depth 1's in-flight m = M^{-1} w and n = A m are recomputed over
-// whole vectors after the rebuild, not on the lost blocks only, so every
-// depth-1 report stays bit-identical to the classic loop's.
+// chain rung (m, n) and one old u generation. Depth 1 differs in one
+// respect: its in-flight m = M^{-1} w and n = A m are recomputed over whole
+// vectors after the rebuild, as the classic iteration mints them afresh
+// every iteration, while deeper rings rebuild only the lost blocks of their
+// chains.
 #pragma once
 
 #include <cstdint>

@@ -131,7 +131,8 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
   const engine::SolveMeter meter(cluster_);
 
   State st(part);
-  auto& [r, r0, p, v, s, t, phat, shat, r0_pristine] = st;
+  DistVector &r = st.r, &r0 = st.r0, &p = st.p, &v = st.v, &s = st.s,
+             &t = st.t, &phat = st.phat, &shat = st.shat;
   std::vector<std::vector<double>> halos;
 
   // r = r̂0 = b - A x0; keep a pristine copy of r̂0 as (derived) static data.
@@ -141,7 +142,7 @@ engine::SolveReport ResilientBicgstab::solve(const DistVector& b,
   copy(cluster_, r, r0, it);
   {
     ClockPause pause(cluster_.clock());
-    copy(cluster_, r0, r0_pristine, it);
+    copy(cluster_, r0, st.r0_pristine, it);
     v.set_zero();
   }
 
