@@ -208,14 +208,4 @@ RecoveryStats LostBlocks::finish() {
   return stats_;
 }
 
-RecoveryStats interpolation_restart_recover(Cluster& cluster,
-                                            const CsrMatrix& a_global,
-                                            std::span<const NodeId> failed,
-                                            const DistVector& b, DistVector& x,
-                                            const EsrOptions& opts) {
-  LostBlocks lost(cluster, a_global, failed);
-  lost.install(x, lost.solve_x(a_global, {}, b, x, opts));
-  return lost.finish();
-}
-
 }  // namespace rpcg

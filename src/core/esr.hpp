@@ -13,9 +13,10 @@
 //      (the paper's 1e-14), or exactly with sparse LDLᵀ (ablation option)
 //   8. the redundant stores hosted on the replacements are re-armed.
 //
-// Steps 1, 3, 7 and 8 recur in every resilient engine — blocking PCG (and
-// its checkpoint, twin and interpolation-restart recoveries, which share
-// step 1), pipelined PCG/CR, BiCGSTAB and the stationary sweeps (no step 7)
+// Steps 1, 3, 7 and 8 recur in every resilient engine — blocking PCG (its
+// checkpoint, twin and interpolation-restart recoveries share steps 1 and,
+// for the interpolation, 7), pipelined PCG/CR, BiCGSTAB and the stationary
+// sweeps (no step 7)
 // — so they live here as LostBlocks' shared steps, together with the
 // lost-block layout, and so does the overlap charge (esr_abort_recovery)
 // that FailureCursor::merge_due triggers. What differs per engine is only
@@ -149,16 +150,5 @@ class LostBlocks {
   RecoveryStats stats_;
   double t0_ = 0.0;
 };
-
-/// The interpolation/restart baseline (Langou et al. 2007, Sec. 1.2 of the
-/// paper): the lost iterate block is *approximated* from A_{IF,IF} x_{IF} =
-/// b_{IF} - A_{IF,I\IF} x_{I\IF}, with no residual term and no redundancy
-/// kept during normal operation. Brings the replacements online and
-/// recovers x only; the caller restarts CG, losing the Krylov history.
-RecoveryStats interpolation_restart_recover(Cluster& cluster,
-                                            const CsrMatrix& a_global,
-                                            std::span<const NodeId> failed,
-                                            const DistVector& b, DistVector& x,
-                                            const EsrOptions& opts);
 
 }  // namespace rpcg

@@ -123,7 +123,7 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
   FailureCursor cursor(schedule, opts_.method != RecoveryMethod::kNone);
 
   // Twin mirror of the loop-top state {x, r, p}: node i's blocks live on
-  // buddy_of(i). Host-side the mirror is three global snapshots; the
+  // buddy_of(i). Host-side the mirror is a copy of the three vectors; the
   // simulated placement only matters for the coverage check and charges.
   const bool twin = opts_.method == RecoveryMethod::kTwin;
   DistVector mirror_x, mirror_r, mirror_p;
@@ -259,10 +259,12 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           break;
         }
         case RecoveryMethod::kInterpolationRestart: {
-          record_recovery(j, merged,
-                          interpolation_restart_recover(cluster_, *a_global_,
-                                                        merged, b, x,
-                                                        opts_.esr));
+          // Langou et al.'s interpolation (Sec. 1.2 of the paper): the lost
+          // iterate block is approximated from A_{IF,IF} x_{IF} = b_{IF} -
+          // A_{IF,I\IF} x_{I\IF}, the ESR solve without its residual term.
+          LostBlocks lost(cluster_, *a_global_, merged);
+          lost.install(x, lost.solve_x(*a_global_, {}, b, x, opts_.esr));
+          record_recovery(j, merged, lost.finish());
           // Restart CG from the interpolated iterate: the Krylov history is
           // lost (r, z, p rebuilt from scratch).
           for (const NodeId f : merged) {
