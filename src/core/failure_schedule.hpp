@@ -87,14 +87,15 @@ class FailureCursor {
   }
 
   /// Injects the not-yet-fired events scheduled at `iteration`, in schedule
-  /// order (or throws UnrecoverableFailure, see the constructor), and returns the union of their failed nodes (empty when none is
-  /// due). For each event, `inject` kills its nodes and then `on_injected`
-  /// fires (when set). A during_recovery event after the first struck while
-  /// the recovery of the nodes so far was underway: `on_overlap(so_far)`
-  /// runs before it is injected, to charge the work it cut short. The
-  /// events are marked fired, so a rollback that revisits the iteration
-  /// does not re-fire them.
-  std::vector<NodeId> merge_due(
+  /// order, and returns the union of their failed nodes (empty when none is
+  /// due; see the constructor for an engine that cannot recover). For each
+  /// event, `inject` kills its nodes and then `on_injected` fires (when
+  /// set). A during_recovery event after the first struck while the
+  /// recovery of the nodes so far was underway: `on_overlap(so_far)` runs
+  /// before it is injected, to charge the work it cut short. The events are
+  /// marked fired, so a rollback that revisits the iteration does not
+  /// re-fire them.
+  [[nodiscard]] std::vector<NodeId> merge_due(
       int iteration, const std::function<void(const FailureEvent&)>& inject,
       const std::function<void(const FailureEvent&)>& on_injected,
       const std::function<void(const std::vector<NodeId>&)>& on_overlap) {

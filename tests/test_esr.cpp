@@ -192,7 +192,8 @@ TEST(Esr, OverlappingFailuresMergeAndRestartReconstruction) {
       o.rtol = 1e-10;
       o.phi = 3;
       o.esr.exact_local_solve = true;
-      res = ResilientBicgstab(cluster, p.a, dist, *m, o).solve(p.b, x, schedule);
+      res = ResilientBicgstab(cluster, p.a, dist, *m, o)
+                .solve(p.b, x, schedule);
     } else {
       StationaryOptions o;
       o.method = StationaryMethod::kSsor;
