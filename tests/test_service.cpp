@@ -810,4 +810,16 @@ TEST(SolverService, MaxInFlightOneStillCompletes) {
   EXPECT_EQ(run.jobs.size(), jobs.size());
 }
 
+TEST(SolverService, CheckMessagesNameTheSourcePathFromSrc) {
+  std::istringstream in(R"({"name": "bad-omega", "matrix": "M1", "scale": 256, "nodes": 8, "solver": "stationary", "omega": 2.5})");
+  const ServiceReport run = run_batch(rpcg::service::parse_job_lines(in), 1,
+                                      rpcg::service::OutputOrder::kSubmission);
+  ASSERT_EQ(run.failed, 1u);
+  const std::string& error = run.jobs[0].error;
+  EXPECT_EQ(run.jobs[0].error_class, rpcg::ErrorClass::kInvalidJob);
+  EXPECT_NE(error.find(" at src/solver/stationary.cpp:"), std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("/src/"), std::string::npos) << error;
+}
+
 }  // namespace
