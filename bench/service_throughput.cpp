@@ -1,11 +1,12 @@
-// SolverService throughput: the cross-job SharedFactorizationCache vs the
-// status quo of one isolated Problem per solve.
+// SolverService throughput: factorizations shared through the problem
+// store's entries vs the status quo of one isolated Problem per solve.
 //
 // The batch is deliberately factorization-heavy — failure-laden resilient
 // jobs repeated over the same matrices — because that is the workload the
-// shared cache exists for: today every Problem refactorizes its recovery
-// operators from scratch, while the service builds each (matrix, ordering,
-// failed-set) factorization once and serves every later job from memory.
+// shared cache exists for: an isolated Problem refactorizes its recovery
+// operators from scratch, while the service builds each (problem,
+// failed-set) factorization once in the problem's store entry and serves
+// every later job of that problem from memory.
 //
 // Three configurations are timed over the identical batch:
 //   serial    workers=1, shared cache off   (status-quo baseline)
@@ -37,7 +38,7 @@ using rpcg::service::SolverService;
 
 /// The failure-heavy job mix: per matrix, `copies` repetitions of two
 /// resilient templates that share one failed-node set, so the cache key
-/// (matrix, ordering, failed set) repeats 2 * copies times per matrix.
+/// (matrix, failed set) repeats 2 * copies times per matrix.
 std::vector<JobSpec> make_batch(const CommonArgs& args, int copies) {
   std::vector<JobSpec> jobs;
   const struct {
@@ -75,7 +76,7 @@ std::vector<JobSpec> make_batch(const CommonArgs& args, int copies) {
         // Three eight-node waves at distinct locations: every copy of the
         // template redoes all three factorizations when each Problem is
         // isolated, while the shared cache builds each (matrix, failed-set)
-        // block exactly once per batch.
+        // block once per store entry.
         for (const auto& [iter, first] : {std::pair<int, int>{t.iteration, 1},
                                           {t.iteration + 7, 17},
                                           {t.iteration + 14, 33}}) {

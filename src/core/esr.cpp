@@ -68,12 +68,13 @@ LocalSolveOutcome esr_solve_lost_x(Cluster& cluster, const CsrMatrix& a_global,
     ++psi;
   }
 
-  // A_{IF,IF} and its factorization are pure functions of (A, failed set);
-  // reuse them through the cache when one is configured. The simulated
+  // A_{IF,IF} and its factorization are pure functions of (A, I_F); reuse
+  // them through the cache when one is configured. The simulated
   // factorization cost is charged below in both cases.
   const auto build_entry = [&]() {
     FactorizationCache::Entry e;
     e.a_ff = a_global.submatrix(rows, rows);
+    e.rows.assign(rows.begin(), rows.end());
     if (opts.exact_local_solve) {
       e.ldlt = ReorderedLdlt::factor(e.a_ff);
     } else {
@@ -91,6 +92,11 @@ LocalSolveOutcome esr_solve_lost_x(Cluster& cluster, const CsrMatrix& a_global,
   } else {
     entry = std::make_shared<const FactorizationCache::Entry>(build_entry());
   }
+  // The cache keys by failed node ids, which name these rows only on the
+  // partition the entry was built on.
+  RPCG_REQUIRE(std::ranges::equal(entry->rows, rows),
+               "the cached A_{IF,IF} was built for other rows: one "
+               "factorization cache serves one partition");
   const CsrMatrix& a_ff = entry->a_ff;
 
   LocalSolveOutcome outcome;

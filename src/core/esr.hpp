@@ -51,6 +51,8 @@ struct EsrOptions {
   /// IC(0)/LDLᵀ factorization are reused across reconstructions of the same
   /// failed node set. Simulated costs are charged either way, so results are
   /// byte-identical with and without it (see core/factorization_cache.hpp).
+  /// The cache must serve this cluster's partition only: an entry built for
+  /// other rows throws std::logic_error.
   FactorizationCache* cache = nullptr;
   /// Content key of the matrix handed to esr_solve_lost_x alongside these
   /// options. Deriving the key hashes every stored entry of A, so the

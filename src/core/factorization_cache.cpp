@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <exception>
+#include <string>
 #include <utility>
+
+#include "core/errors.hpp"
 
 namespace rpcg {
 
@@ -42,6 +46,19 @@ void FactorizationCache::set_upstream(Upstream upstream) {
   upstream_ = std::move(upstream);
 }
 
+FactorizationCache::Upstream FactorizationCache::as_upstream() {
+  return [this](std::string_view tag, const MatrixKey& matrix,
+                std::span<const NodeId> nodes,
+                const std::function<Entry()>& build) {
+    try {
+      return get_or_build(tag, matrix, nodes, build);
+    } catch (const std::exception& e) {
+      throw CacheBuildFailure("shared-cache factorization build failed: " +
+                              std::string(e.what()));
+    }
+  };
+}
+
 FactorizationCache::EntryPtr FactorizationCache::get_or_build(
     std::string_view tag, const MatrixKey& matrix,
     std::span<const NodeId> nodes, const std::function<Entry()>& build) {
@@ -49,30 +66,50 @@ FactorizationCache::EntryPtr FactorizationCache::get_or_build(
   std::sort(sorted.begin(), sorted.end());
   Key key{std::string(tag), matrix, std::move(sorted)};
 
+  std::promise<EntryPtr> promise;
+  std::shared_future<EntryPtr> future;
+  std::uint64_t claim = 0;  // nonzero once this request claimed the slot
   Upstream upstream;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
+      // A resident entry or a build in flight: either way this request is
+      // served without building (a coalesced wait counts as a hit).
       ++stats_.hits;
-      return it->second;
+      future = it->second.entry;
+    } else {
+      ++stats_.misses;
+      claim = ++claims_;
+      future = promise.get_future().share();
+      entries_.emplace(key, Slot{future, claim});
+      upstream = upstream_;
     }
-    ++stats_.misses;
-    upstream = upstream_;
   }
+  if (claim == 0) return future.get();  // rethrows the builder's failure
 
-  // Build outside the lock: factorization can be expensive and must not
-  // serialize unrelated consumers. A racing builder of the same key wastes
-  // work but both produce identical entries (pure function of the key).
-  // With an upstream installed, delegate so entries are shared across
-  // sibling caches; the result is retained locally either way.
-  EntryPtr entry = upstream
-                       ? upstream(tag, matrix, std::get<2>(key), build)
-                       : std::make_shared<const Entry>(build());
-
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = entries_.emplace(std::move(key), entry);
-  return inserted ? entry : it->second;
+  // This request claimed the slot: build outside the lock (factorization is
+  // the expensive part and must not serialize unrelated consumers), through
+  // the upstream when one is installed, then publish to every coalesced
+  // waiter. On failure the slot leaves the map before the exception is
+  // published; the claim check leaves alone a successor's slot when
+  // invalidation already dropped this one.
+  try {
+    EntryPtr entry = upstream
+                         ? upstream(tag, matrix, std::get<2>(key), build)
+                         : std::make_shared<const Entry>(build());
+    promise.set_value(entry);
+    return entry;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = entries_.find(key);
+      if (it != entries_.end() && it->second.claim == claim) entries_.erase(it);
+      failed_.push_back(future);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 std::size_t FactorizationCache::invalidate_overlapping(

@@ -11,6 +11,21 @@
 // cost, so cached and uncached runs produce byte-identical SolveReports
 // (locked in by tests/test_factorization_cache.cpp).
 //
+// One partition per cache: node ids name rows only through a partition, so
+// every instance serves one — a Problem's private cache, the cache of a
+// SolverService problem-store entry (service/problem_store.hpp), which sits
+// upstream of the private caches of every job borrowing that entry, and an
+// ExplicitPreconditioner's P-block cache. Each entry records the rows it was
+// built for, and ESR refuses an entry whose rows differ from the failed
+// set's, so a cache handed to engines on two partitions fails loudly instead
+// of reconstructing from another I_F.
+//
+// Builds: concurrent first requests for a key are coalesced — the first
+// requester builds outside the lock while the rest wait on its result and
+// count as hits. A build that throws reaches the builder and every waiter,
+// and its slot is withdrawn before the failure is published, so the next
+// request builds afresh.
+//
 // Invalidation: when a failure changes the surviving block structure while a
 // reconstruction is in flight (an overlapping failure event), the solver
 // drops every entry whose node set intersects the newly failed nodes — the
@@ -21,6 +36,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,10 +56,12 @@ namespace rpcg {
 
 class FactorizationCache {
  public:
-  /// One cached reconstruction setup: the extracted principal submatrix and
-  /// whichever factorization flavors the consumer built from it.
+  /// One cached reconstruction setup: the extracted principal submatrix,
+  /// the rows it was extracted from (in a_ff's order), and whichever
+  /// factorization flavors the consumer built from it.
   struct Entry {
     CsrMatrix a_ff;
+    std::vector<Index> rows;
     std::optional<Ic0> ic0;
     std::optional<ReorderedLdlt> ldlt;
   };
@@ -89,10 +107,17 @@ class FactorizationCache {
   /// but meant to be called before solving starts, not mid-solve.
   void set_upstream(Upstream upstream);
 
+  /// This cache as another's upstream, for caches that serve the same
+  /// partition. A build that fails here reaches every requester as a typed
+  /// CacheBuildFailure (core/errors.hpp) carrying the original message. The
+  /// callable borrows `this`, which must outlive every cache it serves.
+  [[nodiscard]] Upstream as_upstream();
+
   /// Returns the entry for (tag, matrix, nodes), building it with `build` on
   /// a miss. `nodes` need not be sorted; the key uses the sorted set. The
   /// returned pointer stays valid after invalidation/clear (shared
-  /// ownership). Thread-safe; `build` runs outside the cache lock.
+  /// ownership). Thread-safe; see the header comment for coalescing and
+  /// failed builds.
   [[nodiscard]] EntryPtr get_or_build(std::string_view tag,
                                       const MatrixKey& matrix,
                                       std::span<const NodeId> nodes,
@@ -108,9 +133,22 @@ class FactorizationCache {
 
  private:
   using Key = std::tuple<std::string, MatrixKey, std::vector<NodeId>>;
+  /// A slot exists from the moment a builder claims the key; until the
+  /// build finishes the future is unready and later requesters wait on it.
+  struct Slot {
+    std::shared_future<EntryPtr> entry;
+    std::uint64_t claim = 0;  ///< tells a withdrawn build's slot from a successor's
+  };
 
   mutable std::mutex mu_;
-  std::map<Key, EntryPtr> entries_;
+  std::map<Key, Slot> entries_;
+  std::uint64_t claims_ = 0;
+  /// Failed builds' shared states, kept until the cache is destroyed. Their
+  /// exception object is shared by every coalesced waiter, and the C++
+  /// runtime frees it through a reference count that thread sanitizers
+  /// cannot observe; freeing it only after the waiters' threads are done
+  /// with the cache keeps every read of it ordered before the free.
+  std::vector<std::shared_future<EntryPtr>> failed_;
   Stats stats_;
   Upstream upstream_;
 };

@@ -5,9 +5,9 @@
 // engine-level failures are what FailureSchedule/FailureScenario model):
 //
 //   cache-build faults   the job's upstream factorization lookup throws a
-//                        typed CacheBuildFailure before consulting the
-//                        shared cache — what a corrupted or unavailable
-//                        cache backend would look like
+//                        typed CacheBuildFailure in place of the problem-
+//                        store entry's cache — what a corrupted or
+//                        unavailable cache backend would look like
 //   worker faults        the job's worker task throws before the Problem is
 //                        even built — an unclassified (internal) host fault
 //
@@ -49,7 +49,8 @@ class FaultInjector {
   [[nodiscard]] bool worker_fault(std::size_t job, int attempt) const;
 
   /// Whether (job, attempt)'s upstream factorization lookups throw a
-  /// CacheBuildFailure instead of consulting the shared cache.
+  /// CacheBuildFailure instead of consulting the problem-store entry's
+  /// cache.
   [[nodiscard]] bool cache_build_fault(std::size_t job, int attempt) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "service/problem_store.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <future>
 #include <utility>
@@ -105,6 +106,11 @@ std::shared_ptr<ProblemStore::Slot> ProblemStore::evict_locked() {
   std::shared_ptr<Slot> slot = std::move(victim->second);
   slots_.erase(victim);
   ++stats_.evictions;
+  // Unheld means built: a failed build's slot never stays in the map.
+  const FactorizationCache::Stats cache = slot->parts.get()->cache.stats();
+  released_.hits += cache.hits;
+  released_.misses += cache.misses;
+  released_.evictions += cache.entries;
   return slot;
 }
 
@@ -112,6 +118,22 @@ ProblemStore::Stats ProblemStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
   s.resident = slots_.size();
+  return s;
+}
+
+ProblemStore::CacheStats ProblemStore::cache_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  CacheStats s = released_;
+  for (const auto& [key, slot] : slots_) {
+    if (slot->parts.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      continue;  // a build in flight: its cache is still empty
+    }
+    const FactorizationCache::Stats cache = slot->parts.get()->cache.stats();
+    s.hits += cache.hits;
+    s.misses += cache.misses;
+    s.entries += cache.entries;
+  }
   return s;
 }
 

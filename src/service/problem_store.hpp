@@ -11,9 +11,15 @@
 // right-hand side, timing noise and private FactorizationCache, so its report
 // is byte-identical to a solve on a privately built Problem.
 //
+// Each entry also carries the factorization cache its jobs share: the
+// service installs it upstream of every borrowing job's private cache, so a
+// reconstruction setup (A_{IF,IF} and its factors) is built once per entry.
+// The entry fixes the matrix and the partition, so the cache's node-id keys
+// name the same rows for every job that reaches it.
+//
 // Builds: concurrent first requests for a key are coalesced — the first
 // requester builds outside the lock while the rest wait on its result (the
-// same protocol as SharedFactorizationCache). A build that throws reaches the
+// same protocol as FactorizationCache). A build that throws reaches the
 // builder and every waiter as the *original* exception, unwrapped, so a job
 // fails with the class and message a private build would have raised; the
 // failed slot is dropped before the failure is published, so the next
@@ -21,9 +27,10 @@
 //
 // Residency: at most `capacity` entries stay resident. A job holds its entry
 // through a Lease while it runs; when a new key arrives at a full store, the
-// least recently used entry that no lease holds is released. The service
-// sizes the store at its in-flight bound: a requesting job holds no lease, so
-// at most capacity - 1 entries are held and an unheld one always exists.
+// least recently used entry that no lease holds is released, its cached
+// factorizations with it. The service sizes the store at its in-flight
+// bound: a requesting job holds no lease, so at most capacity - 1 entries
+// are held and an unheld one always exists.
 //
 // Entries live on the heap and never move: DistMatrix and the block
 // preconditioners keep a `const Partition*` into their entry.
@@ -38,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "core/factorization_cache.hpp"
 #include "precond/preconditioner.hpp"
 #include "sim/dist_matrix.hpp"
 #include "sim/partition.hpp"
@@ -59,13 +67,15 @@ class ProblemStore {
     friend auto operator<=>(const Key&, const Key&) = default;
   };
 
-  /// The immutable parts of one problem. `dist` and `precond` point into
+  /// The immutable parts of one problem, and the factorization cache shared
+  /// by the jobs that borrow them. `dist` and `precond` point into
   /// `partition`, so a Parts object is built in place and never moved.
   struct Parts {
     CsrMatrix matrix;
     Partition partition;
     DistMatrix dist;
     std::unique_ptr<Preconditioner> precond;
+    mutable FactorizationCache cache;
   };
 
   /// Fills a default-constructed Parts in place.
@@ -77,6 +87,16 @@ class ProblemStore {
     std::uint64_t evictions = 0;  ///< unheld entries released to make room
     std::size_t resident = 0;     ///< entries resident now
     std::size_t peak_resident = 0;
+  };
+
+  /// The entries' factorization caches, summed: hits and misses of every
+  /// entry the store built, the cache entries released along with evicted
+  /// store entries, and those resident now.
+  struct CacheStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::size_t entries = 0;
   };
 
   /// A job's hold on one entry; the entry cannot be evicted while any lease
@@ -112,6 +132,7 @@ class ProblemStore {
   [[nodiscard]] Lease acquire(const Key& key, const Build& build);
 
   [[nodiscard]] Stats stats() const;
+  [[nodiscard]] CacheStats cache_stats() const;
 
  private:
   void release(Slot& slot);
@@ -130,6 +151,7 @@ class ProblemStore {
   /// of it ordered before the free.
   std::vector<std::shared_ptr<Slot>> failed_;
   Stats stats_;
+  CacheStats released_;  ///< the caches of evicted entries
 };
 
 }  // namespace rpcg::service

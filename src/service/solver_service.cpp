@@ -28,10 +28,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Batch-level state threaded into every job task: the problem store, the
-/// shared factorization cache and the robustness knobs.
+/// cache-sharing switch and the robustness knobs.
 struct RunContext {
   ProblemStore* store = nullptr;
-  SharedFactorizationCache* shared = nullptr;  ///< null when sharing is off
+  bool shared_cache = false;
   const RetryPolicy* default_retry = nullptr;
   double default_deadline = 0.0;
   const FaultInjector* injector = nullptr;  ///< null when injection is off
@@ -109,8 +109,8 @@ void run_attempt(const JobSpec& spec, std::size_t index, int attempt,
                                   std::to_string(index) + ", attempt " +
                                   std::to_string(attempt) + ")");
         });
-  } else if (ctx.shared != nullptr) {
-    problem.factorization_cache().set_upstream(ctx.shared->as_upstream());
+  } else if (ctx.shared_cache) {
+    problem.factorization_cache().set_upstream(parts->cache.as_upstream());
   }
   const auto solver =
       engine::SolverRegistry::instance().create(rec.solver, config);
@@ -214,8 +214,6 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   summary.shared_cache = options_.shared_cache;
   summary.jobs.resize(jobs.size());
 
-  SharedFactorizationCache shared(options_.shared_cache_capacity);
-
   // At most max_in_flight jobs run at once and each holds one entry, so the
   // store never needs more: a requesting job holds none, leaving an unheld
   // entry to release whenever the store is full.
@@ -224,7 +222,7 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   const FaultInjector injector(options_.fault_injection);
   RunContext ctx;
   ctx.store = &store;
-  ctx.shared = options_.shared_cache ? &shared : nullptr;
+  ctx.shared_cache = options_.shared_cache;
   ctx.default_retry = &options_.retry;
   ctx.default_deadline = options_.default_deadline_sim_seconds;
   ctx.injector = options_.fault_injection.enabled ? &injector : nullptr;
@@ -291,7 +289,7 @@ ServiceReport SolverService::run(std::span<const JobSpec> jobs,
   }
 
   summary.wall_seconds = seconds_since(t0);
-  summary.shared_stats = shared.stats();
+  summary.shared_stats = store.cache_stats();
   summary.problem_store = store.stats();
   summary.total_factorizations = 0;
   for (const JobResult& job : summary.jobs) {

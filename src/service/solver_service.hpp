@@ -17,6 +17,15 @@
 // byte-identical to solves on privately built Problems: the borrowed parts
 // are exactly what a private build would produce.
 //
+// Shared cache: each store entry's FactorizationCache is installed under
+// the private cache of every job that borrows the entry (via
+// FactorizationCache::set_upstream), so identical reconstruction setups
+// (same problem, same failed node set) are factorized once per entry, not
+// once per job. Per-job reports are unaffected: upstream hits change who
+// builds, never what is charged. An entry's cache goes with the entry, so a
+// batch with more problems than max_in_flight may rebuild a setup after an
+// eviction.
+//
 // Pools: jobs run on a *private* pool, never on ThreadPool::shared(). A job
 // whose SolverConfig asks for threaded execution fans its per-node loops
 // out over the shared pool from inside its job task; if the jobs themselves
@@ -24,12 +33,6 @@
 // run_chunked waiting for chunk tasks that can never be scheduled. Keeping
 // the two layers on disjoint pools makes the composition deadlock-free (the
 // same reasoning run_all applies to its child benches).
-//
-// The cross-job SharedFactorizationCache is wired under each Problem's
-// private cache via FactorizationCache::set_upstream, so identical
-// reconstruction setups (same matrix content, same failed node set) are
-// factorized once per batch. Per-job reports are unaffected: upstream hits
-// change who builds, never what is charged.
 //
 // Fault tolerance: every job failure is classified into an ErrorClass
 // (core/errors.hpp) and a job (or the batch) may declare a RetryPolicy —
@@ -56,7 +59,6 @@
 #include "service/job.hpp"
 #include "service/problem_store.hpp"
 #include "service/retry.hpp"
-#include "service/shared_cache.hpp"
 #include "util/enum_names.hpp"
 
 namespace rpcg::service {
@@ -92,9 +94,8 @@ struct ServiceOptions {
   /// Submission blocks when the limit is reached, bounding the memory held
   /// by queued Problems; it also sizes the batch's problem store.
   int max_in_flight = 0;
+  /// Serve private-cache misses from the problem-store entry's cache.
   bool shared_cache = true;
-  std::size_t shared_cache_capacity =
-      SharedFactorizationCache::kDefaultCapacity;
   OutputOrder order = OutputOrder::kSubmission;
 
   /// Batch-wide retry/escalation default; a job whose own RetryPolicy is
@@ -169,13 +170,16 @@ struct ServiceReport {
   int workers = 0;
   OutputOrder order = OutputOrder::kSubmission;
   bool shared_cache = false;
-  SharedFactorizationCache::Stats shared_stats;
+  /// The problem-store entries' caches, summed (zero when sharing is off).
+  /// Like problem_store below, they depend on scheduling order when a batch
+  /// names more keys than the store holds.
+  ProblemStore::CacheStats shared_stats;
   /// Host-side counters of the batch's problem store. Not part of the JSON
   /// document (rpcg-service-report/v3 is unchanged): when a batch names
   /// more keys than the store holds, they depend on scheduling order.
   ProblemStore::Stats problem_store;
-  /// Factorizations actually built: the shared cache's misses when it is
-  /// on, the sum of per-Problem misses when it is off. The cache-on vs
+  /// Factorizations actually built: the shared caches' misses when they
+  /// are on, the sum of per-Problem misses when off. The cache-on vs
   /// cache-off delta of this number is the bench/service_throughput
   /// acceptance metric.
   std::uint64_t total_factorizations = 0;
@@ -200,7 +204,7 @@ class SolverService {
   /// Runs the batch to completion, streaming each JobResult to `sink` (may
   /// be empty) in the configured order, and returns the summary. The sink
   /// is never called concurrently with itself. Blocking; safe to call
-  /// repeatedly (each run gets a fresh shared cache).
+  /// repeatedly (each run gets a fresh problem store).
   [[nodiscard]] ServiceReport run(std::span<const JobSpec> jobs,
                                   const Sink& sink = {});
 

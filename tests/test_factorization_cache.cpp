@@ -1,19 +1,27 @@
-// FactorizationCache contract tests: hit/miss accounting, invalidation when
-// an overlapping failure changes the surviving block structure mid-recovery,
-// and the headline guarantee that cached and uncached ESR reconstruction
-// produce byte-identical SolveReports and bitwise-identical iterates (the
-// cache is a host-side wall-clock optimization only; every simulated cost is
-// charged on hits too).
+// FactorizationCache contract tests: hit/miss accounting, coalesced and
+// failed builds, invalidation when an overlapping failure changes the
+// surviving block structure mid-recovery, the refusal of an entry built for
+// other rows, and the headline guarantee that cached and uncached ESR
+// reconstruction produce byte-identical SolveReports and bitwise-identical
+// iterates (the cache is a host-side wall-clock optimization only; every
+// simulated cost is charged on hits too).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <functional>
-#include <span>
+#include <future>
+#include <stdexcept>
 #include <string>
-#include <string_view>
+#include <thread>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "core/factorization_cache.hpp"
+#include "core/resilient_pcg.hpp"
 #include "engine/registry.hpp"
+#include "repro/matrices.hpp"
 #include "sparse/generators.hpp"
 
 namespace rpcg {
@@ -161,13 +169,7 @@ TEST(FactorizationCache, UpstreamRetainsEntriesPastLocalInvalidation) {
   // not a rebuild. Cross-job reuse survives intra-job invalidation.
   FactorizationCache upstream;
   FactorizationCache local;
-  local.set_upstream([&upstream](std::string_view tag,
-                                 const FactorizationCache::MatrixKey& m,
-                                 std::span<const NodeId> nodes,
-                                 const std::function<FactorizationCache::Entry()>&
-                                     build) {
-    return upstream.get_or_build(tag, m, nodes, build);
-  });
+  local.set_upstream(upstream.as_upstream());
 
   int builds = 0;
   const auto build = [&builds]() {
@@ -303,14 +305,8 @@ TEST(FactorizationCache, UpstreamServesLocalMisses) {
   // is served by the upstream's retained entry, so the build runs once.
   FactorizationCache upstream;
   FactorizationCache left, right;
-  const auto delegate = [&upstream](std::string_view tag,
-                                    const FactorizationCache::MatrixKey& m,
-                                    std::span<const NodeId> nodes,
-                                    const std::function<FactorizationCache::Entry()>& build) {
-    return upstream.get_or_build(tag, m, nodes, build);
-  };
-  left.set_upstream(delegate);
-  right.set_upstream(delegate);
+  left.set_upstream(upstream.as_upstream());
+  right.set_upstream(upstream.as_upstream());
 
   int builds = 0;
   const auto build = [&builds]() {
@@ -336,6 +332,184 @@ TEST(FactorizationCache, UpstreamServesLocalMisses) {
   (void)left.get_or_build("t", key, set, build);
   EXPECT_EQ(left.stats().hits, 1u);
   EXPECT_EQ(upstream.stats().hits, 1u);  // not consulted again
+}
+
+/// Waits until `pred` holds (the cache's counters are the only signal a
+/// waiting thread gives), for at most ten seconds: a cache that fails to
+/// coalesce makes the test fail, not hang.
+template <typename Pred>
+bool eventually(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+FactorizationCache::MatrixKey test_key(int seed) {
+  FactorizationCache::MatrixKey key;
+  key.rows = key.cols = 4;
+  key.nnz = 4;
+  key.digest = static_cast<std::uint64_t>(seed);
+  return key;
+}
+
+TEST(FactorizationCache, FailedBuildIsRetriedNotCached) {
+  FactorizationCache cache;
+  int calls = 0;
+  const std::vector<NodeId> nodes{0};
+  EXPECT_THROW((void)cache.get_or_build("t", test_key(1), nodes,
+                                        [&calls]() -> FactorizationCache::Entry {
+                                          ++calls;
+                                          throw std::runtime_error("boom");
+                                        }),
+               std::runtime_error);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  (void)cache.get_or_build("t", test_key(1), nodes, [&calls] {
+    ++calls;
+    return FactorizationCache::Entry{};
+  });
+  EXPECT_EQ(calls, 2);  // the failed slot was withdrawn, not served
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(FactorizationCache, ConcurrentRequestsCoalesceOntoOneBuild) {
+  FactorizationCache cache;
+  std::atomic<int> builds{0};
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  const std::vector<NodeId> nodes{0};
+
+  std::thread builder([&] {
+    (void)cache.get_or_build("t", test_key(1), nodes, [&] {
+      ++builds;
+      gate.wait();  // hold the build open until the waiter has joined it
+      return FactorizationCache::Entry{};
+    });
+  });
+  // The builder has claimed the slot once misses hits 1.
+  EXPECT_TRUE(eventually([&cache] { return cache.stats().misses == 1; }));
+
+  FactorizationCache::EntryPtr waited;
+  std::thread waiter([&] {
+    waited = cache.get_or_build("t", test_key(1), nodes, [&] {
+      ++builds;
+      return FactorizationCache::Entry{};
+    });
+  });
+  // The waiter joined the in-flight build (counted as a hit) without
+  // starting a second factorization.
+  EXPECT_TRUE(eventually([&cache] { return cache.stats().hits == 1; }));
+  EXPECT_EQ(builds.load(), 1);
+
+  release.set_value();
+  builder.join();
+  waiter.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(waited.get(),
+            cache.get_or_build("t", test_key(1), nodes, [] {
+              return FactorizationCache::Entry{};
+            }).get());
+}
+
+TEST(FactorizationCache, FailedBuildReachesEveryCoalescedWaiter) {
+  // One failure of the shared level, reached by the builder and every
+  // waiter that joined its build: each sees the typed CacheBuildFailure
+  // with the original message, none builds a second time, and the failed
+  // slot is withdrawn.
+  FactorizationCache shared;
+  const FactorizationCache::Upstream upstream = shared.as_upstream();
+  constexpr int kWaiters = 3;
+  std::atomic<int> builds{0};
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  const std::vector<NodeId> nodes{0};
+  const auto expect_failure =
+      [&](const std::function<FactorizationCache::Entry()>& build) {
+        try {
+          (void)upstream("t", test_key(1), nodes, build);
+          ADD_FAILURE() << "the build failure must reach this request";
+        } catch (const CacheBuildFailure& e) {
+          EXPECT_STREQ(e.what(),
+                       "shared-cache factorization build failed: boom");
+        }
+      };
+
+  std::thread builder([&] {
+    expect_failure([&]() -> FactorizationCache::Entry {
+      ++builds;
+      gate.wait();  // hold the build open until every waiter has joined it
+      throw std::runtime_error("boom");
+    });
+  });
+  EXPECT_TRUE(eventually([&shared] { return shared.stats().misses == 1; }));
+  std::vector<std::thread> waiters;
+  waiters.reserve(kWaiters);
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&] {
+      expect_failure([&] {
+        ++builds;
+        return FactorizationCache::Entry{};
+      });
+    });
+  }
+  EXPECT_TRUE(eventually([&shared] {
+    return shared.stats().hits == static_cast<std::uint64_t>(kWaiters);
+  }));
+  release.set_value();
+  builder.join();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(shared.stats().entries, 0u);
+
+  // The next request builds afresh instead of inheriting the failure.
+  (void)upstream("t", test_key(1), nodes, [&builds] {
+    ++builds;
+    return FactorizationCache::Entry{};
+  });
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(shared.stats().entries, 1u);
+}
+
+TEST(FactorizationCache, EntryServesOnlyTheRowsItWasBuiltFor) {
+  // M2 at scale 8659 has 30 rows; node 2 holds rows 10-13 on 7 nodes and
+  // 8-11 on 8 nodes. One cache handed to both solves keys both failures as
+  // {2}: the second solve must refuse the first one's A_{IF,IF} instead of
+  // reconstructing x from it.
+  FactorizationCache cache;
+  const auto solve_on = [&cache](int nodes) {
+    engine::Problem problem =
+        engine::ProblemBuilder()
+            .matrix(repro::make_matrix(2, 8659.0).matrix)
+            .nodes(nodes)
+            .build();
+    ResilientPcgOptions opts;
+    opts.pcg.rtol = 1e-9;
+    opts.method = RecoveryMethod::kEsr;
+    opts.phi = 1;
+    opts.esr.cache = &cache;
+    Cluster cluster = problem.make_cluster();
+    ResilientPcg solver(cluster, problem.matrix_global(), problem.matrix(),
+                        problem.preconditioner(), opts);
+    DistVector x = problem.make_x();
+    return solver.solve(problem.rhs(), x, schedule_at(3, {2}));
+  };
+  ASSERT_TRUE(solve_on(7).converged);
+  try {
+    (void)solve_on(8);
+    FAIL() << "an entry built for other rows must not be used";
+  } catch (const std::invalid_argument& e) {
+    FAIL() << "a mismatched entry is an internal fault, not an invalid job: "
+           << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(classify_exception(e), ErrorClass::kInternal);
+    EXPECT_NE(std::string(e.what()).find("other rows"), std::string::npos)
+        << e.what();
+  }
 }
 
 class CachedVsUncached : public ::testing::TestWithParam<bool> {};

@@ -1,7 +1,8 @@
-// The SolverService battery: the JSON-lines job front end, the cross-job
-// SharedFactorizationCache (hit/miss/eviction/coalescing), ThreadPool::submit,
-// and the service determinism contract — submission-order per-job reports are
-// byte-identical no matter how many workers raced to produce them.
+// The SolverService battery: the JSON-lines job front end, the problem store
+// (coalescing, eviction, the factorization caches its entries share),
+// ThreadPool::submit, and the service determinism contract — submission-order
+// per-job reports are byte-identical no matter how many workers raced to
+// produce them, and with the shared cache on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "service/job.hpp"
 #include "service/json_value.hpp"
 #include "service/problem_store.hpp"
-#include "service/shared_cache.hpp"
 #include "service/solver_service.hpp"
 #include "util/thread_pool.hpp"
 
@@ -36,7 +36,6 @@ using rpcg::service::JsonValue;
 using rpcg::service::ProblemStore;
 using rpcg::service::ServiceOptions;
 using rpcg::service::ServiceReport;
-using rpcg::service::SharedFactorizationCache;
 using rpcg::service::SolverService;
 
 // ---- JsonValue -----------------------------------------------------------
@@ -176,11 +175,11 @@ TEST(JobParsing, MissingJobFileThrows) {
                std::invalid_argument);
 }
 
-// ---- SharedFactorizationCache --------------------------------------------
+// ---- ProblemStore --------------------------------------------------------
 
-/// Waits until `pred` holds (a cache's or store's counters are the only
-/// signal a waiting thread gives), for at most ten seconds: a cache that
-/// fails to coalesce makes the test fail, not hang.
+/// Waits until `pred` holds (the store's counters are the only signal a
+/// waiting thread gives), for at most ten seconds: a store that fails to
+/// coalesce makes the test fail, not hang.
 template <typename Pred>
 bool eventually(const Pred& pred) {
   const auto deadline =
@@ -191,167 +190,6 @@ bool eventually(const Pred& pred) {
   }
   return true;
 }
-
-FactorizationCache::MatrixKey test_key(int seed) {
-  FactorizationCache::MatrixKey key;
-  key.rows = key.cols = 4;
-  key.nnz = 4;
-  key.digest = static_cast<std::uint64_t>(seed);
-  return key;
-}
-
-TEST(SharedCache, HitsMissesAndLruEviction) {
-  SharedFactorizationCache cache(1);
-  std::atomic<int> builds{0};
-  const auto build = [&builds] {
-    ++builds;
-    return FactorizationCache::Entry{};
-  };
-  const std::vector<rpcg::NodeId> nodes{1, 2};
-  (void)cache.get_or_build("t", test_key(1), nodes, build);
-  (void)cache.get_or_build("t", test_key(1), nodes, build);
-  EXPECT_EQ(builds.load(), 1);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  // Capacity 1: the second key evicts the first, so it misses again.
-  (void)cache.get_or_build("t", test_key(2), nodes, build);
-  (void)cache.get_or_build("t", test_key(1), nodes, build);
-  EXPECT_EQ(builds.load(), 3);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(SharedCache, KeyIncludesTagMatrixAndSortedNodes) {
-  SharedFactorizationCache cache(8);
-  std::atomic<int> builds{0};
-  const auto build = [&builds] {
-    ++builds;
-    return FactorizationCache::Entry{};
-  };
-  const std::vector<rpcg::NodeId> ab{1, 2};
-  const std::vector<rpcg::NodeId> ba{2, 1};
-  (void)cache.get_or_build("t", test_key(1), ab, build);
-  (void)cache.get_or_build("t", test_key(1), ba, build);  // sorted: hit
-  EXPECT_EQ(builds.load(), 1);
-  (void)cache.get_or_build("u", test_key(1), ab, build);  // other tag
-  (void)cache.get_or_build("t", test_key(2), ab, build);  // other matrix
-  EXPECT_EQ(builds.load(), 3);
-}
-
-TEST(SharedCache, FailedBuildIsRetriedNotCached) {
-  SharedFactorizationCache cache(8);
-  int calls = 0;
-  const std::vector<rpcg::NodeId> nodes{0};
-  EXPECT_THROW((void)cache.get_or_build("t", test_key(1), nodes,
-                                        [&calls]() -> FactorizationCache::Entry {
-                                          ++calls;
-                                          throw std::runtime_error("boom");
-                                        }),
-               std::runtime_error);
-  (void)cache.get_or_build("t", test_key(1), nodes, [&calls] {
-    ++calls;
-    return FactorizationCache::Entry{};
-  });
-  EXPECT_EQ(calls, 2);  // the poisoned slot was withdrawn, not served
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(SharedCache, ConcurrentRequestsCoalesceOntoOneBuild) {
-  SharedFactorizationCache cache(8);
-  std::atomic<int> builds{0};
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  const std::vector<rpcg::NodeId> nodes{0};
-
-  std::thread builder([&] {
-    (void)cache.get_or_build("t", test_key(1), nodes, [&] {
-      ++builds;
-      gate.wait();  // hold the build open until the waiter has joined it
-      return FactorizationCache::Entry{};
-    });
-  });
-  // The builder has claimed the slot once misses hits 1.
-  EXPECT_TRUE(eventually([&cache] { return cache.stats().misses == 1; }));
-
-  std::thread waiter([&] {
-    (void)cache.get_or_build("t", test_key(1), nodes, [&] {
-      ++builds;
-      return FactorizationCache::Entry{};
-    });
-  });
-  // The waiter joined the in-flight build (counted as a hit) without
-  // starting a second factorization.
-  EXPECT_TRUE(eventually([&cache] { return cache.stats().hits == 1; }));
-  EXPECT_EQ(builds.load(), 1);
-
-  release.set_value();
-  builder.join();
-  waiter.join();
-  EXPECT_EQ(builds.load(), 1);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(SharedCache, FailedBuildReachesEveryCoalescedWaiter) {
-  // One failure, shared by the builder and every waiter that joined its
-  // build: each sees the typed CacheBuildFailure with the original message,
-  // none builds a second time, and the poisoned slot is withdrawn.
-  SharedFactorizationCache cache(8);
-  constexpr int kWaiters = 3;
-  std::atomic<int> builds{0};
-  std::promise<void> release;
-  const std::shared_future<void> gate = release.get_future().share();
-  const std::vector<rpcg::NodeId> nodes{0};
-  const auto expect_failure =
-      [&](const std::function<FactorizationCache::Entry()>& build) {
-        try {
-          (void)cache.get_or_build("t", test_key(1), nodes, build);
-          ADD_FAILURE() << "the build failure must reach this request";
-        } catch (const rpcg::CacheBuildFailure& e) {
-          EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos)
-              << e.what();
-        }
-      };
-
-  std::thread builder([&] {
-    expect_failure([&]() -> FactorizationCache::Entry {
-      ++builds;
-      gate.wait();  // hold the build open until every waiter has joined it
-      throw std::runtime_error("boom");
-    });
-  });
-  EXPECT_TRUE(eventually([&cache] { return cache.stats().misses == 1; }));
-  std::vector<std::thread> waiters;
-  waiters.reserve(kWaiters);
-  for (int w = 0; w < kWaiters; ++w) {
-    waiters.emplace_back([&] {
-      expect_failure([&] {
-        ++builds;
-        return FactorizationCache::Entry{};
-      });
-    });
-  }
-  EXPECT_TRUE(eventually([&cache] {
-    return cache.stats().hits == static_cast<std::uint64_t>(kWaiters);
-  }));
-  release.set_value();
-  builder.join();
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(builds.load(), 1);
-  EXPECT_EQ(cache.stats().entries, 0u);
-
-  // The next request builds afresh instead of inheriting the failure.
-  (void)cache.get_or_build("t", test_key(1), nodes, [&builds] {
-    ++builds;
-    return FactorizationCache::Entry{};
-  });
-  EXPECT_EQ(builds.load(), 2);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-// ---- ProblemStore --------------------------------------------------------
 
 ProblemStore::Key store_key(int matrix) {
   return {matrix, 0, 8, "bjacobi"};
@@ -808,6 +646,72 @@ TEST(SolverService, MaxInFlightOneStillCompletes) {
   const ServiceReport run = SolverService(opts).run(jobs);
   EXPECT_EQ(run.failed, 0u);
   EXPECT_EQ(run.jobs.size(), jobs.size());
+}
+
+// ---- the store entries' shared factorization caches ---------------------
+
+/// Two jobs that lose node 2 of M2 at scale 8659 (30 rows): it holds rows
+/// 10-13 on 7 nodes and 8-11 on 8 nodes, so the failed node id names
+/// different rows of one matrix.
+std::vector<JobSpec> same_node_other_rows_batch() {
+  std::istringstream in(R"({"name": "m2-7", "matrix": "M2", "scale": 8659, "nodes": 7, "solver": "resilient-pcg", "recovery": "esr", "phi": 1, "failures": [{"iteration": 3, "nodes": [2]}]}
+{"name": "m2-8", "matrix": "M2", "scale": 8659, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 1, "failures": [{"iteration": 3, "nodes": [2]}]})");
+  return rpcg::service::parse_job_lines(in);
+}
+
+TEST(SolverService, SharedCacheNeverServesAnotherPartitionsRows) {
+  const std::vector<JobSpec> jobs = same_node_other_rows_batch();
+  const ServiceReport cached =
+      run_batch(jobs, 1, rpcg::service::OutputOrder::kSubmission, true);
+  const ServiceReport uncached =
+      run_batch(jobs, 1, rpcg::service::OutputOrder::kSubmission, false);
+  ASSERT_EQ(cached.failed, 0u);
+  EXPECT_EQ(normalized_job_reports(cached), normalized_job_reports(uncached));
+}
+
+TEST(SolverService, SharedCacheServesEachPartitionItsOwnRowCount) {
+  // Nodes {1, 2} hold 1638 rows of M1 at scale 128 on 5 nodes and 1170 on
+  // 7: the second job must build its own A_{IF,IF}, not meet a size
+  // mismatch.
+  std::istringstream in(R"({"name": "m1-5", "matrix": "M1", "scale": 128, "nodes": 5, "solver": "resilient-bicgstab", "phi": 2, "failures": [{"iteration": 3, "nodes": [1, 2]}]}
+{"name": "m1-7", "matrix": "M1", "scale": 128, "nodes": 7, "solver": "resilient-bicgstab", "phi": 2, "failures": [{"iteration": 3, "nodes": [1, 2]}]})");
+  const std::vector<JobSpec> jobs = rpcg::service::parse_job_lines(in);
+  const ServiceReport run =
+      run_batch(jobs, 1, rpcg::service::OutputOrder::kSubmission);
+  EXPECT_EQ(run.failed, 0u);
+  for (const JobResult& job : run.jobs) {
+    EXPECT_TRUE(job.ok()) << job.name << ": " << job.error;
+    EXPECT_TRUE(job.report.converged) << job.name;
+  }
+}
+
+TEST(SolverService, EvictedProblemsReleaseTheirCachedFactorizations) {
+  // One worker keeps one problem resident, and mixed_batch alternates
+  // problems: M1/jacobi, M1/bjacobi {1,2}, M2/bjacobi {4,5}, M1/bjacobi
+  // {1,2}, M2/bjacobi, M1/bjacobi {3}. Each switch releases the resident
+  // problem with its cache, so esr-b rebuilds what esr-a built: four
+  // builds, three of them released with their problems (esr-a's, pipe's
+  // and esr-b's), one still resident.
+  const ServiceReport run =
+      run_batch(mixed_batch(), 1, rpcg::service::OutputOrder::kSubmission);
+  ASSERT_EQ(run.failed, 0u);
+  EXPECT_EQ(run.problem_store.evictions, 5u);
+  EXPECT_EQ(run.shared_stats.hits, 0u);
+  EXPECT_EQ(run.shared_stats.misses, 4u);
+  EXPECT_EQ(run.shared_stats.evictions, 3u);
+  EXPECT_EQ(run.shared_stats.entries, 1u);
+  // Every entry built is either released or still resident.
+  EXPECT_EQ(run.shared_stats.misses,
+            run.shared_stats.evictions + run.shared_stats.entries);
+  EXPECT_EQ(run.total_factorizations, 4u);
+
+  // With every problem resident, esr-b is served esr-a's entry.
+  const ServiceReport wide =
+      run_batch(mixed_batch(), 4, rpcg::service::OutputOrder::kSubmission);
+  EXPECT_EQ(wide.shared_stats.hits, 1u);
+  EXPECT_EQ(wide.shared_stats.misses, 3u);
+  EXPECT_EQ(wide.shared_stats.evictions, 0u);
+  EXPECT_EQ(wide.shared_stats.entries, 3u);
 }
 
 TEST(SolverService, CheckMessagesNameTheSourcePathFromSrc) {

@@ -4,8 +4,7 @@
 //                   --precond bjacobi --failures 10:0:2 --recovery esr ...]
 //   rpcg-cli batch --jobs FILE [--workers N --max-in-flight N
 //                   --order submission|completion --shared-cache=BOOL
-//                   --shared-cache-capacity N --out FILE
-//                   --retry N --fallbacks a,b --retry-backoff S
+//                   --out FILE --retry N --fallbacks a,b --retry-backoff S
 //                   --retry-backoff-multiplier M --retry-seed-bump K
 //                   --deadline SIM_S --wall-timeout WALL_S
 //                   --inject-seed K --inject-cache-rate P
@@ -143,10 +142,6 @@ int cmd_batch(const Options& opts) {
   sopts.workers = static_cast<int>(opts.get_int("workers", 0));
   sopts.max_in_flight = static_cast<int>(opts.get_int("max-in-flight", 0));
   sopts.shared_cache = opts.get_bool("shared-cache", true);
-  sopts.shared_cache_capacity = static_cast<std::size_t>(opts.get_int(
-      "shared-cache-capacity",
-      static_cast<long>(
-          rpcg::service::SharedFactorizationCache::kDefaultCapacity)));
   sopts.order = opts.get_enum<rpcg::service::OutputOrder>(
       "order", rpcg::service::OutputOrder::kSubmission);
 
