@@ -79,7 +79,9 @@ RecoveryStats ResilientBicgstab::recover(std::span<const NodeId> failed,
   LostBlocks lost(cluster_, *a_global_, failed, /*static_vectors=*/2);
   const std::vector<Index>& rows = lost.rows();
 
-  // Gather the redundant copies of p̂ and ŝ.
+  // Recover the replicated scalar alpha (one message from any survivor),
+  // then gather the redundant copies of p̂ and ŝ.
+  cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
   const auto got_phat = lost.gather(store_phat_);
   const auto got_shat = lost.gather(store_shat_);
 

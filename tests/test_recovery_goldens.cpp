@@ -152,10 +152,10 @@ std::vector<Case> cases() {
         {{3, 0x1.1c4679e55de31p-10, 180, 36, 14},
          {7, 0x1.1c485aeeab476p-10, 180, 36, 14}}}},
       {"bicgstab", "resilient-bicgstab", base_config(),
-       {0x1.797bd9fa8ea52p-9, 0x1.184544786d086p-9, 15, 0x1.4be04b8764941p-28,
+       {0x1.79e09186c2d5ap-9, 0x1.18a9fc04a138ep-9, 15, 0x1.4be04b8764941p-28,
         0x8593b581666746c4ull,
-        {{3, 0x1.17deb2c2236a3p-10, 72, 36, 14},
-         {7, 0x1.17e093cb70ce5p-10, 72, 36, 14}}}},
+        {{3, 0x1.18436a4e579abp-10, 72, 36, 14},
+         {7, 0x1.18454b57a4fedp-10, 72, 36, 14}}}},
       {"stationary_jacobi", "stationary", stationary(StationaryMethod::kJacobi),
        {0x1.36a642a7f8e54p-7, 0x1.0ab0ef31e2b74p-9, 407, 0x1.f3279d66f00c8p-18,
         0xc7196ef7f0a85847ull,
