@@ -68,7 +68,7 @@ FactorizationCache::EntryPtr FactorizationCache::get_or_build(
 
   std::promise<EntryPtr> promise;
   std::shared_future<EntryPtr> future;
-  std::uint64_t claim = 0;  // nonzero once this request claimed the slot
+  bool claimed = false;
   Upstream upstream;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -77,23 +77,22 @@ FactorizationCache::EntryPtr FactorizationCache::get_or_build(
       // A resident entry or a build in flight: either way this request is
       // served without building (a coalesced wait counts as a hit).
       ++stats_.hits;
-      future = it->second.entry;
+      future = it->second;
     } else {
       ++stats_.misses;
-      claim = ++claims_;
+      claimed = true;
       future = promise.get_future().share();
-      entries_.emplace(key, Slot{future, claim});
+      entries_.emplace(key, future);
       upstream = upstream_;
     }
   }
-  if (claim == 0) return future.get();  // rethrows the builder's failure
+  if (!claimed) return future.get();  // rethrows the builder's failure
 
   // This request claimed the slot: build outside the lock (factorization is
   // the expensive part and must not serialize unrelated consumers), through
   // the upstream when one is installed, then publish to every coalesced
   // waiter. On failure the slot leaves the map before the exception is
-  // published; the claim check leaves alone a successor's slot when
-  // invalidation already dropped this one.
+  // published, so a request arriving after the failure builds afresh.
   try {
     EntryPtr entry = upstream
                          ? upstream(tag, matrix, std::get<2>(key), build)
@@ -103,8 +102,7 @@ FactorizationCache::EntryPtr FactorizationCache::get_or_build(
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.claim == claim) entries_.erase(it);
+      entries_.erase(key);
       failed_.push_back(future);
     }
     promise.set_exception(std::current_exception());

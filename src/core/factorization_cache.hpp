@@ -133,16 +133,11 @@ class FactorizationCache {
 
  private:
   using Key = std::tuple<std::string, MatrixKey, std::vector<NodeId>>;
-  /// A slot exists from the moment a builder claims the key; until the
-  /// build finishes the future is unready and later requesters wait on it.
-  struct Slot {
-    std::shared_future<EntryPtr> entry;
-    std::uint64_t claim = 0;  ///< tells a withdrawn build's slot from a successor's
-  };
 
   mutable std::mutex mu_;
-  std::map<Key, Slot> entries_;
-  std::uint64_t claims_ = 0;
+  /// A slot exists from the moment a builder claims the key; until the
+  /// build finishes its future is unready and later requesters wait on it.
+  std::map<Key, std::shared_future<EntryPtr>> entries_;
   /// Failed builds' shared states, kept until the cache is destroyed. Their
   /// exception object is shared by every coalesced waiter, and the C++
   /// runtime frees it through a reference count that thread sanitizers

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -23,9 +22,12 @@
 #include "engine/registry.hpp"
 #include "repro/matrices.hpp"
 #include "sparse/generators.hpp"
+#include "test_util.hpp"
 
 namespace rpcg {
 namespace {
+
+using testing::eventually;
 
 engine::Problem make_problem() {
   return engine::ProblemBuilder()
@@ -332,20 +334,6 @@ TEST(FactorizationCache, UpstreamServesLocalMisses) {
   (void)left.get_or_build("t", key, set, build);
   EXPECT_EQ(left.stats().hits, 1u);
   EXPECT_EQ(upstream.stats().hits, 1u);  // not consulted again
-}
-
-/// Waits until `pred` holds (the cache's counters are the only signal a
-/// waiting thread gives), for at most ten seconds: a cache that fails to
-/// coalesce makes the test fail, not hang.
-template <typename Pred>
-bool eventually(const Pred& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
 }
 
 FactorizationCache::MatrixKey test_key(int seed) {

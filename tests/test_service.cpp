@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <future>
 #include <sstream>
@@ -26,6 +25,7 @@
 #include "service/problem_store.hpp"
 #include "service/solver_service.hpp"
 #include "util/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -37,6 +37,7 @@ using rpcg::service::ProblemStore;
 using rpcg::service::ServiceOptions;
 using rpcg::service::ServiceReport;
 using rpcg::service::SolverService;
+using rpcg::testing::eventually;
 
 // ---- JsonValue -----------------------------------------------------------
 
@@ -176,20 +177,6 @@ TEST(JobParsing, MissingJobFileThrows) {
 }
 
 // ---- ProblemStore --------------------------------------------------------
-
-/// Waits until `pred` holds (the store's counters are the only signal a
-/// waiting thread gives), for at most ten seconds: a store that fails to
-/// coalesce makes the test fail, not hang.
-template <typename Pred>
-bool eventually(const Pred& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
 
 ProblemStore::Key store_key(int matrix) {
   return {matrix, 0, 8, "bjacobi"};

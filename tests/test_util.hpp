@@ -1,7 +1,9 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "sim/dist_vector.hpp"
@@ -29,6 +31,20 @@ inline CsrMatrix dense_random_spd(Index n, std::uint64_t seed) {
     }
   }
   return b.build(n, n);
+}
+
+/// Waits until `pred` holds, for at most ten seconds; a thread's counters
+/// are often the only signal that it is blocked where a test wants it, and
+/// a wait that never ends must fail the test, not hang it.
+template <typename Pred>
+bool eventually(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 /// Random vector with entries in [-1, 1).
