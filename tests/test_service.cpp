@@ -637,17 +637,13 @@ TEST(SolverService, MaxInFlightOneStillCompletes) {
 
 // ---- the store entries' shared factorization caches ---------------------
 
-/// Two jobs that lose node 2 of M2 at scale 8659 (30 rows): it holds rows
-/// 10-13 on 7 nodes and 8-11 on 8 nodes, so the failed node id names
-/// different rows of one matrix.
-std::vector<JobSpec> same_node_other_rows_batch() {
+TEST(SolverService, SharedCacheNeverServesAnotherPartitionsRows) {
+  // Both jobs lose node 2 of M2 at scale 8659 (30 rows): it holds rows
+  // 10-13 on 7 nodes and 8-11 on 8 nodes, so the failed node id names
+  // different rows of one matrix and the same row count.
   std::istringstream in(R"({"name": "m2-7", "matrix": "M2", "scale": 8659, "nodes": 7, "solver": "resilient-pcg", "recovery": "esr", "phi": 1, "failures": [{"iteration": 3, "nodes": [2]}]}
 {"name": "m2-8", "matrix": "M2", "scale": 8659, "nodes": 8, "solver": "resilient-pcg", "recovery": "esr", "phi": 1, "failures": [{"iteration": 3, "nodes": [2]}]})");
-  return rpcg::service::parse_job_lines(in);
-}
-
-TEST(SolverService, SharedCacheNeverServesAnotherPartitionsRows) {
-  const std::vector<JobSpec> jobs = same_node_other_rows_batch();
+  const std::vector<JobSpec> jobs = rpcg::service::parse_job_lines(in);
   const ServiceReport cached =
       run_batch(jobs, 1, rpcg::service::OutputOrder::kSubmission, true);
   const ServiceReport uncached =
