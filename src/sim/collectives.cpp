@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/lanes.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rpcg {
@@ -35,26 +35,14 @@ void charge_blas1(Cluster& cluster, double flops_per_element, Phase phase) {
 //
 // kGramChunk rows of the nb slices are packed k-major into a stack buffer
 // (row k holds b_0[k] ... b_{nb-1}[k], plus a zero pad column when nb is
-// odd). A Vec2 holds the lanes (i, j) and (i, j + 1), j even: the broadcast
-// b_i[k] times the packed pair. Rows come in pairs 2m, 2m + 1, which share
-// the column pairs from 2m on, so the strip of row pair m is h - m column
-// pairs wide (h = padded nb / 2), two chains per column pair. Strip m is
-// folded with strip h - 1 - m into h + 1 column pairs, which are cut into
-// passes of near-equal width: the short strips at the bottom of the
-// triangle ride along with the long ones instead of running alone on one
-// or two chains.
-
-// Two doubles in one vector register (GCC/Clang vector extension; SSE2 on
-// every x86-64 target).
-using Vec2 = double __attribute__((vector_size(16)));
-
-Vec2 load2(const double* p) {
-  Vec2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof v); }
+// odd). A Vec2 (util/lanes.hpp) holds the lanes (i, j) and (i, j + 1),
+// j even: the broadcast b_i[k] times the packed pair. Rows come in pairs
+// 2m, 2m + 1, which share the column pairs from 2m on, so the strip of row
+// pair m is h - m column pairs wide (h = padded nb / 2), two chains per
+// column pair. Strip m is folded with strip h - 1 - m into h + 1 column
+// pairs, which are cut into passes of near-equal width: the short strips at
+// the bottom of the triangle ride along with the long ones instead of
+// running alone on one or two chains.
 
 // Rows per packed chunk, and column pairs (two chains each) per pass.
 constexpr std::size_t kGramChunk = 64;

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "sparse/amd.hpp"
+#include "sparse/ldlt_lanes.hpp"
 #include "sparse/reorder.hpp"
 #include "util/check.hpp"
+#include "util/lanes.hpp"
 
 namespace rpcg {
 
@@ -34,25 +38,19 @@ constexpr double kMinSupernodalFlopsPerEntry = 30.0;
 // Blocking of the supernodal kernel. A supernode is factored kGroup
 // columns at a time; every update into a group — from earlier supernodes and
 // from the supernode's own columns left of it — runs while the group's
-// columns sit in L2. An update accumulates kTile x kTile register tiles
-// (rows x target columns) over up to kChunk source columns, the tile's
-// source rows staying in L1 across the group's column tiles.
+// columns sit in L2. An update accumulates register tiles of rows x kTile
+// target columns over up to kChunk source columns, the tile's source rows
+// staying in L1 across the group's column tiles.
 constexpr Index kTile = 4;
 constexpr Index kChunk = 64;
 constexpr Index kGroup = 128;
 // Updates from fewer source columns than this skip the tiles: one fused
 // pass per target column costs less than packing their multipliers.
 constexpr Index kMinTiledSources = 4;
-
-// Two doubles in one vector register (GCC/Clang vector extension; SSE2 on
-// every x86-64 target).
-using Vec2 = double __attribute__((vector_size(16)));
-
-Vec2 load2(const double* p) {
-  Vec2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+// Rows of a register tile W lanes wide: two Vec2 at W = 2; at W = 4 and 8,
+// two Vec4 or one Vec8, the height that measured fastest for both.
+template <int W>
+constexpr Index kTileRows = W == 2 ? kTile : 8;
 
 // Up-looking numeric LDLᵀ, row by row: row k of L is the sparse triangular
 // solve against the rows above it, its pattern the row subtree of the
@@ -130,13 +128,16 @@ bool factor_up_looking(const CsrMatrix& a, const std::vector<Index>& parent,
 // grows beyond O(n).
 class SupernodalKernel {
  public:
+  /// `lanes`: the width of the update tiles, 2, 4 or 8 (at most
+  /// host_lanes()).
   SupernodalKernel(const std::vector<Index>& lp, std::vector<Index>& li,
-                   std::vector<double>& lx, std::vector<double>& d)
+                   std::vector<double>& lx, std::vector<double>& d, int lanes)
       : lp_(lp.data()),
         li_(li),
         lx_(lx.data()),
         d_(d.data()),
         n_(static_cast<Index>(d.size())),
+        lanes_(lanes),
         rel_(d.size()),
         w_(static_cast<std::size_t>(kGroup * kChunk)) {}
 
@@ -161,12 +162,32 @@ class SupernodalKernel {
   void update(Source src, Index ka, Index kb, Index c_lo, Index c_hi);
   template <Index KN>
   void update_narrow(Source src, Index ka, Index c_lo, Index c_hi);
+  // The tiled update W lanes wide. It and everything it calls are inlined
+  // into their caller, so the wrappers below build all of it for their ISA.
+  template <int W>
+  [[gnu::always_inline]] inline void update_tiled(Source src, Index ka,
+                                                  Index kb, Index c_lo,
+                                                  Index c_hi);
+#if defined(__x86_64__)
+  __attribute__((target("avx2"))) void update_avx2(Source src, Index ka,
+                                                   Index kb, Index c_lo,
+                                                   Index c_hi);
+  __attribute__((target("avx512f"))) void update_avx512(Source src, Index ka,
+                                                       Index kb, Index c_lo,
+                                                       Index c_hi);
+#endif
+  template <int W, Index R>
+  [[gnu::always_inline]] inline void row_tiles(Source src, Index k0, Index k1,
+                                               Index p, Index c_lo,
+                                               Index c_hi, const Index* tcol);
+  template <int W, Index R>
+  [[gnu::always_inline]] inline void tile(Source src, Index k0, Index k1,
+                                          Index p, const Vec2* w,
+                                          double (&acc)[R][kTile]) const;
   template <Index R>
-  void tile(Source src, Index k0, Index k1, Index p, const Vec2* w,
-            double (&acc)[R][kTile]) const;
-  template <Index R>
-  void scatter(Source src, Index p, Index nc, const Index* tcol,
-               const double (&acc)[R][kTile]);
+  [[gnu::always_inline]] inline void scatter(Source src, Index p, Index nc,
+                                             const Index* tcol,
+                                             const double (&acc)[R][kTile]);
   bool factor_columns(Source self, Index jb, Index je);
   bool factor_block(Index c0, Index nrows, Index jb, Index je);
 
@@ -175,6 +196,7 @@ class SupernodalKernel {
   double* lx_;
   double* d_;
   Index n_;
+  int lanes_;
   std::vector<Index> rel_;  // row -> position in the target's row list
   std::vector<Vec2> w_;     // d_kk L(c, kk) of one group and chunk, twice
 };
@@ -199,9 +221,13 @@ void SupernodalKernel::fill_patterns(const CsrMatrix& a,
 }
 
 // acc[r][c] = sum over source columns kk in [k0, k1) of L(p + r, kk) w[kk][c]
-// (w packs kTile broadcast multipliers per kk). Spelled out in Vec2 because
-// the auto-vectorizer picks the kk loop and gathers across columns instead.
-template <Index R>
+// (w packs kTile multipliers per kk, each twice). Every entry is one lane
+// that starts at 0.0 and adds its products with kk ascending, whatever W
+// and R, so the tile's shape never changes a bit. Spelled out in vectors
+// because the auto-vectorizer picks the kk loop and gathers across columns
+// instead. One row runs its kTile columns as lanes; taller tiles run R / W
+// vectors of rows against each column's broadcast multiplier.
+template <int W, Index R>
 void SupernodalKernel::tile(Source src, Index k0, Index k1, Index p,
                             const Vec2* w, double (&acc)[R][kTile]) const {
   // Column kk + 1 keeps list position p nrows - kk - 2 entries after
@@ -221,22 +247,29 @@ void SupernodalKernel::tile(Source src, Index k0, Index k1, Index p,
     acc[0][2] = s23[0];
     acc[0][3] = s23[1];
   } else {
-    static_assert(R == kTile && kTile == 4, "the row tile is two Vec2 pairs");
-    Vec2 sum[2][kTile] = {};
+    static_assert(R % W == 0 && kTile == 4, "whole vectors of rows");
+    using V = Lanes<W>;
+    constexpr Index kRowVecs = R / W;
+    V sum[kRowVecs][kTile] = {};
     for (Index kk = k0; kk < k1; ++kk, w += kTile, off += stride--) {
-      const Vec2 lo = load2(lx_ + off);
-      const Vec2 hi = load2(lx_ + off + 2);
+      V rows[kRowVecs];
+      for (Index v = 0; v < kRowVecs; ++v)
+        std::memcpy(&rows[v], lx_ + off + v * W, sizeof(V));
       for (Index c = 0; c < kTile; ++c) {
-        sum[0][c] += lo * w[c];
-        sum[1][c] += hi * w[c];
+        for (Index v = 0; v < kRowVecs; ++v) {
+          // A Vec2 multiplier is its own broadcast; wider ones broadcast
+          // one copy.
+          if constexpr (W == 2)
+            sum[v][c] += rows[v] * w[c];
+          else
+            sum[v][c] += rows[v] * w[c][0];
+        }
       }
     }
-    for (Index c = 0; c < kTile; ++c) {
-      acc[0][c] = sum[0][c][0];
-      acc[1][c] = sum[0][c][1];
-      acc[2][c] = sum[1][c][0];
-      acc[3][c] = sum[1][c][1];
-    }
+    for (Index v = 0; v < kRowVecs; ++v)
+      for (Index lane = 0; lane < W; ++lane)
+        for (Index c = 0; c < kTile; ++c)
+          acc[v * W + lane][c] = sum[v][c][lane];
   }
 }
 
@@ -275,6 +308,36 @@ void SupernodalKernel::update(Source src, Index ka, Index kb, Index c_lo,
     case 3: update_narrow<3>(src, ka, c_lo, c_hi); return;
     default: break;
   }
+  switch (lanes_) {
+#if defined(__x86_64__)
+    case 8: update_avx512(src, ka, kb, c_lo, c_hi); return;
+    case 4: update_avx2(src, ka, kb, c_lo, c_hi); return;
+#endif
+    default: update_tiled<2>(src, ka, kb, c_lo, c_hi); return;
+  }
+}
+
+#if defined(__x86_64__)
+// The only code of the library built for AVX2 and AVX-512F, run only when
+// host_lanes() has found the ISA.
+__attribute__((target("avx2"))) void SupernodalKernel::update_avx2(
+    Source src, Index ka, Index kb, Index c_lo, Index c_hi) {
+  update_tiled<4>(src, ka, kb, c_lo, c_hi);
+}
+
+__attribute__((target("avx512f"))) void SupernodalKernel::update_avx512(
+    Source src, Index ka, Index kb, Index c_lo, Index c_hi) {
+  update_tiled<8>(src, ka, kb, c_lo, c_hi);
+}
+#endif
+
+// update() from at least kMinTiledSources source columns, in tiles of
+// kTileRows<W> rows; the rows left below the last of them take 4-row and
+// then 1-row tiles.
+template <int W>
+void SupernodalKernel::update_tiled(Source src, Index ka, Index kb,
+                                    Index c_lo, Index c_hi) {
+  constexpr Index kRows = kTileRows<W>;
   Index tcol[kGroup] = {};
   for (Index c = c_lo; c < c_hi; ++c) tcol[c - c_lo] = row_at(src, c);
   for (Index k0 = ka; k0 < kb; k0 += kChunk) {
@@ -290,24 +353,29 @@ void SupernodalKernel::update(Source src, Index ka, Index kb, Index c_lo,
         }
       }
     }
-    // Row tiles start at c_lo, so a tile meets a column tile either on its
-    // diagonal (p == cb) or wholly below it.
     Index p = c_lo;
-    for (; p + kTile <= src.nrows; p += kTile) {
-      for (Index cb = c_lo; cb <= p && cb < c_hi; cb += kTile) {
-        double acc[kTile][kTile] = {};
-        tile<kTile>(src, k0, k1, p, w_.data() + (cb - c_lo) * (k1 - k0), acc);
-        scatter<kTile>(src, p, std::min(kTile, c_hi - cb), tcol + (cb - c_lo),
-                       acc);
-      }
+    for (; p + kRows <= src.nrows; p += kRows)
+      row_tiles<W, kRows>(src, k0, k1, p, c_lo, c_hi, tcol);
+    if constexpr (kRows > kTile) {
+      for (; p + kTile <= src.nrows; p += kTile)
+        row_tiles<4, kTile>(src, k0, k1, p, c_lo, c_hi, tcol);
     }
-    for (; p < src.nrows; ++p) {
-      for (Index cb = c_lo; cb <= p && cb < c_hi; cb += kTile) {
-        double acc[1][kTile] = {};
-        tile<1>(src, k0, k1, p, w_.data() + (cb - c_lo) * (k1 - k0), acc);
-        scatter<1>(src, p, std::min(kTile, c_hi - cb), tcol + (cb - c_lo), acc);
-      }
-    }
+    for (; p < src.nrows; ++p) row_tiles<W, 1>(src, k0, k1, p, c_lo, c_hi, tcol);
+  }
+}
+
+// The tiles of source positions [p, p + R) against every column tile of
+// [c_lo, c_hi) that holds an entry of theirs. Row and column tiles both
+// start at c_lo, so a row tile meets a column tile on the diagonal or
+// below it; scatter() drops the products above the diagonal that a tile
+// taller than kTile computes.
+template <int W, Index R>
+void SupernodalKernel::row_tiles(Source src, Index k0, Index k1, Index p,
+                                 Index c_lo, Index c_hi, const Index* tcol) {
+  for (Index cb = c_lo; cb < p + R && cb < c_hi; cb += kTile) {
+    double acc[R][kTile] = {};
+    tile<W, R>(src, k0, k1, p, w_.data() + (cb - c_lo) * (k1 - k0), acc);
+    scatter<R>(src, p, std::min(kTile, c_hi - cb), tcol + (cb - c_lo), acc);
   }
 }
 
@@ -518,6 +586,22 @@ Index SparseLdlt::symbolic_nnz(const CsrMatrix& a) {
 
 std::optional<SparseLdlt> SparseLdlt::factor(const CsrMatrix& a,
                                              bool supernodal) {
+  return factor_lanes(a, supernodal, host_lanes());
+}
+
+std::optional<SparseLdlt> detail::LdltLanes::factor(const CsrMatrix& a,
+                                                   int lanes) {
+  if ((lanes != 2 && lanes != 4 && lanes != 8) || lanes > host_lanes()) {
+    throw std::invalid_argument("LDLt update tiles cannot run " +
+                                std::to_string(lanes) +
+                                " lanes wide on this host");
+  }
+  return SparseLdlt::factor_lanes(a, true, lanes);
+}
+
+std::optional<SparseLdlt> SparseLdlt::factor_lanes(const CsrMatrix& a,
+                                                   bool supernodal,
+                                                   int lanes) {
   RPCG_CHECK(a.rows() == a.cols(), "LDLt needs a square matrix");
   const Index n = a.rows();
   SparseLdlt f;
@@ -563,7 +647,7 @@ std::optional<SparseLdlt> SparseLdlt::factor(const CsrMatrix& a,
       f.factor_flops_ >= kMinSupernodalFlopsPerEntry * l_nnz;
   const bool ok =
       use_supernodal
-          ? SupernodalKernel(f.lp_, f.li_, f.lx_, f.d_).run(a, parent, lnz)
+          ? SupernodalKernel(f.lp_, f.li_, f.lx_, f.d_, lanes).run(a, parent, lnz)
           : factor_up_looking(a, parent, f.lp_, f.li_, f.lx_, f.d_);
   if (!ok) return std::nullopt;
   if (supernodal) f.build_supernodes();

@@ -42,6 +42,10 @@ namespace rpcg {
 /// Candidate symmetric orderings of ReorderedLdlt (see below).
 enum class LdltOrdering { kNatural, kRcm, kAmd };
 
+namespace detail {
+struct LdltLanes;  // sparse/ldlt_lanes.hpp: the kernel's lane width, for tests
+}  // namespace detail
+
 [[nodiscard]] const char* to_string(LdltOrdering o);
 
 class SparseLdlt {
@@ -55,7 +59,10 @@ class SparseLdlt {
   /// when the detected supernodes are wide enough to pay off. Pass false to
   /// force the scalar reference path — the up-looking kernel and the
   /// unpacked column sweeps (micro-benches and equivalence tests). Either
-  /// way l_nnz(), solve_flops() and factor_flops() are the same.
+  /// way l_nnz(), solve_flops() and factor_flops() are the same. The
+  /// supernodal kernel's update tiles run on the widest vectors the host
+  /// has (util/lanes.hpp), with the same L and D bit for bit at every
+  /// width.
   [[nodiscard]] static std::optional<SparseLdlt> factor(const CsrMatrix& a,
                                                         bool supernodal = true);
 
@@ -110,8 +117,13 @@ class SparseLdlt {
   [[nodiscard]] double factor_flops() const { return factor_flops_; }
 
  private:
+  friend struct detail::LdltLanes;
+
   SparseLdlt() = default;
 
+  /// factor(a, supernodal) with the supernodal update tiles `lanes` wide.
+  static std::optional<SparseLdlt> factor_lanes(const CsrMatrix& a,
+                                                bool supernodal, int lanes);
   void build_supernodes();
   void solve_in_place_simplicial(std::span<double> b) const;
   void solve_in_place_supernodal(std::span<double> b) const;

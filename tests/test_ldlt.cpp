@@ -3,16 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "repro/matrices.hpp"
 #include "sim/partition.hpp"
 #include "sparse/amd.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/ldlt_lanes.hpp"
 #include "sparse/reorder.hpp"
 #include "test_util.hpp"
+#include "util/lanes.hpp"
 
 namespace rpcg {
 namespace {
@@ -259,6 +264,85 @@ TEST(LdltKernels, SupernodalKernelIsDeterministic) {
   f1->solve(b, x1);
   f2->solve(b, x2);
   EXPECT_EQ(x1, x2);
+}
+
+std::vector<double> solve_with(const SparseLdlt& f, const std::vector<double>& b) {
+  std::vector<double> x(b.size());
+  f.solve(b, x);
+  return x;
+}
+
+/// FNV-1a over the bytes of every entry.
+std::uint64_t digest(const std::vector<double>& x) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double v : x) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b)
+      h = (h ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The supernodal kernel's update tiles run 2, 4 or 8 lanes wide, whichever
+// the host has; every width must give the same L, D and solves, bit for
+// bit. The inputs reach every tile shape: a dense matrix is one supernode
+// (tiles cut by its diagonal, partial row and column tiles at its edge),
+// the random one has a supernode wider than a 128-column group, and the M2
+// A_FF is the m2-recover kind of factor.
+TEST(LdltKernels, EveryLanePathMatchesBitForBit) {
+  const std::vector<std::pair<const char*, CsrMatrix>> inputs = {
+      {"dense150", dense_random_spd(150, 3)},
+      {"fill-heavy random", random_spd(400, 14, 0.2, 40, 9)},
+      {"M2 A_FF", small_m2_a_ff()},
+  };
+  std::vector<SparseLdlt> two;
+  for (const auto& [name, a] : inputs) {
+    auto f = detail::LdltLanes::factor(a, 2);
+    ASSERT_TRUE(f.has_value()) << name;
+    EXPECT_GE(flops_per_entry(*f), kSupernodalFlopsPerEntry) << name;
+    two.push_back(std::move(*f));
+  }
+  EXPECT_EQ(two[0].max_supernode_width(), 150);
+  EXPECT_GT(two[1].max_supernode_width(), 128);
+  // Pins the bits of every width: a digest of the W = 2 solve.
+  const std::vector<double> b = random_vector(inputs[2].second.rows(), 4);
+  EXPECT_EQ(digest(solve_with(two[2], b)), 0x572792ae2773645eull);
+
+  for (const int lanes : {4, 8}) {
+    if (lanes > host_lanes())
+      GTEST_SKIP() << "the host lacks " << (lanes == 4 ? "AVX2" : "AVX-512F")
+                   << ": only the widths below " << lanes << " ran";
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const auto& [name, a] = inputs[i];
+      const auto f = detail::LdltLanes::factor(a, lanes);
+      ASSERT_TRUE(f.has_value()) << name;
+      const auto l_two = detail::LdltLanes::l_values(two[i]);
+      const auto l_wide = detail::LdltLanes::l_values(*f);
+      const auto d_two = detail::LdltLanes::d(two[i]);
+      const auto d_wide = detail::LdltLanes::d(*f);
+      EXPECT_EQ(std::vector<double>(l_wide.begin(), l_wide.end()),
+                std::vector<double>(l_two.begin(), l_two.end()))
+          << name << " at " << lanes << " lanes";
+      EXPECT_EQ(std::vector<double>(d_wide.begin(), d_wide.end()),
+                std::vector<double>(d_two.begin(), d_two.end()))
+          << name << " at " << lanes << " lanes";
+      const auto rhs = random_vector(a.rows(), 7);
+      EXPECT_EQ(solve_with(*f, rhs), solve_with(two[i], rhs))
+          << name << " at " << lanes << " lanes";
+    }
+  }
+}
+
+TEST(LdltKernels, LaneWidthsTheHostLacksAreRefused) {
+  const CsrMatrix a = dense_random_spd(20, 1);
+  for (const int lanes : {0, 1, 3, 16}) {
+    EXPECT_THROW((void)detail::LdltLanes::factor(a, lanes),
+                 std::invalid_argument)
+        << lanes;
+  }
+  if (host_lanes() < 8) {
+    EXPECT_THROW((void)detail::LdltLanes::factor(a, 8), std::invalid_argument);
+  }
 }
 
 TEST(LdltKernels, SparseBlockKeepsTheReferencePath) {
