@@ -186,6 +186,8 @@ constexpr const char* kJobKeys[] = {
 
 }  // namespace
 
+std::span<const char* const> config_keys() { return kConfigKeys; }
+
 JobSpec parse_job(const JsonValue& value) {
   JobSpec spec;
   std::vector<std::string> config_args;

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,6 +65,11 @@ struct JobSpec {
     return id;
   }
 };
+
+/// The solver-config keys a job line forwards to SolverConfig::from_options
+/// (rtol, recovery, phi, ...); `rpcg-cli solve` takes the same keys as
+/// flags.
+[[nodiscard]] std::span<const char* const> config_keys();
 
 /// Parses one job object. Throws std::invalid_argument on unknown keys,
 /// wrong value kinds, or out-of-range values.

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
@@ -43,6 +44,18 @@ Options::Options(int argc, const char* const* argv) {
 }
 
 bool Options::has(const std::string& key) const { return kv_.count(key) > 0; }
+
+void Options::require_known(const std::vector<std::string>& valid) const {
+  for (const auto& [key, value] : kv_) {
+    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
+    std::string msg = "unknown flag --" + key + " (valid flags:";
+    for (const std::string& v : valid) {
+      msg += " --";
+      msg += v;
+    }
+    throw std::invalid_argument(msg + ")");
+  }
+}
 
 std::string Options::get_string(const std::string& key,
                                 const std::string& fallback) const {

@@ -20,6 +20,11 @@ class Options {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
+  /// Throws std::invalid_argument for the first flag given (in key order)
+  /// that is not in `valid`, naming it and listing the valid flags: a
+  /// misspelled flag must not run with its default.
+  void require_known(const std::vector<std::string>& valid) const;
+
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   /// Throws std::invalid_argument unless the whole value is a base-10

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace rpcg {
 namespace {
@@ -42,6 +44,23 @@ TEST(Options, IntList) {
   const Options o = parse({"--phis=1,3,8"});
   EXPECT_EQ(o.get_int_list("phis", {}), (std::vector<long>{1, 3, 8}));
   EXPECT_EQ(o.get_int_list("other", {2}), (std::vector<long>{2}));
+}
+
+// A flag outside the valid list throws with its name and the list; flags
+// in it, in either form, pass.
+TEST(Options, RequireKnownNamesTheUnknownFlag) {
+  const std::vector<std::string> valid{"solver", "retry"};
+  EXPECT_NO_THROW(parse({"--solver=esr", "--retry", "3"}).require_known(valid));
+  EXPECT_NO_THROW(parse({}).require_known(valid));
+  try {
+    parse({"--solver", "pcg", "--sovler", "esr"}).require_known(valid);
+    FAIL() << "--sovler was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown flag --sovler (valid flags: --solver --retry)");
+  }
+  EXPECT_THROW(parse({"--verbose"}).require_known(valid),
+               std::invalid_argument);
 }
 
 TEST(Options, MalformedThrows) {

@@ -17,9 +17,10 @@
 // `batch` reads a JSON-lines job file (see src/service/job.hpp for the
 // format; `--jobs -` reads stdin), runs it through the SolverService, and
 // prints the rpcg-service-report/v3 summary to stdout (or --out FILE), with
-// per-job progress lines on stderr. Solver-config flags are identical in
-// both modes and in job files — all three go through
-// SolverConfig::from_options.
+// per-job progress lines on stderr. `solve` takes the solver-config keys of
+// job files as flags — both go through SolverConfig::from_options; `batch`
+// takes its own flags only, since each job line carries its config. A flag
+// a command does not read is a usage error, not a default.
 //
 // Exit codes: 0 success, 1 at least one job failed, 2 usage error.
 #include <cstdio>
@@ -91,6 +92,28 @@ FailureSchedule parse_failures_flag(const std::string& spec) {
   return schedule;
 }
 
+// The flags each command reads: solve's own plus the solver-config keys,
+// and batch's own.
+std::vector<std::string> solve_flags() {
+  std::vector<std::string> flags{"name",  "matrix",  "scale", "nodes",
+                                 "solver", "precond", "rhs",   "noise",
+                                 "noise-seed", "failures"};
+  for (const char* key : rpcg::service::config_keys()) flags.emplace_back(key);
+  return flags;
+}
+
+std::vector<std::string> batch_flags() {
+  return {"jobs",          "workers",
+          "max-in-flight", "order",
+          "shared-cache",  "out",
+          "retry",         "fallbacks",
+          "retry-backoff", "retry-backoff-multiplier",
+          "retry-seed-bump", "deadline",
+          "wall-timeout",  "inject-seed",
+          "inject-cache-rate", "inject-worker-rate",
+          "inject-cache-first", "inject-worker-first"};
+}
+
 rpcg::service::JobSpec job_from_options(const Options& opts) {
   rpcg::service::JobSpec spec;
   spec.name = opts.get_string("name", "");
@@ -110,6 +133,7 @@ rpcg::service::JobSpec job_from_options(const Options& opts) {
 }
 
 int cmd_solve(const Options& opts) {
+  opts.require_known(solve_flags());
   const std::vector<rpcg::service::JobSpec> jobs{job_from_options(opts)};
   rpcg::service::ServiceOptions sopts;
   sopts.workers = 1;
@@ -126,6 +150,7 @@ int cmd_solve(const Options& opts) {
 }
 
 int cmd_batch(const Options& opts) {
+  opts.require_known(batch_flags());
   const std::string path = opts.get_string("jobs", "");
   if (path.empty()) {
     std::fprintf(stderr, "rpcg-cli: batch needs --jobs FILE (or --jobs -)\n");
