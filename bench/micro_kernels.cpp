@@ -17,6 +17,7 @@
 #include "sparse/generators.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/ldlt.hpp"
+#include "util/lanes.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -98,6 +99,9 @@ void BM_LdltOrderedFactor(benchmark::State& state) {
   state.counters["gflops"] =
       benchmark::Counter(f->factor_flops() * 1e-9,
                          benchmark::Counter::kIsIterationInvariantRate);
+  // How many doubles wide the supernodal kernel's update tiles run on this
+  // host (2 SSE2, 4 AVX2, 8 AVX-512F), so a log shows which path was timed.
+  state.counters["lanes"] = static_cast<double>(host_lanes());
 }
 BENCHMARK(BM_LdltOrderedFactor)
     ->Apply(ldlt_sweep_args)
