@@ -333,7 +333,7 @@ TEST(LdltKernels, EveryLanePathMatchesBitForBit) {
   }
 }
 
-TEST(LdltKernels, LaneWidthsTheHostLacksAreRefused) {
+TEST(LdltKernels, UnsupportedLaneWidthsAreRefused) {
   const CsrMatrix a = dense_random_spd(20, 1);
   for (const int lanes : {0, 1, 3, 16}) {
     EXPECT_THROW((void)detail::LdltLanes::factor(a, lanes),
