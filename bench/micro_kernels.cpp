@@ -14,6 +14,7 @@
 #include "repro/matrices.hpp"
 #include "sim/collectives.hpp"
 #include "sim/dist_matrix.hpp"
+#include "sim/gram_lanes.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/ldlt.hpp"
@@ -280,11 +281,22 @@ void BM_DotPair(benchmark::State& state) {
 BENCHMARK(BM_DotPair);
 
 // The depth-l pipelined solvers' fused Gram reduction (post + wait) at the
-// rpcg_bench pipelined-latency shape, 64 nodes x 512 rows: nb = 8 is CG at
-// depth 2, nb = 12 CR at depth 2. Every row feeds nb (nb + 1) / 2
-// multiply-adds.
+// rpcg_bench pipelined-latency shape, 64 nodes x 512 rows, for every basis
+// width the pipelined layouts make: nb = 8, 12, 16 and 20 are CG and CR at
+// depths 2 to 4 (nb = 8 is the pipelined-latency headline, CG at depth 2;
+// nb = 12 is CR at depth 2). Every row feeds nb (nb + 1) / 2 multiply-adds.
+// The second argument is the kernel's lane width, forced through
+// detail::GramLanes: each width this host runs (2 SSE2, 4 AVX2, 8
+// AVX-512F), so a log shows every path; ipipelined_gram runs the widest.
+void gram_args(benchmark::internal::Benchmark* b) {
+  for (const long nb : {8, 12, 16, 20})
+    for (const long lanes : {2, 4, 8})
+      if (lanes <= host_lanes()) b->Args({nb, lanes});
+}
+
 void BM_PipelinedGram(benchmark::State& state) {
   const auto nb = static_cast<int>(state.range(0));
+  const auto lanes = static_cast<int>(state.range(1));
   const Partition part = Partition::block_rows(Index{64} * 512, 64);
   Cluster cluster(part, CommParams{});
   Rng rng(static_cast<std::uint64_t>(state.range(0)));
@@ -298,15 +310,17 @@ void BM_PipelinedGram(benchmark::State& state) {
   std::vector<const DistVector*> ptrs;
   for (const DistVector& b : basis) ptrs.push_back(&b);
   for (auto _ : state) {
-    PendingReduction red = ipipelined_gram(cluster, ptrs, Phase::kIteration);
+    PendingReduction red =
+        detail::GramLanes::post(cluster, ptrs, Phase::kIteration, lanes);
     red.wait();
     benchmark::DoNotOptimize(red.value(0));
   }
   state.counters["madds"] = benchmark::Counter(
       static_cast<double>(nb * (nb + 1) / 2) * static_cast<double>(part.n()),
       benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["lanes"] = static_cast<double>(lanes);
 }
-BENCHMARK(BM_PipelinedGram)->Arg(8)->Arg(12);
+BENCHMARK(BM_PipelinedGram)->Apply(gram_args);
 
 }  // namespace
 

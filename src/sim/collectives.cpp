@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/gram_lanes.hpp"
 #include "util/check.hpp"
 #include "util/lanes.hpp"
 #include "util/thread_pool.hpp"
@@ -31,194 +35,358 @@ void charge_blas1(Cluster& cluster, double flops_per_element, Phase phase) {
 // dot(cluster, b_i, b_j)'s node partial bit for bit, and so does everything
 // built on it. What the kernel changes is how many of those chains run at
 // once. One scalar chain per entry runs at the FP-add latency; here one pass
-// over a chunk of rows runs up to 2 * kGramPassPairs independent chains.
+// over a chunk of rows runs up to W * W * kGramPassBlocks<W> independent
+// chains, W lanes to a vector (util/lanes.hpp). W is 2, 4 or 8, the widest
+// host_lanes() finds, and no width changes a bit of the output.
 //
 // kGramChunk rows of the nb slices are packed k-major into a stack buffer
-// (row k holds b_0[k] ... b_{nb-1}[k], plus a zero pad column when nb is
-// odd). A Vec2 (util/lanes.hpp) holds the lanes (i, j) and (i, j + 1),
-// j even: the broadcast b_i[k] times the packed pair. Rows come in pairs
-// 2m, 2m + 1, which share the column pairs from 2m on, so the strip of row
-// pair m is h - m column pairs wide (h = padded nb / 2), two chains per
-// column pair. Strip m is folded with strip h - 1 - m into h + 1 column
-// pairs, which are cut into passes of near-equal width: the short strips at
-// the bottom of the triangle ride along with the long ones instead of
-// running alone on one or two chains.
+// (row k holds b_0[k] ... b_{nb-1}[k], then zero pad columns up to a
+// multiple of W). A vector holds the lanes (i, j) ... (i, j + W - 1), j a
+// multiple of W: the broadcast b_i[k] times a block of W packed columns.
+// Rows come in groups of W, which share the column blocks from their own
+// on, so the strip of row group g is h - g blocks wide (h = padded nb / W),
+// W accumulator vectors per block. Strip g is folded with strip h - 1 - g
+// into h + 1 blocks, which are cut into passes of near-equal width: the
+// short strips at the bottom of the triangle ride along with the long ones
+// instead of running alone on a few chains.
 
-// Rows per packed chunk, and column pairs (two chains each) per pass.
+// Rows per packed chunk.
 constexpr std::size_t kGramChunk = 64;
-constexpr std::size_t kGramPassPairs = 5;
 
-// Widest basis one fused reduction can carry, rounded up to even: bounds
-// the packed row.
+// Column blocks per pass, W accumulator vectors each, sized to the register
+// file of each width: 10 of the 16 xmm at W = 2, 8 of the 16 ymm at W = 4,
+// 24 of the 32 zmm at W = 8.
+template <int W>
+constexpr std::size_t kGramPassBlocks = W == 2 ? 5 : W == 4 ? 2 : 3;
+
+// Widest basis one fused reduction can carry, and its packed row padded to
+// the widest lanes: bounds the buffer.
 constexpr int kMaxGramBasis = [] {
   int nb = 1;
   while ((nb + 1) * (nb + 2) / 2 <= PendingReduction::kMaxScalars) ++nb;
-  return nb + nb % 2;
+  return nb;
 }();
-// Row pair x column pair blocks of that basis's upper triangle, two chains
-// each: bounds the passes and the accumulators.
-constexpr auto kMaxGramPairs = static_cast<std::size_t>(kMaxGramBasis / 2);
-constexpr std::size_t kMaxGramBlocks = kMaxGramPairs * (kMaxGramPairs + 1) / 2;
+constexpr std::size_t kMaxGramStride = (kMaxGramBasis + 7) / 8 * 8;
+// Accumulator vectors of that basis's upper triangle at W lanes.
+template <int W>
+constexpr std::size_t kMaxGramChains = [] {
+  const std::size_t h = (kMaxGramBasis + W - 1) / W;
+  return W * h * (h + 1) / 2;
+}();
 
-// Rows `row`, `row` + 1 against `pairs` column pairs from column `col`.
+// Rows `row` ... `row` + W - 1 against `blocks` column blocks from column
+// `col`.
 struct GramStrip {
   int row = 0;
   int col = 0;
-  int pairs = 0;
+  int blocks = 0;
 };
 
-struct GramPass;
-using GramPassFn = void (*)(const double* buf, std::size_t rows,
-                            std::size_t stride, const GramPass& pass,
-                            Vec2* acc);
-
-// Strip b may be empty. The pass owns the accumulators from index acc on,
-// two per column pair (rows row, row + 1): strip a's first, then strip b's.
+// Strip b may be empty. The pass owns the accumulators from index acc on, W
+// per column block (one per row): strip a's first, then strip b's. Its loop
+// is the one compiled for shape a.blocks * (kGramPassBlocks + 1) + b.blocks.
 struct GramPass {
   GramStrip a, b;
   int acc = 0;
-  GramPassFn run = nullptr;
+  std::size_t shape = 0;
 };
 
 struct GramPlan {
   int nb = 0;
-  std::size_t stride = 0;  // padded nb
-  int passes = 0;
-  std::array<GramPass, kMaxGramBlocks> pass{};
+  int lanes = 0;
+  std::size_t stride = 0;  // nb padded to a multiple of lanes
+  int chains = 0;          // accumulator vectors
+  std::vector<GramPass> pass;
 };
 
-// One step (one packed row) of a C-pair strip.
-template <std::size_t C>
-void strip_step(const double* row, const GramStrip& strip, Vec2* s) {
-  const double* x = row + strip.row;
-  const double* y = row + strip.col;
-  const Vec2 x0 = {x[0], x[0]};
-  const Vec2 x1 = {x[1], x[1]};
-  for (std::size_t q = 0; q < C; ++q) {
-    const Vec2 pair = load2(y + 2 * q);
-    s[2 * q] += x0 * pair;
-    s[2 * q + 1] += x1 * pair;
-  }
-}
-
-// One pass over `rows` packed rows, its accumulators held in registers.
-template <std::size_t A, std::size_t B>
-void gram_pass(const double* buf, std::size_t rows, std::size_t stride,
-               const GramPass& pass, Vec2* acc) {
-  std::array<Vec2, 2 * (A + B)> s;
-  std::copy_n(acc, s.size(), s.begin());
-  for (std::size_t k = 0; k < rows; ++k) {
-    const double* row = buf + k * stride;
-    strip_step<A>(row, pass.a, s.data());
-    if constexpr (B > 0) strip_step<B>(row, pass.b, s.data() + 2 * A);
-  }
-  std::copy_n(s.begin(), s.size(), acc);
-}
-
-// kGramPasses[a * (kGramPassPairs + 1) + b] runs a pass of strips a and b
-// pairs wide; null where a is 0 or the pass would be too wide.
-template <std::size_t I>
-constexpr GramPassFn gram_pass_fn() {
-  constexpr std::size_t a = I / (kGramPassPairs + 1);
-  constexpr std::size_t b = I % (kGramPassPairs + 1);
-  if constexpr (a >= 1 && a + b <= kGramPassPairs)
-    return &gram_pass<a, b>;
-  else
-    return nullptr;
-}
-
-template <std::size_t... I>
-constexpr auto gram_pass_table(std::index_sequence<I...>) {
-  return std::array<GramPassFn, sizeof...(I)>{gram_pass_fn<I>()...};
-}
-
-constexpr auto kGramPasses = gram_pass_table(
-    std::make_index_sequence<(kGramPassPairs + 1) * (kGramPassPairs + 1)>{});
-
-GramPlan make_gram_plan(int nb) {
+GramPlan make_gram_plan(int nb, int lanes, std::size_t blocks_per_pass) {
+  const auto per_pass = static_cast<int>(blocks_per_pass);
   GramPlan plan;
   plan.nb = nb;
-  plan.stride = static_cast<std::size_t>(nb + nb % 2);
-  const int h = static_cast<int>(plan.stride) / 2;
-  int chains = 0;
+  plan.lanes = lanes;
+  plan.stride = static_cast<std::size_t>((nb + lanes - 1) / lanes * lanes);
+  const int h = static_cast<int>(plan.stride) / lanes;
   for (int m = 0; m <= h - 1 - m; ++m) {
     const int fold = h - 1 - m;
     const int wa = h - m;
     const int width = fold > m ? h + 1 : wa;
-    const int per_pass = static_cast<int>(kGramPassPairs);
     const int passes = (width + per_pass - 1) / per_pass;
     for (int p = 0, lo = 0; p < passes; ++p) {
-      // Column pairs [lo, hi) of strip m followed by strip `fold`.
+      // Column blocks [lo, hi) of strip m followed by strip `fold`.
       const int hi = lo + (width - lo) / (passes - p);
-      GramPass& pass = plan.pass[static_cast<std::size_t>(plan.passes++)];
+      GramPass& pass = plan.pass.emplace_back();
       if (lo < wa)
-        pass.a = {2 * m, 2 * (m + lo), std::min(hi, wa) - lo};
+        pass.a = {lanes * m, lanes * (m + lo), std::min(hi, wa) - lo};
       if (hi > wa) {
         const int first = std::max(lo, wa) - wa;
-        pass.b = {2 * fold, 2 * (fold + first), hi - wa - first};
-        if (pass.a.pairs == 0) std::swap(pass.a, pass.b);
+        pass.b = {lanes * fold, lanes * (fold + first), hi - wa - first};
+        if (pass.a.blocks == 0) std::swap(pass.a, pass.b);
       }
-      pass.acc = chains;
-      pass.run = kGramPasses[static_cast<std::size_t>(pass.a.pairs) *
-                                 (kGramPassPairs + 1) +
-                             static_cast<std::size_t>(pass.b.pairs)];
-      chains += 2 * (hi - lo);
+      pass.acc = plan.chains;
+      pass.shape = static_cast<std::size_t>(pass.a.blocks * (per_pass + 1) +
+                                            pass.b.blocks);
+      plan.chains += lanes * (hi - lo);
       lo = hi;
     }
   }
   return plan;
 }
 
+// The plan of basis width nb at `lanes` lanes, built once per process for
+// every width.
+const GramPlan& gram_plan(int nb, int lanes) {
+  static const auto plans = [] {
+    std::array<std::vector<GramPlan>, 3> all;  // 2, 4 and 8 lanes
+    for (int b = 0; b <= kMaxGramBasis; ++b) {
+      all[0].push_back(make_gram_plan(b, 2, kGramPassBlocks<2>));
+      all[1].push_back(make_gram_plan(b, 4, kGramPassBlocks<4>));
+      all[2].push_back(make_gram_plan(b, 8, kGramPassBlocks<8>));
+    }
+    return all;
+  }();
+  return plans[static_cast<std::size_t>(lanes / 4)]
+              [static_cast<std::size_t>(nb)];
+}
+
+// One step (one packed row) of a C-block strip.
+template <int W, std::size_t C>
+[[gnu::always_inline]] inline void strip_step(const double* row,
+                                              const GramStrip& strip,
+                                              Lanes<W>* s) {
+  using V = Lanes<W>;
+  constexpr auto kW = static_cast<std::size_t>(W);
+  const double* x = row + strip.row;
+  const double* y = row + strip.col;
+  if constexpr (W == 2) {
+    // Both broadcasts stay in registers and each block is loaded once.
+    const V x0 = {x[0], x[0]};
+    const V x1 = {x[1], x[1]};
+    for (std::size_t q = 0; q < C; ++q) {
+      const V block = load2(y + 2 * q);
+      s[2 * q] += x0 * block;
+      s[2 * q + 1] += x1 * block;
+    }
+  } else {
+    // The blocks stay in registers and each row is broadcast once: W
+    // broadcasts would not fit beside the accumulators.
+    V blocks[C];
+    for (std::size_t q = 0; q < C; ++q)
+      std::memcpy(&blocks[q], y + kW * q, sizeof(V));
+    for (std::size_t r = 0; r < kW; ++r) {
+      const double xr = x[r];
+      for (std::size_t q = 0; q < C; ++q) s[kW * q + r] += blocks[q] * xr;
+    }
+  }
+}
+
+// One pass of strips A and B blocks wide over `rows` packed rows, its
+// accumulators held in registers. Shapes the plan never makes compile to
+// nothing.
+template <int W, std::size_t A, std::size_t B>
+[[gnu::always_inline]] inline void gram_pass(const double* buf,
+                                             std::size_t rows,
+                                             std::size_t stride,
+                                             const GramPass& pass,
+                                             Lanes<W>* acc) {
+  constexpr auto kW = static_cast<std::size_t>(W);
+  if constexpr (A >= 1 && A + B <= kGramPassBlocks<W>) {
+    Lanes<W> s[kW * (A + B)];
+    for (std::size_t c = 0; c < kW * (A + B); ++c) s[c] = acc[c];
+    for (std::size_t k = 0; k < rows; ++k) {
+      const double* row = buf + k * stride;
+      strip_step<W, A>(row, pass.a, s);
+      if constexpr (B > 0) strip_step<W, B>(row, pass.b, s + kW * A);
+    }
+    for (std::size_t c = 0; c < kW * (A + B); ++c) acc[c] = s[c];
+  }
+}
+
+// Runs `pass` through the loop compiled for its shape.
+template <int W, std::size_t... S>
+[[gnu::always_inline]] inline void run_pass(std::index_sequence<S...>,
+                                            const double* buf,
+                                            std::size_t rows,
+                                            std::size_t stride,
+                                            const GramPass& pass,
+                                            Lanes<W>* acc) {
+  constexpr std::size_t kShapes = kGramPassBlocks<W> + 1;
+  (void)((pass.shape == S &&
+          (gram_pass<W, S / kShapes, S % kShapes>(buf, rows, stride, pass,
+                                                  acc),
+           true)) ||
+         ...);
+}
+
+// The W x W transpose: out[t] = {a[0][t], ..., a[W - 1][t]}.
+template <int W>
+[[gnu::always_inline]] inline void transpose(const Lanes<W> (&a)[W],
+                                             Lanes<W> (&out)[W]) {
+  if constexpr (W == 2) {
+    out[0] = __builtin_shufflevector(a[0], a[1], 0, 2);
+    out[1] = __builtin_shufflevector(a[0], a[1], 1, 3);
+  } else if constexpr (W == 4) {
+    Lanes<4> t[4];
+    for (int m = 0; m < 4; m += 2) {
+      t[m] = __builtin_shufflevector(a[m], a[m + 1], 0, 4, 2, 6);
+      t[m + 1] = __builtin_shufflevector(a[m], a[m + 1], 1, 5, 3, 7);
+    }
+    for (int m = 0; m < 2; ++m) {
+      out[m] = __builtin_shufflevector(t[m], t[m + 2], 0, 1, 4, 5);
+      out[m + 2] = __builtin_shufflevector(t[m], t[m + 2], 2, 3, 6, 7);
+    }
+  } else {
+    // Rows interleaved in pairs, then quads, then halves.
+    Lanes<8> u[8], v[8];
+    for (int m = 0; m < 8; m += 2) {
+      u[m] = __builtin_shufflevector(a[m], a[m + 1], 0, 8, 2, 10, 4, 12, 6,
+                                     14);
+      u[m + 1] = __builtin_shufflevector(a[m], a[m + 1], 1, 9, 3, 11, 5, 13,
+                                         7, 15);
+    }
+    for (int m = 0; m < 8; m += 4) {
+      for (int r = 0; r < 2; ++r) {
+        v[m + r] = __builtin_shufflevector(u[m + r], u[m + r + 2], 0, 1, 8, 9,
+                                           4, 5, 12, 13);
+        v[m + r + 2] = __builtin_shufflevector(u[m + r], u[m + r + 2], 2, 3,
+                                               10, 11, 6, 7, 14, 15);
+      }
+    }
+    for (int m = 0; m < 4; ++m) {
+      out[m] = __builtin_shufflevector(v[m], v[m + 4], 0, 1, 2, 3, 8, 9, 10,
+                                       11);
+      out[m + 4] = __builtin_shufflevector(v[m], v[m + 4], 4, 5, 6, 7, 12, 13,
+                                           14, 15);
+    }
+  }
+}
+
+// Packs `rows` rows of the `stride` columns src[i] k-major into buf, W
+// columns by W rows at a time through registers. The loops over a tile's
+// vectors are unrolled so that the tile never goes through memory.
+template <int W>
+[[gnu::always_inline]] inline void pack_chunk(const double* const* src,
+                                              std::size_t rows,
+                                              std::size_t stride,
+                                              double* buf) {
+  using V = Lanes<W>;
+  constexpr auto kW = static_cast<std::size_t>(W);
+  for (std::size_t i = 0; i < stride; i += kW) {
+    std::size_t k = 0;
+    for (; k + kW <= rows; k += kW) {
+      V a[W], t[W];
+#pragma GCC unroll 8
+      for (std::size_t c = 0; c < kW; ++c)
+        std::memcpy(&a[c], src[i + c] + k, sizeof(V));
+      transpose<W>(a, t);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < kW; ++r)
+        std::memcpy(buf + (k + r) * stride + i, &t[r], sizeof(V));
+    }
+    for (; k < rows; ++k)
+      for (std::size_t c = 0; c < kW; ++c)
+        buf[k * stride + i + c] = src[i + c][k];
+  }
+}
+
 // Fills out[gram_index(i, j, nb)] with slice[i] . slice[j] over n rows.
-void gram_block(const GramPlan& plan, const double* const* slice,
-                std::size_t n, double* out) {
+template <int W>
+[[gnu::always_inline]] inline void gram_block(const GramPlan& plan,
+                                              const double* const* slice,
+                                              std::size_t n, double* out) {
   const int nb = plan.nb;
   const std::size_t stride = plan.stride;
   // Left uninitialized: each chunk's pack writes every element its passes
-  // read (rows x stride), and zeroing 11 KB per node would cost more than
-  // the packing. Pairs start at even columns, so with 16-byte alignment no
-  // pair load splits a cache line.
-  alignas(16) std::array<double, kGramChunk * kMaxGramBasis> buf;
-  const std::array<double, kGramChunk> zeros{};  // the pad column's slice
-  std::array<Vec2, 2 * kMaxGramBlocks> acc{};
+  // read (rows x stride), and zeroing 12 KB per node would cost more than
+  // the packing. Blocks start at multiples of W columns, so with 64-byte
+  // alignment no load splits a cache line.
+  alignas(64) double buf[kGramChunk * kMaxGramStride];
+  const double zeros[kGramChunk] = {};  // the pad columns' slice
+  const double* src[kMaxGramStride] = {};
+  Lanes<W> acc[kMaxGramChains<W>];
+  for (int c = 0; c < plan.chains; ++c) acc[c] = Lanes<W>{};
+  constexpr std::size_t kShapes = kGramPassBlocks<W> + 1;
   for (std::size_t k0 = 0; k0 < n; k0 += kGramChunk) {
     const std::size_t rows = std::min(kGramChunk, n - k0);
-    // Two slices and two rows per step: two pair loads, two shuffles.
-    for (int i = 0; i < nb; i += 2) {
-      const double* lo = slice[i] + k0;
-      const double* hi = i + 1 < nb ? slice[i + 1] + k0 : zeros.data();
-      double* dst = buf.data() + i;
-      std::size_t k = 0;
-      for (; k + 2 <= rows; k += 2, dst += 2 * stride) {
-        const Vec2 u = load2(lo + k);
-        const Vec2 v = load2(hi + k);
-        store2(dst, Vec2{u[0], v[0]});
-        store2(dst + stride, Vec2{u[1], v[1]});
-      }
-      if (k < rows) store2(dst, Vec2{lo[k], hi[k]});
-    }
-    for (int p = 0; p < plan.passes; ++p) {
-      const GramPass& pass = plan.pass[static_cast<std::size_t>(p)];
-      pass.run(buf.data(), rows, stride, pass, acc.data() + pass.acc);
-    }
+    for (std::size_t i = 0; i < stride; ++i)
+      src[i] = i < static_cast<std::size_t>(nb) ? slice[i] + k0 : zeros;
+    pack_chunk<W>(src, rows, stride, buf);
+    for (const GramPass& pass : plan.pass)
+      run_pass<W>(std::make_index_sequence<kShapes * kShapes>{}, buf, rows,
+                  stride, pass, acc + pass.acc);
   }
-  for (int p = 0; p < plan.passes; ++p) {
-    const GramPass& pass = plan.pass[static_cast<std::size_t>(p)];
+  for (const GramPass& pass : plan.pass) {
     int chain = pass.acc;
     for (const GramStrip& strip : {pass.a, pass.b}) {
-      for (int q = 0; q < strip.pairs; ++q) {
-        for (int r = 0; r < 2; ++r, ++chain) {
+      for (int q = 0; q < strip.blocks; ++q) {
+        for (int r = 0; r < W; ++r, ++chain) {
           const int i = strip.row + r;
-          for (int lane = 0; lane < 2; ++lane) {
-            const int j = strip.col + 2 * q + lane;
-            if (i <= j && j < nb)
-              out[gram_index(i, j, nb)] =
-                  acc[static_cast<std::size_t>(chain)][lane];
+          for (int lane = 0; lane < W; ++lane) {
+            const int j = strip.col + W * q + lane;
+            if (i <= j && j < nb) out[gram_index(i, j, nb)] = acc[chain][lane];
           }
         }
       }
     }
   }
+}
+
+#if defined(__x86_64__)
+// The Gram kernel's AVX2 and AVX-512F builds, run only when host_lanes()
+// has found the ISA.
+__attribute__((target("avx2"))) void gram_block_avx2(
+    const GramPlan& plan, const double* const* slice, std::size_t n,
+    double* out) {
+  gram_block<4>(plan, slice, n, out);
+}
+
+__attribute__((target("avx512f"))) void gram_block_avx512(
+    const GramPlan& plan, const double* const* slice, std::size_t n,
+    double* out) {
+  gram_block<8>(plan, slice, n, out);
+}
+#endif
+
+void run_gram_block(const GramPlan& plan, const double* const* slice,
+                    std::size_t n, double* out) {
+  switch (plan.lanes) {
+#if defined(__x86_64__)
+    case 8: gram_block_avx512(plan, slice, n, out); return;
+    case 4: gram_block_avx2(plan, slice, n, out); return;
+#endif
+    default: gram_block<2>(plan, slice, n, out); return;
+  }
+}
+
+// ipipelined_gram with the Gram kernel `lanes` wide.
+PendingReduction post_gram(Cluster& cluster,
+                           std::span<const DistVector* const> basis,
+                           Phase phase, int lanes) {
+  const int nb = static_cast<int>(basis.size());
+  const int entries = nb * (nb + 1) / 2;
+  RPCG_CHECK(nb >= 1 && entries <= PendingReduction::kMaxScalars,
+             "pipelined basis too large for one fused reduction");
+  const int nn = cluster.num_nodes();
+  std::vector<double> partial(
+      static_cast<std::size_t>(nn) * static_cast<std::size_t>(entries), 0.0);
+  const GramPlan& plan = gram_plan(nb, lanes);
+  exec_parallel_for(
+      cluster.execution_policy(), static_cast<std::size_t>(nn),
+      [&](std::size_t node) {
+        std::array<const double*, kMaxGramBasis> slice{};
+        std::size_t n = 0;
+        for (int i = 0; i < nb; ++i) {
+          const auto b = basis[static_cast<std::size_t>(i)]->block(
+              static_cast<NodeId>(node));
+          slice[static_cast<std::size_t>(i)] = b.data();
+          n = b.size();
+        }
+        run_gram_block(plan, slice.data(), n,
+                       &partial[node * static_cast<std::size_t>(entries)]);
+      });
+  // Every element feeds nb*(nb+1)/2 multiply-adds — the all-pairs Gram is
+  // the compute price of posting l iterations of dots at once.
+  charge_blas1(cluster, static_cast<double>(nb * (nb + 1)), phase);
+  return post_allreduce(cluster, partial, entries, phase);
 }
 
 }  // namespace
@@ -372,32 +540,18 @@ PendingReduction ipipelined_cr_dots(Cluster& cluster, const DistVector& r,
 PendingReduction ipipelined_gram(Cluster& cluster,
                                  std::span<const DistVector* const> basis,
                                  Phase phase) {
-  const int nb = static_cast<int>(basis.size());
-  const int entries = nb * (nb + 1) / 2;
-  RPCG_CHECK(nb >= 1 && entries <= PendingReduction::kMaxScalars,
-             "pipelined basis too large for one fused reduction");
-  const int nn = cluster.num_nodes();
-  std::vector<double> partial(
-      static_cast<std::size_t>(nn) * static_cast<std::size_t>(entries), 0.0);
-  const GramPlan plan = make_gram_plan(nb);
-  exec_parallel_for(
-      cluster.execution_policy(), static_cast<std::size_t>(nn),
-      [&](std::size_t node) {
-        std::array<const double*, kMaxGramBasis> slice{};
-        std::size_t n = 0;
-        for (int i = 0; i < nb; ++i) {
-          const auto b = basis[static_cast<std::size_t>(i)]->block(
-              static_cast<NodeId>(node));
-          slice[static_cast<std::size_t>(i)] = b.data();
-          n = b.size();
-        }
-        gram_block(plan, slice.data(), n,
-                   &partial[node * static_cast<std::size_t>(entries)]);
-      });
-  // Every element feeds nb*(nb+1)/2 multiply-adds — the all-pairs Gram is
-  // the compute price of posting l iterations of dots at once.
-  charge_blas1(cluster, static_cast<double>(nb * (nb + 1)), phase);
-  return post_allreduce(cluster, partial, entries, phase);
+  return post_gram(cluster, basis, phase, host_lanes());
+}
+
+PendingReduction detail::GramLanes::post(
+    Cluster& cluster, std::span<const DistVector* const> basis, Phase phase,
+    int lanes) {
+  if ((lanes != 2 && lanes != 4 && lanes != 8) || lanes > host_lanes()) {
+    throw std::invalid_argument("the Gram kernel cannot run " +
+                                std::to_string(lanes) +
+                                " lanes wide on this host");
+  }
+  return post_gram(cluster, basis, phase, lanes);
 }
 
 double allreduce_sum(Cluster& cluster, std::span<const double> per_node,

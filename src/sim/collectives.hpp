@@ -141,7 +141,10 @@ class PendingReduction {
 /// matrix of the `basis` vectors, packed upper triangle in gram_index order,
 /// fused into one nb*(nb+1)/2-scalar allreduce so one tree latency covers
 /// every inner product the next l iterations need. value(gram_index(i,j,nb))
-/// = basis[i]^T basis[j].
+/// = basis[i]^T basis[j]. Each node's block runs on the widest vectors of
+/// doubles the host has (util/lanes.hpp: 8 lanes with AVX-512F, 4 with
+/// AVX2, else 2), picked once per process; every entry keeps dot()'s order,
+/// so the values are the same bits at every width.
 [[nodiscard]] PendingReduction ipipelined_gram(
     Cluster& cluster, std::span<const DistVector* const> basis, Phase phase);
 

@@ -1,6 +1,7 @@
-// Vector lanes of doubles for the order-preserving kernels (the supernodal
-// LDLᵀ update tiles, the pipelined Gram reduction), and the widest lane
-// count this host runs. Internal to the library.
+// Vector lanes of doubles for the order-preserving kernels, and the widest
+// lane count this host runs. Internal to the library. Two kernels run at
+// that width: the supernodal LDLᵀ update tiles (sparse/ldlt.cpp) and the
+// pipelined Gram reduction (sim/collectives.cpp).
 //
 // Vec2, Vec4 and Vec8 are GCC/Clang vector-extension types. Two doubles run
 // on SSE2, which every x86-64 target has; four need AVX2 and eight

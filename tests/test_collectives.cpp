@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "sim/gram_lanes.hpp"
 #include "test_util.hpp"
+#include "util/lanes.hpp"
 
 namespace rpcg {
 namespace {
@@ -206,6 +210,78 @@ TEST(SplitPhase, PipelinedGramMatchesOrderedDots) {
       }
     }
   }
+}
+
+// The Gram kernel runs 2, 4 or 8 lanes wide, whichever the host has; every
+// width must give every entry and the simulated time bit for bit. The
+// partitions reach every chunk shape: blocks shorter than one 64-row chunk,
+// and block_rows(1031, 2)'s 516 and 515 rows, several chunks with a last
+// one of 4 and 3 rows. The widths reach every plan shape: an odd nb, one
+// row group, several, and zero pad columns.
+TEST(SplitPhase, EveryGramLanePathMatchesBitForBit) {
+  std::vector<Partition> parts = testing::gram_partitions();
+  parts.push_back(Partition::block_rows(1031, 2));
+  for (const int lanes : {2, 4, 8}) {
+    if (lanes > host_lanes())
+      GTEST_SKIP() << "the host lacks " << (lanes == 4 ? "AVX2" : "AVX-512F")
+                   << ": only the widths below " << lanes << " ran";
+    for (const Partition& part : parts) {
+      for (const int nb : testing::kGramWidths) {
+        const std::vector<DistVector> basis =
+            testing::random_basis(part, nb, 11);
+        std::vector<const DistVector*> ptrs;
+        for (const DistVector& b : basis) ptrs.push_back(&b);
+
+        Cluster two_lanes(part, CommParams{});
+        PendingReduction two =
+            detail::GramLanes::post(two_lanes, ptrs, Phase::kIteration, 2);
+        two.wait();
+        Cluster wide_lanes(part, CommParams{});
+        PendingReduction wide = detail::GramLanes::post(
+            wide_lanes, ptrs, Phase::kIteration, lanes);
+        wide.wait();
+        EXPECT_EQ(wide_lanes.clock().total(), two_lanes.clock().total())
+            << lanes << " lanes, n " << part.n() << " nb " << nb;
+
+        Cluster dots(part, CommParams{});
+        for (int i = 0; i < nb; ++i) {
+          for (int j = i; j < nb; ++j) {
+            const int e = gram_index(i, j, nb);
+            EXPECT_EQ(wide.value(e), two.value(e))
+                << lanes << " lanes, n " << part.n() << " nb " << nb << " ("
+                << i << ", " << j << ")";
+            EXPECT_EQ(wide.value(e),
+                      dot(dots, basis[static_cast<std::size_t>(i)],
+                          basis[static_cast<std::size_t>(j)],
+                          Phase::kIteration))
+                << lanes << " lanes, n " << part.n() << " nb " << nb << " ("
+                << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitPhase, UnsupportedGramLaneWidthsAreRefused) {
+  const Partition part = Partition::block_rows(23, 5);
+  const std::vector<DistVector> basis = testing::random_basis(part, 3, 1);
+  std::vector<const DistVector*> ptrs;
+  for (const DistVector& b : basis) ptrs.push_back(&b);
+  Cluster cluster(part, CommParams{});
+  // 2 * host_lanes() is one width above the host's: 4 without AVX2, 8
+  // without AVX-512F, 16 otherwise.
+  for (const int lanes : {3, 16, 2 * host_lanes()}) {
+    EXPECT_THROW(
+        {
+          PendingReduction red =
+              detail::GramLanes::post(cluster, ptrs, Phase::kIteration, lanes);
+          red.wait();
+        },
+        std::invalid_argument)
+        << lanes;
+  }
+  EXPECT_EQ(cluster.reduction_times().count, 0);
 }
 
 TEST(SplitPhase, AccountingTracksEveryBlockingReduction) {
