@@ -48,6 +48,13 @@ CsrMatrix read_matrix_market(std::istream& in) {
     b.add(r - 1, c - 1, v);
     if (symmetric && r != c) b.add(c - 1, r - 1, v);
   }
+  // Nor is the size line trusted to size the row pointers: a matrix whose
+  // entries cannot fill every row and column has an empty one, is singular,
+  // and no solver here can use it. Each entry fills one row and one column,
+  // an off-diagonal one in symmetric storage two of each.
+  const Index filled = symmetric ? 2 * entries : entries;
+  RPCG_CHECK(rows <= filled && cols <= filled,
+             "size line claims more rows or columns than its entries can fill");
   return b.build(rows, cols);
 }
 

@@ -76,6 +76,37 @@ TEST(MatrixMarket, RejectsMalformed) {
   huge_symmetric << "%%MatrixMarket matrix coordinate real symmetric\n"
                  << "1 1 4611686018427387905\n1 1 1.0\n";
   EXPECT_THROW((void)read_matrix_market(huge_symmetric), std::invalid_argument);
+
+  // Nor may a size line size the row pointers: 10^12 rows that the entries
+  // cannot fill would allocate 10^12 of them. A matrix with an empty row or
+  // column is singular; the limit is the entry count, twice it when a
+  // symmetric file stores each off-diagonal pair once.
+  std::stringstream huge_rows;
+  huge_rows << "%%MatrixMarket matrix coordinate real general\n"
+            << "1000000000000 1 0\n";
+  EXPECT_THROW((void)read_matrix_market(huge_rows), std::invalid_argument);
+
+  std::stringstream empty_row;
+  empty_row << "%%MatrixMarket matrix coordinate real general\n"
+            << "3 3 2\n1 1 1.0\n2 2 1.0\n";
+  EXPECT_THROW((void)read_matrix_market(empty_row), std::invalid_argument);
+
+  std::stringstream huge_symmetric_cols;
+  huge_symmetric_cols << "%%MatrixMarket matrix coordinate real symmetric\n"
+                      << "4 1000000000000 2\n2 1 1.0\n4 3 1.0\n";
+  EXPECT_THROW((void)read_matrix_market(huge_symmetric_cols),
+               std::invalid_argument);
+
+  // The symmetric limit is exact: two off-diagonal entries fill 4 rows.
+  std::stringstream symmetric_full;
+  symmetric_full << "%%MatrixMarket matrix coordinate real symmetric\n"
+                 << "4 4 2\n2 1 1.0\n4 3 1.0\n";
+  EXPECT_EQ(read_matrix_market(symmetric_full).rows(), 4);
+  std::stringstream symmetric_empty_row;
+  symmetric_empty_row << "%%MatrixMarket matrix coordinate real symmetric\n"
+                      << "5 5 2\n2 1 1.0\n4 3 1.0\n";
+  EXPECT_THROW((void)read_matrix_market(symmetric_empty_row),
+               std::invalid_argument);
 }
 
 TEST(MatrixMarket, FileRoundTrip) {
