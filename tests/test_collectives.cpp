@@ -216,8 +216,8 @@ TEST(SplitPhase, PipelinedGramMatchesOrderedDots) {
 // width must give every entry and the simulated time bit for bit. The
 // partitions reach every chunk shape: blocks shorter than one 64-row chunk,
 // and block_rows(1031, 2)'s 516 and 515 rows, several chunks with a last
-// one of 4 and 3 rows. The widths reach every plan shape: an odd nb, one
-// row group, several, and zero pad columns.
+// one of 4 and 3 rows. The basis widths reach every plan shape: an odd nb,
+// one row group, several, and zero pad columns.
 TEST(SplitPhase, EveryGramLanePathMatchesBitForBit) {
   std::vector<Partition> parts = testing::gram_partitions();
   parts.push_back(Partition::block_rows(1031, 2));
