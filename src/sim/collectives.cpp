@@ -148,15 +148,13 @@ const GramPlan& gram_plan(int nb, int lanes) {
               [static_cast<std::size_t>(nb)];
 }
 
-// One step (one packed row) of a C-block strip.
+// One step (one packed row) of a C-block strip: x points at the strip's W
+// rows in the packed row, y at its first column block.
 template <int W, std::size_t C>
-[[gnu::always_inline]] inline void strip_step(const double* row,
-                                              const GramStrip& strip,
-                                              Lanes<W>* s) {
+[[gnu::always_inline]] inline void strip_step(const double* x,
+                                              const double* y, Lanes<W>* s) {
   using V = Lanes<W>;
   constexpr auto kW = static_cast<std::size_t>(W);
-  const double* x = row + strip.row;
-  const double* y = row + strip.col;
   if constexpr (W == 2) {
     // Both broadcasts stay in registers and each block is loaded once.
     const V x0 = {x[0], x[0]};
@@ -192,10 +190,21 @@ template <int W, std::size_t A, std::size_t B>
   if constexpr (A >= 1 && A + B <= kGramPassBlocks<W>) {
     Lanes<W> s[kW * (A + B)];
     for (std::size_t c = 0; c < kW * (A + B); ++c) s[c] = acc[c];
+    // Each strip's operands advance one packed row per step, so that every
+    // load is a constant offset from one of four pointers. Indexed from the
+    // row start instead, GCC kept one offset register per row and spilled
+    // them inside the loop at W = 8.
+    const double* xa = buf + pass.a.row;
+    const double* ya = buf + pass.a.col;
+    const double* xb = buf + pass.b.row;
+    const double* yb = buf + pass.b.col;
     for (std::size_t k = 0; k < rows; ++k) {
-      const double* row = buf + k * stride;
-      strip_step<W, A>(row, pass.a, s);
-      if constexpr (B > 0) strip_step<W, B>(row, pass.b, s + kW * A);
+      strip_step<W, A>(xa, ya, s);
+      if constexpr (B > 0) strip_step<W, B>(xb, yb, s + kW * A);
+      xa += stride;
+      ya += stride;
+      xb += stride;
+      yb += stride;
     }
     for (std::size_t c = 0; c < kW * (A + B); ++c) acc[c] = s[c];
   }
