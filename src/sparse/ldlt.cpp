@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -562,15 +563,23 @@ const char* to_string(LdltOrdering o) {
   return "?";
 }
 
-Index SparseLdlt::symbolic_nnz(const CsrMatrix& a) {
-  RPCG_CHECK(a.rows() == a.cols(), "LDLt needs a square matrix");
+namespace {
+
+// Row k of P A Pᵀ is row perm[k] of A with every column c renamed inv[c]
+// (kPermuted), or row k of A as it is. The walk counts the union of the
+// elimination-tree paths from the row's columns, which does not depend on
+// the order the columns come in, so the renamed row needs no sorting.
+template <bool kPermuted>
+Index count_fill(const CsrMatrix& a, std::span<const Index> perm,
+                 std::span<const Index> inv, Index limit) {
   const Index n = a.rows();
   std::vector<Index> parent(static_cast<std::size_t>(n), -1);
   std::vector<Index> flag(static_cast<std::size_t>(n), -1);
   Index nnz = 0;
-  for (Index k = 0; k < n; ++k) {
+  for (Index k = 0; k < n && nnz < limit; ++k) {
     flag[static_cast<std::size_t>(k)] = k;
-    for (Index i : a.row_cols(k)) {
+    for (Index i : a.row_cols(kPermuted ? perm[static_cast<std::size_t>(k)] : k)) {
+      if constexpr (kPermuted) i = inv[static_cast<std::size_t>(i)];
       if (i >= k) continue;
       for (; flag[static_cast<std::size_t>(i)] != k;
            i = parent[static_cast<std::size_t>(i)]) {
@@ -582,6 +591,45 @@ Index SparseLdlt::symbolic_nnz(const CsrMatrix& a) {
     }
   }
   return nnz;
+}
+
+// ReorderedLdlt::factor's 2% margin: a later candidate replaces an
+// incumbent of fill b only if its own fill is below fill_to_beat(b).
+Index fill_to_beat(Index b) { return b - b / 50; }
+
+// The smallest incumbent fill that a candidate of fill c beats.
+// fill_to_beat never falls as b grows (it takes every value, one of them
+// twice at each multiple of 50), so c beats every incumbent from there on
+// and none below.
+Index smallest_beaten(Index c) { return c + 1 + c / 49; }
+
+// The permutation, or nothing when it is the identity (no reordering).
+std::vector<Index> unless_identity(std::vector<Index> perm) {
+  for (std::size_t i = 0; i < perm.size(); ++i)
+    if (perm[i] != static_cast<Index>(i)) return perm;
+  return {};
+}
+
+}  // namespace
+
+Index SparseLdlt::symbolic_nnz(const CsrMatrix& a) {
+  return symbolic_nnz(a, {}, std::numeric_limits<Index>::max());
+}
+
+Index SparseLdlt::symbolic_nnz(const CsrMatrix& a, std::span<const Index> perm,
+                               Index limit) {
+  RPCG_CHECK(a.rows() == a.cols(), "LDLt needs a square matrix");
+  const Index n = a.rows();
+  if (perm.empty()) return count_fill<false>(a, perm, {}, limit);
+  RPCG_CHECK(static_cast<Index>(perm.size()) == n, "permutation size mismatch");
+  std::vector<Index> inv(static_cast<std::size_t>(n), -1);
+  for (Index i = 0; i < n; ++i) {
+    const Index old = perm[static_cast<std::size_t>(i)];
+    RPCG_CHECK(old >= 0 && old < n && inv[static_cast<std::size_t>(old)] == -1,
+               "perm is not a permutation");
+    inv[static_cast<std::size_t>(old)] = i;
+  }
+  return count_fill<true>(a, perm, inv, limit);
 }
 
 std::optional<SparseLdlt> SparseLdlt::factor(const CsrMatrix& a,
@@ -881,36 +929,43 @@ std::optional<ReorderedLdlt> ReorderedLdlt::factor(const CsrMatrix& a) {
   // friendlier memory layout (natural needs no permute at all, RCM clusters
   // the factor along a band), so e.g. M1-style banded blocks where AMD and
   // RCM land within a handful of entries must keep RCM. Deterministic, and
-  // never more fill than plain factor(a).
-  Index best_nnz = SparseLdlt::symbolic_nnz(a);
+  // never more fill than plain factor(a). The margin is 2%: switching
+  // orderings for less cannot pay back the locality it gives up.
+  //
+  // Each count runs only as far as the choice needs: RCM is counted first,
+  // so the natural count can stop at the smallest fill RCM beats (a larger
+  // natural fill loses to RCM all the same), and AMD's stops where it could
+  // no longer beat the incumbent. A count below its limit is exact, so the
+  // incumbent's fill always is.
   LdltOrdering best = LdltOrdering::kNatural;
-  std::vector<Index> best_perm;
-  std::optional<CsrMatrix> best_mat;
-
-  const auto consider = [&](LdltOrdering ordering, std::vector<Index> perm) {
-    bool identity = true;
-    for (Index i = 0; i < a.rows(); ++i) {
-      if (perm[static_cast<std::size_t>(i)] != i) {
-        identity = false;
-        break;
-      }
+  std::vector<Index> best_perm = unless_identity(rcm_ordering(a));
+  Index best_nnz = 0;
+  if (best_perm.empty()) {
+    best_nnz = SparseLdlt::symbolic_nnz(a);
+  } else {
+    const Index rcm_nnz = SparseLdlt::symbolic_nnz(
+        a, best_perm, std::numeric_limits<Index>::max());
+    const Index natural_nnz =
+        SparseLdlt::symbolic_nnz(a, {}, smallest_beaten(rcm_nnz));
+    if (rcm_nnz < fill_to_beat(natural_nnz)) {
+      best = LdltOrdering::kRcm;
+      best_nnz = rcm_nnz;
+    } else {
+      best_nnz = natural_nnz;
+      best_perm.clear();
     }
-    if (identity) return;
-    CsrMatrix permuted = a.permuted_symmetric(perm);
-    const Index nnz = SparseLdlt::symbolic_nnz(permuted);
-    // 2% improvement threshold; switching orderings for less cannot pay
-    // back the locality it gives up.
-    if (nnz < best_nnz - best_nnz / 50) {
-      best_nnz = nnz;
-      best = ordering;
-      best_perm = std::move(perm);
-      best_mat = std::move(permuted);
-    }
-  };
-  consider(LdltOrdering::kRcm, rcm_ordering(a));
-  consider(LdltOrdering::kAmd, amd_ordering(a));
+  }
+  std::vector<Index> amd = unless_identity(amd_ordering(a));
+  if (!amd.empty() &&
+      SparseLdlt::symbolic_nnz(a, amd, fill_to_beat(best_nnz)) <
+          fill_to_beat(best_nnz)) {
+    best = LdltOrdering::kAmd;
+    best_perm = std::move(amd);
+  }
 
-  auto f = SparseLdlt::factor(best_mat.has_value() ? *best_mat : a);
+  auto f = best_perm.empty()
+               ? SparseLdlt::factor(a)
+               : SparseLdlt::factor(a.permuted_symmetric(best_perm));
   if (!f.has_value()) return std::nullopt;
   return ReorderedLdlt(std::move(*f), std::move(best_perm), best);
 }
@@ -921,26 +976,19 @@ std::optional<ReorderedLdlt> ReorderedLdlt::factor_with(const CsrMatrix& a,
   std::vector<Index> perm;
   switch (ordering) {
     case LdltOrdering::kNatural: break;
-    case LdltOrdering::kRcm: perm = rcm_ordering(a); break;
-    case LdltOrdering::kAmd: perm = amd_ordering(a); break;
+    case LdltOrdering::kRcm: perm = unless_identity(rcm_ordering(a)); break;
+    case LdltOrdering::kAmd: perm = unless_identity(amd_ordering(a)); break;
   }
-  bool identity = true;
-  for (Index i = 0; i < a.rows() && identity; ++i)
-    identity = perm.empty() || perm[static_cast<std::size_t>(i)] == i;
-  std::optional<SparseLdlt> f;
-  if (identity) {
-    perm.clear();
-    f = SparseLdlt::factor(a, supernodal);
-  } else {
-    f = SparseLdlt::factor(a.permuted_symmetric(perm), supernodal);
-  }
+  auto f = perm.empty()
+               ? SparseLdlt::factor(a, supernodal)
+               : SparseLdlt::factor(a.permuted_symmetric(perm), supernodal);
   if (!f.has_value()) return std::nullopt;
   // An identity RCM/AMD permutation is honestly the natural ordering.
   // (Resolved before the constructor call: its perm parameter is taken by
   // value, so reading perm.empty() as a sibling argument would race the
   // move in unspecified evaluation order.)
   const LdltOrdering reported =
-      identity ? LdltOrdering::kNatural : ordering;
+      perm.empty() ? LdltOrdering::kNatural : ordering;
   return ReorderedLdlt(std::move(*f), std::move(perm), reported);
 }
 

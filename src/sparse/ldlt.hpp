@@ -67,9 +67,19 @@ class SparseLdlt {
                                                         bool supernodal = true);
 
   /// Symbolic-only fill count: the number of entries L would have (excluding
-  /// the unit diagonal). Cheap (one elimination-tree pass, no numerics);
-  /// used to choose between candidate orderings before factorizing once.
+  /// the unit diagonal). Cheap (one elimination-tree pass, no numerics).
   [[nodiscard]] static Index symbolic_nnz(const CsrMatrix& a);
+
+  /// The same count for P A Pᵀ, perm new-to-old as in
+  /// CsrMatrix::permuted_symmetric (empty = identity), read through the
+  /// inverse permutation without building the permuted copy, and bounded:
+  /// the count returns after the first row at which it reaches `limit`. A
+  /// result below `limit` is the exact count; any other result only says
+  /// the count is at least `limit`. ReorderedLdlt::factor chooses its
+  /// ordering with it; symbolic_nnz(a) is the unbounded count of A itself.
+  [[nodiscard]] static Index symbolic_nnz(const CsrMatrix& a,
+                                          std::span<const Index> perm,
+                                          Index limit);
 
   /// Solves A x = b in place (b becomes x).
   void solve_in_place(std::span<double> b) const;
@@ -163,13 +173,18 @@ class SparseLdlt {
 /// node blocks this library factorizes (a 4x256 grid strip of the M1 FEM
 /// matrix fills to ~200k entries; RCM brings it to ~4k), and RCM in turn
 /// barely helps random-pattern blocks (M2-style), where the fill-targeting
-/// AMD ordering wins by another 2-3x. factor() counts the symbolic fill of
-/// every candidate ordering (natural | RCM | AMD) and keeps the sparsest —
-/// ties prefer the earlier candidate, so it is never worse than plain
-/// SparseLdlt::factor and fully deterministic. The winning choice is exposed
-/// via ordering() for diagnostics. Solves apply the permutation through a
-/// thread-local workspace, so one instance may be solved from concurrent
-/// threads (e.g. cache entries shared across a threaded harness).
+/// AMD ordering wins by another 2-3x. factor() takes the candidates in the
+/// order natural, RCM, AMD by symbolic fill, and a later one replaces the
+/// incumbent only if its fill c beats the incumbent's b by 2% (c < b - b/50;
+/// identity permutations are not candidates), so it is never worse than
+/// plain SparseLdlt::factor and fully deterministic. The counts are bounded
+/// and copy-free (SparseLdlt::symbolic_nnz with a permutation and a limit):
+/// RCM is counted first, the natural count stops at the smallest fill RCM
+/// would beat, AMD's where it could no longer beat the incumbent, and only
+/// the winner is permuted. The winning choice is exposed via ordering() for
+/// diagnostics. Solves apply the permutation through a thread-local
+/// workspace, so one instance may be solved from concurrent threads (e.g.
+/// cache entries shared across a threaded harness).
 class ReorderedLdlt {
  public:
   [[nodiscard]] static std::optional<ReorderedLdlt> factor(const CsrMatrix& a);

@@ -3,14 +3,20 @@
 // with disconnected components / empty rows, genuine fill reduction on the
 // random-pattern matrices RCM cannot help, and the ReorderedLdlt selection
 // contract (never sparser-than-chosen, margin-gated switching, correct
-// solves under every forced ordering).
+// solves under every forced ordering, the same choice as counting every
+// candidate's permuted copy in full).
 #include "sparse/amd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "repro/matrices.hpp"
+#include "sim/partition.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ldlt.hpp"
@@ -133,6 +139,110 @@ TEST(ReorderedLdltSelection, EveryForcedOrderingSolvesCorrectly) {
       EXPECT_EQ(fact->solve_flops(), ref->solve_flops());
       EXPECT_EQ(fact->factor_flops(), ref->factor_flops());
     }
+  }
+}
+
+// ReorderedLdlt::factor's rule counted the exhaustive way, from the public
+// API only: every candidate's full fill on its permuted copy, natural first,
+// then RCM and AMD unless their permutation is the identity, each replacing
+// the incumbent only if it beats it by 2%. Returns the ordering and its fill.
+std::pair<LdltOrdering, Index> reference_choice(const CsrMatrix& a) {
+  LdltOrdering best = LdltOrdering::kNatural;
+  Index best_nnz = SparseLdlt::symbolic_nnz(a);
+  const std::array<std::pair<LdltOrdering, std::vector<Index>>, 2> candidates{
+      {{LdltOrdering::kRcm, rcm_ordering(a)},
+       {LdltOrdering::kAmd, amd_ordering(a)}}};
+  for (const auto& [ordering, perm] : candidates) {
+    bool identity = true;
+    for (std::size_t i = 0; i < perm.size(); ++i)
+      identity = identity && perm[i] == static_cast<Index>(i);
+    if (identity) continue;
+    const Index nnz = SparseLdlt::symbolic_nnz(a.permuted_symmetric(perm));
+    if (nnz < best_nnz - best_nnz / 50) {
+      best = ordering;
+      best_nnz = nnz;
+    }
+  }
+  return {best, best_nnz};
+}
+
+// The first node block of a reproduction matrix on 64 nodes.
+CsrMatrix first_node_block(int matrix_index, double scale) {
+  const auto m = repro::make_matrix(matrix_index, scale);
+  const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+  const auto rows = part.rows_of(0);
+  return m.matrix.submatrix(rows, rows);
+}
+
+TEST(ReorderedLdltSelection, ChoiceMatchesEveryCandidateCounted) {
+  std::vector<std::pair<std::string, CsrMatrix>> inputs;
+  for (const Index n : {6, 12, 20}) {
+    inputs.emplace_back("poisson2d " + std::to_string(n),
+                        poisson2d_5pt(n, n + 3));
+    inputs.emplace_back("fem2d " + std::to_string(n), fem2d_p1(n + 2, n));
+  }
+  for (const std::uint64_t seed : {3u, 17u, 0xA2u}) {
+    const std::string s = " seed " + std::to_string(seed);
+    inputs.emplace_back("random_spd 150" + s,
+                        random_spd(150, 8, 0.5, 20, seed));
+    inputs.emplace_back("random_spd 400" + s,
+                        random_spd(400, 12, 0.6, 80, seed));
+    inputs.emplace_back("banded_spd 200" + s, banded_spd(200, 4, 1.0, seed));
+    inputs.emplace_back("banded_spd 300" + s, banded_spd(300, 5, 0.7, seed));
+    inputs.emplace_back("circuit_like" + s,
+                        circuit_like(14, 14, 0.03, seed));
+    inputs.emplace_back(
+        "elasticity3d" + s,
+        elasticity3d(4, 4, 3, Stencil3d::kFacesCorners14, 0.2, seed));
+  }
+  inputs.emplace_back("M1 s8 block 0", first_node_block(1, 8.0));
+  inputs.emplace_back("M8 s32 block 0", first_node_block(8, 32.0));
+  inputs.emplace_back("M2 s12 block 0", first_node_block(2, 12.0));
+  {
+    const auto m = repro::make_matrix(2, 12.0);
+    const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+    const std::vector<NodeId> failed{20, 21, 22, 23, 24, 25, 26, 27};
+    const auto rows = part.rows_of_set(failed);
+    inputs.emplace_back("M2 s12 A_FF 20-27", m.matrix.submatrix(rows, rows));
+  }
+  TripletBuilder diag;
+  for (Index i = 0; i < 9; ++i) diag.add(i, i, 2.0 + static_cast<double>(i));
+  inputs.emplace_back("diagonal", diag.build(9, 9));
+  inputs.emplace_back("tridiagonal", tridiag_spd(40));
+  inputs.emplace_back("1x1", CsrMatrix::identity(1));
+  inputs.emplace_back("0x0", CsrMatrix(0, 0, {0}, {}, {}));
+
+  std::array<int, 3> wins{};
+  for (const auto& [name, a] : inputs) {
+    const auto [ordering, l_nnz] = reference_choice(a);
+    const auto fact = ReorderedLdlt::factor(a);
+    ASSERT_TRUE(fact.has_value()) << name;
+    EXPECT_EQ(fact->ordering(), ordering)
+        << name << ": chose " << fact->ordering_name() << ", counting every "
+        << "candidate in full chooses " << to_string(ordering);
+    EXPECT_EQ(fact->l_nnz(), l_nnz) << name;
+    ++wins[static_cast<std::size_t>(ordering)];
+  }
+  EXPECT_GT(wins[static_cast<std::size_t>(LdltOrdering::kNatural)], 0);
+  EXPECT_GT(wins[static_cast<std::size_t>(LdltOrdering::kRcm)], 0);
+  EXPECT_GT(wins[static_cast<std::size_t>(LdltOrdering::kAmd)], 0);
+}
+
+TEST(SymbolicFill, PermutedAndBoundedCountsMatchTheCopies) {
+  for (const auto& a :
+       {poisson2d_5pt(15, 11), random_spd(300, 10, 0.7, 60, 0xB1),
+        circuit_like(12, 12, 0.05, 4), first_node_block(8, 32.0)}) {
+    for (const auto& perm : {rcm_ordering(a), amd_ordering(a)}) {
+      const Index full = SparseLdlt::symbolic_nnz(a.permuted_symmetric(perm));
+      EXPECT_EQ(SparseLdlt::symbolic_nnz(a, perm, full + 1), full);
+      // A count cut short says only that the fill reaches the limit.
+      EXPECT_GE(SparseLdlt::symbolic_nnz(a, perm, full), full);
+      EXPECT_GE(SparseLdlt::symbolic_nnz(a, perm, full / 2), full / 2);
+      EXPECT_LE(SparseLdlt::symbolic_nnz(a, perm, full / 2), full);
+    }
+    EXPECT_EQ(SparseLdlt::symbolic_nnz(a, {}, a.nnz() * a.rows()),
+              SparseLdlt::symbolic_nnz(a));
+    EXPECT_EQ(SparseLdlt::symbolic_nnz(a, {}, 0), 0);
   }
 }
 
