@@ -2,11 +2,17 @@
 
 #include <cctype>
 #include <charconv>
+#include <set>
 #include <stdexcept>
 
 namespace rpcg::service {
 
 namespace {
+
+// Arrays and objects nest at most this deep. The job format nests four
+// levels (job object, failures array, event object, nodes array); the limit
+// keeps the recursive descent off the end of the stack on hostile lines.
+constexpr int kMaxDepth = 64;
 
 class Parser {
  public:
@@ -50,9 +56,14 @@ class Parser {
     if (done()) fail("unexpected end of input");
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue::make(string_token());
       case 't':
@@ -166,6 +177,7 @@ class Parser {
   JsonValue object() {
     take();  // '{'
     JsonValue::Object members;
+    std::set<std::string> keys;
     skip_ws();
     if (!done() && peek() == '}') {
       ++pos_;
@@ -174,9 +186,8 @@ class Parser {
     for (;;) {
       skip_ws();
       std::string key = string_token();
-      for (const auto& [existing, ignored] : members) {
-        if (existing == key) fail("duplicate object key \"" + key + "\"");
-      }
+      if (!keys.insert(key).second)
+        fail("duplicate object key \"" + key + "\"");
       skip_ws();
       if (take() != ':') fail("expected ':' after object key");
       skip_ws();
@@ -190,6 +201,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

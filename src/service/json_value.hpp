@@ -30,7 +30,8 @@ class JsonValue {
 
   /// Parses one complete JSON document (trailing whitespace allowed,
   /// trailing garbage rejected). Throws std::invalid_argument with a
-  /// character offset on malformed input.
+  /// character offset on malformed input, a duplicate object key, or arrays
+  /// and objects nested more than 64 levels deep.
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
   // Value factories (used by the parser; handy for tests too).

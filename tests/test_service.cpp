@@ -69,6 +69,27 @@ TEST(JsonValue, RejectsMalformedDocuments) {
                std::invalid_argument);
   EXPECT_THROW((void)JsonValue::parse(R"({"a": })"), std::invalid_argument);
   EXPECT_THROW((void)JsonValue::parse(""), std::invalid_argument);
+  // Nesting that would recurse off the end of the stack is refused.
+  EXPECT_THROW((void)JsonValue::parse(std::string(100000, '[')),
+               std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+  EXPECT_THROW((void)JsonValue::parse(objects), std::invalid_argument);
+}
+
+TEST(JsonValue, NestingLimitNamesTheOffset) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(JsonValue::parse(nested(64)).kind(), JsonValue::Kind::kArray);
+  try {
+    (void)JsonValue::parse(nested(65));
+    FAIL() << "65 levels were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at offset 64"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(JsonValue, KindMismatchNamesActualKind) {
