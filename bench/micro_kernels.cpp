@@ -191,6 +191,30 @@ void BM_BlockJacobiApply(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockJacobiApply)->Apply(layout_args);
 
+// The block-Jacobi setup on the workloads' layouts (matrix 1, 8 or 2 of
+// layout_matrix, 64 nodes): one ReorderedLdlt::factor per node block, each
+// choosing its ordering by bounded symbolic fill counts. The counters say
+// how many blocks each ordering won.
+void BM_BlockJacobiSetup(benchmark::State& state) {
+  const CsrMatrix a = layout_matrix(state.range(0));
+  const Partition part = Partition::block_rows(a.rows(), 64);
+  for (auto _ : state) {
+    const BlockJacobiPreconditioner m(a, part);
+    benchmark::DoNotOptimize(m.supernodal_blocks());
+  }
+  const BlockJacobiPreconditioner m(a, part);
+  for (const LdltOrdering o :
+       {LdltOrdering::kNatural, LdltOrdering::kRcm, LdltOrdering::kAmd}) {
+    state.counters[to_string(o)] =
+        static_cast<double>(m.ordering_counts()[static_cast<std::size_t>(o)]);
+  }
+}
+BENCHMARK(BM_BlockJacobiSetup)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_LdltFactor(benchmark::State& state) {
   const CsrMatrix a =
       poisson2d_5pt(static_cast<Index>(state.range(0)), state.range(0));
