@@ -60,7 +60,7 @@ def summary(values):
 
 def snapshot(args):
     spec = reports.load_benchmark()
-    runs = []  # (mtime, side, path, report)
+    runs = []  # (mtime, side, report)
     for side, paths in (("parent", args.parent), ("change", args.change)):
         for path in paths:
             report = reports.load_report(path)
