@@ -10,6 +10,13 @@
 // *on* the failed node; the reconstruction gathers lost elements from
 // surviving holders through a tailored plan (the deterministic alternative to
 // PETSc's reverse scatter discussed in Sec. 6 of the paper).
+//
+// Host-side layout: every copy of an element in one generation holds the
+// same value — the vector's value when that generation was recorded — so
+// the store keeps one whole-vector snapshot per generation, in a ring, and
+// each (sender, holder) pair keeps only which elements the holder retains
+// and whether it is valid. The simulated placement of the copies, and so
+// every charge and the coverage check, follows the pairs.
 #pragma once
 
 #include <optional>
@@ -32,25 +39,29 @@ class BackupStore {
 
   /// Lays out the retained blocks: one per ordered node pair (src, dst) with
   /// traffic, holding the union of S_{src,dst} and the extra sets Rc
-  /// targeted at dst, carrying `generations` (>= 1) rotating copies. Values
-  /// start at zero (p^(-1) = 0, consistent with the j = 0 reconstruction
-  /// where beta^(-1) = 0). The paper's scheme is generations = 2.
+  /// targeted at dst, and a ring of `generations` (>= 1) snapshots. The
+  /// snapshots start at zero (p^(-1) = 0, consistent with the j = 0
+  /// reconstruction where beta^(-1) = 0). The paper's scheme is
+  /// generations = 2.
   void configure(const ScatterPlan& plan, const RedundancyScheme& scheme,
                  const Partition& partition, int generations = 2);
 
   [[nodiscard]] int generations() const { return generations_; }
 
-  /// Called once per SpMV, after the halo exchange of p^(j): rotates the
-  /// generations (gen g -> g+1, oldest dropped) and records the freshly sent
-  /// values as generation 0.
+  /// Called once per SpMV, after the halo exchange of p^(j): advances the
+  /// ring (gen g -> g+1, oldest dropped) and snapshots the freshly sent
+  /// values, each node's block once, as generation 0.
   void record(const DistVector& p);
 
-  /// A node failure destroys everything retained on node d.
+  /// A node failure destroys everything retained on node d: its pairs stop
+  /// serving copies until re-armed.
   void invalidate_node(NodeId d);
 
   /// Looks up a surviving copy of element `global` (owned by `owner`) in
-  /// generation `gen` (0 = newest, generations()-1 = oldest). Returns the
-  /// holder and value, or nullopt if no alive holder has it.
+  /// generation `gen` (0 = newest, generations()-1 = oldest): the first
+  /// valid pair of `owner`, in holder order, whose holder is alive and
+  /// retains the element. Returns the holder and value, or nullopt if no
+  /// alive holder has it.
   struct Found {
     NodeId holder;
     double value;
@@ -59,9 +70,9 @@ class BackupStore {
                                             Index global, int gen) const;
 
   /// Gathers every generation of all lost elements (`rows`, sorted, owned by
-  /// failed nodes). Charges the gather communication cost to
-  /// Phase::kRecovery. Throws UnrecoverableFailure when an element has no
-  /// surviving copy.
+  /// failed nodes), each element's generations from one holder. Charges the
+  /// gather communication cost to Phase::kRecovery. Throws
+  /// UnrecoverableFailure when an element has no surviving copy.
   struct Gathered {
     /// gens[g] holds generation g's values, aligned with rows (g = 0 newest).
     std::vector<std::vector<double>> gens;
@@ -70,17 +81,13 @@ class BackupStore {
   [[nodiscard]] Gathered gather_lost(Cluster& cluster,
                                      std::span<const Index> rows) const;
 
-  /// Restores the store entries hosted on replacement nodes from the
-  /// (recovered) generation vectors (newest first, one per configured
-  /// generation), so the full phi + 1 redundancy holds immediately after
-  /// reconstruction instead of `generations` iterations later. Charges the
-  /// re-send cost to Phase::kRecovery.
-  void re_arm(Cluster& cluster, std::span<const NodeId> replacements,
-              std::span<const DistVector* const> generation_vectors);
-
-  /// Two-generation convenience overload (the paper's p / p_prev pair).
-  void re_arm(Cluster& cluster, std::span<const NodeId> replacements,
-              const DistVector& p, const DistVector& p_prev);
+  /// Re-validates the copies hosted on replacement nodes, so the full
+  /// phi + 1 redundancy holds immediately after reconstruction instead of
+  /// `generations` iterations later, and charges their re-send (every
+  /// generation of each pair) to Phase::kRecovery. The values are the
+  /// ring's: the recovery installed the lost blocks from them, and the
+  /// surviving blocks have not changed since their record.
+  void re_arm(Cluster& cluster, std::span<const NodeId> replacements);
 
   /// Memory the store occupies on node d, in vector elements (for the
   /// paper's ~2n/N-per-copy overhead statement; generations * n/N here).
@@ -91,12 +98,22 @@ class BackupStore {
     NodeId src = -1;
     NodeId dst = -1;
     std::vector<Index> indices;  // sorted global indices
-    std::vector<std::vector<double>> gens;  // gens[0] newest
     bool valid = true;  // false after dst failed, until re-armed
   };
 
+  /// The holder lookup() and gather_lost() read `global` from, or -1.
+  [[nodiscard]] NodeId holder_of(const Cluster& cluster, NodeId owner,
+                                 Index global) const;
+
+  /// The ring slot of generation g (0 = newest).
+  [[nodiscard]] const std::vector<double>& snapshot(int g) const {
+    return ring_[static_cast<std::size_t>((head_ + g) % generations_)];
+  }
+
   const Partition* partition_ = nullptr;
   int generations_ = 2;
+  std::vector<std::vector<double>> ring_;  // whole-vector snapshots
+  int head_ = 0;                           // ring slot of generation 0
   std::vector<RetainedBlock> blocks_;
   std::vector<std::vector<int>> by_src_;  // block ids per source node
   std::vector<std::vector<int>> by_dst_;  // block ids per destination node

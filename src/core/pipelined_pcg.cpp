@@ -13,18 +13,16 @@ namespace rpcg {
 
 /// The live iteration state at loop top k (k completed updates): the
 /// current-generation vectors r_k, u_k, w_k, the recurrence vectors s/q/z
-/// of update k-1, the directions p_{k-1}, p_{k-2}, the `depth` previous
-/// generations of u that the backup set keeps reconstructible, and the
-/// chains m_i = (M^-1 A)^i u, n_i = A m_i (i = 1..L) and
+/// of update k-1, the direction p_{k-1}, and the chains
+/// m_i = (M^-1 A)^i u, n_i = A m_i (i = 1..L) and
 /// zeta_i = (M^-1 A)^i q, xi_i = A zeta_i (i = 1..L-1) that close the
 /// coefficient-space replay. Depth 1 has one chain rung (its in-flight
-/// m = M^-1 w, n = A m) and one old u generation. Replicated scalars ride
-/// along: gamma_{k-1}, alpha_{k-1} (recovered from any survivor on failure).
+/// m = M^-1 w, n = A m). The older p and u generations live only in the
+/// backup stores. Replicated scalars ride along: gamma_{k-1}, alpha_{k-1}
+/// (recovered from any survivor on failure).
 struct PipelinedPcg::DeepState {
   DeepState(const Partition& part, const PipelinedBasisLayout& layout)
-      : r(part), u(part), w(part), s(part), q(part), z(part), p(part),
-        p_prev(part) {
-    for (int g = 0; g < layout.depth; ++g) u_hist.emplace_back(part);
+      : r(part), u(part), w(part), s(part), q(part), z(part), p(part) {
     for (int i = 0; i < layout.chain; ++i) {
       m.emplace_back(part);
       n.emplace_back(part);
@@ -35,8 +33,7 @@ struct PipelinedPcg::DeepState {
     }
   }
 
-  DistVector r, u, w, s, q, z, p, p_prev;
-  std::vector<DistVector> u_hist;      // u^(k-1) .. u^(k-depth)
+  DistVector r, u, w, s, q, z, p;
   std::vector<DistVector> m, n;        // m[i] = m_{i+1}, n[i] = n_{i+1}
   std::vector<DistVector> zeta, xi;    // zeta[i] = zeta_{i+1}, likewise xi
   double gamma_prev = 0.0;
@@ -54,8 +51,7 @@ struct PipelinedPcg::DeepState {
   }
 
   [[nodiscard]] std::vector<DistVector*> all() {
-    std::vector<DistVector*> out = {&r, &u, &w, &s, &q, &z, &p, &p_prev};
-    for (DistVector& v : u_hist) out.push_back(&v);
+    std::vector<DistVector*> out = {&r, &u, &w, &s, &q, &z, &p};
     for (DistVector& v : m) out.push_back(&v);
     for (DistVector& v : n) out.push_back(&v);
     for (DistVector& v : zeta) out.push_back(&v);
@@ -113,7 +109,7 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
 
   // Replicated scalars gamma^(k-1), alpha^(k-1) from any survivor, then every
   // backed-up generation of the lost u blocks (depth+1 of them) and both p
-  // generations.
+  // generations. The rebuild below reads only the newest of each.
   cluster_.charge(Phase::kRecovery, cluster_.comm().message_cost(1));
   const BackupStore::Gathered got_u = lost.gather(store_u_);
   const BackupStore::Gathered got_p = lost.gather(store_p_);
@@ -127,11 +123,7 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
   lost.install(x, lost.solve_x(*a_global_, r_f, b, x, opts_.esr));
   lost.install(st.r, r_f);
   lost.install(st.u, got_u.gens[0]);
-  for (int g = 0; g < opts_.depth; ++g)
-    lost.install(st.u_hist[static_cast<std::size_t>(g)],
-                 got_u.gens[static_cast<std::size_t>(g) + 1]);
   lost.install(st.p, got_p.gens[0]);
-  lost.install(st.p_prev, got_p.gens[1]);
 
   // Relation-based rebuild of the lost blocks (Levonyak et al.): s = A p,
   // q = M^{-1} s, z = A q, w = A u, then the chain ladders
@@ -194,11 +186,8 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
   }
 
   // Restore full phi+1 redundancy of both backup sets right away.
-  store_p_.re_arm(cluster_, lost.nodes(), st.p, st.p_prev);
-  std::vector<const DistVector*> ugens;
-  ugens.push_back(&st.u);
-  for (const DistVector& uh : st.u_hist) ugens.push_back(&uh);
-  store_u_.re_arm(cluster_, lost.nodes(), ugens);
+  store_p_.re_arm(cluster_, lost.nodes());
+  store_u_.re_arm(cluster_, lost.nodes());
   return lost.finish();
 }
 
@@ -251,7 +240,6 @@ engine::SolveReport PipelinedPcg::solve_depth1(
   DeepState st(part, layout_);
   DistVector& m = st.m[0];
   DistVector& n = st.n[0];
-  DistVector& u_prev = st.u_hist[0];
   std::vector<std::vector<double>> halos;
   const Phase it = Phase::kIteration;
   const bool cg = opts_.method == PipelinedMethod::kConjugateGradient;
@@ -351,13 +339,6 @@ engine::SolveReport PipelinedPcg::solve_depth1(
     xpby(cluster_, n, beta, st.z, it);  // z = n + beta z
     xpby(cluster_, m, beta, st.q, it);  // q = m + beta q
     xpby(cluster_, st.w, beta, st.s, it);  // s = w + beta s
-    {
-      // Keeping the previous p/u generations is a local pointer swap in a
-      // real implementation; it costs no time.
-      ClockPause pause(cluster_.clock());
-      copy(cluster_, st.p, st.p_prev, it);
-      copy(cluster_, st.u, u_prev, it);
-    }
     xpby(cluster_, st.u, beta, st.p, it);   // p = u + beta p
     axpy(cluster_, alpha, st.p, x, it);     // x += alpha p
     axpy(cluster_, -alpha, st.s, st.r, it); // r -= alpha s
@@ -584,15 +565,6 @@ engine::SolveReport PipelinedPcg::solve_deep(
       xpby(cluster_, st.n[iz + 1], beta, st.xi[iz], it);
       axpy(cluster_, -alpha, st.zeta[iz], st.m[iz], it);
       axpy(cluster_, -alpha, st.xi[iz], st.n[iz], it);
-    }
-    {
-      // Generation keeping is a pointer rotation in a real implementation.
-      ClockPause pause(cluster_.clock());
-      for (int g = opts_.depth - 1; g >= 1; --g)
-        copy(cluster_, st.u_hist[static_cast<std::size_t>(g) - 1],
-             st.u_hist[static_cast<std::size_t>(g)], it);
-      copy(cluster_, st.u, st.u_hist[0], it);
-      copy(cluster_, st.p, st.p_prev, it);
     }
     xpby(cluster_, st.u, beta, st.p, it);    // p = u + beta p
     axpy(cluster_, alpha, st.p, x, it);      // x += alpha p

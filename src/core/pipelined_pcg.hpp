@@ -40,11 +40,10 @@
 //
 // Both loops share one recovery (recover(), on the shared ESR steps of
 // core/esr.hpp) and one state struct: depth 1 is the depth-l state with one
-// chain rung (m, n) and one old u generation. Depth 1 differs in one
-// respect: its in-flight m = M^{-1} w and n = A m are recomputed over whole
-// vectors after the rebuild, as the classic iteration mints them afresh
-// every iteration, while deeper rings rebuild only the lost blocks of their
-// chains.
+// chain rung (m, n). Depth 1 differs in one respect: its in-flight
+// m = M^{-1} w and n = A m are recomputed over whole vectors after the
+// rebuild, as the classic iteration mints them afresh every iteration, while
+// deeper rings rebuild only the lost blocks of their chains.
 #pragma once
 
 #include <cstdint>
@@ -120,11 +119,12 @@ class PipelinedPcg {
                MaybeOwned<DistMatrix> a, const Preconditioner& m,
                PipelinedPcgOptions opts);
 
-  struct DeepState;  // recurrence vectors, chains, u generations, scalars
+  struct DeepState;  // recurrence vectors, chains, scalars
 
   /// ESR recovery of the pipelined state after the merged failure set
-  /// `failed`, at every depth: exact reconstruction of x/r/u/p and their
-  /// backed-up older generations, then the relation-based rebuild of s/q/z/w
+  /// `failed`, at every depth: exact reconstruction of x/r/u/p (every
+  /// backed-up generation is gathered and charged; the newest is read), then
+  /// the relation-based rebuild of s/q/z/w
   /// and the chain ladders (depth 1: m and n recomputed whole). Returns the
   /// Alg. 2 stats.
   RecoveryStats recover(std::span<const NodeId> failed, const DistVector& b,

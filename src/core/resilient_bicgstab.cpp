@@ -116,10 +116,8 @@ RecoveryStats ResilientBicgstab::recover(std::span<const NodeId> failed,
   lost.install_from(st.r0, st.r0_pristine);
 
   // Restore full redundancy on the replacements.
-  const DistVector* phat[] = {&st.phat};
-  const DistVector* shat[] = {&st.shat};
-  store_phat_.re_arm(cluster_, lost.nodes(), phat);
-  store_shat_.re_arm(cluster_, lost.nodes(), shat);
+  store_phat_.re_arm(cluster_, lost.nodes());
+  store_shat_.re_arm(cluster_, lost.nodes());
   return lost.finish();
 }
 

@@ -103,8 +103,9 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
   PcgKernel kernel(cluster_, *a_, *m_);
   const Phase it = Phase::kIteration;
 
-  // Line 1 of Alg. 1: r = b - A x, z = M^{-1} r, p = z. p_prev stays zero
-  // (p^(-1) = 0, consistent with beta^(-1) = 0 at a j = 0 failure).
+  // Line 1 of Alg. 1: r = b - A x, z = M^{-1} r, p = z. The backup store's
+  // older generation starts zero (p^(-1) = 0, consistent with beta^(-1) = 0
+  // at a j = 0 failure).
   const DotPair d0 = kernel.initialize(b, x, it);
   const double rnorm0 = std::sqrt(d0.rr);
 
@@ -163,7 +164,8 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
 
     // Lines 3/5 SpMV: u = A p. With ESR, the redundant copies of p^(j) are
     // piggybacked on this exchange and every receiver retains two
-    // generations (the backup store rotates cur -> prev).
+    // generations: the store snapshots p^(j) as its newest generation, and
+    // its previous snapshot, p^(j-1), becomes the older one.
     kernel.spmv_direction(it);
     if (opts_.phi > 0) {
       store_.record(kernel.p);
@@ -224,8 +226,7 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           lost.install(kernel.r, r_f);
           lost.install(kernel.z, z_f);
           lost.install(kernel.p, got.gens[0]);
-          lost.install(kernel.p_prev, got.gens[1]);
-          store_.re_arm(cluster_, lost.nodes(), kernel.p, kernel.p_prev);
+          store_.re_arm(cluster_, lost.nodes());
           record_recovery(j, merged, lost.finish());
           // Resume iteration j: recompute u = A p on the recovered state.
           for (const NodeId f : merged) kernel.u.revalidate_zero(f);
@@ -248,7 +249,6 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
                        kernel.beta_prev);
           for (const NodeId f : merged) {
             kernel.z.revalidate_zero(f);
-            kernel.p_prev.revalidate_zero(f);
             kernel.u.revalidate_zero(f);
           }
           m_->apply(cluster_, kernel.r, kernel.z, Phase::kRecovery);
@@ -271,7 +271,6 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
             kernel.r.revalidate_zero(f);
             kernel.z.revalidate_zero(f);
             kernel.p.revalidate_zero(f);
-            kernel.p_prev.revalidate_zero(f);
             kernel.u.revalidate_zero(f);
           }
           (void)kernel.initialize(b, x, Phase::kRecovery);
@@ -301,9 +300,8 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
           lost.install_from(kernel.r, mirror_r);
           lost.install_from(kernel.p, mirror_p);
           for (const NodeId f : merged) {
-            kernel.z.revalidate_zero(f);       // recomputed next precondition
-            kernel.p_prev.revalidate_zero(f);  // never read by twin
-            kernel.u.revalidate_zero(f);       // recomputed below
+            kernel.z.revalidate_zero(f);  // recomputed next precondition
+            kernel.u.revalidate_zero(f);  // recomputed below
           }
           const double copy_cost = twin_round_cost(cluster_, merged);
           cluster_.charge(Phase::kRecovery, copy_cost);
@@ -342,7 +340,7 @@ engine::SolveReport ResilientPcg::solve(const DistVector& b, DistVector& x,
       res.converged = true;
       break;
     }
-    kernel.advance_direction(d, /*track_prev=*/true, it);
+    kernel.advance_direction(d, it);
     // Twin: the mirror again holds the loop-top state of iteration j + 1.
     if (twin) push_mirror(Phase::kRedundancy, redundancy_step_cost_);
     ++j;

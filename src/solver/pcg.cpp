@@ -50,7 +50,7 @@ engine::SolveReport pcg_solve(Cluster& cluster, const DistMatrix& a,
         res.converged = true;
         break;
       }
-      kernel.advance_direction(d, /*track_prev=*/false, ph);  // p = z + beta p
+      kernel.advance_direction(d, ph);                      // p = z + beta p
     }
   }
 

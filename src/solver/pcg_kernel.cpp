@@ -9,7 +9,6 @@ PcgKernel::PcgKernel(Cluster& cluster, const DistMatrix& a,
     : r(cluster.partition()),
       z(cluster.partition()),
       p(cluster.partition()),
-      p_prev(cluster.partition()),
       u(cluster.partition()),
       cluster_(&cluster),
       a_(&a),
@@ -49,20 +48,15 @@ DotPair PcgKernel::precondition(Phase phase) {
   return dot_pair(*cluster_, r, z, phase);
 }
 
-void PcgKernel::advance_direction(const DotPair& d, bool track_prev,
-                                  Phase phase) {
+void PcgKernel::advance_direction(const DotPair& d, Phase phase) {
   const double beta = d.rz / rz;
   beta_prev = beta;
   rz = d.rz;
-  if (track_prev) {
-    ClockPause pause(cluster_->clock());
-    copy(*cluster_, p, p_prev, phase);
-  }
   xpby(*cluster_, z, beta, p, phase);
 }
 
 std::vector<DistVector*> PcgKernel::state_vectors(DistVector& x) {
-  return {&x, &r, &z, &p, &p_prev, &u};
+  return {&x, &r, &z, &p, &u};
 }
 
 }  // namespace rpcg

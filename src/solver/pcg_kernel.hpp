@@ -25,9 +25,7 @@ namespace rpcg {
 
 class PcgKernel {
  public:
-  /// All references must outlive the kernel. Workspace vectors start zero
-  /// (p_prev = p^(-1) = 0, consistent with beta^(-1) = 0 at a j = 0
-  /// failure).
+  /// All references must outlive the kernel. Workspace vectors start zero.
   PcgKernel(Cluster& cluster, const DistMatrix& a, const Preconditioner& m);
 
   /// Line 1 of Alg. 1: r = b - A x, z = M^{-1} r, p = z. Seeds rz from the
@@ -47,10 +45,8 @@ class PcgKernel {
   /// z = M^{-1} r, then the batched r^T z / ||r||^2 reduction.
   DotPair precondition(Phase phase);
 
-  /// beta = d.rz / rz; p = z + beta p. Updates beta_prev and rz. When
-  /// `track_prev` is set, p^(j) is kept as the previous direction first — a
-  /// local pointer swap in a real implementation, so it costs no time.
-  void advance_direction(const DotPair& d, bool track_prev, Phase phase);
+  /// beta = d.rz / rz; p = z + beta p. Updates beta_prev and rz.
+  void advance_direction(const DotPair& d, Phase phase);
 
   /// The live solver state (x plus every kernel vector), for failure
   /// injection: a fail-stop failure invalidates all of it at once.
@@ -58,7 +54,7 @@ class PcgKernel {
 
   // Iteration state, owned by the kernel but deliberately public: recovery,
   // checkpointing, and event snapshots operate on it directly.
-  DistVector r, z, p, p_prev, u;
+  DistVector r, z, p, u;
   double rz = 0.0;
   double beta_prev = 0.0;
 

@@ -150,8 +150,7 @@ engine::SolveReport ResilientStationary::solve(
       // the retained copies, with no reconstruction solve.
       LostBlocks lost(cluster_, *a_global_, merged);
       lost.install(x, lost.gather(store_).gens[0]);
-      const DistVector* generations[] = {&x};
-      store_.re_arm(cluster_, lost.nodes(), generations);
+      store_.re_arm(cluster_, lost.nodes());
       resid.set_zero();
       // Redo the halo exchange on the recovered iterate.
       execute_scatter(cluster_, a_->scatter_plan(), x, halos, Phase::kRecovery);
