@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -120,6 +121,9 @@ constexpr const char* kJobKeys[] = {
       const int f = as_int(*first, "first");
       const int p = as_int(*psi, "psi");
       if (p < 1) fail("failure event psi must be >= 1");
+      // The last node id, f + p - 1, must be an int like every other.
+      if (f > 0 && p - 1 > std::numeric_limits<int>::max() - f)
+        fail("failure event first + psi - 1 exceeds the node id range");
       for (int k = 0; k < p; ++k) event.nodes.push_back(f + k);
     } else {
       fail("failure event needs \"nodes\" or \"first\"+\"psi\"");

@@ -143,6 +143,19 @@ TEST(JobParsing, UnknownKeyListsValidKeys) {
   }
 }
 
+TEST(JobParsing, FailureEventRangeMustFitNodeIds) {
+  // first + psi - 1 past INT_MAX overflowed the node id of the last failed
+  // node; the event is refused instead. The largest range that fits parses.
+  EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
+                   R"({"failures": [{"iteration": 1, "first": 2147483647,
+                                     "psi": 2}]})")),
+               std::invalid_argument);
+  const JobSpec job = rpcg::service::parse_job(JsonValue::parse(
+      R"({"failures": [{"iteration": 1, "first": 2147483646, "psi": 2}]})"));
+  EXPECT_EQ(job.schedule.events()[0].nodes,
+            (std::vector<rpcg::NodeId>{2147483646, 2147483647}));
+}
+
 TEST(JobParsing, FailureEventShapesAreExclusive) {
   EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
                    R"({"failures": [{"iteration": 3, "psi": 2,
