@@ -250,45 +250,62 @@ void BM_RedundancySchemeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RedundancySchemeBuild)->Arg(1)->Arg(3)->Arg(8);
 
-void BM_BackupRecord(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix();
-  const Partition part = Partition::block_rows(a.rows(), 128);
-  const DistMatrix d = DistMatrix::distribute(a, part);
-  const auto scheme = RedundancyScheme::build(d.scatter_plan(), part, 3,
-                                              BackupStrategy::kPaperAlternating);
+// The backup store of the workloads' layouts: (matrix of layout_matrix, phi)
+// on 64 nodes — the Poisson matrix, m1-iterate and m8-dense-rows at phi = 3,
+// and m2-recover at phi = 8 — with the paper's two generations.
+struct BackupBench {
+  explicit BackupBench(const benchmark::State& state)
+      : a(layout_matrix(state.range(0))),
+        part(Partition::block_rows(a.rows(), 64)),
+        d(DistMatrix::distribute(a, part)),
+        phi(static_cast<int>(state.range(1))),
+        p(part) {
+    const auto scheme = RedundancyScheme::build(
+        d.scatter_plan(), part, phi, BackupStrategy::kPaperAlternating);
+    store.configure(d.scatter_plan(), scheme, part);
+    std::vector<double> g(static_cast<std::size_t>(a.rows()), 1.0);
+    p.set_global(g);
+  }
+
+  CsrMatrix a;
+  Partition part;
+  DistMatrix d;
+  int phi;
   BackupStore store;
-  store.configure(d.scatter_plan(), scheme, part);
-  DistVector p(part);
-  std::vector<double> g(static_cast<std::size_t>(a.rows()), 1.0);
-  p.set_global(g);
+  DistVector p;
+};
+
+void backup_args(benchmark::internal::Benchmark* b) {
+  b->Args({0, 3})->Args({1, 3})->Args({8, 3})->Args({2, 8});
+}
+
+void BM_BackupRecord(benchmark::State& state) {
+  BackupBench bb(state);
   for (auto _ : state) {
-    store.record(p);
+    bb.store.record(bb.p);
   }
 }
-BENCHMARK(BM_BackupRecord);
+BENCHMARK(BM_BackupRecord)->Apply(backup_args);
 
+// Gathers both generations of psi = phi contiguous failed nodes from node 20.
 void BM_GatherLost(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix();
-  const Partition part = Partition::block_rows(a.rows(), 128);
-  const DistMatrix d = DistMatrix::distribute(a, part);
-  const auto scheme = RedundancyScheme::build(d.scatter_plan(), part, 3,
-                                              BackupStrategy::kPaperAlternating);
-  BackupStore store;
-  store.configure(d.scatter_plan(), scheme, part);
-  DistVector p(part);
-  std::vector<double> g(static_cast<std::size_t>(a.rows()), 1.0);
-  p.set_global(g);
-  store.record(p);
-  store.record(p);
-  Cluster cluster(part, CommParams{});
-  for (NodeId f = 0; f < 3; ++f) cluster.fail_node(f);
-  const auto rows = part.rows_of_set(std::vector<NodeId>{0, 1, 2});
+  BackupBench bb(state);
+  bb.store.record(bb.p);
+  bb.store.record(bb.p);
+  Cluster cluster(bb.part, CommParams{});
+  std::vector<NodeId> failed;
+  for (NodeId f = 20; f < 20 + bb.phi; ++f) {
+    failed.push_back(f);
+    cluster.fail_node(f);
+    bb.store.invalidate_node(f);
+  }
+  const auto rows = bb.part.rows_of_set(failed);
   for (auto _ : state) {
-    auto got = store.gather_lost(cluster, rows);
+    auto got = bb.store.gather_lost(cluster, rows);
     benchmark::DoNotOptimize(got.gens[0].data());
   }
 }
-BENCHMARK(BM_GatherLost);
+BENCHMARK(BM_GatherLost)->Apply(backup_args);
 
 void BM_DotPair(benchmark::State& state) {
   const Partition part = Partition::block_rows(1 << 20, 128);
