@@ -283,6 +283,7 @@ void BM_BackupRecord(benchmark::State& state) {
   BackupBench bb(state);
   for (auto _ : state) {
     bb.store.record(bb.p);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BackupRecord)->Apply(backup_args);
