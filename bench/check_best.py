@@ -50,11 +50,15 @@ def load_snapshots():
 
 def best(snapshots, workload, metric, better):
     """The best committed median and where it comes from, or None."""
-    values = [(sides[side]["metrics"][metric]["median"], f"{name} {side}")
-              for name, snapshot in snapshots
-              for sides in [snapshot["workloads"].get(workload)] if sides
-              for side in ("parent", "change")
-              if metric in sides[side]["metrics"]]
+    values = []
+    for name, snapshot in snapshots:
+        sides = snapshot["workloads"].get(workload)
+        if sides is None:
+            continue
+        for side in ("parent", "change"):
+            metrics = sides[side]["metrics"]
+            if metric in metrics:
+                values.append((metrics[metric]["median"], f"{name} {side}"))
     if not values:
         return None
     pick = min if better == "lower" else max
