@@ -198,6 +198,17 @@ std::vector<Case> cases() {
          {4, 0x1.0f2eecde825a7p-10, 72, 18, 10},
          {5, 0x1.0f3c9d8fff594p-10, 72, 18, 10},
          {6, 0x1.1a9d0f44ec6e2p-10, 144, 36, 14}}}},
+      {"pipelined_pcg_depth2", "pipelined-resilient-pcg", pipelined(2),
+       {0x1.4ae6756dd4ea9p-9, 0x1.1b0521cf73f64p-9, 25, 0x1.5b34cb7b8a31bp-29,
+        0x26af4f7390a0fd3dull,
+        {{3, 0x1.1a9d1d035c5b1p-10, 180, 36, 14},
+         {7, 0x1.1a9efe0ca9bf6p-10, 180, 36, 14}}},
+       {0x1.2e5b82e99c13fp-8, 0x1.151e6ae73910ap-8, 25, 0x1.5b345a3c99c7ep-29,
+        0x51ac2f7b9f45c593ull,
+        {{3, 0x1.1a9d1d035c5b1p-10, 180, 36, 14},
+         {4, 0x1.0f30dba63fabbp-10, 90, 18, 10},
+         {5, 0x1.0f3e8c57bcaa8p-10, 90, 18, 10},
+         {6, 0x1.1a9efe0ca9bf2p-10, 180, 36, 14}}}},
       {"pipelined_pcg_depth3", "pipelined-resilient-pcg", pipelined(3),
        {0x1.5a56759e0aef2p-9, 0x1.1cb0e92b2223ap-9, 25, 0x1.5b3c180e06612p-29,
         0xf72834bec418eaa6ull,
@@ -209,6 +220,17 @@ std::vector<Case> cases() {
          {4, 0x1.10dc274ffe84ap-10, 108, 18, 10},
          {5, 0x1.10e9d8017b838p-10, 108, 18, 10},
          {6, 0x1.1c4a49b668988p-10, 216, 36, 14}}}},
+      {"pipelined_cr_depth1", "pipelined-resilient-cr", pipelined(1),
+       {0x1.3befb2647299ap-9, 0x1.1b02b755c750dp-9, 25, 0x1.4ce6afa2e6097p-29,
+        0x9909d6db301098a7ull,
+        {{3, 0x1.1a9b2e3b9f09fp-10, 144, 36, 14},
+         {7, 0x1.1a9d0f44ec6e3p-10, 144, 36, 14}}},
+       {0x1.2592bbcdd9b9cp-8, 0x1.151c3e4684155p-8, 25, 0x1.4ce6a9887d484p-29,
+        0x18b86a750a84ec98ull,
+        {{3, 0x1.1a9b2e3b9f09fp-10, 144, 36, 14},
+         {4, 0x1.0f2eecde825a7p-10, 72, 18, 10},
+         {5, 0x1.0f3c9d8fff594p-10, 72, 18, 10},
+         {6, 0x1.1a9d0f44ec6e2p-10, 144, 36, 14}}}},
       {"pipelined_cr_depth2", "pipelined-resilient-cr", pipelined(2),
        {0x1.501ea9cdea0f6p-9, 0x1.1cae7eb1757e4p-9, 25, 0x1.4ce73bce26f78p-29,
         0x96d23b662533279aull,
