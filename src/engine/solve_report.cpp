@@ -101,10 +101,11 @@ std::string SolveReport::to_json(int indent) const {
   return std::move(w).str();
 }
 
-SolveMeter::SolveMeter(const Cluster& cluster) {
+SolveMeter::SolveMeter(Cluster& cluster) {
   for (int ph = 0; ph < kNumPhases; ++ph)
     clock_at_entry_[static_cast<std::size_t>(ph)] =
         cluster.clock().in_phase(static_cast<Phase>(ph));
+  cluster.restart_reduction_times();
 }
 
 void SolveMeter::finish(Cluster& cluster, const DistMatrix& a,

@@ -70,7 +70,7 @@ struct SolveReport {
   /// Failure-free per-iteration cost of the redundant copies (Sec. 4.2).
   double redundancy_overhead_per_iteration = 0.0;
 
-  /// Split-phase reduction accounting of the solve's cluster (posted =
+  /// Split-phase reduction accounting of this solve alone (posted =
   /// hidden + exposed; see sim/collectives.hpp).
   ReductionTimes reductions;
   /// Pipeline depth of the solve (1 for every blocking solver); serialized
@@ -97,16 +97,17 @@ struct SolveReport {
 };
 
 /// The shared finish step of every solver family. Construct it at solve
-/// entry (it snapshots the per-phase clock and starts the wall timer); call
-/// finish() once the iteration loop is done.
+/// entry (it snapshots the per-phase clock, restarts the cluster's
+/// reduction accounting and starts the wall timer); call finish() once the
+/// iteration loop is done.
 class SolveMeter {
  public:
-  explicit SolveMeter(const Cluster& cluster);
+  explicit SolveMeter(Cluster& cluster);
 
   /// Fills the true residual ||b - A x|| (on a paused clock) and Delta from
   /// `rep.solver_residual_norm`, the per-phase simulated time since entry
-  /// and its sum in phase order, the cluster's reduction accounting, and
-  /// the wall time.
+  /// and its sum in phase order, the cluster's reduction accounting since
+  /// entry, and the wall time.
   void finish(Cluster& cluster, const DistMatrix& a, const DistVector& b,
               const DistVector& x, SolveReport& rep) const;
 

@@ -147,7 +147,8 @@ class Cluster {
   /// Charges an allreduce over the currently-alive nodes.
   void charge_allreduce(Phase phase, int scalars);
 
-  /// Split-phase reduction accounting, accumulated by PendingReduction
+  /// Split-phase reduction accounting since construction or the last
+  /// restart_reduction_times(), accumulated by PendingReduction
   /// (sim/collectives.hpp) at wait() time. Diagnostic reductions executed
   /// under a paused clock are not counted.
   void account_reduction(double posted_s, double hidden_s, double exposed_s) {
@@ -158,6 +159,13 @@ class Cluster {
   }
   [[nodiscard]] const ReductionTimes& reduction_times() const {
     return reductions_;
+  }
+  /// Zeroes the totals and restarts the in-flight peak from the reductions
+  /// in flight now. SolveMeter calls it at solve entry, so a solve on a
+  /// reused cluster reports only its own reductions.
+  void restart_reduction_times() {
+    reductions_ = ReductionTimes{};
+    reductions_.max_in_flight = reductions_in_flight_;
   }
 
   /// In-flight reduction tracking, driven by post_allreduce / wait() for

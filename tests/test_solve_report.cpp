@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/pipelined_pcg.hpp"
 #include "engine/registry.hpp"
 #include "engine/solve_report.hpp"
 #include "solver/pcg.hpp"
@@ -155,22 +156,45 @@ TEST(SolveMeter, FreshClusterMatchesTheClockBitForBit) {
 }
 
 // A report covers its own solve only: a second solve on the same cluster
-// reports the time since its entry, not the clock's running total.
+// reports the time and the reductions since its entry, not the cluster's
+// running totals, and the peak of reductions in flight during that solve.
 TEST(SolveMeter, ReusedClusterReportsOnlyItsOwnSolve) {
   const engine::Problem problem = small_problem();
   Cluster cluster = problem.make_cluster();
-  DistVector x1 = problem.make_x();
-  const engine::SolveReport first =
-      pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
-                problem.rhs(), x1, PcgOptions{});
-  DistVector x2 = problem.make_x();
-  const engine::SolveReport second =
-      pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
-                problem.rhs(), x2, PcgOptions{});
+  const auto expect_same_reductions = [](const ReductionTimes& want,
+                                         const ReductionTimes& got) {
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.max_in_flight, want.max_in_flight);
+    EXPECT_NEAR(got.posted_s, want.posted_s, 1e-9 * want.posted_s);
+    EXPECT_NEAR(got.exposed_s, want.exposed_s, 1e-9 * want.posted_s);
+  };
+  const auto solve_pcg = [&] {
+    DistVector x = problem.make_x();
+    return pcg_solve(cluster, problem.matrix(), problem.preconditioner(),
+                     problem.rhs(), x, PcgOptions{});
+  };
+  const engine::SolveReport first = solve_pcg();
+  const engine::SolveReport second = solve_pcg();
   EXPECT_EQ(second.iterations, first.iterations);
   EXPECT_NEAR(second.sim_time, first.sim_time, 1e-12 * first.sim_time);
   EXPECT_NEAR(cluster.clock().total(), first.sim_time + second.sim_time,
               1e-12 * cluster.clock().total());
+  expect_same_reductions(first.reductions, second.reductions);
+
+  // Depth 2 keeps two reductions in flight, and its ring completes its last
+  // posts after the loop; the blocking solve after it peaks at one again.
+  PipelinedPcgOptions opts;
+  opts.depth = 2;
+  PipelinedPcg pipelined(cluster, problem.matrix_global(), problem.matrix(),
+                         problem.preconditioner(), opts);
+  const auto solve_pipelined = [&] {
+    DistVector x = problem.make_x();
+    return pipelined.solve(problem.rhs(), x);
+  };
+  const engine::SolveReport deep = solve_pipelined();
+  EXPECT_EQ(deep.reductions.max_in_flight, 2);
+  expect_same_reductions(deep.reductions, solve_pipelined().reductions);
+  expect_same_reductions(first.reductions, solve_pcg().reductions);
 }
 
 // Every family goes through the shared finish step, so the two that once
