@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks of the kernels underlying the solver:
 // sequential SpMV, the distributed SpMV with halo exchange, preconditioner
 // applications, the factorizations, the redundancy-scheme construction, the
-// backup record/gather path, and the pipelined solvers' fused Gram
-// reduction. Real wall-clock time (the table/figure benches report model
-// time; these kernels are what the compute model abstracts).
+// backup record/gather path, the fused dot reductions, and the pipelined
+// solvers' fused Gram reduction. Real wall-clock time (the table/figure
+// benches report model time; these kernels are what the compute model
+// abstracts).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -308,19 +309,30 @@ void BM_GatherLost(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherLost)->Apply(backup_args);
 
-void BM_DotPair(benchmark::State& state) {
+// The fused dot reduction, post + wait, of 1, 2 or 3 terms on 2^20 rows
+// over 128 nodes: dot()'s r.z; dot_pair()'s r.z and r.r, the blocking PCG's
+// per-iteration pair; and depth-1 pipelined CG's r.u, w.u and r.r.
+void BM_FusedDots(benchmark::State& state) {
   const Partition part = Partition::block_rows(1 << 20, 128);
   Cluster cluster(part, CommParams{});
-  DistVector r(part), z(part);
+  DistVector r(part), z(part), w(part);
   std::vector<double> g(static_cast<std::size_t>(part.n()), 1.5);
   r.set_global(g);
   z.set_global(g);
+  w.set_global(g);
+  const Phase it = Phase::kIteration;
   for (auto _ : state) {
-    auto d = dot_pair(cluster, r, z, Phase::kIteration);
-    benchmark::DoNotOptimize(d.rz);
+    PendingReduction red;
+    switch (state.range(0)) {
+      case 1: red = idots(cluster, {{&r, &z}}, it); break;
+      case 2: red = idots(cluster, {{&r, &z}, {&r, &r}}, it); break;
+      default: red = idots(cluster, {{&r, &z}, {&w, &z}, {&r, &r}}, it);
+    }
+    red.wait();
+    benchmark::DoNotOptimize(red.value(0));
   }
 }
-BENCHMARK(BM_DotPair);
+BENCHMARK(BM_FusedDots)->DenseRange(1, 3);
 
 // The depth-l pipelined solvers' fused Gram reduction (post + wait) at the
 // rpcg_bench pipelined-latency shape, 64 nodes x 512 rows, for every basis

@@ -1,15 +1,16 @@
 // The retained redundant data: what every node keeps, beyond its own block,
 // of the most recent generations of a communicated vector — the SpMV halo it
 // receives anyway (retention rule) plus the designated extra sets Rc_ik.
-// A store keeps one or more generations, as many as its engine's recovery
-// reads. The paper's scheme retains two (p^(j) and p^(j-1)); the depth-l
-// pipelined engine configures l+1 generations of u so the deeper recurrence
-// window stays reconstructible; BiCGSTAB (p̂, ŝ) and the stationary sweeps
-// (the iterate x) keep one, since their recovery reads only the newest
-// copy. A node failure destroys the store entries
-// *on* the failed node; the reconstruction gathers lost elements from
-// surviving holders through a tailored plan (the deterministic alternative to
-// PETSc's reverse scatter discussed in Sec. 6 of the paper).
+// A store keeps one or more generations. The paper's scheme retains two
+// (p^(j) and p^(j-1)); the depth-l pipelined engine configures l+1
+// generations of u, whose recovery reads only the newest (the older ones
+// are backed up, gathered and charged as its (1 + l)x redundancy bill);
+// BiCGSTAB (p̂, ŝ) and the stationary sweeps (the iterate x) keep one,
+// since their recovery reads only the newest copy. A node failure destroys
+// the store entries *on* the failed node; the reconstruction gathers lost
+// elements from surviving holders through a tailored plan (the
+// deterministic alternative to PETSc's reverse scatter discussed in Sec. 6
+// of the paper).
 //
 // Host-side layout: every copy of an element in one generation holds the
 // same value — the vector's value when that generation was recorded — so

@@ -19,7 +19,7 @@ namespace rpcg {
 /// coefficient-space replay. Depth 1 has one chain rung (its in-flight
 /// m = M^-1 w, n = A m). The older p and u generations live only in the
 /// backup stores. Replicated scalars ride along: gamma_{k-1}, alpha_{k-1}
-/// (recovered from any survivor on failure).
+/// (recovered from any survivor on failure) and ||r^(0)||.
 struct PipelinedPcg::DeepState {
   DeepState(const Partition& part, const PipelinedBasisLayout& layout)
       : r(part), u(part), w(part), s(part), q(part), z(part), p(part) {
@@ -38,6 +38,8 @@ struct PipelinedPcg::DeepState {
   std::vector<DistVector> zeta, xi;    // zeta[i] = zeta_{i+1}, likewise xi
   double gamma_prev = 0.0;
   double alpha_prev = 0.0;
+  double rnorm0 = 0.0;
+  std::vector<std::vector<double>> halos;  // SpMV working storage
 
   /// Pointers in PipelinedBasisLayout index order — the fused Gram posts
   /// reduce exactly this basis.
@@ -93,8 +95,9 @@ PipelinedPcg::PipelinedPcg(Cluster& cluster, const CsrMatrix& a_global,
     store_u_.configure(a_->scatter_plan(), scheme_, cluster_.partition(),
                        opts_.depth + 1);
     // 1 + depth vectors ride the per-iteration halo exchange: two p
-    // generations share one round, and each of the depth+1 u generations the
-    // deeper pipeline must keep reconstructible adds another.
+    // generations share one round, and each of the depth+1 u generations
+    // adds another. Recovery reads only the newest p and u; the older
+    // generations are carried for this bill alone.
     redundancy_step_cost_ =
         (1.0 + opts_.depth) * scheme_.per_iteration_overhead(cluster_.comm());
   }
@@ -104,7 +107,6 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
                                     const DistVector& b, DistVector& x,
                                     DeepState& st) {
   const Partition& part = cluster_.partition();
-  const int L = layout_.chain;
   LostBlocks lost(cluster_, *a_global_, failed);
 
   // Replicated scalars gamma^(k-1), alpha^(k-1) from any survivor, then every
@@ -134,17 +136,16 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
   // charged to recovery — the same resume-recompute accounting as the
   // blocking engine's u = A p.
   DistVector tmp(part);
-  std::vector<std::vector<double>> halos;
   const auto rebuild_lost = [&](DistVector& dst) {
     lost.install_from(dst, tmp);
   };
-  a_->spmv(cluster_, st.p, tmp, halos, Phase::kRecovery);
+  a_->spmv(cluster_, st.p, tmp, st.halos, Phase::kRecovery);
   rebuild_lost(st.s);
   m_->apply(cluster_, st.s, tmp, Phase::kRecovery);
   rebuild_lost(st.q);
-  a_->spmv(cluster_, st.q, tmp, halos, Phase::kRecovery);
+  a_->spmv(cluster_, st.q, tmp, st.halos, Phase::kRecovery);
   rebuild_lost(st.z);
-  a_->spmv(cluster_, st.u, tmp, halos, Phase::kRecovery);
+  a_->spmv(cluster_, st.u, tmp, st.halos, Phase::kRecovery);
   rebuild_lost(st.w);
 
   if (opts_.depth == 1) {
@@ -157,32 +158,21 @@ RecoveryStats PipelinedPcg::recover(std::span<const NodeId> failed,
       st.n[0].revalidate_zero(f);
     }
     m_->apply(cluster_, st.w, st.m[0], Phase::kRecovery);
-    a_->spmv(cluster_, st.m[0], st.n[0], halos, Phase::kRecovery);
+    a_->spmv(cluster_, st.m[0], st.n[0], st.halos, Phase::kRecovery);
   } else {
-    m_->apply(cluster_, st.w, tmp, Phase::kRecovery);
-    rebuild_lost(st.m[0]);
-    a_->spmv(cluster_, st.m[0], tmp, halos, Phase::kRecovery);
-    rebuild_lost(st.n[0]);
-    for (int i = 1; i < L; ++i) {
-      const auto iz = static_cast<std::size_t>(i);
-      m_->apply(cluster_, st.n[iz - 1], tmp, Phase::kRecovery);
-      rebuild_lost(st.m[iz]);
-      a_->spmv(cluster_, st.m[iz], tmp, halos, Phase::kRecovery);
-      rebuild_lost(st.n[iz]);
-    }
-    if (L >= 2) {
-      m_->apply(cluster_, st.z, tmp, Phase::kRecovery);
-      rebuild_lost(st.zeta[0]);
-      a_->spmv(cluster_, st.zeta[0], tmp, halos, Phase::kRecovery);
-      rebuild_lost(st.xi[0]);
-      for (int i = 1; i + 1 < L; ++i) {
-        const auto iz = static_cast<std::size_t>(i);
-        m_->apply(cluster_, st.xi[iz - 1], tmp, Phase::kRecovery);
-        rebuild_lost(st.zeta[iz]);
-        a_->spmv(cluster_, st.zeta[iz], tmp, halos, Phase::kRecovery);
-        rebuild_lost(st.xi[iz]);
+    // The rungs mv[i] = M^{-1} (i == 0 ? seed : nv[i-1]), nv[i] = A mv[i]:
+    // m/n from w, zeta/xi from z.
+    const auto ladder = [&](const DistVector& seed, std::vector<DistVector>& mv,
+                            std::vector<DistVector>& nv) {
+      for (std::size_t i = 0; i < mv.size(); ++i) {
+        m_->apply(cluster_, i == 0 ? seed : nv[i - 1], tmp, Phase::kRecovery);
+        rebuild_lost(mv[i]);
+        a_->spmv(cluster_, mv[i], tmp, st.halos, Phase::kRecovery);
+        rebuild_lost(nv[i]);
       }
-    }
+    };
+    ladder(st.w, st.m, st.n);
+    ladder(st.z, st.zeta, st.xi);
   }
 
   // Restore full phi+1 redundancy of both backup sets right away.
@@ -216,8 +206,106 @@ void PipelinedPcg::recover_due(FailureCursor& cursor, int k,
     opts_.events.on_recovery_complete(res.recoveries.back());
 }
 
+void PipelinedPcg::restart(const DistVector& b, const DistVector& x,
+                           DeepState& st, int rungs) {
+  const Phase it = Phase::kIteration;
+  a_->spmv(cluster_, x, st.n[0], st.halos, it);  // n_1 as scratch
+  copy(cluster_, b, st.r, it);
+  axpy(cluster_, -1.0, st.n[0], st.r, it);
+  m_->apply(cluster_, st.r, st.u, it);
+  a_->spmv(cluster_, st.u, st.w, st.halos, it);
+  for (int i = 0; i < rungs; ++i) {
+    const auto iz = static_cast<std::size_t>(i);
+    m_->apply(cluster_, i == 0 ? st.w : st.n[iz - 1], st.m[iz], it);
+    a_->spmv(cluster_, st.m[iz], st.n[iz], st.halos, it);
+  }
+}
+
+void PipelinedPcg::record_backups(const DeepState& st) {
+  if (opts_.phi == 0) return;
+  store_p_.record(st.p);
+  store_u_.record(st.u);
+  cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
+}
+
+bool PipelinedPcg::finish_turn(int k, double rr, const DistVector& x,
+                               DeepState& st, engine::SolveReport& res) const {
+  if (k == 0) {
+    st.rnorm0 = std::sqrt(rr);
+    if (st.rnorm0 == 0.0) {
+      res.converged = true;
+      res.solver_residual_norm = 0.0;
+      return true;
+    }
+  } else {
+    res.iterations = k;
+    res.rel_residual = std::sqrt(rr) / st.rnorm0;
+    res.solver_residual_norm = std::sqrt(rr);
+    if (opts_.events.on_iteration) {
+      IterationSnapshot snap;
+      snap.iteration = res.iterations;
+      snap.rel_residual = res.rel_residual;
+      snap.x = &x;
+      snap.r = &st.r;
+      snap.z = &st.u;  // u is the preconditioned residual
+      snap.p = &st.p;
+      opts_.events.on_iteration(snap);
+    }
+    if (res.rel_residual <= opts_.pcg.rtol) {
+      res.converged = true;
+      return true;
+    }
+  }
+  return k >= opts_.pcg.max_iterations;
+}
+
+IterationCoeffs PipelinedPcg::coefficients(double gamma, double delta,
+                                           bool fresh, const DeepState& st) {
+  // Replicated on every node; identical for CG and CR, only the inner
+  // products defining gamma/delta differ.
+  if (fresh) {
+    if (!(delta > 0.0))
+      throw DivergenceError(
+          "CG breakdown: matrix is not positive definite along u");
+    return {0.0, gamma / delta};
+  }
+  const double beta = gamma / st.gamma_prev;
+  const double denom = delta - beta * gamma / st.alpha_prev;
+  if (!(denom > 0.0))
+    throw DivergenceError(
+        "CG breakdown: matrix is not positive definite along p");
+  return {beta, gamma / denom};
+}
+
+void PipelinedPcg::update(const IterationCoeffs& c, double gamma,
+                          DistVector& x, DeepState& st) {
+  // The order predict_pipelined_scalars replays in coefficient space, so
+  // keep them in lockstep.
+  const Phase it = Phase::kIteration;
+  const double beta = c.beta;
+  const double alpha = c.alpha;
+  xpby(cluster_, st.w, beta, st.s, it);     // s = w + beta s
+  xpby(cluster_, st.m[0], beta, st.q, it);  // q = m_1 + beta q
+  xpby(cluster_, st.n[0], beta, st.z, it);  // z = n_1 + beta z
+  for (std::size_t i = 0; i < st.zeta.size(); ++i) {
+    xpby(cluster_, st.m[i + 1], beta, st.zeta[i], it);
+    xpby(cluster_, st.n[i + 1], beta, st.xi[i], it);
+    axpy(cluster_, -alpha, st.zeta[i], st.m[i], it);
+    axpy(cluster_, -alpha, st.xi[i], st.n[i], it);
+  }
+  xpby(cluster_, st.u, beta, st.p, it);    // p = u + beta p
+  axpy(cluster_, alpha, st.p, x, it);      // x += alpha p
+  axpy(cluster_, -alpha, st.s, st.r, it);  // r -= alpha s
+  axpy(cluster_, -alpha, st.q, st.u, it);  // u -= alpha q
+  axpy(cluster_, -alpha, st.z, st.w, it);  // w -= alpha z
+  st.gamma_prev = gamma;
+  st.alpha_prev = alpha;
+}
+
 engine::SolveReport PipelinedPcg::solve(const DistVector& b, DistVector& x,
                                         const FailureSchedule& schedule) {
+  RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
+             "all nodes must be alive at solve entry");
   engine::SolveReport res = opts_.depth == 1 ? solve_depth1(b, x, schedule)
                                              : solve_deep(b, x, schedule);
   // The loops finish the report before their locals go out of scope, so the
@@ -231,30 +319,18 @@ engine::SolveReport PipelinedPcg::solve(const DistVector& b, DistVector& x,
 
 engine::SolveReport PipelinedPcg::solve_depth1(
     const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
-  RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
-             "all nodes must be alive at solve entry");
-  const Partition& part = cluster_.partition();
   const engine::SolveMeter meter(cluster_);
   engine::SolveReport res;
-
-  DeepState st(part, layout_);
+  DeepState st(cluster_.partition(), layout_);
   DistVector& m = st.m[0];
-  DistVector& n = st.n[0];
-  std::vector<std::vector<double>> halos;
   const Phase it = Phase::kIteration;
   const bool cg = opts_.method == PipelinedMethod::kConjugateGradient;
 
   // r^(0) = b - A x^(0); u^(0) = M^{-1} r^(0); w^(0) = A u^(0). The first
   // loop turn delivers ||r^(0)|| with its fused reduction, so no separate
   // startup reduction is needed.
-  a_->spmv(cluster_, x, n, halos, it);  // n as scratch
-  copy(cluster_, b, st.r, it);
-  axpy(cluster_, -1.0, n, st.r, it);
-  m_->apply(cluster_, st.r, st.u, it);
-  a_->spmv(cluster_, st.u, st.w, halos, it);
-
+  restart(b, x, st, 0);
   FailureCursor cursor(schedule, opts_.phi > 0);
-  double rnorm0 = 0.0;
 
   for (int k = 0;; ++k) {
     // Post the fused reduction, then hide it behind the work of this
@@ -263,18 +339,16 @@ engine::SolveReport PipelinedPcg::solve_depth1(
     // first, so only the SpMV overlaps (the CR pipelining trade).
     PendingReduction red;
     if (cg) {
-      red = ipipelined_dots(cluster_, st.r, st.u, st.w, it);
+      red = idots(cluster_, {{&st.r, &st.u}, {&st.w, &st.u}, {&st.r, &st.r}},
+                  it);
       m_->apply(cluster_, st.w, m, it);
     } else {
       m_->apply(cluster_, st.w, m, it);
-      red = ipipelined_cr_dots(cluster_, st.r, st.u, st.w, m, it);
+      red = idots(cluster_, {{&st.u, &st.w}, {&st.w, &m}, {&st.r, &st.r}},
+                  it);
     }
-    a_->spmv(cluster_, m, n, halos, it);
-    if (opts_.phi > 0) {
-      store_p_.record(st.p);
-      store_u_.record(st.u);
-      cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
-    }
+    a_->spmv(cluster_, m, st.n[0], st.halos, it);
+    record_backups(st);
 
     // --- Failure injection point (backups of both generations in place). ---
     if (cursor.due(k)) {
@@ -286,66 +360,8 @@ engine::SolveReport PipelinedPcg::solve_depth1(
 
     red.wait();
     const double gamma = red.value(0);
-    const double delta = red.value(1);
-    const double rr = red.value(2);
-
-    if (k == 0) {
-      rnorm0 = std::sqrt(rr);
-      if (rnorm0 == 0.0) {
-        res.converged = true;
-        res.solver_residual_norm = 0.0;
-        break;
-      }
-    } else {
-      res.iterations = k;
-      res.rel_residual = std::sqrt(rr) / rnorm0;
-      res.solver_residual_norm = std::sqrt(rr);
-      if (opts_.events.on_iteration) {
-        IterationSnapshot snap;
-        snap.iteration = res.iterations;
-        snap.rel_residual = res.rel_residual;
-        snap.x = &x;
-        snap.r = &st.r;
-        snap.z = &st.u;  // u is the preconditioned residual
-        snap.p = &st.p;
-        opts_.events.on_iteration(snap);
-      }
-      if (res.rel_residual <= opts_.pcg.rtol) {
-        res.converged = true;
-        break;
-      }
-    }
-    if (k >= opts_.pcg.max_iterations) break;
-
-    // Scalar recurrences (replicated on every node; identical for CG and CR,
-    // only the inner products defining gamma/delta differ).
-    double beta, alpha;
-    if (k == 0) {
-      beta = 0.0;
-      if (!(delta > 0.0))
-        throw DivergenceError(
-            "CG breakdown: matrix is not positive definite along u");
-      alpha = gamma / delta;
-    } else {
-      beta = gamma / st.gamma_prev;
-      const double denom = delta - beta * gamma / st.alpha_prev;
-      if (!(denom > 0.0))
-        throw DivergenceError(
-            "CG breakdown: matrix is not positive definite along p");
-      alpha = gamma / denom;
-    }
-
-    // Vector recurrences of update k.
-    xpby(cluster_, n, beta, st.z, it);  // z = n + beta z
-    xpby(cluster_, m, beta, st.q, it);  // q = m + beta q
-    xpby(cluster_, st.w, beta, st.s, it);  // s = w + beta s
-    xpby(cluster_, st.u, beta, st.p, it);   // p = u + beta p
-    axpy(cluster_, alpha, st.p, x, it);     // x += alpha p
-    axpy(cluster_, -alpha, st.s, st.r, it); // r -= alpha s
-    axpy(cluster_, -alpha, st.q, st.u, it); // u -= alpha q
-    axpy(cluster_, -alpha, st.z, st.w, it); // w -= alpha z
-    st.gamma_prev = gamma;
-    st.alpha_prev = alpha;
+    if (finish_turn(k, red.value(2), x, st, res)) break;
+    update(coefficients(gamma, red.value(1), k == 0, st), gamma, x, st);
   }
 
   meter.finish(cluster_, *a_, b, x, res);
@@ -354,33 +370,17 @@ engine::SolveReport PipelinedPcg::solve_depth1(
 
 engine::SolveReport PipelinedPcg::solve_deep(
     const DistVector& b, DistVector& x, const FailureSchedule& schedule) {
-  RPCG_CHECK(cluster_.alive_count() == cluster_.num_nodes(),
-             "all nodes must be alive at solve entry");
-  const Partition& part = cluster_.partition();
   const engine::SolveMeter meter(cluster_);
   engine::SolveReport res;
-
-  DeepState st(part, layout_);
-  std::vector<std::vector<double>> halos;
+  DeepState st(cluster_.partition(), layout_);
   const Phase it = Phase::kIteration;
   const int d = layout_.steps;  // iterations each reduction stays in flight
   const int L = layout_.chain;
 
   // Startup: r/u/w as in depth 1, then the chains built directly from their
   // definitions (L preconditioner applications + L SpMVs, once).
-  a_->spmv(cluster_, x, st.n[0], halos, it);  // n_1 as scratch
-  copy(cluster_, b, st.r, it);
-  axpy(cluster_, -1.0, st.n[0], st.r, it);
-  m_->apply(cluster_, st.r, st.u, it);
-  a_->spmv(cluster_, st.u, st.w, halos, it);
-  m_->apply(cluster_, st.w, st.m[0], it);
-  a_->spmv(cluster_, st.m[0], st.n[0], halos, it);
-  for (int i = 1; i < L; ++i) {
-    m_->apply(cluster_, st.n[static_cast<std::size_t>(i) - 1],
-              st.m[static_cast<std::size_t>(i)], it);
-    a_->spmv(cluster_, st.m[static_cast<std::size_t>(i)],
-             st.n[static_cast<std::size_t>(i)], halos, it);
-  }
+  restart(b, x, st, L);
+  FailureCursor cursor(schedule, opts_.phi > 0);
 
   const std::vector<const DistVector*> basis = st.basis();
   const int entries = layout_.gram_entries();
@@ -391,9 +391,6 @@ engine::SolveReport PipelinedPcg::solve_deep(
     return gram;
   };
 
-  FailureCursor cursor(schedule, opts_.phi > 0);
-  double rnorm0 = 0.0;
-
   // Ring of the depth in-flight Gram reductions: H_k lands in slot
   // k % depth, displacing H_{k-depth} (waited d = depth-1 iterations ago).
   struct RingEntry {
@@ -402,34 +399,35 @@ engine::SolveReport PipelinedPcg::solve_deep(
   };
   std::vector<RingEntry> ring(static_cast<std::size_t>(layout_.depth));
   // The (beta, alpha) of the last d completed updates, oldest first — the
-  // prediction replay input. Cleared on recovery (the flushed ring restarts).
+  // prediction replay input. Cleared with the ring (it restarts empty).
   std::vector<IterationCoeffs> history;
+  const auto post = [&](RingEntry& slot, int k) {
+    slot.red = ipipelined_gram(cluster_, basis, it);
+    slot.iteration = k;
+  };
+  const auto flush = [&] {
+    for (RingEntry& e : ring) {
+      e.red.wait();
+      e.iteration = -1;
+    }
+    history.clear();
+  };
 
   for (int k = 0;; ++k) {
     RingEntry& slot = ring[static_cast<std::size_t>(k % layout_.depth)];
-    slot.red = ipipelined_gram(cluster_, basis, it);
-    slot.iteration = k;
-    if (opts_.phi > 0) {
-      store_p_.record(st.p);
-      store_u_.record(st.u);
-      cluster_.charge(Phase::kRedundancy, redundancy_step_cost_);
-    }
+    post(slot, k);
+    record_backups(st);
 
     // --- Failure injection point (backups of all generations in place). ---
     if (cursor.due(k)) {
       // Flush the pipeline: every in-flight reduction completes among the
       // survivors before reconstruction — predicting across a recovery would
-      // mix pre- and post-failure bases.
-      for (RingEntry& e : ring) {
-        e.red.wait();
-        e.iteration = -1;
-      }
+      // mix pre- and post-failure bases. Then re-post over the reconstructed
+      // basis; the next d iterations warm the ring back up on direct (fully
+      // exposed) reductions.
+      flush();
       recover_due(cursor, k, b, x, st, res);
-      history.clear();
-      // Re-post over the reconstructed basis; the next d iterations warm the
-      // ring back up on direct (fully exposed) reductions.
-      slot.red = ipipelined_gram(cluster_, basis, it);
-      slot.iteration = k;
+      post(slot, k);
     }
 
     // Steady state: wait H_{k-d} (posted d iterations ago, hidden behind d
@@ -477,110 +475,29 @@ engine::SolveReport PipelinedPcg::solve_deep(
       // step — with beta = 0 every auxiliary recurrence below rebuilds
       // itself from the fresh vectors (s = w, q = m_1, ...), so conjugacy
       // restarts cleanly from the current iterate.
-      for (RingEntry& e : ring) {
-        e.red.wait();
-        e.iteration = -1;
-      }
-      a_->spmv(cluster_, x, st.n[0], halos, it);
-      copy(cluster_, b, st.r, it);
-      axpy(cluster_, -1.0, st.n[0], st.r, it);
-      m_->apply(cluster_, st.r, st.u, it);
-      a_->spmv(cluster_, st.u, st.w, halos, it);
-      m_->apply(cluster_, st.w, st.m[0], it);
-      a_->spmv(cluster_, st.m[0], st.n[0], halos, it);
-      for (int i = 1; i < L; ++i) {
-        m_->apply(cluster_, st.n[static_cast<std::size_t>(i) - 1],
-                  st.m[static_cast<std::size_t>(i)], it);
-        a_->spmv(cluster_, st.m[static_cast<std::size_t>(i)],
-                 st.n[static_cast<std::size_t>(i)], halos, it);
-      }
-      history.clear();
-      slot.red = ipipelined_gram(cluster_, basis, it);
-      slot.iteration = k;
+      flush();
+      restart(b, x, st, L);
+      post(slot, k);
       slot.red.wait();
       sc = direct_pipelined_scalars(layout_, gram_of(slot.red));
       restarted = true;
     }
-    const double gamma = sc.gamma;
-    const double delta = sc.delta;
-    const double rr = sc.rr;
+    if (finish_turn(k, sc.rr, x, st, res)) break;
 
-    if (k == 0) {
-      rnorm0 = std::sqrt(rr);
-      if (rnorm0 == 0.0) {
-        res.converged = true;
-        res.solver_residual_norm = 0.0;
-        break;
-      }
-    } else {
-      res.iterations = k;
-      res.rel_residual = std::sqrt(rr) / rnorm0;
-      res.solver_residual_norm = std::sqrt(rr);
-      if (opts_.events.on_iteration) {
-        IterationSnapshot snap;
-        snap.iteration = res.iterations;
-        snap.rel_residual = res.rel_residual;
-        snap.x = &x;
-        snap.r = &st.r;
-        snap.z = &st.u;  // u is the preconditioned residual
-        snap.p = &st.p;
-        opts_.events.on_iteration(snap);
-      }
-      if (res.rel_residual <= opts_.pcg.rtol) {
-        res.converged = true;
-        break;
-      }
-    }
-    if (k >= opts_.pcg.max_iterations) break;
-
-    // Scalar recurrences (replicated; the predicted gamma/delta/rr are pure
-    // functions of the reduced Gram matrix and the replicated history, so
-    // every node computes identical values).
-    double beta, alpha;
-    if (k == 0 || restarted) {
-      beta = 0.0;
-      if (!(delta > 0.0))
-        throw DivergenceError(
-            "CG breakdown: matrix is not positive definite along u");
-      alpha = gamma / delta;
-    } else {
-      beta = gamma / st.gamma_prev;
-      const double denom = delta - beta * gamma / st.alpha_prev;
-      if (!(denom > 0.0))
-        throw DivergenceError(
-            "CG breakdown: matrix is not positive definite along p");
-      alpha = gamma / denom;
-    }
-    history.push_back({beta, alpha});
+    // The predicted gamma/delta/rr are pure functions of the reduced Gram
+    // matrix and the replicated history, so every node computes identical
+    // coefficients.
+    const IterationCoeffs c =
+        coefficients(sc.gamma, sc.delta, k == 0 || restarted, st);
+    history.push_back(c);
     if (static_cast<int>(history.size()) > d) history.erase(history.begin());
-
-    // Vector recurrences of update k — the order predict_pipelined_scalars
-    // replays in coefficient space, so keep them in lockstep.
-    xpby(cluster_, st.w, beta, st.s, it);     // s = w + beta s
-    xpby(cluster_, st.m[0], beta, st.q, it);  // q = m_1 + beta q
-    xpby(cluster_, st.n[0], beta, st.z, it);  // z = n_1 + beta z
-    for (int i = 0; i + 1 < L; ++i) {
-      const auto iz = static_cast<std::size_t>(i);
-      xpby(cluster_, st.m[iz + 1], beta, st.zeta[iz], it);
-      xpby(cluster_, st.n[iz + 1], beta, st.xi[iz], it);
-      axpy(cluster_, -alpha, st.zeta[iz], st.m[iz], it);
-      axpy(cluster_, -alpha, st.xi[iz], st.n[iz], it);
-    }
-    xpby(cluster_, st.u, beta, st.p, it);    // p = u + beta p
-    axpy(cluster_, alpha, st.p, x, it);      // x += alpha p
-    axpy(cluster_, -alpha, st.s, st.r, it);  // r -= alpha s
-    axpy(cluster_, -alpha, st.q, st.u, it);  // u -= alpha q
-    axpy(cluster_, -alpha, st.z, st.w, it);  // w -= alpha z
-    st.gamma_prev = gamma;
-    st.alpha_prev = alpha;
+    update(c, sc.gamma, x, st);
 
     // Fresh deepest chain pair — the one preconditioner application and one
     // SpMV of the iteration; the shallower rungs advanced by recurrence.
-    m_->apply(cluster_,
-              L == 1 ? st.w : st.n[static_cast<std::size_t>(L) - 2],
-              st.m[static_cast<std::size_t>(L) - 1], it);
-    a_->spmv(cluster_, st.m[static_cast<std::size_t>(L) - 1],
-             st.n[static_cast<std::size_t>(L) - 1], halos, it);
+    const auto deepest = static_cast<std::size_t>(L) - 1;
+    m_->apply(cluster_, L == 1 ? st.w : st.n[deepest - 1], st.m[deepest], it);
+    a_->spmv(cluster_, st.m[deepest], st.n[deepest], st.halos, it);
   }
 
   meter.finish(cluster_, *a_, b, x, res);

@@ -8,7 +8,7 @@
 // m = M^{-1} w and the SpMV n = A m execute while it is in flight; wait()
 // charges only the non-overlapped remainder of the latency. The recurrences
 //
-//   z = n + beta z    q = m + beta q    s = w + beta s    p = u + beta p
+//   s = w + beta s    q = m + beta q    z = n + beta z    p = u + beta p
 //   x += alpha p      r -= alpha s      u -= alpha q      w -= alpha z
 //
 // keep u = M^{-1} r and w = A u without further synchronization. The same
@@ -28,22 +28,23 @@
 //
 // Resilience (phi >= 1) reuses the paper's ESR machinery end to end: the
 // node backup set grows from {p^(j), p^(j-1)} to also hold the depth+1 most
-// recent generations of u (the preconditioned residual seeds reconstruction,
-// and the deeper pipeline widens the window that must stay reconstructible),
-// piggybacked on the per-iteration halo exchange like the p copies. On
-// failure, x and r are reconstructed exactly as in Alg. 2 (r through the
-// preconditioner from the backed-up u, x via the A_{IF,IF} local solve,
-// FactorizationCache-served), and the remaining recurrence vectors are
-// rebuilt on the replacement nodes from their defining relations:
-// s = A p, q = M^{-1} s, z = A q, w = A u, plus the chain ladders
-// m_i = (M^{-1} A)^i u and zeta_i = (M^{-1} A)^i q at depth >= 2.
+// recent generations of u, piggybacked on the per-iteration halo exchange
+// like the p copies. Recovery reads only the newest p and u (the
+// preconditioned residual seeds the reconstruction); the older generations
+// are backed up, gathered and charged, and serve only as the (1 + depth)x
+// redundancy bill. On failure, x and r are reconstructed exactly as in
+// Alg. 2 (r through the preconditioner from the backed-up u, x via the
+// A_{IF,IF} local solve, FactorizationCache-served), and the remaining
+// recurrence vectors are rebuilt on the replacement nodes from their
+// defining relations: s = A p, q = M^{-1} s, z = A q, w = A u, plus the
+// chain ladders m_i = (M^{-1} A)^i u and zeta_i = (M^{-1} A)^i q at
+// depth >= 2.
 //
-// Both loops share one recovery (recover(), on the shared ESR steps of
-// core/esr.hpp) and one state struct: depth 1 is the depth-l state with one
-// chain rung (m, n). Depth 1 differs in one respect: its in-flight
-// m = M^{-1} w and n = A m are recomputed over whole vectors after the
-// rebuild, as the classic iteration mints them afresh every iteration, while
-// deeper rings rebuild only the lost blocks of their chains.
+// Both loops run on one state struct (depth 1 is the depth-l state with one
+// chain rung m, n) and share every step they have in common: the startup
+// and restart, the backup record, the recovery, the end-of-turn report and
+// stop test, the scalar coefficients and the vector recurrences. What
+// stays per loop is listed at solve_depth1.
 #pragma once
 
 #include <cstdint>
@@ -135,13 +136,49 @@ class PipelinedPcg {
   void recover_due(FailureCursor& cursor, int k, const DistVector& b,
                    DistVector& x, DeepState& st, engine::SolveReport& res);
 
-  /// Depth-1 path (classic one-reduction-in-flight pipelining). It cannot
-  /// be folded into solve_deep without changing simulated time: at depth 1
-  /// the ring engine posts an nb = 8 Gram reduction (36 scalars) and waits
-  /// for it in the same iteration with only the backup record in between,
-  /// so nearly all of its latency is exposed. This loop posts 3 scalars and
-  /// hides them behind the M-apply and the SpMV. Every depth-1 solve — the
-  /// default of both pipelined families — would change its sim_time.
+  /// r = b - A x, u = M^{-1} r and w = A u, then the first `rungs` chain
+  /// rungs m_1 = M^{-1} w, n_1 = A m_1, m_i = M^{-1} n_{i-1}, n_i = A m_i:
+  /// 0 at the depth-1 startup, L at the deep startup and restart.
+  void restart(const DistVector& b, const DistVector& x, DeepState& st,
+               int rungs);
+
+  /// Backs up this turn's p and u and charges the redundancy round
+  /// (phi >= 1; nothing at phi = 0).
+  void record_backups(const DeepState& st);
+
+  /// Ends loop turn k on the reduced ||r||^2: turn 0 fixes rnorm0 (a zero
+  /// residual stops at once); later turns fill the report, fire
+  /// on_iteration and run the convergence test. True when the loop stops,
+  /// also at max_iterations.
+  bool finish_turn(int k, double rr, const DistVector& x, DeepState& st,
+                   engine::SolveReport& res) const;
+
+  /// beta and alpha of the next update from the reduced gamma and delta;
+  /// `fresh` (turn 0 or a restart) takes beta = 0. Throws DivergenceError
+  /// when the alpha denominator is not positive.
+  static IterationCoeffs coefficients(double gamma, double delta, bool fresh,
+                                      const DeepState& st);
+
+  /// The vector recurrences of one update, in the order
+  /// predict_pipelined_scalars replays them in coefficient space, then
+  /// gamma_prev = gamma and alpha_prev = c.alpha.
+  void update(const IterationCoeffs& c, double gamma, DistVector& x,
+              DeepState& st);
+
+  /// Depth-1 path (classic one-reduction-in-flight pipelining). Three
+  /// differences keep it apart from solve_deep; each would move the
+  /// sim_time of every depth-1 solve, the default of both pipelined
+  /// families, if it were folded in:
+  ///   * what is posted, and when: this loop posts 3 scalars and hides them
+  ///     behind the M-apply and the SpMV (CR: the SpMV only), where the
+  ///     ring at depth 1 posts an nb = 8 Gram reduction (36 scalars) and
+  ///     waits for it in the same turn with only the backup record in
+  ///     between, so nearly all of its latency is exposed;
+  ///   * the ring re-posts over the rebuilt basis after a recovery; this
+  ///     loop posts nothing more;
+  ///   * recover() re-mints m and n over whole vectors, as this loop makes
+  ///     them afresh every turn, where deeper rings rebuild only the lost
+  ///     blocks of their chains.
   engine::SolveReport solve_depth1(const DistVector& b, DistVector& x,
                                    const FailureSchedule& schedule);
 
@@ -158,7 +195,7 @@ class PipelinedPcg {
   PipelinedBasisLayout layout_;
   RedundancyScheme scheme_;
   BackupStore store_p_;  // p^(j), p^(j-1) — the paper's backup set
-  BackupStore store_u_;  // u^(j) .. u^(j-depth) — the pipelined extension
+  BackupStore store_u_;  // u^(j) .. u^(j-depth); recovery reads u^(j)
   double redundancy_step_cost_ = 0.0;
 };
 

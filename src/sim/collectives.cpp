@@ -27,6 +27,25 @@ void charge_blas1(Cluster& cluster, double flops_per_element, Phase phase) {
                           cluster.comm().compute_cost(flops_per_element * mx));
 }
 
+// The dots of P terms over one node's block, one accumulator per term from
+// 0.0 with k ascending: the sequence of a lone dot loop, so fusing the terms
+// changes no bit.
+template <std::size_t P>
+void node_dots(std::span<const DotTerm> terms, NodeId node, double* out) {
+  std::array<const double*, P> a{}, b{};
+  std::size_t n = 0;
+  for (std::size_t t = 0; t < P; ++t) {
+    const auto at = terms[t].a->block(node);
+    a[t] = at.data();
+    b[t] = terms[t].b->block(node).data();
+    n = at.size();
+  }
+  std::array<double, P> s{};
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t t = 0; t < P; ++t) s[t] += a[t][k] * b[t][k];
+  std::copy(s.begin(), s.end(), out);
+}
+
 // ---- The Gram kernel of ipipelined_gram ---------------------------------
 //
 // Entry (i, j), i <= j, of one node's Gram block is a single accumulator
@@ -452,98 +471,29 @@ PendingReduction post_allreduce(Cluster& cluster,
   return red;
 }
 
-PendingReduction iallreduce_sum(Cluster& cluster,
-                                std::span<const double> per_node, Phase phase) {
-  return post_allreduce(cluster, per_node, 1, phase);
-}
-
-PendingReduction idot(Cluster& cluster, const DistVector& a,
-                      const DistVector& b, Phase phase) {
-  const int nn = cluster.num_nodes();
-  std::vector<double> partial(static_cast<std::size_t>(nn), 0.0);
+PendingReduction idots(Cluster& cluster, std::initializer_list<DotTerm> terms,
+                       Phase phase) {
+  const std::size_t p = terms.size();
+  RPCG_CHECK(p >= 1 && p <= 3, "a fused dot reduction carries 1 to 3 terms");
+  const std::span<const DotTerm> ts(terms.begin(), p);
+  std::vector<double> partial(static_cast<std::size_t>(cluster.num_nodes()) *
+                              p);
   // Per-node partials computed independently (possibly on the worker pool),
   // then reduced in node order by post_allreduce — bitwise identical either
   // way.
-  exec_parallel_for(cluster.execution_policy(), static_cast<std::size_t>(nn),
+  exec_parallel_for(cluster.execution_policy(),
+                    static_cast<std::size_t>(cluster.num_nodes()),
                     [&](std::size_t i) {
-                      const auto ab = a.block(static_cast<NodeId>(i));
-                      const auto bb = b.block(static_cast<NodeId>(i));
-                      double s = 0.0;
-                      for (std::size_t k = 0; k < ab.size(); ++k)
-                        s += ab[k] * bb[k];
-                      partial[i] = s;
-                    });
-  charge_blas1(cluster, 2.0, phase);
-  return post_allreduce(cluster, partial, 1, phase);
-}
-
-PendingReduction idot_pair(Cluster& cluster, const DistVector& r,
-                           const DistVector& z, Phase phase) {
-  const int nn = cluster.num_nodes();
-  std::vector<double> partial(static_cast<std::size_t>(nn) * 2, 0.0);
-  exec_parallel_for(cluster.execution_policy(), static_cast<std::size_t>(nn),
-                    [&](std::size_t i) {
-                      const auto rb = r.block(static_cast<NodeId>(i));
-                      const auto zb = z.block(static_cast<NodeId>(i));
-                      double rz = 0.0, rr = 0.0;
-                      for (std::size_t k = 0; k < rb.size(); ++k) {
-                        rz += rb[k] * zb[k];
-                        rr += rb[k] * rb[k];
+                      const auto node = static_cast<NodeId>(i);
+                      double* out = &partial[i * p];
+                      switch (p) {
+                        case 1: node_dots<1>(ts, node, out); return;
+                        case 2: node_dots<2>(ts, node, out); return;
+                        default: node_dots<3>(ts, node, out); return;
                       }
-                      partial[i * 2] = rz;
-                      partial[i * 2 + 1] = rr;
                     });
-  charge_blas1(cluster, 4.0, phase);
-  return post_allreduce(cluster, partial, 2, phase);
-}
-
-PendingReduction ipipelined_dots(Cluster& cluster, const DistVector& r,
-                                 const DistVector& u, const DistVector& w,
-                                 Phase phase) {
-  const int nn = cluster.num_nodes();
-  std::vector<double> partial(static_cast<std::size_t>(nn) * 3, 0.0);
-  exec_parallel_for(cluster.execution_policy(), static_cast<std::size_t>(nn),
-                    [&](std::size_t i) {
-                      const auto rb = r.block(static_cast<NodeId>(i));
-                      const auto ub = u.block(static_cast<NodeId>(i));
-                      const auto wb = w.block(static_cast<NodeId>(i));
-                      double ru = 0.0, wu = 0.0, rr = 0.0;
-                      for (std::size_t k = 0; k < rb.size(); ++k) {
-                        ru += rb[k] * ub[k];
-                        wu += wb[k] * ub[k];
-                        rr += rb[k] * rb[k];
-                      }
-                      partial[i * 3] = ru;
-                      partial[i * 3 + 1] = wu;
-                      partial[i * 3 + 2] = rr;
-                    });
-  charge_blas1(cluster, 6.0, phase);
-  return post_allreduce(cluster, partial, 3, phase);
-}
-
-PendingReduction ipipelined_cr_dots(Cluster& cluster, const DistVector& r,
-                                    const DistVector& u, const DistVector& w,
-                                    const DistVector& m, Phase phase) {
-  const int nn = cluster.num_nodes();
-  std::vector<double> partial(static_cast<std::size_t>(nn) * 3, 0.0);
-  exec_parallel_for(cluster.execution_policy(), static_cast<std::size_t>(nn),
-                    [&](std::size_t i) {
-                      const auto rb = r.block(static_cast<NodeId>(i));
-                      const auto ub = u.block(static_cast<NodeId>(i));
-                      const auto wb = w.block(static_cast<NodeId>(i));
-                      const auto mb = m.block(static_cast<NodeId>(i));
-                      double uw = 0.0, wm = 0.0, rr = 0.0;
-                      for (std::size_t k = 0; k < rb.size(); ++k) {
-                        uw += ub[k] * wb[k];
-                        wm += wb[k] * mb[k];
-                        rr += rb[k] * rb[k];
-                      }
-                      partial[i * 3] = uw;
-                      partial[i * 3 + 1] = wm;
-                      partial[i * 3 + 2] = rr;
-                    });
-  charge_blas1(cluster, 6.0, phase);
-  return post_allreduce(cluster, partial, 3, phase);
+  charge_blas1(cluster, 2.0 * static_cast<double>(p), phase);
+  return post_allreduce(cluster, partial, static_cast<int>(p), phase);
 }
 
 PendingReduction ipipelined_gram(Cluster& cluster,
@@ -563,23 +513,16 @@ PendingReduction detail::GramLanes::post(
   return post_gram(cluster, basis, phase, lanes);
 }
 
-double allreduce_sum(Cluster& cluster, std::span<const double> per_node,
-                     Phase phase) {
-  PendingReduction red = iallreduce_sum(cluster, per_node, phase);
-  red.wait();
-  return red.value(0);
-}
-
 double dot(Cluster& cluster, const DistVector& a, const DistVector& b,
            Phase phase) {
-  PendingReduction red = idot(cluster, a, b, phase);
+  PendingReduction red = idots(cluster, {{&a, &b}}, phase);
   red.wait();
   return red.value(0);
 }
 
 DotPair dot_pair(Cluster& cluster, const DistVector& r, const DistVector& z,
                  Phase phase) {
-  PendingReduction red = idot_pair(cluster, r, z, phase);
+  PendingReduction red = idots(cluster, {{&r, &z}, {&r, &r}}, phase);
   red.wait();
   return {red.value(0), red.value(1)};
 }

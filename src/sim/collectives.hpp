@@ -13,12 +13,13 @@
 //
 //   exposed = max(0, allreduce_cost - time charged since post)
 //
-// The classic blocking calls (allreduce_sum, dot, dot_pair) are thin
-// wrappers that post and immediately wait — same charges, same clock
-// advances, bit-for-bit identical to the historical blocking collectives.
+// The classic blocking calls (dot, dot_pair) are thin wrappers that post
+// and immediately wait — same charges, same clock advances, bit-for-bit
+// identical to the historical blocking collectives.
 // Per-cluster totals land in Cluster::reduction_times().
 #pragma once
 
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -97,38 +98,22 @@ class PendingReduction {
                                               std::span<const double> per_node,
                                               int scalars, Phase phase);
 
-/// Posts an allreduce-sum of per-node scalar contributions (1 scalar).
-[[nodiscard]] PendingReduction iallreduce_sum(Cluster& cluster,
-                                              std::span<const double> per_node,
-                                              Phase phase);
+/// One term aᵀb of a fused dot reduction.
+struct DotTerm {
+  const DistVector* a;
+  const DistVector* b;
+};
 
-/// Posts the global dot product aᵀb (local dots + 1-scalar allreduce).
-[[nodiscard]] PendingReduction idot(Cluster& cluster, const DistVector& a,
-                                    const DistVector& b, Phase phase);
-
-/// Posts rᵀz and rᵀr as a single batched 2-scalar allreduce — the PCG
-/// engine's per-iteration convergence + beta reduction. value(0) = rᵀz,
-/// value(1) = rᵀr.
-[[nodiscard]] PendingReduction idot_pair(Cluster& cluster, const DistVector& r,
-                                         const DistVector& z, Phase phase);
-
-/// Posts the pipelined-PCG iteration reduction (Ghysels & Vanroose):
-/// value(0) = rᵀu (gamma), value(1) = wᵀu (delta), value(2) = rᵀr, fused
-/// into one 3-scalar allreduce so one latency covers all three.
-[[nodiscard]] PendingReduction ipipelined_dots(Cluster& cluster,
-                                               const DistVector& r,
-                                               const DistVector& u,
-                                               const DistVector& w, Phase phase);
-
-/// Posts the pipelined-CR iteration reduction (arXiv:1912.09230 variant):
-/// value(0) = uᵀw (gamma), value(1) = wᵀm (delta), value(2) = rᵀr. Posted
-/// after m = M⁻¹w is available, so the SpMV n = A m hides the latency.
-[[nodiscard]] PendingReduction ipipelined_cr_dots(Cluster& cluster,
-                                                  const DistVector& r,
-                                                  const DistVector& u,
-                                                  const DistVector& w,
-                                                  const DistVector& m,
-                                                  Phase phase);
+/// Posts the dots of 1 to 3 `terms` fused into one allreduce, so one latency
+/// covers them all: value(t) = terms[t].aᵀ terms[t].b. Each node sums every
+/// term in its own accumulator from 0.0 with k ascending, and the nodes are
+/// summed in order: the bits of dot() of each term alone. Charged 2 flops
+/// per term per element of the largest block. PCG's (rᵀz, rᵀr), pipelined
+/// CG's (rᵀu, wᵀu, rᵀr) and pipelined CR's (uᵀw, wᵀm, rᵀr) are such posts.
+/// Throws std::invalid_argument for 0 or more than 3 terms.
+[[nodiscard]] PendingReduction idots(Cluster& cluster,
+                                     std::initializer_list<DotTerm> terms,
+                                     Phase phase);
 
 /// Packed upper-triangular index of the (i, j) entry of an nb x nb Gram
 /// matrix, i <= j: row-major over the upper triangle, so (0,0) -> 0,
@@ -148,15 +133,12 @@ class PendingReduction {
 [[nodiscard]] PendingReduction ipipelined_gram(
     Cluster& cluster, std::span<const DistVector* const> basis, Phase phase);
 
-/// Blocking allreduce-sum: post + immediate wait (fully exposed latency).
-double allreduce_sum(Cluster& cluster, std::span<const double> per_node,
-                     Phase phase);
-
-/// Blocking global dot product aᵀb.
+/// Blocking global dot product aᵀb: idots of one term, post + immediate
+/// wait (fully exposed latency).
 double dot(Cluster& cluster, const DistVector& a, const DistVector& b,
            Phase phase);
 
-/// Blocking batched rᵀz / rᵀr reduction.
+/// Blocking batched rᵀz / rᵀr reduction: idots of two terms.
 struct DotPair {
   double rz = 0.0;
   double rr = 0.0;

@@ -6,7 +6,7 @@
 namespace rpcg {
 
 double sloppy_dot(Cluster& cluster, const DistVector& a, const DistVector& b) {
-  PendingReduction red = idot(cluster, a, b, Phase::kIteration);
+  PendingReduction red = idots(cluster, {{&a, &b}}, Phase::kIteration);
   return 0.0;  // forgot red.wait()
 }
 

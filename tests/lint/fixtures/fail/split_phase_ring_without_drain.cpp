@@ -21,7 +21,8 @@ double ring_without_drain(Cluster& cluster, const DistVector& a,
   double sum = 0.0;
   for (int k = 0; k < 10; ++k) {
     RingEntry& slot = ring[static_cast<std::size_t>(k % 2)];
-    slot.red = idot(cluster, a, b, Phase::kIteration);  // overwrites pending
+    // Reassigns the slot's handle: the reduction-ring pattern.
+    slot.red = idots(cluster, {{&a, &b}}, Phase::kIteration);
     slot.iteration = k;
     if (k > 0) {
       RingEntry& old_slot = ring[static_cast<std::size_t>((k + 1) % 2)];

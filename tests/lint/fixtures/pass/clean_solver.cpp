@@ -16,7 +16,7 @@ double clean_solve_step(Cluster& cluster, const DistVector& a,
   double sum = rng.uniform();
   for (const auto& [node, r] : by_node) sum += r;  // std::map: sorted order
 
-  PendingReduction red = idot(cluster, a, b, Phase::kIteration);
+  PendingReduction red = idots(cluster, {{&a, &b}}, Phase::kIteration);
   cluster.charge(Phase::kIteration, 1.0e-6);  // overlapped local work
   sum += red.wait()[0];
   return sum;

@@ -19,7 +19,7 @@ double ring_with_drain(Cluster& cluster, const DistVector& a,
   double sum = 0.0;
   for (int k = 0; k < 10; ++k) {
     RingEntry& slot = ring[static_cast<std::size_t>(k % 2)];
-    slot.red = idot(cluster, a, b, Phase::kIteration);
+    slot.red = idots(cluster, {{&a, &b}}, Phase::kIteration);
     slot.iteration = k;
     if (k > 0) {
       RingEntry& old_slot = ring[static_cast<std::size_t>((k + 1) % 2)];

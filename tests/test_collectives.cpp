@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 
 #include "sim/gram_lanes.hpp"
@@ -81,8 +82,14 @@ TEST(Collectives, Copy) {
 TEST(Collectives, AllreduceSumDeterministicOrder) {
   Fixture f;
   const std::vector<double> contrib{0.1, 0.2, 0.3, 0.4, 0.5};
-  const double s1 = allreduce_sum(f.cluster, contrib, Phase::kIteration);
-  const double s2 = allreduce_sum(f.cluster, contrib, Phase::kIteration);
+  const auto sum = [&] {
+    PendingReduction red =
+        post_allreduce(f.cluster, contrib, 1, Phase::kIteration);
+    red.wait();
+    return red.value(0);
+  };
+  const double s1 = sum();
+  const double s2 = sum();
   EXPECT_DOUBLE_EQ(s1, s2);  // bitwise identical, fixed summation order
   EXPECT_DOUBLE_EQ(s1, 0.1 + 0.2 + 0.3 + 0.4 + 0.5);
 }
@@ -90,7 +97,7 @@ TEST(Collectives, AllreduceSumDeterministicOrder) {
 TEST(Collectives, AllreduceRequiresOneContributionPerNode) {
   Fixture f;
   const std::vector<double> wrong{1.0, 2.0};
-  EXPECT_THROW((void)allreduce_sum(f.cluster, wrong, Phase::kIteration),
+  EXPECT_THROW((void)post_allreduce(f.cluster, wrong, 1, Phase::kIteration),
                std::invalid_argument);
 }
 
@@ -111,7 +118,8 @@ TEST(SplitPhase, ImmediateWaitMatchesBlockingCall) {
   // historical blocking collectives are the same operation.
   Fixture f1, f2;
   const double blocking = dot(f1.cluster, f1.a, f1.b, Phase::kIteration);
-  PendingReduction red = idot(f2.cluster, f2.a, f2.b, Phase::kIteration);
+  PendingReduction red =
+      idots(f2.cluster, {{&f2.a, &f2.b}}, Phase::kIteration);
   red.wait();
   EXPECT_EQ(red.value(0), blocking);
   EXPECT_EQ(f1.cluster.clock().total(), f2.cluster.clock().total());
@@ -125,7 +133,8 @@ TEST(SplitPhase, OverlappedComputeReducesExposedTime) {
       f1.cluster.comm().allreduce_cost(f1.cluster.alive_count(), 1);
   ASSERT_GT(cost, 0.0);
 
-  PendingReduction red1 = idot(f1.cluster, f1.a, f1.b, Phase::kIteration);
+  PendingReduction red1 =
+      idots(f1.cluster, {{&f1.a, &f1.b}}, Phase::kIteration);
   const double t_posted = f1.cluster.clock().total();
   f1.cluster.clock().advance(Phase::kIteration, 0.5 * cost);  // overlap half
   red1.wait();
@@ -134,7 +143,8 @@ TEST(SplitPhase, OverlappedComputeReducesExposedTime) {
   EXPECT_DOUBLE_EQ(f1.cluster.reduction_times().hidden_s, 0.5 * cost);
   EXPECT_DOUBLE_EQ(f1.cluster.reduction_times().exposed_s, 0.5 * cost);
 
-  PendingReduction red2 = idot(f2.cluster, f2.a, f2.b, Phase::kIteration);
+  PendingReduction red2 =
+      idots(f2.cluster, {{&f2.a, &f2.b}}, Phase::kIteration);
   const double t2 = f2.cluster.clock().total();
   f2.cluster.clock().advance(Phase::kIteration, 3.0 * cost);  // fully hidden
   red2.wait();
@@ -154,25 +164,54 @@ TEST(SplitPhase, ValuesAreFixedAtPostTime) {
     for (std::size_t i = 0; i < ga.size(); ++i) s += ga[i] * gb[i];
     return s;
   }();
-  PendingReduction red = idot(f.cluster, f.a, f.b, Phase::kIteration);
+  PendingReduction red = idots(f.cluster, {{&f.a, &f.b}}, Phase::kIteration);
   f.a.set_zero();
   red.wait();
   EXPECT_NEAR(red.value(0), expect, 1e-14);
 }
 
+// idots keeps one accumulator per term in dot()'s order, so every value is
+// dot() of its term bit for bit, for 1, 2 and 3 terms: the blocking PCG's
+// pair, pipelined CG's triple and pipelined CR's. The charge is 2 flops per
+// term per element of the largest block, then one allreduce of as many
+// scalars as terms.
 TEST(SplitPhase, PipelinedDotsMatchSeparateReductions) {
   Fixture f;
-  DistVector w{f.part};
+  DistVector w{f.part}, m{f.part};
   w.set_global(random_vector(23, 3));
-  const double ru = dot(f.cluster, f.a, f.b, Phase::kIteration);
-  const double wu = dot(f.cluster, w, f.b, Phase::kIteration);
-  const double rr = dot(f.cluster, f.a, f.a, Phase::kIteration);
-  PendingReduction red = ipipelined_dots(f.cluster, f.a, f.b, w,
-                                         Phase::kIteration);
-  red.wait();
-  EXPECT_NEAR(red.value(0), ru, 1e-14);
-  EXPECT_NEAR(red.value(1), wu, 1e-14);
-  EXPECT_NEAR(red.value(2), rr, 1e-14);
+  m.set_global(random_vector(23, 4));
+  const DistVector& r = f.a;
+  const DistVector& u = f.b;
+  const auto expect_dots = [&](std::initializer_list<DotTerm> terms) {
+    const auto p = static_cast<int>(terms.size());
+    Cluster cluster(f.part, CommParams{});
+    PendingReduction red = idots(cluster, terms, Phase::kIteration);
+    red.wait();
+    EXPECT_EQ(cluster.clock().total(),
+              cluster.comm().compute_cost(
+                  2.0 * p * static_cast<double>(f.part.max_block_size())) +
+                  cluster.comm().allreduce_cost(cluster.alive_count(), p))
+        << p << " terms";
+    Cluster dots(f.part, CommParams{});
+    int t = 0;
+    for (const DotTerm& term : terms) {
+      EXPECT_EQ(red.value(t), dot(dots, *term.a, *term.b, Phase::kIteration))
+          << p << " terms, term " << t;
+      ++t;
+    }
+  };
+  expect_dots({{&r, &u}});
+  expect_dots({{&r, &u}, {&r, &r}});
+  expect_dots({{&r, &u}, {&w, &u}, {&r, &r}});
+  expect_dots({{&u, &w}, {&w, &m}, {&r, &r}});
+
+  EXPECT_THROW((void)idots(f.cluster, {}, Phase::kIteration),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)idots(f.cluster, {{&r, &u}, {&w, &u}, {&r, &r}, {&u, &w}},
+                  Phase::kIteration),
+      std::invalid_argument);
+  EXPECT_EQ(f.cluster.reduction_times().count, 0);
 }
 
 TEST(SplitPhase, PipelinedGramMatchesOrderedDots) {
@@ -311,7 +350,10 @@ TEST(SplitPhase, DroppedHandleStillCharges) {
   // destructor — the charge cannot be silently lost.
   Fixture f;
   const double before = f.cluster.clock().total();
-  { PendingReduction red = idot(f.cluster, f.a, f.b, Phase::kIteration); }
+  {
+    PendingReduction red =
+        idots(f.cluster, {{&f.a, &f.b}}, Phase::kIteration);
+  }
   EXPECT_GT(f.cluster.clock().total(), before);
   EXPECT_EQ(f.cluster.reduction_times().count, 1);
 }

@@ -28,12 +28,11 @@ Rules (run with --list-rules for the one-line form):
                        structure instead.
 
   split-phase          Every translation unit that posts a split-phase
-                       reduction (post_allreduce / iallreduce_sum / idot /
-                       idot_pair / ipipelined_dots / ipipelined_gram /
-                       ipipelined_cr_dots) must also contain a .wait() call:
-                       an unpaired post silently drops the latency charge and
-                       under-reports simulated time. A TU that *reassigns* a
-                       post into a stored slot (`ring[i] = idot(...)`,
+                       reduction (post_allreduce / idots / ipipelined_gram)
+                       must also contain a .wait() call: an unpaired post
+                       silently drops the latency charge and under-reports
+                       simulated time. A TU that *reassigns* a post into a
+                       stored slot (`ring[i] = idots(...)`,
                        `slot.red = ipipelined_gram(...)` — the reduction-ring
                        pattern, where handles outlive the posting statement)
                        must additionally contain a drain loop (a for/while
@@ -129,10 +128,7 @@ UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*>\s*[&*]{0,2}\s*"
     r"(\w+)\s*[;,)({=]"
 )
-POST_NAMES = (
-    r"(?:post_allreduce|iallreduce_sum|idot|idot_pair|ipipelined_dots"
-    r"|ipipelined_gram|ipipelined_cr_dots)"
-)
+POST_NAMES = r"(?:post_allreduce|idots|ipipelined_gram)"
 POST_RE = re.compile(r"\b" + POST_NAMES + r"\s*\(")
 # A post whose result is *assigned* into a subscripted element or a member —
 # the reduction-ring pattern: the handle outlives the posting statement.
