@@ -1,5 +1,7 @@
 #include "service/job.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -70,26 +72,27 @@ constexpr const char* kJobKeys[] = {
   return static_cast<std::uint64_t>(d);
 }
 
-/// "M3" / "m3" / 3 -> 3.
+/// "M3" / "m3" / "3" / 3 -> 3.
 [[nodiscard]] int parse_matrix(const JsonValue& v) {
-  int index = 0;
-  if (v.is_string()) {
-    const std::string& s = v.as_string();
-    if (s.size() < 2 || (s[0] != 'M' && s[0] != 'm')) {
-      fail("matrix must be \"M1\"..\"M8\" or 1..8, got \"" + s + "\"");
-    }
-    try {
-      index = std::stoi(s.substr(1));
-    } catch (const std::exception&) {
-      fail("matrix must be \"M1\"..\"M8\" or 1..8, got \"" + s + "\"");
-    }
-  } else {
-    index = as_int(v, "matrix");
-  }
+  if (v.is_string()) return parse_matrix_id(v.as_string());
+  const int index = as_int(v, "matrix");
   if (index < 1 || index > 8) {
     fail("matrix index out of range 1..8: " + std::to_string(index));
   }
   return index;
+}
+
+/// psi simultaneous failures of nodes [first, first + psi) at `iteration`.
+[[nodiscard]] FailureEvent contiguous_event(int iteration, int first,
+                                            int psi) {
+  if (psi < 1) fail("failure event psi must be >= 1");
+  // The last node id, first + psi - 1, must be an int like every other.
+  if (first > 0 && psi - 1 > std::numeric_limits<int>::max() - first)
+    fail("failure event first + psi - 1 exceeds the node id range");
+  FailureEvent event;
+  event.iteration = iteration;
+  for (int k = 0; k < psi; ++k) event.nodes.push_back(first + k);
+  return event;
 }
 
 [[nodiscard]] FailureSchedule parse_failures(const JsonValue& v) {
@@ -118,13 +121,8 @@ constexpr const char* kJobKeys[] = {
       }
       if (event.nodes.empty()) fail("failure event \"nodes\" is empty");
     } else if (first != nullptr && psi != nullptr) {
-      const int f = as_int(*first, "first");
-      const int p = as_int(*psi, "psi");
-      if (p < 1) fail("failure event psi must be >= 1");
-      // The last node id, f + p - 1, must be an int like every other.
-      if (f > 0 && p - 1 > std::numeric_limits<int>::max() - f)
-        fail("failure event first + psi - 1 exceeds the node id range");
-      for (int k = 0; k < p; ++k) event.nodes.push_back(f + k);
+      event = contiguous_event(event.iteration, as_int(*first, "first"),
+                               as_int(*psi, "psi"));
     } else {
       fail("failure event needs \"nodes\" or \"first\"+\"psi\"");
     }
@@ -191,6 +189,45 @@ constexpr const char* kJobKeys[] = {
 }  // namespace
 
 std::span<const char* const> config_keys() { return kConfigKeys; }
+
+int parse_matrix_id(std::string_view id) {
+  std::string_view digit = id;
+  if (!digit.empty() && (digit[0] == 'M' || digit[0] == 'm')) {
+    digit.remove_prefix(1);
+  }
+  if (digit.size() != 1 || digit[0] < '1' || digit[0] > '8') {
+    fail("matrix must be \"M1\"..\"M8\" or 1..8, got \"" + std::string(id) +
+         "\"");
+  }
+  return digit[0] - '0';
+}
+
+FailureSchedule parse_failure_list(std::string_view list) {
+  FailureSchedule schedule;
+  std::size_t pos = 0;
+  do {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    const std::string_view item = list.substr(pos, comma - pos);
+    // ITER, FIRST and PSI, each a whole int, joined by ':' and nothing else.
+    int fields[3] = {};
+    const char* p = item.data();
+    const char* const end = p + item.size();
+    bool ok = true;
+    for (int k = 0; ok && k < 3; ++k) {
+      if (k > 0) ok = p != end && *p++ == ':';
+      const auto [next, ec] = std::from_chars(p, end, fields[k]);
+      ok = ok && ec == std::errc();
+      p = next;
+    }
+    if (!ok || p != end) {
+      fail("failure list items must be ITER:FIRST:PSI in whole integers, "
+           "got \"" + std::string(item) + "\"");
+    }
+    schedule.add(contiguous_event(fields[0], fields[1], fields[2]));
+    pos = comma + 1;
+  } while (pos <= list.size());
+  return schedule;
+}
 
 JobSpec parse_job(const JsonValue& value) {
   JobSpec spec;

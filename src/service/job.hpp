@@ -71,6 +71,17 @@ struct JobSpec {
 /// flags.
 [[nodiscard]] std::span<const char* const> config_keys();
 
+/// "M3" / "m3" / "3" -> 3: an optional M or m, then one digit 1..8, and
+/// nothing else. Throws std::invalid_argument on any other token.
+[[nodiscard]] int parse_matrix_id(std::string_view id);
+
+/// "ITER:FIRST:PSI[,ITER:FIRST:PSI...]" — the paper's contiguous protocol,
+/// as `rpcg-cli solve --failures` takes it. Every field is a whole integer,
+/// psi >= 1, and the last node id first + psi - 1 must fit an int, as for
+/// the "first"+"psi" events of a job line. Throws std::invalid_argument
+/// otherwise.
+[[nodiscard]] FailureSchedule parse_failure_list(std::string_view list);
+
 /// Parses one job object. Throws std::invalid_argument on unknown keys,
 /// wrong value kinds, or out-of-range values.
 [[nodiscard]] JobSpec parse_job(const JsonValue& value);

@@ -1,5 +1,6 @@
-// Seeded mutation fuzzing of the two inputs that come from outside the
-// repository: JSON-lines job files and MatrixMarket files. Valid inputs are
+// Seeded mutation fuzzing of the inputs that come from outside the
+// repository: JSON-lines job files, MatrixMarket files, and the matrix ids
+// and failure lists `rpcg-cli solve` takes as flags. Valid inputs are
 // mutated a few thousand times each (byte flip, insert, delete, span
 // duplicate, truncation) with a fixed rpcg::Rng seed, so every run sees the
 // same mutants. Each mutant must parse or be refused with
@@ -36,6 +37,10 @@ constexpr const char* kJobLine =
     R"( "failures": [{"iteration": 10, "first": 0, "psi": 2},)"
     R"( {"iteration": 20, "nodes": [3, 5]}]})";
 
+// An `rpcg-cli solve --failures` list and a `--matrix` id.
+constexpr const char* kFailureList = "3:1:2,7:0:1";
+constexpr const char* kMatrixId = "M3";
+
 constexpr const char* kGeneralMtx =
     "%%MatrixMarket matrix coordinate real general\n"
     "% a comment line\n"
@@ -58,7 +63,7 @@ constexpr const char* kSymmetricMtx =
 
 /// 1 to 4 random edits of `s`.
 std::string mutate(rpcg::Rng& rng, std::string s) {
-  // Bytes that matter to the two grammars, drawn for half of the inserts.
+  // Bytes that matter to the grammars, drawn for half of the inserts.
   static constexpr char kSyntax[] = "{}[]\":,.-+eE0123456789 \n\t%\\u";
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.uniform_index(n));
@@ -145,14 +150,24 @@ void parse_matrix_market(const std::string& text) {
   (void)rpcg::read_matrix_market(in);
 }
 
+void parse_failure_list(const std::string& text) {
+  (void)rpcg::service::parse_failure_list(text);
+}
+
+void parse_matrix_id(const std::string& text) {
+  (void)rpcg::service::parse_matrix_id(text);
+}
+
 /// How many mutants each parser accepted.
 struct Accepted {
   int job = 0;
   int job_lines = 0;
   int matrix_market = 0;
+  int failure_list = 0;
+  int matrix_id = 0;
 };
 
-/// Mutates `input` kMutants times and runs every mutant through all three
+/// Mutates `input` kMutants times and runs every mutant through all five
 /// parsers. The counts let a caller check that the mutants reached the
 /// accepting paths of the parser the input was written for.
 Accepted fuzz(std::uint64_t rng_seed, const std::string& input) {
@@ -163,6 +178,8 @@ Accepted fuzz(std::uint64_t rng_seed, const std::string& input) {
     n.job += accepted(m, parse_job_value) ? 1 : 0;
     n.job_lines += accepted(m, parse_job_document) ? 1 : 0;
     n.matrix_market += accepted(m, parse_matrix_market) ? 1 : 0;
+    n.failure_list += accepted(m, parse_failure_list) ? 1 : 0;
+    n.matrix_id += accepted(m, parse_matrix_id) ? 1 : 0;
   }
   return n;
 }
@@ -182,6 +199,16 @@ TEST(InputFuzz, GeneralMatrixMarket) {
 TEST(InputFuzz, SymmetricMatrixMarket) {
   ASSERT_TRUE(accepted(kSymmetricMtx, parse_matrix_market));
   EXPECT_GT(fuzz(0x53, kSymmetricMtx).matrix_market, 0);
+}
+
+TEST(InputFuzz, FailureList) {
+  ASSERT_TRUE(accepted(kFailureList, parse_failure_list));
+  EXPECT_GT(fuzz(0x54, kFailureList).failure_list, 0);
+}
+
+TEST(InputFuzz, MatrixId) {
+  ASSERT_TRUE(accepted(kMatrixId, parse_matrix_id));
+  EXPECT_GT(fuzz(0x55, kMatrixId).matrix_id, 0);
 }
 
 }  // namespace

@@ -156,6 +156,43 @@ TEST(JobParsing, FailureEventRangeMustFitNodeIds) {
             (std::vector<rpcg::NodeId>{2147483646, 2147483647}));
 }
 
+TEST(JobParsing, MatrixIdsAndFailureListsParseWholeTokens) {
+  // Every token is read whole: a trailing byte or a fraction is refused, not
+  // parsed up to the first byte that does not fit, and so is a range whose
+  // last node id overflows an int.
+  using rpcg::service::parse_failure_list;
+  using rpcg::service::parse_matrix_id;
+  EXPECT_EQ(parse_matrix_id("M1"), 1);
+  EXPECT_EQ(parse_matrix_id("m8"), 8);
+  EXPECT_EQ(parse_matrix_id("3"), 3);
+  for (const char* id : {"M1x", "M2.9", "M12", "M9", "M0", "M", "", "MM1",
+                         " M1", "M1 ", "+1", "-1", "M-1"}) {
+    EXPECT_THROW((void)parse_matrix_id(id), std::invalid_argument) << id;
+  }
+  EXPECT_THROW((void)rpcg::service::parse_job(
+                   JsonValue::parse(R"({"matrix": "M2.9"})")),
+               std::invalid_argument);
+  EXPECT_EQ(rpcg::service::parse_job(JsonValue::parse(R"({"matrix": "m4"})"))
+                .matrix,
+            4);
+
+  const rpcg::FailureSchedule two = parse_failure_list("3:1:2,7:0:1");
+  ASSERT_EQ(two.events().size(), 2u);
+  EXPECT_EQ(two.events()[0].iteration, 3);
+  EXPECT_EQ(two.events()[0].nodes, (std::vector<rpcg::NodeId>{1, 2}));
+  EXPECT_EQ(two.events()[1].iteration, 7);
+  EXPECT_EQ(two.events()[1].nodes, (std::vector<rpcg::NodeId>{0}));
+  EXPECT_EQ(parse_failure_list("1:2147483646:2").events()[0].nodes,
+            (std::vector<rpcg::NodeId>{2147483646, 2147483647}));
+  for (const char* list :
+       {"3:1:1junk", "3:2147483647:2", "3:1:0", "3:1:-1", "3:1", "3:1:2:4",
+        "", ",", "3:1:2,", ",3:1:2", "3:1.5:2", "3: 1:2", "3:+1:2",
+        "3:1:2,,7:0:1", "2147483648:1:1", "3::2"}) {
+    EXPECT_THROW((void)parse_failure_list(list), std::invalid_argument)
+        << list;
+  }
+}
+
 TEST(JobParsing, FailureEventShapesAreExclusive) {
   EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
                    R"({"failures": [{"iteration": 3, "psi": 2,

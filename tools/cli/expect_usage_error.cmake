@@ -1,8 +1,8 @@
 # Runs the command given after "--" and passes only when it exits with
-# status 2 and names FLAG in an "unknown flag" message on stderr (ctest's
-# own properties can match output or any nonzero status, not one status).
+# status 2 and its stderr contains MESSAGE (ctest's own properties can
+# match output or any nonzero status, not one status).
 #
-#   cmake -DFLAG=--sovler -P expect_usage_error.cmake -- rpcg-cli solve ...
+#   cmake "-DMESSAGE=unknown flag --sovler " -P expect_usage_error.cmake -- rpcg-cli solve ...
 set(command "")
 set(after_separator FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -13,8 +13,8 @@ foreach(i RANGE ${last})
     set(after_separator TRUE)
   endif()
 endforeach()
-if(NOT command OR NOT DEFINED FLAG)
-  message(FATAL_ERROR "usage: cmake -DFLAG=--name -P expect_usage_error.cmake -- COMMAND...")
+if(NOT command OR NOT DEFINED MESSAGE)
+  message(FATAL_ERROR "usage: cmake -DMESSAGE=text -P expect_usage_error.cmake -- COMMAND...")
 endif()
 
 execute_process(COMMAND ${command}
@@ -22,7 +22,7 @@ execute_process(COMMAND ${command}
 if(NOT status EQUAL 2)
   message(FATAL_ERROR "expected exit status 2, got ${status}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
-string(FIND "${err}" "unknown flag ${FLAG} " at)
+string(FIND "${err}" "${MESSAGE}" at)
 if(at EQUAL -1)
-  message(FATAL_ERROR "stderr does not name ${FLAG}:\n${err}")
+  message(FATAL_ERROR "stderr does not contain '${MESSAGE}':\n${err}")
 endif()

@@ -37,7 +37,6 @@
 
 namespace {
 
-using rpcg::FailureSchedule;
 using rpcg::Options;
 
 int usage(const char* argv0) {
@@ -52,44 +51,6 @@ int usage(const char* argv0) {
                "  list-preconds  print the registered preconditioner keys\n",
                argv0);
   return 2;
-}
-
-/// "M3" / "m3" / "3" -> 3.
-int parse_matrix_id(const std::string& s) {
-  std::string digits = s;
-  if (!digits.empty() && (digits[0] == 'M' || digits[0] == 'm')) {
-    digits = digits.substr(1);
-  }
-  const int index = static_cast<int>(std::strtol(digits.c_str(), nullptr, 10));
-  if (index < 1 || index > 8) {
-    throw std::invalid_argument("matrix must be M1..M8 (or 1..8), got " + s);
-  }
-  return index;
-}
-
-/// "ITER:FIRST:PSI[,ITER:FIRST:PSI...]" — the paper's contiguous protocol.
-/// (Job files additionally support explicit node lists and
-/// during-recovery events.)
-FailureSchedule parse_failures_flag(const std::string& spec) {
-  FailureSchedule schedule;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    auto comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    int iteration = 0;
-    int first = 0;
-    int psi = 0;
-    if (std::sscanf(item.c_str(), "%d:%d:%d", &iteration, &first, &psi) != 3 ||
-        psi < 1) {
-      throw std::invalid_argument(
-          "--failures items must be ITER:FIRST:PSI, got " + item);
-    }
-    FailureSchedule one = FailureSchedule::contiguous(iteration, first, psi);
-    schedule.add(one.events().front());
-    pos = comma + 1;
-  }
-  return schedule;
 }
 
 // The flags each command reads: solve's own plus the solver-config keys,
@@ -117,7 +78,8 @@ std::vector<std::string> batch_flags() {
 rpcg::service::JobSpec job_from_options(const Options& opts) {
   rpcg::service::JobSpec spec;
   spec.name = opts.get_string("name", "");
-  spec.matrix = parse_matrix_id(opts.get_string("matrix", "M1"));
+  spec.matrix =
+      rpcg::service::parse_matrix_id(opts.get_string("matrix", "M1"));
   spec.scale = opts.get_double("scale", 16.0);
   spec.nodes = static_cast<int>(opts.get_int("nodes", 16));
   spec.solver = opts.get_string("solver", "pcg");
@@ -126,7 +88,8 @@ rpcg::service::JobSpec job_from_options(const Options& opts) {
   spec.noise_cv = opts.get_double("noise", 0.0);
   spec.noise_seed = static_cast<std::uint64_t>(opts.get_int("noise-seed", 0));
   if (opts.has("failures")) {
-    spec.schedule = parse_failures_flag(opts.get_string("failures", ""));
+    spec.schedule =
+        rpcg::service::parse_failure_list(opts.get_string("failures", ""));
   }
   spec.config = rpcg::engine::SolverConfig::from_options(opts);
   return spec;
