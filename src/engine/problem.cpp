@@ -63,7 +63,6 @@ std::vector<double> read_rhs_file(const std::string& path) {
 Cluster Problem::make_cluster() const {
   Cluster cluster(partition_, comm_);
   if (noise_cv_ > 0.0) cluster.set_clock_noise(noise_cv_, noise_seed_);
-  cluster.set_execution_policy(exec_);
   return cluster;
 }
 

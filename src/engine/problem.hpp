@@ -32,7 +32,6 @@
 #include "sim/dist_vector.hpp"
 #include "sparse/csr.hpp"
 #include "util/maybe_owned.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rpcg::engine {
 
@@ -58,13 +57,6 @@ class Problem {
   }
   [[nodiscard]] double noise_cv() const { return noise_cv_; }
   [[nodiscard]] std::uint64_t noise_seed() const { return noise_seed_; }
-
-  /// Execution policy stamped onto clusters minted after this call
-  /// (sequential by default; SolverConfig::exec overrides per solve).
-  void set_execution_policy(const ExecutionPolicy& policy) { exec_ = policy; }
-  [[nodiscard]] const ExecutionPolicy& execution_policy() const {
-    return exec_;
-  }
 
   /// The problem-lifetime factorization cache: ESR reconstruction setups
   /// (submatrix + IC(0)/LDLᵀ) reused across solves and harness reps. The
@@ -107,7 +99,6 @@ class Problem {
   CommParams comm_{};
   double noise_cv_ = 0.0;
   std::uint64_t noise_seed_ = 0;
-  ExecutionPolicy exec_;
   // unique_ptr so the bundle stays movable (the cache holds a mutex).
   std::unique_ptr<FactorizationCache> cache_ =
       std::make_unique<FactorizationCache>();

@@ -25,19 +25,10 @@ namespace rpcg::engine {
 
 namespace {
 
-/// Fresh cluster with the SolverConfig's execution policy layered over the
-/// Problem's default: the config can switch threading on and/or cap the
-/// workers for this solve (each field overrides only when set away from its
-/// default), so "--workers 4" alone caps a threaded Problem default instead
-/// of silently forcing it sequential. Switching threading *off* against a
-/// threaded Problem default is the Problem's own knob
-/// (set_execution_policy), not the config's.
+/// Fresh cluster running the SolverConfig's execution policy.
 Cluster make_cluster(const Problem& problem, const SolverConfig& config) {
   Cluster cluster = problem.make_cluster();
-  ExecutionPolicy policy = cluster.execution_policy();
-  if (config.exec.mode != ExecMode::kSequential) policy.mode = config.exec.mode;
-  if (config.exec.workers != 0) policy.workers = config.exec.workers;
-  cluster.set_execution_policy(policy);
+  cluster.set_execution_policy(config.exec);
   return cluster;
 }
 
