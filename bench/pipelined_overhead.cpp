@@ -9,11 +9,6 @@
 // the posted/hidden/exposed reduction split of both pipelined families next
 // to the blocking baseline.
 //
-// With --metrics-out=FILE every grid point is emitted as JSON
-// (rpcg-pipelined-overhead/v1), so run_all embeds the whole sweep in the
-// BENCH_PR<N> snapshot and report_tools.py can table exposed-time
-// trajectories across PRs.
-//
 // Self-gates (exit 1 on violation, like service_throughput):
 //   * at the x100 latency point, every depth >= 2 must expose strictly less
 //     reduction time than depth 1 of the same family (requires 1 in --depths;
@@ -34,7 +29,6 @@ namespace {
 
 struct Point {
   std::string matrix;
-  double factor = 0.0;
   double latency_s = 0.0;
   std::string solver;
   int depth = 0;  // 0 = the blocking baseline
@@ -44,7 +38,6 @@ struct Point {
   double posted_s = 0.0;
   double hidden_s = 0.0;
   double exposed_s = 0.0;
-  int max_in_flight = 0;
 };
 
 void print_point(const Point& p) {
@@ -56,24 +49,6 @@ void print_point(const Point& p) {
               p.posted_s > 0.0 ? 100.0 * p.hidden_s / p.posted_s : 0.0);
 }
 
-std::string point_json(const Point& p) {
-  using rpcg::format_compact;
-  std::string out = "{\"matrix\": \"" + p.matrix + "\"";
-  out += ", \"latency_factor\": " + format_compact(p.factor);
-  out += ", \"latency_s\": " + format_compact(p.latency_s);
-  out += ", \"solver\": \"" + p.solver + "\"";
-  out += ", \"depth\": " + std::to_string(p.depth);
-  out += ", \"median_sim_time\": " + format_compact(p.median_sim_time);
-  out += ", \"iterations\": " + std::to_string(p.iterations);
-  out += std::string(", \"converged\": ") + (p.converged ? "true" : "false");
-  out += ", \"posted\": " + format_compact(p.posted_s);
-  out += ", \"hidden\": " + format_compact(p.hidden_s);
-  out += ", \"exposed\": " + format_compact(p.exposed_s);
-  out += ", \"max_in_flight\": " + std::to_string(p.max_in_flight);
-  out += "}";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,7 +57,6 @@ int main(int argc, char** argv) {
   const CommonArgs args = CommonArgs::parse(argc, argv);
   const Options o(argc, argv);
   const std::vector<long> depths = o.get_int_list("depths", {1, 2, 4});
-  const std::string metrics_out = o.get_string("metrics-out", "");
 
   print_header(
       "Pipelined overhead: blocking vs depth-l pipelined CG/CR vs "
@@ -93,7 +67,6 @@ int main(int argc, char** argv) {
               "hidden[s]", "exposed[s]", "hid%");
 
   const double base_latency = CommParams{}.latency_s;
-  std::vector<Point> points;
   std::vector<std::string> gate_failures;
 
   for (const long idx : args.matrices) {
@@ -132,7 +105,6 @@ int main(int argc, char** argv) {
         }
         Point p;
         p.matrix = mat.id;
-        p.factor = factor;
         p.latency_s = cfg.comm.latency_s;
         p.solver = solver;
         p.depth = depth;
@@ -142,9 +114,7 @@ int main(int argc, char** argv) {
         p.posted_s = first_rep.reductions.posted_s;
         p.hidden_s = first_rep.reductions.hidden_s;
         p.exposed_s = first_rep.reductions.exposed_s;
-        p.max_in_flight = first_rep.reductions.max_in_flight;
         print_point(p);
-        points.push_back(p);
         return p;
       };
 
@@ -209,28 +179,6 @@ int main(int argc, char** argv) {
     else
       std::printf("%s: blocking stays ahead over the swept range\n\n",
                   mat.id.c_str());
-  }
-
-  if (!metrics_out.empty()) {
-    std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "pipelined_overhead: cannot write %s\n",
-                   metrics_out.c_str());
-      return 1;
-    }
-    std::string depths_json;
-    for (const long d : depths) {
-      if (!depths_json.empty()) depths_json += ", ";
-      depths_json += std::to_string(d);
-    }
-    std::fprintf(f,
-                 "{\"schema\": \"rpcg-pipelined-overhead/v1\", "
-                 "\"depths\": [%s], \"gate_failures\": %zu, \"points\": [",
-                 depths_json.c_str(), gate_failures.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-      std::fprintf(f, "%s%s", i == 0 ? "" : ", ", point_json(points[i]).c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
   }
 
   if (!gate_failures.empty()) {

@@ -1,25 +1,21 @@
-// Driver that executes the table/fig/ablation bench executables and emits a
-// machine-readable JSON perf report, so per-PR perf trajectories can be
-// accumulated from one command:
+// Driver that runs the table/fig/ablation reproduction benches as one suite:
 //
-//   ./run_all [--out report.json] [--bin-dir DIR] [--only table1_matrices,...]
+//   ./run_all [--bin-dir DIR] [--only table1_matrices,...]
 //             [--scale S] [--nodes N] [--reps R] [--jobs J] [--keep-output]
 //
 // Each bench runs as a child process with the shared --scale/--nodes/--reps
-// flags (see bench_support.hpp); the report records the command line, exit
-// code, and wall-clock seconds per bench. Output of the children is
-// suppressed unless --keep-output is given. With --jobs J > 1 the
-// independent bench processes fan out over a worker pool (results are
-// collected in suite order regardless, so the report is deterministic; the
-// per-bench wall times of concurrent runs contend for the same cores).
+// flags (see bench_support.hpp); one stderr line per bench gives its exit
+// status and wall-clock seconds. Output of the children is suppressed
+// unless --keep-output is given. With --jobs J > 1 the independent bench
+// processes fan out over a worker pool (the wall times of concurrent runs
+// contend for the same cores). The exit status is 1 when any bench exits
+// nonzero (a failed run or a tripped self-gate) or is missing, else 0.
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,29 +52,8 @@ std::vector<std::string> split_names(const std::string& csv) {
 struct BenchResult {
   std::string name;
   std::string command;
-  std::string metrics_path;
-  std::string metrics;  // raw JSON object emitted by the bench, if any
   int exit_code = -1;
-  double wall_seconds = 0.0;
 };
-
-// Benches that support it write a compact JSON metrics object to
-// --metrics-out (e.g. service_throughput's jobs/s and factorization
-// counts); the others simply ignore the flag. A well-formed file is
-// embedded verbatim as the bench's "metrics" field.
-std::string read_metrics_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string s = buf.str();
-  while (!s.empty() &&
-         std::isspace(static_cast<unsigned char>(s.back())) != 0)
-    s.pop_back();
-  // Embedded raw into the report, so only a JSON object is acceptable.
-  if (s.empty() || s.front() != '{' || s.back() != '}') return "";
-  return s;
-}
 
 // Forwarded flag values are pasted into a shell command line; restrict them
 // to the numeric-list shapes the benches accept rather than escaping shell
@@ -111,7 +86,6 @@ int main(int argc, char** argv) {
       std::filesystem::path(argv[0]).parent_path().string();
   const std::string bin_dir =
       opts.get_string("bin-dir", default_bin_dir.empty() ? "." : default_bin_dir);
-  const std::string out_path = opts.get_string("out", "bench_report.json");
   const bool keep_output = opts.get_bool("keep-output", false);
   const double scale = opts.get_double("scale", 32.0);
   const long nodes = opts.get_int("nodes", 64);
@@ -122,7 +96,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // The remaining shared bench flags (see bench_support.hpp) are forwarded
-  // verbatim when given, so the recorded commands match the request.
+  // verbatim when given.
   std::string passthrough;
   for (const char* flag :
        {"noise", "matrices", "precond", "strategy", "exec", "workers",
@@ -145,18 +119,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Opened before the suite runs so an unwritable path fails fast instead of
-  // discarding minutes of bench results at the end.
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "run_all: cannot open %s for writing\n",
-                 out_path.c_str());
-    return 1;
-  }
-
   // Pre-resolve every bench into its result slot so parallel execution can
-  // fill the vector by index: the report order is the suite order no matter
-  // how the child processes interleave.
+  // fill the vector by index.
   std::vector<BenchResult> results(selected.size());
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const std::string& name = selected[i];
@@ -169,14 +133,10 @@ int main(int argc, char** argv) {
         (std::filesystem::path(bin_dir) / exe_name).string();
     BenchResult& r = results[i];
     r.name = name;
-    r.metrics_path =
-        (std::filesystem::path(out_path).parent_path() / (name + ".metrics.json"))
-            .string();
     // Quoted so bin dirs containing spaces survive the shell's word split.
     r.command = "\"" + exe + "\" --scale=" + rpcg::format_compact(scale) +
                 " --nodes=" + std::to_string(nodes) +
-                " --reps=" + std::to_string(reps) + passthrough +
-                " --metrics-out=\"" + r.metrics_path + "\"";
+                " --reps=" + std::to_string(reps) + passthrough;
     if (!std::filesystem::exists(exe)) {
       std::fprintf(stderr,
                    "run_all: %s FAILED (binary not found at %s — typo in "
@@ -198,17 +158,12 @@ int main(int argc, char** argv) {
         keep_output ? r.command
                     : r.command + " > " + null_device + " 2>&1";
     std::fprintf(stderr, "run_all: %s ...\n", r.name.c_str());
-    // A stale metrics file from an earlier run must not masquerade as this
-    // run's numbers.
-    std::error_code ec;
-    std::filesystem::remove(r.metrics_path, ec);
     const auto start = Clock::now();
     r.exit_code = run_command(cmd);
-    r.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    r.metrics = read_metrics_file(r.metrics_path);
-    std::filesystem::remove(r.metrics_path, ec);
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
     std::fprintf(stderr, "run_all: %s %s (%.2fs)\n", r.name.c_str(),
-                 r.exit_code == 0 ? "ok" : "FAILED", r.wall_seconds);
+                 r.exit_code == 0 ? "ok" : "FAILED", seconds);
   };
 
   const auto suite_start = Clock::now();
@@ -235,32 +190,7 @@ int main(int argc, char** argv) {
   const double total_seconds =
       std::chrono::duration<double>(Clock::now() - suite_start).count();
 
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"rpcg-bench-report/v1\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"nodes\": %ld,\n", nodes);
-  std::fprintf(f, "  \"reps\": %ld,\n", reps);
-  std::fprintf(f, "  \"total_wall_seconds\": %.6f,\n", total_seconds);
-  std::fprintf(f, "  \"failures\": %d,\n", failures);
-  std::fprintf(f, "  \"benches\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    std::string metrics_field;
-    if (!r.metrics.empty()) {
-      metrics_field = ", \"metrics\": ";
-      metrics_field += r.metrics;
-    }
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"command\": \"%s\", "
-                 "\"exit_code\": %d, \"wall_seconds\": %.6f%s}%s\n",
-                 rpcg::json_escape(r.name).c_str(), rpcg::json_escape(r.command).c_str(),
-                 r.exit_code, r.wall_seconds, metrics_field.c_str(),
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-
-  std::fprintf(stderr, "run_all: %zu benches, %d failure(s), %.2fs; report: %s\n",
-               results.size(), failures, total_seconds, out_path.c_str());
+  std::fprintf(stderr, "run_all: %zu benches, %d failure(s), %.2fs\n",
+               results.size(), failures, total_seconds);
   return failures == 0 ? 0 : 1;
 }

@@ -15,8 +15,6 @@
 //
 // The bench self-gates: batched must beat serial on jobs/s AND build
 // strictly fewer factorizations than nocache, else the exit code is 1.
-// With --metrics-out=FILE the numbers are written as compact JSON for
-// run_all to embed in the perf report.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -26,7 +24,6 @@
 #include "bench_support.hpp"
 #include "service/job.hpp"
 #include "service/solver_service.hpp"
-#include "util/json.hpp"
 
 namespace {
 
@@ -119,17 +116,6 @@ void print_stats(const char* label, const RunStats& s) {
               s.failed == 0 ? "" : "  FAILED JOBS");
 }
 
-std::string stats_json(const RunStats& s) {
-  std::string out = "{\"wall_seconds\": ";
-  out += rpcg::format_compact(s.wall_seconds);
-  out += ", \"jobs_per_second\": ";
-  out += rpcg::format_compact(s.jobs_per_second);
-  out += ", \"factorizations\": ";
-  out += std::to_string(s.factorizations);
-  out += '}';
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,7 +129,6 @@ int main(int argc, char** argv) {
       static_cast<int>(std::thread::hardware_concurrency()), 1, 8);
   const int service_workers =
       static_cast<int>(o.get_int("service-workers", default_workers));
-  const std::string metrics_out = o.get_string("metrics-out", "");
 
   const std::vector<JobSpec> jobs = make_batch(args, copies);
   print_header("SolverService throughput: shared factorization cache vs "
@@ -172,25 +157,6 @@ int main(int argc, char** argv) {
               speedup, static_cast<unsigned long long>(saved),
               static_cast<unsigned long long>(nocache.factorizations),
               static_cast<unsigned long long>(batched.factorizations));
-
-  if (!metrics_out.empty()) {
-    std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "service_throughput: cannot write %s\n",
-                   metrics_out.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\"schema\": \"rpcg-service-throughput/v1\", "
-                 "\"jobs\": %zu, \"service_workers\": %d, "
-                 "\"serial\": %s, \"batched\": %s, \"batched_nocache\": %s, "
-                 "\"speedup\": %s, \"factorizations_saved\": %llu}\n",
-                 jobs.size(), service_workers, stats_json(serial).c_str(),
-                 stats_json(batched).c_str(), stats_json(nocache).c_str(),
-                 rpcg::format_compact(speedup).c_str(),
-                 static_cast<unsigned long long>(saved));
-    std::fclose(f);
-  }
 
   // Self-gate: the service must pay for itself on this workload.
   int failures = 0;

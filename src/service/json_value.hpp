@@ -1,12 +1,12 @@
 // Minimal owning JSON document for the service layer's job files.
 //
-// The repo *emits* JSON in two hand-rolled writers (rpcg-bench-report/v1 and
-// rpcg-solve-report/v2) but never had to read any: the batch job files of
-// SolverService are the first input format. This parser covers exactly the
-// JSON the job format needs — null/bool/number/string/array/object, UTF-8
-// passed through verbatim, \uXXXX escapes limited to the BMP — and keeps
-// object members in insertion order (a vector of pairs, not an unordered
-// map), so diagnostics and iteration order are deterministic.
+// The repo emits JSON in several reports (rpcg-solve-report/v2,
+// rpcg-service-report/v3) but reads one input format: the batch job files
+// of SolverService. This parser covers exactly the JSON the job format
+// needs — null/bool/number/string/array/object, UTF-8 passed through
+// verbatim, \uXXXX escapes limited to the BMP — and keeps object members in
+// insertion order (a vector of pairs, not an unordered map), so diagnostics
+// and iteration order are deterministic.
 #pragma once
 
 #include <cstddef>

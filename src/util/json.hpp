@@ -1,7 +1,7 @@
-// Shared JSON string escaping for the repo's two JSON emitters (the
-// rpcg-bench-report/v1 writer in bench/run_all and the
-// rpcg-solve-report/v2 writer in engine/solve_report), so they cannot
-// drift apart on the same input.
+// Shared JSON string escaping and number rendering for the repo's JSON
+// emitters (rpcg-solve-report/v2 in engine/solve_report, the service's
+// rpcg-service-report/v3, and rpcg_bench's reports and traces), so they
+// cannot drift apart on the same input.
 #pragma once
 
 #include <cstdio>
@@ -40,7 +40,7 @@ namespace rpcg {
 /// Shortest human-readable rendering of a double: integral values print
 /// without a fractional part ("8", not "8.000000"), everything else with
 /// %g. Used wherever numbers are pasted into command lines or JSON scalars
-/// (e.g. run_all's recorded bench commands).
+/// (e.g. run_all's bench command lines).
 [[nodiscard]] inline std::string format_compact(double v) {
   char buf[32];
   // Range check first: casting NaN or a value beyond long long to integer
