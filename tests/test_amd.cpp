@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,54 @@ TEST(Amd, NoFillOnTridiagonal) {
   const Index fill =
       SparseLdlt::symbolic_nnz(a.permuted_symmetric(amd_ordering(a)));
   EXPECT_EQ(fill, 59);  // the subdiagonal itself, nothing more
+}
+
+// The node blocks of a workload layout (reproduction matrix `matrix_index`
+// at `scale` on 64 nodes), then the A_FF of psi = 1, 3 and 8 contiguous
+// failed nodes from node 20 (the m2-recover set on M2 s12).
+std::vector<CsrMatrix> layout_blocks(int matrix_index, double scale) {
+  const auto m = repro::make_matrix(matrix_index, scale);
+  const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+  std::vector<CsrMatrix> blocks;
+  for (NodeId node = 0; node < 64; ++node) {
+    const auto rows = part.rows_of(node);
+    blocks.push_back(m.matrix.submatrix(rows, rows));
+  }
+  for (const NodeId psi : {1, 3, 8}) {
+    std::vector<NodeId> failed;
+    for (NodeId k = 0; k < psi; ++k) failed.push_back(20 + k);
+    const auto rows = part.rows_of_set(failed);
+    blocks.push_back(m.matrix.submatrix(rows, rows));
+  }
+  return blocks;
+}
+
+// AMD's permutations of every node block and failed set of the three
+// workload layouts, pinned by an FNV-1a digest of each block's size and
+// entries: any change to the ordering's tie-breaking shows here.
+TEST(Amd, WorkloadBlockPermutationsArePinned) {
+  struct Layout {
+    int matrix;
+    double scale;
+    std::uint64_t digest;
+  };
+  for (const Layout& l : {Layout{1, 8.0, 0xf5d3453d492c1bb5ull},
+                          Layout{2, 12.0, 0x705ea39bb712cba1ull},
+                          Layout{8, 32.0, 0xa106b8483b82e156ull}}) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](Index v) {
+      const auto bits = static_cast<std::uint64_t>(v);
+      for (int b = 0; b < 8; ++b)
+        h = (h ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+    };
+    for (const CsrMatrix& a : layout_blocks(l.matrix, l.scale)) {
+      const auto perm = amd_ordering(a);
+      mix(static_cast<Index>(perm.size()));
+      for (const Index v : perm) mix(v);
+    }
+    EXPECT_EQ(h, l.digest) << "M" << l.matrix << " s" << l.scale << ": 0x"
+                           << std::hex << h;
+  }
 }
 
 TEST(ReorderedLdltSelection, NeverWorseThanNaturalAndReportsChoice) {
