@@ -108,7 +108,12 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
   std::vector<Index> order_seq;  // eliminated supervariable representatives
   order_seq.reserve(static_cast<std::size_t>(n));
   std::vector<Index> lp;  // vars of the pivot element, rebuilt per pivot
-  std::vector<Index> scratch;
+  // Supervariable detection's hash of each var and its buckets: a bucket's
+  // head counts only while its stamp is the pivot's.
+  std::vector<Index> hash(static_cast<std::size_t>(n), 0);
+  std::vector<Index> bucket_head(static_cast<std::size_t>(n), -1);
+  std::vector<Index> bucket_stamp(static_cast<std::size_t>(n), 0);
+  std::vector<Index> bucket_next(static_cast<std::size_t>(n), -1);
 
   Index eliminated_weight = 0;
   while (eliminated_weight < n) {
@@ -249,8 +254,11 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
 
     // --- Supervariable detection: hash the pruned (A, E) lists of the
     // surviving Lp vars; equal lists mean identical quotient-graph rows,
-    // i.e. identical fill futures — merge them into one supervariable. ---
-    scratch.clear();  // (hash, var) pairs encoded as 2 entries
+    // i.e. identical fill futures — merge them into one supervariable.
+    // Var i goes to bucket hash(i) mod n, each bucket listed in Lp order, so
+    // walking i's bucket after i meets every later var of equal hash in Lp
+    // order: the merges of comparing every pair of Lp, in the same order,
+    // for the cost of the pairs that share a bucket. ---
     for (const Index i : lp) {
       const auto iu = static_cast<std::size_t>(i);
       if (g.nv[iu] <= 0) continue;
@@ -258,18 +266,26 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
                 37 * static_cast<Index>(g.e[iu].size());
       for (const Index v : g.a[iu]) h = (h * 31 + v) & 0x7fffffff;
       for (const Index e : g.e[iu]) h = (h * 31 + e) & 0x7fffffff;
-      scratch.push_back(h);
-      scratch.push_back(i);
+      hash[iu] = h;
     }
-    for (std::size_t x = 0; x + 1 < scratch.size(); x += 2) {
-      const Index i = scratch[x + 1];
+    for (auto it = lp.rbegin(); it != lp.rend(); ++it) {
+      const auto iu = static_cast<std::size_t>(*it);
+      if (g.nv[iu] <= 0) continue;
+      const auto b = static_cast<std::size_t>(hash[iu] % n);
+      if (bucket_stamp[b] != stamp) {
+        bucket_stamp[b] = stamp;
+        bucket_head[b] = -1;
+      }
+      bucket_next[iu] = bucket_head[b];
+      bucket_head[b] = *it;
+    }
+    for (const Index i : lp) {
       const auto iu = static_cast<std::size_t>(i);
       if (g.nv[iu] <= 0) continue;
-      for (std::size_t y = x + 2; y + 1 < scratch.size(); y += 2) {
-        if (scratch[y] != scratch[x]) continue;
-        const Index j = scratch[y + 1];
+      for (Index j = bucket_next[iu]; j != -1;
+           j = bucket_next[static_cast<std::size_t>(j)]) {
         const auto ju = static_cast<std::size_t>(j);
-        if (g.nv[ju] <= 0) continue;
+        if (hash[ju] != hash[iu] || g.nv[ju] <= 0) continue;
         if (g.a[iu] != g.a[ju] || g.e[iu] != g.e[ju]) continue;
         // Merge j into i (i precedes j in Lp order — deterministic).
         lists.remove(j, degree[ju]);

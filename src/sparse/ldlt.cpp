@@ -8,9 +8,14 @@
 
 #include "sparse/amd.hpp"
 #include "sparse/ldlt_lanes.hpp"
+#include "sparse/ldlt_symbolic.hpp"
 #include "sparse/reorder.hpp"
 #include "util/check.hpp"
 #include "util/lanes.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace rpcg {
 
@@ -35,6 +40,16 @@ constexpr Index kMinPanelWidth = 8;
 // (none above 1.05) and 0.5-0.8 from 35 on; the m2-recover A_FF (800 flops
 // per entry) factors in 0.24x the up-looking time.
 constexpr double kMinSupernodalFlopsPerEntry = 30.0;
+
+// The symbolic analysis walks the rows of L while it has visited fewer
+// than this many entries per stored entry of A, and counts a factor that
+// fills past that by Gilbert–Ng–Peyton, in O(nnz(A) α) whatever the fill
+// (sparse/ldlt_symbolic.hpp). Set at the measured crossover: the walk costs
+// about one visit per entry of L and Gilbert–Ng–Peyton a few per entry of A
+// plus its fixed passes over n, so the walk wins on the sparse node blocks
+// and Gilbert–Ng–Peyton on the fill-heavy ones. See the README's "Ordering
+// selection" for the timings.
+constexpr Index kWalkEntriesPerNonzero = 8;
 
 // Blocking of the supernodal kernel. A supernode is factored kGroup
 // columns at a time; every update into a group — from earlier supernodes and
@@ -140,6 +155,7 @@ class SupernodalKernel {
         n_(static_cast<Index>(d.size())),
         lanes_(lanes),
         rel_(d.size()),
+        slot_(lanes == 8 ? d.size() : 0),
         w_(static_cast<std::size_t>(kGroup * kChunk)) {}
 
   /// Factors A; returns false on a pivot that is not positive (or NaN).
@@ -176,6 +192,10 @@ class SupernodalKernel {
   __attribute__((target("avx512f"))) void update_avx512(Source src, Index ka,
                                                        Index kb, Index c_lo,
                                                        Index c_hi);
+  __attribute__((target("avx512f"))) void update_single_avx512(Source src,
+                                                              Index ka,
+                                                              Index c_lo,
+                                                              Index c_hi);
 #endif
   template <int W, Index R>
   [[gnu::always_inline]] inline void row_tiles(Source src, Index k0, Index k1,
@@ -198,8 +218,9 @@ class SupernodalKernel {
   double* d_;
   Index n_;
   int lanes_;
-  std::vector<Index> rel_;  // row -> position in the target's row list
-  std::vector<Vec2> w_;     // d_kk L(c, kk) of one group and chunk, twice
+  std::vector<Index> rel_;   // row -> position in the target's row list
+  std::vector<Index> slot_;  // source position -> rel_ of its row (8 lanes)
+  std::vector<Vec2> w_;      // d_kk L(c, kk) of one group and chunk, twice
 };
 
 void SupernodalKernel::fill_patterns(const CsrMatrix& a,
@@ -304,7 +325,15 @@ void SupernodalKernel::update(Source src, Index ka, Index kb, Index c_lo,
                               Index c_hi) {
   static_assert(kMinTiledSources == 4, "narrow updates take 1 to 3 columns");
   switch (kb - ka) {
-    case 1: update_narrow<1>(src, ka, c_lo, c_hi); return;
+    case 1:
+#if defined(__x86_64__)
+      if (lanes_ == 8) {
+        update_single_avx512(src, ka, c_lo, c_hi);
+        return;
+      }
+#endif
+      update_narrow<1>(src, ka, c_lo, c_hi);
+      return;
     case 2: update_narrow<2>(src, ka, c_lo, c_hi); return;
     case 3: update_narrow<3>(src, ka, c_lo, c_hi); return;
     default: break;
@@ -329,6 +358,47 @@ __attribute__((target("avx2"))) void SupernodalKernel::update_avx2(
 __attribute__((target("avx512f"))) void SupernodalKernel::update_avx512(
     Source src, Index ka, Index kb, Index c_lo, Index c_hi) {
   update_tiled<8>(src, ka, kb, c_lo, c_hi);
+}
+
+// update_narrow<1> 8 rows at a time: per target column, the source column's
+// rows load contiguously, their target slots (rel_ of the source rows,
+// looked up once per call) gather, each takes 0.0 + t l off as the scalar
+// loop does, and the results scatter back. The rows of one column have
+// distinct slots, so the scatter never collides; the rows left below the
+// last 8 take the scalar loop.
+__attribute__((target("avx512f"))) void SupernodalKernel::update_single_avx512(
+    Source src, Index ka, Index c_lo, Index c_hi) {
+  const Index col = base(src.c0 + ka, ka);
+  const double dk = d_[src.c0 + ka];
+  const Index* li = li_.data();
+  const Index rows = base(src.c0, 0);  // row of position p: li[rows + p]
+  Index* slot = slot_.data();
+  for (Index p = c_lo + 1; p < src.nrows; ++p) slot[p] = rel_[li[rows + p]];
+  const double* l = lx_ + col;
+  const __m512d zero = _mm512_setzero_pd();
+  for (Index c = c_lo; c < c_hi; ++c) {
+    const Index tc = li[rows + c];
+    const Index tc_pos = rel_[tc];
+    double* target = lx_ + base(tc, tc_pos);
+    const double t = dk * l[c];
+    d_[tc] -= t * l[c];
+    const __m512d tv = _mm512_set1_pd(t);
+    Index p = c + 1;
+    for (; p + 8 <= src.nrows; p += 8) {
+      const __m512i at = _mm512_loadu_si512(slot + p);
+      // The masked gather with every lane on: the unmasked one leaves its
+      // pass-through operand undefined, which gcc 12 warns about.
+      const __m512d old = _mm512_mask_i64gather_pd(zero, 0xff, at, target, 8);
+      const __m512d sum =
+          _mm512_add_pd(zero, _mm512_mul_pd(tv, _mm512_loadu_pd(l + p)));
+      _mm512_i64scatter_pd(target, at, _mm512_sub_pd(old, sum), 8);
+    }
+    for (; p < src.nrows; ++p) {
+      double sum = 0.0;
+      sum += t * l[p];
+      target[slot[p]] -= sum;
+    }
+  }
 }
 #endif
 
@@ -566,31 +636,191 @@ const char* to_string(LdltOrdering o) {
 namespace {
 
 // Row k of P A Pᵀ is row perm[k] of A with every column c renamed inv[c]
-// (kPermuted), or row k of A as it is. The walk counts the union of the
-// elimination-tree paths from the row's columns, which does not depend on
-// the order the columns come in, so the renamed row needs no sorting.
+// (kPermuted), or row k of A as it is. Both counts take the union of
+// elimination-tree paths or subtrees the row's columns reach, which does
+// not depend on the order the columns come in, so the renamed row needs no
+// sorting.
 template <bool kPermuted>
-Index count_fill(const CsrMatrix& a, std::span<const Index> perm,
-                 std::span<const Index> inv, Index limit) {
-  const Index n = a.rows();
-  std::vector<Index> parent(static_cast<std::size_t>(n), -1);
-  std::vector<Index> flag(static_cast<std::size_t>(n), -1);
-  Index nnz = 0;
-  for (Index k = 0; k < n && nnz < limit; ++k) {
+struct PermutedRows {
+  const CsrMatrix& a;
+  std::span<const Index> perm;
+  std::span<const Index> inv;
+
+  [[nodiscard]] std::span<const Index> cols(Index k) const {
+    return a.row_cols(kPermuted ? perm[static_cast<std::size_t>(k)] : k);
+  }
+  [[nodiscard]] Index name(Index c) const {
+    return kPermuted ? inv[static_cast<std::size_t>(c)] : c;
+  }
+};
+
+// Gilbert–Ng–Peyton column counts (CSparse's cs_etree, cs_post and
+// cs_counts, for a structurally symmetric matrix read by rows): Liu's
+// elimination tree with path compression, a postorder, the first
+// descendant of every node, then per node j in postorder the skeleton test
+// of each row i > j of column j — j is a new leaf of row i's subtree iff
+// its first descendant lies past the last leaf's (maxfirst) — adding 1 at
+// each leaf and subtracting 1 at the least common ancestor with the
+// previous leaf (prevleaf), found through path-compressed ancestors. A
+// column's count is the sum of these over its subtree, less the diagonal.
+template <bool kPermuted>
+detail::LdltSymbolic gnp_counts(const PermutedRows<kPermuted>& rows,
+                                Index n) {
+  const auto nu = static_cast<std::size_t>(n);
+  detail::LdltSymbolic s{std::vector<Index>(nu, -1),
+                         std::vector<Index>(nu, 0), 0};
+  std::vector<Index>& parent = s.parent;
+  std::vector<Index> ancestor(nu, -1);
+  for (Index k = 0; k < n; ++k) {
+    for (const Index c : rows.cols(k)) {
+      for (Index i = rows.name(c); i != -1 && i < k;) {
+        const Index next = ancestor[static_cast<std::size_t>(i)];
+        ancestor[static_cast<std::size_t>(i)] = k;
+        if (next == -1) parent[static_cast<std::size_t>(i)] = k;
+        i = next;
+      }
+    }
+  }
+
+  // Postorder by a depth-first search from each root, children in
+  // ascending order.
+  std::vector<Index> head(nu, -1);
+  std::vector<Index> next(nu, -1);
+  for (Index j = n - 1; j >= 0; --j) {
+    const Index p = parent[static_cast<std::size_t>(j)];
+    if (p == -1) continue;
+    next[static_cast<std::size_t>(j)] = head[static_cast<std::size_t>(p)];
+    head[static_cast<std::size_t>(p)] = j;
+  }
+  std::vector<Index> post(nu);
+  std::vector<Index> stack(nu);
+  Index done = 0;
+  for (Index root = 0; root < n; ++root) {
+    if (parent[static_cast<std::size_t>(root)] != -1) continue;
+    Index top = 0;
+    stack[0] = root;
+    while (top >= 0) {
+      const Index p = stack[static_cast<std::size_t>(top)];
+      const Index child = head[static_cast<std::size_t>(p)];
+      if (child == -1) {
+        --top;
+        post[static_cast<std::size_t>(done++)] = p;
+      } else {
+        head[static_cast<std::size_t>(p)] = next[static_cast<std::size_t>(child)];
+        stack[static_cast<std::size_t>(++top)] = child;
+      }
+    }
+  }
+
+  // delta[j] starts at 1 for a leaf: the count sums delta over subtrees.
+  std::vector<Index>& delta = s.count;
+  std::vector<Index> first(nu, -1);
+  for (Index k = 0; k < n; ++k) {
+    Index j = post[static_cast<std::size_t>(k)];
+    delta[static_cast<std::size_t>(j)] =
+        first[static_cast<std::size_t>(j)] == -1 ? 1 : 0;
+    for (; j != -1 && first[static_cast<std::size_t>(j)] == -1;
+         j = parent[static_cast<std::size_t>(j)])
+      first[static_cast<std::size_t>(j)] = k;
+  }
+  std::vector<Index> maxfirst(nu, -1);
+  std::vector<Index> prevleaf(nu, -1);
+  for (Index i = 0; i < n; ++i) ancestor[static_cast<std::size_t>(i)] = i;
+  for (Index k = 0; k < n; ++k) {
+    const Index j = post[static_cast<std::size_t>(k)];
+    const Index pj = parent[static_cast<std::size_t>(j)];
+    if (pj != -1) --delta[static_cast<std::size_t>(pj)];
+    const Index fj = first[static_cast<std::size_t>(j)];
+    for (const Index c : rows.cols(j)) {
+      const Index i = rows.name(c);
+      const auto iu = static_cast<std::size_t>(i);
+      if (i <= j || fj <= maxfirst[iu]) continue;  // j is no new leaf of i
+      maxfirst[iu] = fj;
+      const Index jprev = prevleaf[iu];
+      prevleaf[iu] = j;
+      ++delta[static_cast<std::size_t>(j)];
+      if (jprev == -1) continue;  // i's first leaf
+      Index q = jprev;
+      while (q != ancestor[static_cast<std::size_t>(q)])
+        q = ancestor[static_cast<std::size_t>(q)];
+      for (Index v = jprev; v != q;) {
+        const Index up = ancestor[static_cast<std::size_t>(v)];
+        ancestor[static_cast<std::size_t>(v)] = q;
+        v = up;
+      }
+      --delta[static_cast<std::size_t>(q)];
+    }
+    if (pj != -1) ancestor[static_cast<std::size_t>(j)] = pj;
+  }
+  for (Index j = 0; j < n; ++j) {
+    const Index p = parent[static_cast<std::size_t>(j)];
+    if (p != -1) delta[static_cast<std::size_t>(p)] += delta[static_cast<std::size_t>(j)];
+  }
+  for (Index& c : s.count) {
+    --c;  // the diagonal
+    s.nnz += c;
+  }
+  return s;
+}
+
+// The row walk, which builds the elimination tree as it goes: every vertex
+// on the path from a column of row k up to the marked part of the tree
+// gains an entry in row k of L. It stops at the first row at which the
+// count reaches `limit`, leaving an analysis cut short, and hands the
+// matrix to Gilbert–Ng–Peyton at the first row at which it reaches
+// `budget`.
+template <bool kPermuted>
+detail::LdltSymbolic analyze_rows(const PermutedRows<kPermuted>& rows,
+                                  Index n, Index limit, Index budget) {
+  const auto nu = static_cast<std::size_t>(n);
+  detail::LdltSymbolic s{std::vector<Index>(nu, -1),
+                         std::vector<Index>(nu, 0), 0};
+  std::vector<Index> flag(nu, -1);
+  for (Index k = 0; k < n; ++k) {
+    if (s.nnz >= limit) return {{}, {}, s.nnz};
+    if (s.nnz >= budget) return gnp_counts(rows, n);
     flag[static_cast<std::size_t>(k)] = k;
-    for (Index i : a.row_cols(kPermuted ? perm[static_cast<std::size_t>(k)] : k)) {
-      if constexpr (kPermuted) i = inv[static_cast<std::size_t>(i)];
-      if (i >= k) continue;
-      for (; flag[static_cast<std::size_t>(i)] != k;
-           i = parent[static_cast<std::size_t>(i)]) {
-        if (parent[static_cast<std::size_t>(i)] == -1)
-          parent[static_cast<std::size_t>(i)] = k;
-        ++nnz;
+    for (const Index c : rows.cols(k)) {
+      for (Index i = rows.name(c); i < k && flag[static_cast<std::size_t>(i)] != k;
+           i = s.parent[static_cast<std::size_t>(i)]) {
+        if (s.parent[static_cast<std::size_t>(i)] == -1)
+          s.parent[static_cast<std::size_t>(i)] = k;
+        ++s.count[static_cast<std::size_t>(i)];
+        ++s.nnz;
         flag[static_cast<std::size_t>(i)] = k;
       }
     }
   }
-  return nnz;
+  return s;
+}
+
+// The analysis of P A Pᵀ (perm empty: of A), read through the inverse
+// permutation without building the permuted copy, bounded by `limit` as
+// SparseLdlt::symbolic_nnz is, by the walk up to `budget` entries.
+detail::LdltSymbolic analyze(const CsrMatrix& a, std::span<const Index> perm,
+                             Index limit, Index budget) {
+  RPCG_CHECK(a.rows() == a.cols(), "LDLt needs a square matrix");
+  const Index n = a.rows();
+  if (perm.empty())
+    return analyze_rows(PermutedRows<false>{a, {}, {}}, n, limit, budget);
+  RPCG_CHECK(static_cast<Index>(perm.size()) == n, "permutation size mismatch");
+  std::vector<Index> inv(static_cast<std::size_t>(n), -1);
+  for (Index i = 0; i < n; ++i) {
+    const Index old = perm[static_cast<std::size_t>(i)];
+    RPCG_CHECK(old >= 0 && old < n && inv[static_cast<std::size_t>(old)] == -1,
+               "perm is not a permutation");
+    inv[static_cast<std::size_t>(old)] = i;
+  }
+  return analyze_rows(PermutedRows<true>{a, perm, inv}, n, limit, budget);
+}
+
+constexpr Index kNoLimit = std::numeric_limits<Index>::max();
+
+// The analysis every factorization and count runs: the walk while it is
+// cheaper, Gilbert–Ng–Peyton past kWalkEntriesPerNonzero.
+detail::LdltSymbolic analyze(const CsrMatrix& a, std::span<const Index> perm,
+                             Index limit) {
+  return analyze(a, perm, limit, kWalkEntriesPerNonzero * a.nnz());
 }
 
 // ReorderedLdlt::factor's 2% margin: a later candidate replaces an
@@ -613,28 +843,27 @@ std::vector<Index> unless_identity(std::vector<Index> perm) {
 }  // namespace
 
 Index SparseLdlt::symbolic_nnz(const CsrMatrix& a) {
-  return symbolic_nnz(a, {}, std::numeric_limits<Index>::max());
+  return analyze(a, {}, kNoLimit).nnz;
 }
 
 Index SparseLdlt::symbolic_nnz(const CsrMatrix& a, std::span<const Index> perm,
                                Index limit) {
-  RPCG_CHECK(a.rows() == a.cols(), "LDLt needs a square matrix");
-  const Index n = a.rows();
-  if (perm.empty()) return count_fill<false>(a, perm, {}, limit);
-  RPCG_CHECK(static_cast<Index>(perm.size()) == n, "permutation size mismatch");
-  std::vector<Index> inv(static_cast<std::size_t>(n), -1);
-  for (Index i = 0; i < n; ++i) {
-    const Index old = perm[static_cast<std::size_t>(i)];
-    RPCG_CHECK(old >= 0 && old < n && inv[static_cast<std::size_t>(old)] == -1,
-               "perm is not a permutation");
-    inv[static_cast<std::size_t>(old)] = i;
-  }
-  return count_fill<true>(a, perm, inv, limit);
+  return analyze(a, perm, limit).nnz;
+}
+
+detail::LdltSymbolic detail::LdltCounts::walk(const CsrMatrix& a,
+                                              std::span<const Index> perm) {
+  return analyze(a, perm, kNoLimit, kNoLimit);
+}
+
+detail::LdltSymbolic detail::LdltCounts::gnp(const CsrMatrix& a,
+                                             std::span<const Index> perm) {
+  return analyze(a, perm, kNoLimit, 0);
 }
 
 std::optional<SparseLdlt> SparseLdlt::factor(const CsrMatrix& a,
                                              bool supernodal) {
-  return factor_lanes(a, supernodal, host_lanes());
+  return factor_analyzed(a, analyze(a, {}, kNoLimit), supernodal, host_lanes());
 }
 
 std::optional<SparseLdlt> detail::LdltLanes::factor(const CsrMatrix& a,
@@ -644,36 +873,21 @@ std::optional<SparseLdlt> detail::LdltLanes::factor(const CsrMatrix& a,
                                 std::to_string(lanes) +
                                 " lanes wide on this host");
   }
-  return SparseLdlt::factor_lanes(a, true, lanes);
+  return SparseLdlt::factor_analyzed(a, analyze(a, {}, kNoLimit), true, lanes);
 }
 
-std::optional<SparseLdlt> SparseLdlt::factor_lanes(const CsrMatrix& a,
-                                                   bool supernodal,
-                                                   int lanes) {
+std::optional<SparseLdlt> SparseLdlt::factor_analyzed(
+    const CsrMatrix& a, const detail::LdltSymbolic& symbolic, bool supernodal,
+    int lanes) {
   RPCG_CHECK(a.rows() == a.cols(), "LDLt needs a square matrix");
   const Index n = a.rows();
+  const std::vector<Index>& parent = symbolic.parent;
+  const std::vector<Index>& lnz = symbolic.count;
+  RPCG_CHECK(static_cast<Index>(parent.size()) == n &&
+                 static_cast<Index>(lnz.size()) == n,
+             "LDLt needs the complete symbolic analysis of its matrix");
   SparseLdlt f;
   f.n_ = n;
-
-  // --- Symbolic pass: elimination tree and per-column counts of L. ---
-  std::vector<Index> parent(static_cast<std::size_t>(n), -1);
-  std::vector<Index> flag(static_cast<std::size_t>(n), -1);
-  std::vector<Index> lnz(static_cast<std::size_t>(n), 0);
-  for (Index k = 0; k < n; ++k) {
-    flag[static_cast<std::size_t>(k)] = k;
-    for (Index i : a.row_cols(k)) {
-      if (i >= k) continue;
-      // Walk from i up the partially built elimination tree, marking the
-      // path: every vertex on the path gains an entry in column "vertex" of
-      // row k of L.
-      for (; flag[static_cast<std::size_t>(i)] != k; i = parent[static_cast<std::size_t>(i)]) {
-        if (parent[static_cast<std::size_t>(i)] == -1)
-          parent[static_cast<std::size_t>(i)] = k;
-        ++lnz[static_cast<std::size_t>(i)];
-        flag[static_cast<std::size_t>(i)] = k;
-      }
-    }
-  }
   f.lp_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (Index j = 0; j < n; ++j) {
     const Index c = lnz[static_cast<std::size_t>(j)];
@@ -936,36 +1150,39 @@ std::optional<ReorderedLdlt> ReorderedLdlt::factor(const CsrMatrix& a) {
   // so the natural count can stop at the smallest fill RCM beats (a larger
   // natural fill loses to RCM all the same), and AMD's stops where it could
   // no longer beat the incumbent. A count below its limit is exact, so the
-  // incumbent's fill always is.
+  // incumbent's analysis always ran to the end: the numeric pass takes it
+  // as it is, tree and column counts, and analyzes nothing again.
   LdltOrdering best = LdltOrdering::kNatural;
   std::vector<Index> best_perm = unless_identity(rcm_ordering(a));
-  Index best_nnz = 0;
+  detail::LdltSymbolic incumbent;
   if (best_perm.empty()) {
-    best_nnz = SparseLdlt::symbolic_nnz(a);
+    incumbent = analyze(a, {}, kNoLimit);
   } else {
-    const Index rcm_nnz = SparseLdlt::symbolic_nnz(
-        a, best_perm, std::numeric_limits<Index>::max());
-    const Index natural_nnz =
-        SparseLdlt::symbolic_nnz(a, {}, smallest_beaten(rcm_nnz));
-    if (rcm_nnz < fill_to_beat(natural_nnz)) {
+    detail::LdltSymbolic rcm = analyze(a, best_perm, kNoLimit);
+    detail::LdltSymbolic natural = analyze(a, {}, smallest_beaten(rcm.nnz));
+    if (rcm.nnz < fill_to_beat(natural.nnz)) {
       best = LdltOrdering::kRcm;
-      best_nnz = rcm_nnz;
+      incumbent = std::move(rcm);
     } else {
-      best_nnz = natural_nnz;
+      incumbent = std::move(natural);
       best_perm.clear();
     }
   }
   std::vector<Index> amd = unless_identity(amd_ordering(a));
-  if (!amd.empty() &&
-      SparseLdlt::symbolic_nnz(a, amd, fill_to_beat(best_nnz)) <
-          fill_to_beat(best_nnz)) {
-    best = LdltOrdering::kAmd;
-    best_perm = std::move(amd);
+  if (!amd.empty()) {
+    const Index to_beat = fill_to_beat(incumbent.nnz);
+    detail::LdltSymbolic counted = analyze(a, amd, to_beat);
+    if (counted.nnz < to_beat) {
+      best = LdltOrdering::kAmd;
+      best_perm = std::move(amd);
+      incumbent = std::move(counted);
+    }
   }
 
   auto f = best_perm.empty()
-               ? SparseLdlt::factor(a)
-               : SparseLdlt::factor(a.permuted_symmetric(best_perm));
+               ? SparseLdlt::factor_analyzed(a, incumbent, true, host_lanes())
+               : SparseLdlt::factor_analyzed(a.permuted_symmetric(best_perm),
+                                             incumbent, true, host_lanes());
   if (!f.has_value()) return std::nullopt;
   return ReorderedLdlt(std::move(*f), std::move(best_perm), best);
 }

@@ -43,7 +43,8 @@ namespace rpcg {
 enum class LdltOrdering { kNatural, kRcm, kAmd };
 
 namespace detail {
-struct LdltLanes;  // sparse/ldlt_lanes.hpp: the kernel's lane width, for tests
+struct LdltLanes;     // sparse/ldlt_lanes.hpp: the kernel's lane width, for tests
+struct LdltSymbolic;  // sparse/ldlt_symbolic.hpp: elimination tree and counts
 }  // namespace detail
 
 [[nodiscard]] const char* to_string(LdltOrdering o);
@@ -128,12 +129,15 @@ class SparseLdlt {
 
  private:
   friend struct detail::LdltLanes;
+  friend class ReorderedLdlt;
 
   SparseLdlt() = default;
 
-  /// factor(a, supernodal) with the supernodal update tiles `lanes` wide.
-  static std::optional<SparseLdlt> factor_lanes(const CsrMatrix& a,
-                                                bool supernodal, int lanes);
+  /// factor(a, supernodal) with the supernodal update tiles `lanes` wide,
+  /// given the complete symbolic analysis of a itself.
+  static std::optional<SparseLdlt> factor_analyzed(
+      const CsrMatrix& a, const detail::LdltSymbolic& symbolic,
+      bool supernodal, int lanes);
   void build_supernodes();
   void solve_in_place_simplicial(std::span<double> b) const;
   void solve_in_place_supernodal(std::span<double> b) const;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ldlt.hpp"
+#include "sparse/ldlt_symbolic.hpp"
 #include "sparse/reorder.hpp"
 #include "test_util.hpp"
 
@@ -293,6 +295,60 @@ TEST(SymbolicFill, PermutedAndBoundedCountsMatchTheCopies) {
               SparseLdlt::symbolic_nnz(a));
     EXPECT_EQ(SparseLdlt::symbolic_nnz(a, {}, 0), 0);
   }
+}
+
+// The row walk and Gilbert–Ng–Peyton must give the same elimination tree
+// and column counts under every candidate ordering: on every node block and
+// failed set of the three workload layouts, a random pattern, a forest (two
+// components), one row and a diagonal matrix.
+TEST(SymbolicFill, WalkAndGnpGiveTheSameTreeAndCounts) {
+  std::vector<std::pair<std::string, CsrMatrix>> inputs;
+  for (const auto& [matrix, scale] :
+       {std::pair{1, 8.0}, std::pair{2, 12.0}, std::pair{8, 32.0}}) {
+    const auto blocks = layout_blocks(matrix, scale);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      char name[32];
+      std::snprintf(name, sizeof name, "M%d block %zu", matrix, b);
+      inputs.emplace_back(name, blocks[b]);
+    }
+  }
+  inputs.emplace_back("random_spd", random_spd(300, 10, 0.7, 60, 0xB1));
+  TripletBuilder forest;
+  for (Index i = 0; i < 12; ++i) forest.add(i, i, 4.0);
+  for (Index i = 0; i < 5; ++i) forest.add_sym(i, i + 1, -1.0);
+  forest.add_sym(0, 4, -0.5);
+  for (Index i = 6; i < 11; ++i) forest.add_sym(i, i + 1, -1.0);
+  forest.add_sym(7, 11, -0.5);
+  inputs.emplace_back("two components", forest.build(12, 12));
+  inputs.emplace_back("1x1", CsrMatrix::identity(1));
+  TripletBuilder diag;
+  for (Index i = 0; i < 9; ++i) diag.add(i, i, 2.0 + static_cast<double>(i));
+  inputs.emplace_back("diagonal", diag.build(9, 9));
+
+  std::size_t roots_seen = 0;
+  for (const auto& [name, a] : inputs) {
+    const std::array<std::pair<const char*, std::vector<Index>>, 3> orders{
+        {{"natural", {}}, {"rcm", rcm_ordering(a)}, {"amd", amd_ordering(a)}}};
+    for (const auto& [order, perm] : orders) {
+      const auto walk = detail::LdltCounts::walk(a, perm);
+      const auto gnp = detail::LdltCounts::gnp(a, perm);
+      ASSERT_EQ(walk.parent.size(), static_cast<std::size_t>(a.rows()))
+          << name << " " << order;
+      EXPECT_EQ(gnp.parent, walk.parent) << name << " " << order;
+      EXPECT_EQ(gnp.count, walk.count) << name << " " << order;
+      EXPECT_EQ(gnp.nnz, walk.nnz) << name << " " << order;
+      if (!perm.empty()) {
+        // Read through the permutation, as on the permuted copy.
+        const auto copy = detail::LdltCounts::walk(a.permuted_symmetric(perm), {});
+        EXPECT_EQ(walk.parent, copy.parent) << name << " " << order;
+        EXPECT_EQ(walk.count, copy.count) << name << " " << order;
+      }
+      if (name == "two components")
+        roots_seen = static_cast<std::size_t>(
+            std::count(walk.parent.begin(), walk.parent.end(), Index{-1}));
+    }
+  }
+  EXPECT_EQ(roots_seen, 2u) << "the two-component tree must be a forest";
 }
 
 }  // namespace
