@@ -82,20 +82,37 @@ constexpr const char* kJobKeys[] = {
   return index;
 }
 
-/// psi simultaneous failures of nodes [first, first + psi) at `iteration`.
-[[nodiscard]] FailureEvent contiguous_event(int iteration, int first,
-                                            int psi) {
+/// Refuses failed node ids lo..hi unless all lie in the job's node range
+/// [0, nodes).
+void check_node_range(long long lo, long long hi, int nodes) {
+  if (lo >= 0 && hi < nodes) return;
+  std::string what = hi != lo ? "failure event nodes " : "failure event node ";
+  what += std::to_string(lo);
+  if (hi != lo) {
+    what += "..";
+    what += std::to_string(hi);
+  }
+  what += hi != lo ? " lie" : " lies";
+  what += " outside the job's node range [0, ";
+  what += std::to_string(nodes);
+  what += ")";
+  fail(what);
+}
+
+/// psi simultaneous failures of nodes [first, first + psi) at `iteration`,
+/// every one of the job's `nodes`: checked before the list is built.
+[[nodiscard]] FailureEvent contiguous_event(int iteration, int first, int psi,
+                                            int nodes) {
   if (psi < 1) fail("failure event psi must be >= 1");
-  // The last node id, first + psi - 1, must be an int like every other.
-  if (first > 0 && psi - 1 > std::numeric_limits<int>::max() - first)
-    fail("failure event first + psi - 1 exceeds the node id range");
+  check_node_range(first, static_cast<long long>(first) + psi - 1, nodes);
   FailureEvent event;
   event.iteration = iteration;
   for (int k = 0; k < psi; ++k) event.nodes.push_back(first + k);
   return event;
 }
 
-[[nodiscard]] FailureSchedule parse_failures(const JsonValue& v) {
+[[nodiscard]] FailureSchedule parse_failures(const JsonValue& v,
+                                            int nodes_in_job) {
   FailureSchedule schedule;
   for (const JsonValue& ev : v.as_array()) {
     const JsonValue* iteration = ev.find("iteration");
@@ -117,12 +134,14 @@ constexpr const char* kJobKeys[] = {
         fail("failure event takes \"nodes\" or \"first\"+\"psi\", not both");
       }
       for (const JsonValue& n : nodes->as_array()) {
-        event.nodes.push_back(as_int(n, "nodes[]"));
+        const int id = as_int(n, "nodes[]");
+        check_node_range(id, id, nodes_in_job);
+        event.nodes.push_back(id);
       }
       if (event.nodes.empty()) fail("failure event \"nodes\" is empty");
     } else if (first != nullptr && psi != nullptr) {
       event = contiguous_event(event.iteration, as_int(*first, "first"),
-                               as_int(*psi, "psi"));
+                               as_int(*psi, "psi"), nodes_in_job);
     } else {
       fail("failure event needs \"nodes\" or \"first\"+\"psi\"");
     }
@@ -202,7 +221,7 @@ int parse_matrix_id(std::string_view id) {
   return digit[0] - '0';
 }
 
-FailureSchedule parse_failure_list(std::string_view list) {
+FailureSchedule parse_failure_list(std::string_view list, int nodes) {
   FailureSchedule schedule;
   std::size_t pos = 0;
   do {
@@ -223,7 +242,7 @@ FailureSchedule parse_failure_list(std::string_view list) {
       fail("failure list items must be ITER:FIRST:PSI in whole integers, "
            "got \"" + std::string(item) + "\"");
     }
-    schedule.add(contiguous_event(fields[0], fields[1], fields[2]));
+    schedule.add(contiguous_event(fields[0], fields[1], fields[2], nodes));
     pos = comma + 1;
   } while (pos <= list.size());
   return schedule;
@@ -233,10 +252,10 @@ JobSpec parse_job(const JsonValue& value) {
   JobSpec spec;
   std::vector<std::string> config_args;
   config_args.emplace_back("job");  // argv[0], skipped by Options
-  bool saw_failures = false;
+  // "nodes" may follow "failures", so the events are read after the loop.
+  const JsonValue* failures = nullptr;
   bool saw_scenario = false;
   for (const auto& [key, member] : value.as_object()) {
-    if (key == "failures") saw_failures = true;
     if (key == "scenario") saw_scenario = true;
     if (key == "name") {
       spec.name = member.as_string();
@@ -260,7 +279,7 @@ JobSpec parse_job(const JsonValue& value) {
     } else if (key == "noise-seed") {
       spec.noise_seed = as_seed(member, "noise-seed");
     } else if (key == "failures") {
-      spec.schedule = parse_failures(member);
+      failures = &member;
     } else if (key == "retry") {
       spec.retry.max_attempts = as_int(member, "retry");
       if (spec.retry.max_attempts < 1) fail("retry must be >= 1");
@@ -284,10 +303,13 @@ JobSpec parse_job(const JsonValue& value) {
       fail("unknown key \"" + key + "\" (" + valid_keys_message() + ")");
     }
   }
-  if (saw_failures && saw_scenario) {
+  if (failures != nullptr && saw_scenario) {
     // A generated scenario only applies when the explicit schedule is empty
     // (engine rule); a job naming both is almost certainly a mistake.
     fail("a job takes \"failures\" or \"scenario\", not both");
+  }
+  if (failures != nullptr) {
+    spec.schedule = parse_failures(*failures, spec.nodes);
   }
 
   std::vector<const char*> argv;

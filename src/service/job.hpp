@@ -15,6 +15,8 @@
 // Failure events come in two shapes: explicit node lists
 // ({"iteration": I, "nodes": [a, b], "during-recovery": false}) and the
 // paper's contiguous protocol ({"iteration": I, "first": F, "psi": P}).
+// Every failed node id must lie in [0, "nodes"), wherever "nodes" stands in
+// the line; a contiguous event is checked before its node list is built.
 // Alternatively "scenario": "correlated" | "cascading" | "during-recovery" |
 // "mixed" (plus scenario-seed/-events/-nodes/-horizon/-window) names a
 // seeded generator instead of spelling out events; a job may use "failures"
@@ -77,10 +79,12 @@ struct JobSpec {
 
 /// "ITER:FIRST:PSI[,ITER:FIRST:PSI...]" — the paper's contiguous protocol,
 /// as `rpcg-cli solve --failures` takes it. Every field is a whole integer,
-/// psi >= 1, and the last node id first + psi - 1 must fit an int, as for
-/// the "first"+"psi" events of a job line. Throws std::invalid_argument
+/// psi >= 1, and nodes first..first + psi - 1 must lie in the job's node
+/// range [0, nodes), as for every failure event of a job line; the range is
+/// checked before any node list is built. Throws std::invalid_argument
 /// otherwise.
-[[nodiscard]] FailureSchedule parse_failure_list(std::string_view list);
+[[nodiscard]] FailureSchedule parse_failure_list(std::string_view list,
+                                                 int nodes);
 
 /// Parses one job object. Throws std::invalid_argument on unknown keys,
 /// wrong value kinds, or out-of-range values.

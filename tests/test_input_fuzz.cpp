@@ -151,7 +151,7 @@ void parse_matrix_market(const std::string& text) {
 }
 
 void parse_failure_list(const std::string& text) {
-  (void)rpcg::service::parse_failure_list(text);
+  (void)rpcg::service::parse_failure_list(text, 16);
 }
 
 void parse_matrix_id(const std::string& text) {

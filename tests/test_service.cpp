@@ -144,16 +144,53 @@ TEST(JobParsing, UnknownKeyListsValidKeys) {
 }
 
 TEST(JobParsing, FailureEventRangeMustFitNodeIds) {
-  // first + psi - 1 past INT_MAX overflowed the node id of the last failed
-  // node; the event is refused instead. The largest range that fits parses.
+  // A failed node id must name one of the job's nodes: a range that ends
+  // past the last node, or whose last id would overflow an int, is refused.
+  // The largest range that fits parses.
   EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
                    R"({"failures": [{"iteration": 1, "first": 2147483647,
                                      "psi": 2}]})")),
                std::invalid_argument);
+  EXPECT_THROW((void)rpcg::service::parse_job(JsonValue::parse(
+                   R"({"nodes": 8, "failures": [{"iteration": 1, "first": 7,
+                                                 "psi": 2}]})")),
+               std::invalid_argument);
   const JobSpec job = rpcg::service::parse_job(JsonValue::parse(
-      R"({"failures": [{"iteration": 1, "first": 2147483646, "psi": 2}]})"));
+      R"({"nodes": 8, "failures": [{"iteration": 1, "first": 6, "psi": 2}]})"));
   EXPECT_EQ(job.schedule.events()[0].nodes,
-            (std::vector<rpcg::NodeId>{2147483646, 2147483647}));
+            (std::vector<rpcg::NodeId>{6, 7}));
+}
+
+TEST(JobParsing, FailedNodesAreCheckedAgainstNodesBeforeTheListIsBuilt) {
+  // "nodes" after "failures" still bounds them, and a contiguous event of
+  // 400 million nodes on 4 nodes is refused by its range, naming it, before
+  // its node list is built. Explicit node lists are bounded the same way.
+  const auto refusal = [](const char* line) -> std::string {
+    try {
+      (void)rpcg::service::parse_job(JsonValue::parse(line));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::string big = refusal(
+      R"({"failures": [{"iteration": 1, "first": 0, "psi": 400000000}],
+          "nodes": 4})");
+  EXPECT_NE(big.find("0..399999999"), std::string::npos) << big;
+  EXPECT_NE(big.find("[0, 4)"), std::string::npos) << big;
+  const std::string listed = refusal(
+      R"({"failures": [{"iteration": 1, "nodes": [1, 4]}], "nodes": 4})");
+  EXPECT_NE(listed.find("node 4 lies outside"), std::string::npos) << listed;
+  EXPECT_NE(refusal(R"({"failures": [{"iteration": 1, "nodes": [-1]}]})")
+                .find("[0, 16)"),
+            std::string::npos);
+  EXPECT_EQ(refusal(R"({"failures": [{"iteration": 1, "nodes": [3]}],
+                        "nodes": 4})"),
+            "accepted");
+  EXPECT_THROW((void)rpcg::service::parse_failure_list("1:0:400000000", 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)rpcg::service::parse_failure_list("1:-1:1", 4),
+               std::invalid_argument);
 }
 
 TEST(JobParsing, MatrixIdsAndFailureListsParseWholeTokens) {
@@ -176,21 +213,23 @@ TEST(JobParsing, MatrixIdsAndFailureListsParseWholeTokens) {
                 .matrix,
             4);
 
-  const rpcg::FailureSchedule two = parse_failure_list("3:1:2,7:0:1");
+  const rpcg::FailureSchedule two = parse_failure_list("3:1:2,7:0:1", 4);
   ASSERT_EQ(two.events().size(), 2u);
   EXPECT_EQ(two.events()[0].iteration, 3);
   EXPECT_EQ(two.events()[0].nodes, (std::vector<rpcg::NodeId>{1, 2}));
   EXPECT_EQ(two.events()[1].iteration, 7);
   EXPECT_EQ(two.events()[1].nodes, (std::vector<rpcg::NodeId>{0}));
-  EXPECT_EQ(parse_failure_list("1:2147483646:2").events()[0].nodes,
-            (std::vector<rpcg::NodeId>{2147483646, 2147483647}));
+  EXPECT_EQ(parse_failure_list("1:2147483645:2", 2147483647).events()[0].nodes,
+            (std::vector<rpcg::NodeId>{2147483645, 2147483646}));
   for (const char* list :
        {"3:1:1junk", "3:2147483647:2", "3:1:0", "3:1:-1", "3:1", "3:1:2:4",
         "", ",", "3:1:2,", ",3:1:2", "3:1.5:2", "3: 1:2", "3:+1:2",
-        "3:1:2,,7:0:1", "2147483648:1:1", "3::2"}) {
-    EXPECT_THROW((void)parse_failure_list(list), std::invalid_argument)
+        "3:1:2,,7:0:1", "2147483648:1:1", "3::2", "3:3:2"}) {
+    EXPECT_THROW((void)parse_failure_list(list, 4), std::invalid_argument)
         << list;
   }
+  EXPECT_THROW((void)parse_failure_list("1:2147483646:2", 2147483647),
+               std::invalid_argument);
 }
 
 TEST(JobParsing, FailureEventShapesAreExclusive) {

@@ -88,8 +88,8 @@ rpcg::service::JobSpec job_from_options(const Options& opts) {
   spec.noise_cv = opts.get_double("noise", 0.0);
   spec.noise_seed = static_cast<std::uint64_t>(opts.get_int("noise-seed", 0));
   if (opts.has("failures")) {
-    spec.schedule =
-        rpcg::service::parse_failure_list(opts.get_string("failures", ""));
+    spec.schedule = rpcg::service::parse_failure_list(
+        opts.get_string("failures", ""), spec.nodes);
   }
   spec.config = rpcg::engine::SolverConfig::from_options(opts);
   return spec;
