@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {"n", "phi"});
   const Options o(argc, argv);
   const Index n = o.get_int("n", 8192);
   const int phi = static_cast<int>(o.get_int("phi", 3));

@@ -19,7 +19,8 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args =
+      CommonArgs::parse(argc, argv, {"psi", "ckpt-interval"});
   const Options o(argc, argv);
   const int psi = static_cast<int>(o.get_int("psi", 3));
   const int ckpt_interval = static_cast<int>(o.get_int("ckpt-interval", 25));

@@ -14,9 +14,13 @@
 //   --strategy S   backup strategy name                   (default paper-alternating)
 //   --exec E       host execution policy: sequential | threaded (default sequential)
 //   --workers N    worker cap for --exec=threaded; 0 = hardware concurrency
+// and the flags it reads itself; any other flag exits 2 (CommonArgs::parse).
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,19 +43,34 @@ struct CommonArgs {
   BackupStrategy strategy = BackupStrategy::kPaperAlternating;
   ExecutionPolicy exec;
 
-  static CommonArgs parse(int argc, char** argv) {
-    const Options o(argc, argv);
-    CommonArgs a;
-    a.scale = o.get_double("scale", a.scale);
-    a.nodes = static_cast<int>(o.get_int("nodes", a.nodes));
-    a.reps = static_cast<int>(o.get_int("reps", a.reps));
-    a.noise = o.get_double("noise", a.noise);
-    a.matrices = o.get_int_list("matrices", a.matrices);
-    a.precond = o.get_string("precond", a.precond);
-    a.strategy = o.get_enum<BackupStrategy>("strategy", a.strategy);
-    a.exec.mode = o.get_enum<ExecMode>("exec", a.exec.mode);
-    a.exec.workers = static_cast<int>(o.get_int("workers", a.exec.workers));
-    return a;
+  /// The shared flags above. `own` names the flags the binary reads
+  /// itself; any other flag, or a malformed shared value, is a usage error:
+  /// it is printed with the valid flags and the binary exits 2, as
+  /// rpcg-cli does, instead of running with the defaults.
+  static CommonArgs parse(int argc, char** argv,
+                          std::initializer_list<const char*> own) {
+    try {
+      const Options o(argc, argv);
+      std::vector<std::string> valid{"scale",    "nodes",   "reps",
+                                     "noise",    "matrices", "precond",
+                                     "strategy", "exec",    "workers"};
+      valid.insert(valid.end(), own.begin(), own.end());
+      o.require_known(valid);
+      CommonArgs a;
+      a.scale = o.get_double("scale", a.scale);
+      a.nodes = static_cast<int>(o.get_int("nodes", a.nodes));
+      a.reps = static_cast<int>(o.get_int("reps", a.reps));
+      a.noise = o.get_double("noise", a.noise);
+      a.matrices = o.get_int_list("matrices", a.matrices);
+      a.precond = o.get_string("precond", a.precond);
+      a.strategy = o.get_enum<BackupStrategy>("strategy", a.strategy);
+      a.exec.mode = o.get_enum<ExecMode>("exec", a.exec.mode);
+      a.exec.workers = static_cast<int>(o.get_int("workers", a.exec.workers));
+      return a;
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      std::exit(2);
+    }
   }
 
   [[nodiscard]] repro::ExperimentConfig config() const {
@@ -85,7 +104,7 @@ inline void print_box(const char* label, const Summary& s) {
 /// relative overhead of the box medians.
 inline int run_figure(int matrix_index, repro::FailureLocation loc, int argc,
                       char** argv, const char* figure_name) {
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {"phis"});
   const Options o(argc, argv);
   const std::vector<long> phis = o.get_int_list("phis", {1, 3, 8});
 

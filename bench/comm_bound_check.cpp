@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {});
   print_header("Sec. 4.2 bound check: per-iteration redundancy overhead vs "
                "phi (lambda_max + ceil(n/N) mu)",
                args);

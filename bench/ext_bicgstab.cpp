@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {"matrix", "phis"});
   const Options o(argc, argv);
   const int matrix = static_cast<int>(o.get_int("matrix", 5));
   const std::vector<long> phis = o.get_int_list("phis", {1, 3, 8});

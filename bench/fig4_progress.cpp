@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {"phi", "matrix"});
   const Options o(argc, argv);
   const int phi = static_cast<int>(o.get_int("phi", 3));
   const int matrix = static_cast<int>(o.get_int("matrix", 5));

@@ -127,6 +127,22 @@ void BM_LdltOrderedSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_LdltOrderedSolve)->Apply(ldlt_sweep_args);
 
+// The production factor: ReorderedLdlt::factor's ordering selection (its
+// bounded fill counts and the AMD ordering) and the numeric pass, which
+// reuses the winner's analysis. Matrix argument as ldlt_bench_matrix: 1 =
+// M1-band block, 2 = M2-random block, 3 = the m2-recover A_FF.
+void BM_LdltAutoSelectedFactor(benchmark::State& state) {
+  const CsrMatrix a = ldlt_bench_matrix(state.range(0));
+  for (auto _ : state) {
+    auto f = ReorderedLdlt::factor(a);
+    benchmark::DoNotOptimize(f->l_nnz());
+  }
+  const auto f = ReorderedLdlt::factor(a);
+  state.counters["ordering"] = static_cast<double>(f->ordering());
+  state.counters["l_nnz"] = static_cast<double>(f->l_nnz());
+}
+BENCHMARK(BM_LdltAutoSelectedFactor)->Arg(1)->Arg(2)->Arg(3);
+
 void BM_LdltAutoSelectedSolve(benchmark::State& state) {
   // The production path: ReorderedLdlt::factor's own candidate selection.
   const CsrMatrix a = repro_node_block(static_cast<int>(state.range(0)));

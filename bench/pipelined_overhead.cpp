@@ -54,7 +54,7 @@ void print_point(const Point& p) {
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {"depths"});
   const Options o(argc, argv);
   const std::vector<long> depths = o.get_int_list("depths", {1, 2, 4});
 

@@ -2,21 +2,27 @@
 //
 //   ./run_all [--bin-dir DIR] [--only table1_matrices,...]
 //             [--scale S] [--nodes N] [--reps R] [--jobs J] [--keep-output]
+//             [--noise/--matrices/--precond/--strategy/--exec/--workers V]
+//             [--depths L]
 //
 // Each bench runs as a child process with the shared --scale/--nodes/--reps
-// flags (see bench_support.hpp); one stderr line per bench gives its exit
+// flags (see bench_support.hpp), the other shared flags given, and --depths
+// for pipelined_overhead alone; one stderr line per bench gives its exit
 // status and wall-clock seconds. Output of the children is suppressed
 // unless --keep-output is given. With --jobs J > 1 the independent bench
 // processes fan out over a worker pool (the wall times of concurrent runs
-// contend for the same cores). The exit status is 1 when any bench exits
-// nonzero (a failed run or a tripped self-gate) or is missing, else 0.
+// contend for the same cores). The exit status is 2 for a flag run_all
+// does not read, 1 when any bench exits nonzero (a failed run or a tripped
+// self-gate) or is missing, else 0.
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -80,7 +86,18 @@ int run_command(const std::string& cmd) {
 
 int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
-  const rpcg::Options opts(argc, argv);
+  // A flag run_all does not read exits 2 with the valid flags, as a bench
+  // given one does.
+  rpcg::Options opts;
+  try {
+    opts = rpcg::Options(argc, argv);
+    opts.require_known({"bin-dir", "only", "scale", "nodes", "reps", "jobs",
+                        "keep-output", "noise", "matrices", "precond",
+                        "strategy", "exec", "workers", "depths"});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "run_all: %s\n", e.what());
+    return 2;
+  }
 
   const std::string default_bin_dir =
       std::filesystem::path(argv[0]).parent_path().string();
@@ -96,8 +113,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   // The remaining shared bench flags (see bench_support.hpp) are forwarded
-  // verbatim when given.
+  // verbatim when given, and --depths to pipelined_overhead, the one bench
+  // that reads it (the others refuse flags they do not read).
   std::string passthrough;
+  std::string depths;
   for (const char* flag :
        {"noise", "matrices", "precond", "strategy", "exec", "workers",
         "depths"}) {
@@ -108,7 +127,8 @@ int main(int argc, char** argv) {
                    value.c_str());
       return 1;
     }
-    passthrough += std::string(" --") + flag + "=" + value;
+    (std::string_view(flag) == "depths" ? depths : passthrough) +=
+        std::string(" --") + flag + "=" + value;
   }
 
   const std::string only = opts.get_string("only", "");
@@ -136,7 +156,8 @@ int main(int argc, char** argv) {
     // Quoted so bin dirs containing spaces survive the shell's word split.
     r.command = "\"" + exe + "\" --scale=" + rpcg::format_compact(scale) +
                 " --nodes=" + std::to_string(nodes) +
-                " --reps=" + std::to_string(reps) + passthrough;
+                " --reps=" + std::to_string(reps) + passthrough +
+                (name == "pipelined_overhead" ? depths : "");
     if (!std::filesystem::exists(exe)) {
       std::fprintf(stderr,
                    "run_all: %s FAILED (binary not found at %s — typo in "

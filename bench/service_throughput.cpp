@@ -120,7 +120,8 @@ void print_stats(const char* label, const RunStats& s) {
 
 int main(int argc, char** argv) {
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args =
+      CommonArgs::parse(argc, argv, {"copies", "service-workers"});
   const rpcg::Options o(argc, argv);
   const int copies = static_cast<int>(o.get_int("copies", 3));
   // One worker per hardware thread (at most 8): more would oversubscribe the

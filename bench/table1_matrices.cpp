@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {});
   print_header("Table 1: SPD test matrices (paper original vs generated analogue)",
                args);
 

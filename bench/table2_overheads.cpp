@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace rpcg;
   using namespace rpcg::bench;
-  const CommonArgs args = CommonArgs::parse(argc, argv);
+  const CommonArgs args = CommonArgs::parse(argc, argv, {"phis"});
   const Options o(argc, argv);
   const std::vector<long> phis = o.get_int_list("phis", {1, 3, 8});
   const double progresses[] = {0.2, 0.5, 0.8};
