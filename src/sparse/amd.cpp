@@ -9,6 +9,12 @@ namespace rpcg {
 
 namespace {
 
+// Approximate minimum degree over a quotient graph of per-variable lists.
+// Per pivot p: build Lp (the new element's variables), the |Le \ Lp| pass,
+// the per-variable update (prune, absorb, mass-eliminate, re-degree), then
+// supervariable detection through hash buckets, which compares only the
+// variables of equal hash instead of every pair of Lp.
+//
 // The quotient graph: every index 0..n-1 is either a live supervariable
 // (weight nv > 0), a variable absorbed into a supervariable (merged), an
 // eliminated pivot that now names an *element* (the clique its elimination
@@ -259,19 +265,15 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
     // walking i's bucket after i meets every later var of equal hash in Lp
     // order: the merges of comparing every pair of Lp, in the same order,
     // for the cost of the pairs that share a bucket. ---
-    for (const Index i : lp) {
-      const auto iu = static_cast<std::size_t>(i);
+    for (auto it = lp.rbegin(); it != lp.rend(); ++it) {
+      const auto iu = static_cast<std::size_t>(*it);
       if (g.nv[iu] <= 0) continue;
       Index h = static_cast<Index>(g.a[iu].size()) +
                 37 * static_cast<Index>(g.e[iu].size());
       for (const Index v : g.a[iu]) h = (h * 31 + v) & 0x7fffffff;
       for (const Index e : g.e[iu]) h = (h * 31 + e) & 0x7fffffff;
       hash[iu] = h;
-    }
-    for (auto it = lp.rbegin(); it != lp.rend(); ++it) {
-      const auto iu = static_cast<std::size_t>(*it);
-      if (g.nv[iu] <= 0) continue;
-      const auto b = static_cast<std::size_t>(hash[iu] % n);
+      const auto b = static_cast<std::size_t>(h % n);
       if (bucket_stamp[b] != stamp) {
         bucket_stamp[b] = stamp;
         bucket_head[b] = -1;

@@ -9,7 +9,9 @@
 // classical algorithm of Amestoy, Davis & Duff, reimplemented from the
 // published description: quotient graph of supervariables and elements,
 // approximate external degrees via the |Le \ Lp| bound, mass elimination,
-// aggressive element absorption, and hash-based supervariable detection.
+// aggressive element absorption, and hash-based supervariable detection
+// (per pivot, the pivot element's variables go to hash buckets, and only
+// variables of equal hash compare their lists).
 //
 // ReorderedLdlt uses it as one of the candidate orderings (natural | RCM |
 // AMD), keeping whichever yields the smallest symbolic factor.

@@ -362,10 +362,11 @@ __attribute__((target("avx512f"))) void SupernodalKernel::update_avx512(
 
 // update_narrow<1> 8 rows at a time: per target column, the source column's
 // rows load contiguously, their target slots (rel_ of the source rows,
-// looked up once per call) gather, each takes 0.0 + t l off as the scalar
-// loop does, and the results scatter back. The rows of one column have
-// distinct slots, so the scatter never collides; the rows left below the
-// last 8 take the scalar loop.
+// looked up once per call, plus the column's base) gather, each takes
+// 0.0 + t l off as the scalar loop does, and the results scatter back. The
+// rows of one column have distinct slots, so the scatter never collides;
+// the rows left below the last 8 take the scalar loop. Offsets stay
+// integers from lx_, as everywhere in the kernel.
 __attribute__((target("avx512f"))) void SupernodalKernel::update_single_avx512(
     Source src, Index ka, Index c_lo, Index c_hi) {
   const Index col = base(src.c0 + ka, ka);
@@ -374,29 +375,29 @@ __attribute__((target("avx512f"))) void SupernodalKernel::update_single_avx512(
   const Index rows = base(src.c0, 0);  // row of position p: li[rows + p]
   Index* slot = slot_.data();
   for (Index p = c_lo + 1; p < src.nrows; ++p) slot[p] = rel_[li[rows + p]];
-  const double* l = lx_ + col;
+  double* const lx = lx_;  // a local, which the scatter cannot overwrite
   const __m512d zero = _mm512_setzero_pd();
   for (Index c = c_lo; c < c_hi; ++c) {
     const Index tc = li[rows + c];
-    const Index tc_pos = rel_[tc];
-    double* target = lx_ + base(tc, tc_pos);
-    const double t = dk * l[c];
-    d_[tc] -= t * l[c];
+    const Index tbase = base(tc, rel_[tc]);
+    const double t = dk * lx[col + c];
+    d_[tc] -= t * lx[col + c];
     const __m512d tv = _mm512_set1_pd(t);
+    const __m512i tb = _mm512_set1_epi64(tbase);
     Index p = c + 1;
     for (; p + 8 <= src.nrows; p += 8) {
-      const __m512i at = _mm512_loadu_si512(slot + p);
+      const __m512i at = _mm512_add_epi64(tb, _mm512_loadu_si512(slot + p));
       // The masked gather with every lane on: the unmasked one leaves its
       // pass-through operand undefined, which gcc 12 warns about.
-      const __m512d old = _mm512_mask_i64gather_pd(zero, 0xff, at, target, 8);
-      const __m512d sum =
-          _mm512_add_pd(zero, _mm512_mul_pd(tv, _mm512_loadu_pd(l + p)));
-      _mm512_i64scatter_pd(target, at, _mm512_sub_pd(old, sum), 8);
+      const __m512d old = _mm512_mask_i64gather_pd(zero, 0xff, at, lx, 8);
+      const __m512d sum = _mm512_add_pd(
+          zero, _mm512_mul_pd(tv, _mm512_loadu_pd(lx + (col + p))));
+      _mm512_i64scatter_pd(lx, at, _mm512_sub_pd(old, sum), 8);
     }
     for (; p < src.nrows; ++p) {
       double sum = 0.0;
-      sum += t * l[p];
-      target[slot[p]] -= sum;
+      sum += t * lx[col + p];
+      lx[tbase + slot[p]] -= sum;
     }
   }
 }

@@ -5,11 +5,14 @@
 //   * the explicit-P variant of Alg. 2 solves P_{If,If} r_{If} = v exactly,
 //   * the ESR exact local solve factors A_{If,If} once per failed node set
 //     and solves A_{If,If} x_{If} = w directly instead of iteratively.
-// The symbolic pass follows the classical LDL approach of Davis (elimination
-// tree + per-row pattern via tree walks), reimplemented from the textbook
-// description; it yields the column counts of L, from which the flop count
-// of the factorization follows in closed form. That count per stored entry
-// picks the numeric kernel:
+// The symbolic analysis (sparse/ldlt_symbolic.hpp) yields the elimination
+// tree and the column counts of L, from which the flop count of the
+// factorization follows in closed form. It walks the rows of L as Davis's
+// LDL does (elimination tree + per-row pattern via tree walks) while that
+// stays cheap, and counts a fill-heavy matrix by Gilbert–Ng–Peyton in
+// O(nnz(A) α) instead, with the same answer; ReorderedLdlt hands the
+// winning ordering's analysis to the numeric pass, which analyzes nothing
+// again. The flop count per stored entry picks the numeric kernel:
 //   * sparse factors (banded and near-banded node blocks) run the up-looking
 //     kernel: row k of L is a sparse triangular solve against rows < k;
 //   * fill-heavy factors (random-pattern blocks, multi-node A_{If,If}) run a
@@ -68,7 +71,7 @@ class SparseLdlt {
                                                         bool supernodal = true);
 
   /// Symbolic-only fill count: the number of entries L would have (excluding
-  /// the unit diagonal). Cheap (one elimination-tree pass, no numerics).
+  /// the unit diagonal). Cheap: the symbolic analysis alone, no numerics.
   [[nodiscard]] static Index symbolic_nnz(const CsrMatrix& a);
 
   /// The same count for P A Pᵀ, perm new-to-old as in
@@ -182,11 +185,13 @@ class SparseLdlt {
 /// incumbent only if its fill c beats the incumbent's b by 2% (c < b - b/50;
 /// identity permutations are not candidates), so it is never worse than
 /// plain SparseLdlt::factor and fully deterministic. The counts are bounded
-/// and copy-free (SparseLdlt::symbolic_nnz with a permutation and a limit):
-/// RCM is counted first, the natural count stops at the smallest fill RCM
-/// would beat, AMD's where it could no longer beat the incumbent, and only
-/// the winner is permuted. The winning choice is exposed via ordering() for
-/// diagnostics. Solves apply the permutation through a thread-local
+/// and copy-free (the analysis behind SparseLdlt::symbolic_nnz with a
+/// permutation and a limit): RCM is counted first, the natural count stops
+/// at the smallest fill RCM would beat, AMD's where it could no longer beat
+/// the incumbent, and only the winner is permuted. Each count keeps its
+/// elimination tree and column counts; the winner's ran to the end, so the
+/// numeric pass reuses it instead of analyzing the permuted copy again. The
+/// winning choice is exposed via ordering() for diagnostics. Solves apply the permutation through a thread-local
 /// workspace, so one instance may be solved from concurrent threads (e.g.
 /// cache entries shared across a threaded harness).
 class ReorderedLdlt {
