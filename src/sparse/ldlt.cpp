@@ -707,7 +707,8 @@ detail::LdltSymbolic gnp_counts(const PermutedRows<kPermuted>& rows,
         --top;
         post[static_cast<std::size_t>(done++)] = p;
       } else {
-        head[static_cast<std::size_t>(p)] = next[static_cast<std::size_t>(child)];
+        head[static_cast<std::size_t>(p)] =
+            next[static_cast<std::size_t>(child)];
         stack[static_cast<std::size_t>(++top)] = child;
       }
     }
@@ -755,7 +756,8 @@ detail::LdltSymbolic gnp_counts(const PermutedRows<kPermuted>& rows,
   }
   for (Index j = 0; j < n; ++j) {
     const Index p = parent[static_cast<std::size_t>(j)];
-    if (p != -1) delta[static_cast<std::size_t>(p)] += delta[static_cast<std::size_t>(j)];
+    if (p != -1)
+      delta[static_cast<std::size_t>(p)] += delta[static_cast<std::size_t>(j)];
   }
   for (Index& c : s.count) {
     --c;  // the diagonal
@@ -782,7 +784,8 @@ detail::LdltSymbolic analyze_rows(const PermutedRows<kPermuted>& rows,
     if (s.nnz >= budget) return gnp_counts(rows, n);
     flag[static_cast<std::size_t>(k)] = k;
     for (const Index c : rows.cols(k)) {
-      for (Index i = rows.name(c); i < k && flag[static_cast<std::size_t>(i)] != k;
+      for (Index i = rows.name(c);
+           i < k && flag[static_cast<std::size_t>(i)] != k;
            i = s.parent[static_cast<std::size_t>(i)]) {
         if (s.parent[static_cast<std::size_t>(i)] == -1)
           s.parent[static_cast<std::size_t>(i)] = k;

@@ -46,7 +46,7 @@ namespace rpcg {
 enum class LdltOrdering { kNatural, kRcm, kAmd };
 
 namespace detail {
-struct LdltLanes;     // sparse/ldlt_lanes.hpp: the kernel's lane width, for tests
+struct LdltLanes;     // sparse/ldlt_lanes.hpp: the tiles' lane width, for tests
 struct LdltSymbolic;  // sparse/ldlt_symbolic.hpp: elimination tree and counts
 }  // namespace detail
 
@@ -191,9 +191,10 @@ class SparseLdlt {
 /// the incumbent, and only the winner is permuted. Each count keeps its
 /// elimination tree and column counts; the winner's ran to the end, so the
 /// numeric pass reuses it instead of analyzing the permuted copy again. The
-/// winning choice is exposed via ordering() for diagnostics. Solves apply the permutation through a thread-local
-/// workspace, so one instance may be solved from concurrent threads (e.g.
-/// cache entries shared across a threaded harness).
+/// winning choice is exposed via ordering() for diagnostics. Solves apply
+/// the permutation through a thread-local workspace, so one instance may be
+/// solved from concurrent threads (e.g. cache entries shared across a
+/// threaded harness).
 class ReorderedLdlt {
  public:
   [[nodiscard]] static std::optional<ReorderedLdlt> factor(const CsrMatrix& a);

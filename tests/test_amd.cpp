@@ -339,7 +339,8 @@ TEST(SymbolicFill, WalkAndGnpGiveTheSameTreeAndCounts) {
       EXPECT_EQ(gnp.nnz, walk.nnz) << name << " " << order;
       if (!perm.empty()) {
         // Read through the permutation, as on the permuted copy.
-        const auto copy = detail::LdltCounts::walk(a.permuted_symmetric(perm), {});
+        const auto copy =
+            detail::LdltCounts::walk(a.permuted_symmetric(perm), {});
         EXPECT_EQ(walk.parent, copy.parent) << name << " " << order;
         EXPECT_EQ(walk.count, copy.count) << name << " " << order;
       }
