@@ -5,7 +5,6 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
