@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "repro/matrices.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
 
@@ -102,6 +105,56 @@ TEST(DistMatrix, SpmvWithFailedNodeThrows) {
   cluster.fail_node(1);
   EXPECT_THROW(d.spmv(cluster, x, y, halos, Phase::kIteration),
                std::invalid_argument);
+}
+
+// The scatter plan and the operand columns of every rpcg_bench layout, pinned
+// by an FNV-1a digest of each message's (src, dst, indices) in id order,
+// every node's sends_of and recvs_of, every multiplicity and every node's
+// remapped_cols: any change to the message order, the halo layout or the
+// remap shows here.
+TEST(DistMatrix, WorkloadScatterPlansArePinned) {
+  struct Layout {
+    int matrix;
+    double scale;
+    int nodes;
+    std::uint64_t digest;
+  };
+  for (const Layout& l : {Layout{1, 8.0, 64, 0xc9b84575c96ce194ull},
+                          Layout{8, 32.0, 64, 0x81dd2e1168095de1ull},
+                          Layout{2, 12.0, 64, 0xf65e7c892757b400ull},
+                          Layout{1, 16.0, 64, 0x45dd595c5c3104c0ull},
+                          Layout{1, 32.0, 32, 0x2ef2241a20b481bcull},
+                          Layout{2, 32.0, 32, 0xdd7b9eeb0fb92665ull},
+                          Layout{4, 32.0, 32, 0x135ca9ccde95c7c7ull}}) {
+    const CsrMatrix a = repro::make_matrix(l.matrix, l.scale).matrix;
+    const Partition part = Partition::block_rows(a.rows(), l.nodes);
+    const DistMatrix d = DistMatrix::distribute(a, part);
+    const ScatterPlan& plan = d.scatter_plan();
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::int64_t v) {
+      const auto bits = static_cast<std::uint64_t>(v);
+      for (int b = 0; b < 8; ++b)
+        h = (h ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+    };
+    const auto mix_all = [&mix](const auto& values) {
+      mix(static_cast<std::int64_t>(values.size()));
+      for (const auto v : values) mix(v);
+    };
+    mix(static_cast<std::int64_t>(plan.messages().size()));
+    for (const ScatterMessage& m : plan.messages()) {
+      mix(m.src);
+      mix(m.dst);
+      mix_all(m.indices);
+    }
+    for (NodeId i = 0; i < l.nodes; ++i) {
+      mix_all(plan.sends_of(i));
+      mix_all(plan.recvs_of(i));
+    }
+    for (Index s = 0; s < a.rows(); ++s) mix(plan.multiplicity(s));
+    for (NodeId i = 0; i < l.nodes; ++i) mix_all(d.remapped_cols(i));
+    EXPECT_EQ(h, l.digest) << "M" << l.matrix << " s" << l.scale << " on "
+                           << l.nodes << " nodes: 0x" << std::hex << h;
+  }
 }
 
 TEST(DistMatrix, RejectsNonSquareOrMismatched) {
