@@ -39,7 +39,7 @@ CsrMatrix repro_node_block(int matrix_index) {
 }
 
 // Matrix argument of the distributed-kernel benches (BM_DistSpmv,
-// BM_BlockJacobiApply): 0 = the 24³ Poisson matrix; 1, 8 and 2 = the matrices
+// BM_DistMatrixDistribute, BM_BlockJacobiApply): 0 = the 24³ Poisson matrix; 1, 8 and 2 = the matrices
 // of the rpcg_bench workloads m1-iterate (M1 at scale 8), m8-dense-rows (M8 at
 // scale 32) and m2-recover (M2 at scale 12), which run on 64 nodes.
 CsrMatrix layout_matrix(long matrix) {
@@ -188,6 +188,22 @@ void BM_DistSpmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_DistSpmv)->Apply(layout_args);
+
+// The SpMV setup on the same layouts: the scatter plan and every node's
+// operand columns, derived from the global CSR the DistMatrix borrows.
+void BM_DistMatrixDistribute(benchmark::State& state) {
+  const CsrMatrix a = layout_matrix(state.range(0));
+  const Partition part =
+      Partition::block_rows(a.rows(), static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    const DistMatrix d = DistMatrix::distribute(a, part);
+    benchmark::DoNotOptimize(d.scatter_plan().messages().data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_DistMatrixDistribute)
+    ->Apply(layout_args)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BlockJacobiApply(benchmark::State& state) {
   const CsrMatrix a = layout_matrix(state.range(0));

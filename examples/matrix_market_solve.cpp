@@ -12,11 +12,17 @@
 // every registered key. --recovery is honored when given; without it, the
 // method follows --phi (phi > 0 selects ESR). Note --solver=pcg is the
 // non-resilient reference: it requires --phi=0 (or --psi=0) since it
-// tolerates no scheduled failures.
+// tolerates no scheduled failures. Besides its own flags it takes the
+// solver-config keys of job files (--rtol, --recovery, ...); any other flag
+// is a usage error that names it (exit 2), not a run with the defaults.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "engine/registry.hpp"
+#include "service/job.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/matrix_market.hpp"
 #include "sparse/reorder.hpp"
@@ -24,9 +30,16 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+// The flags run() reads: its own plus the solver-config keys (--phi is one).
+std::vector<std::string> known_flags() {
+  std::vector<std::string> flags{"file",   "rcm",     "nodes",  "psi",
+                                 "solver", "precond", "fail-at"};
+  for (const char* key : rpcg::service::config_keys()) flags.emplace_back(key);
+  return flags;
+}
+
+int run(const rpcg::Options& opts_cli) {
   using namespace rpcg;
-  const Options opts_cli(argc, argv);
 
   std::string path = opts_cli.get_string("file", "");
   if (path.empty()) {
@@ -100,8 +113,16 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  rpcg::Options opts_cli;
   try {
-    return run(argc, argv);
+    opts_cli = rpcg::Options(argc, argv);
+    opts_cli.require_known(known_flags());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "matrix_market_solve: %s\n", e.what());
+    return 2;
+  }
+  try {
+    return run(opts_cli);
   } catch (const std::exception& e) {
     // Unknown registry keys, bad flag values, and solver/schedule conflicts
     // arrive here; the messages list the valid options.

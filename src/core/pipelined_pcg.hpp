@@ -96,7 +96,9 @@ class PipelinedPcg {
                const DistMatrix& a, const Preconditioner& m,
                PipelinedPcgOptions opts);
 
-  /// Convenience constructor that distributes the matrix internally.
+  /// Convenience constructor that distributes the matrix internally. The
+  /// DistMatrix borrows `a_global` and the cluster's partition, which must
+  /// outlive the engine already.
   PipelinedPcg(Cluster& cluster, const CsrMatrix& a_global,
                const Preconditioner& m, PipelinedPcgOptions opts);
 

@@ -112,7 +112,9 @@ class ResilientPcg {
   ResilientPcg(Cluster& cluster, const CsrMatrix& a_global, const DistMatrix& a,
                const Preconditioner& m, ResilientPcgOptions opts);
 
-  /// Convenience constructor that distributes the matrix internally.
+  /// Convenience constructor that distributes the matrix internally. The
+  /// DistMatrix borrows `a_global` and the cluster's partition, which must
+  /// outlive the solver already.
   ResilientPcg(Cluster& cluster, const CsrMatrix& a_global,
                const Preconditioner& m, ResilientPcgOptions opts);
 

@@ -41,7 +41,7 @@ class Problem {
  public:
   [[nodiscard]] const CsrMatrix& matrix_global() const { return *a_global_; }
   [[nodiscard]] const DistMatrix& matrix() const { return *a_dist_; }
-  [[nodiscard]] const Partition& partition() const { return partition_; }
+  [[nodiscard]] const Partition& partition() const { return *partition_; }
   [[nodiscard]] const Preconditioner& preconditioner() const { return *m_; }
   [[nodiscard]] const std::string& preconditioner_name() const {
     return precond_name_;
@@ -81,8 +81,11 @@ class Problem {
   [[nodiscard]] Cluster make_cluster() const;
 
   /// Zero initial guess over the problem's partition.
-  [[nodiscard]] DistVector make_x() const { return DistVector(partition_); }
+  [[nodiscard]] DistVector make_x() const { return DistVector(*partition_); }
 
+  // Moves keep every part at its address: the matrix and the partition are
+  // held on the heap (or borrowed), and the DistMatrix, the preconditioner
+  // and the right-hand side point into them.
   Problem(Problem&&) noexcept = default;
   Problem& operator=(Problem&&) noexcept = default;
 
@@ -91,7 +94,7 @@ class Problem {
   Problem() = default;
 
   MaybeOwned<CsrMatrix> a_global_;
-  Partition partition_;
+  MaybeOwned<Partition> partition_;
   MaybeOwned<DistMatrix> a_dist_;
   MaybeOwned<Preconditioner> m_;
   std::string precond_name_;
@@ -123,7 +126,7 @@ class ProblemBuilder {
   ProblemBuilder& partition(Partition p);
 
   /// Borrows an already-distributed matrix, reusing its scatter plan across
-  /// Problems (the partition is taken from it).
+  /// Problems (its partition is borrowed with it).
   ProblemBuilder& borrow_dist_matrix(const DistMatrix& a);
 
   /// Preconditioner by PreconditionerRegistry key ("jacobi", "bjacobi",

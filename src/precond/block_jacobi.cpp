@@ -8,8 +8,7 @@
 namespace rpcg {
 
 BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
-                                                     const Partition& partition,
-                                                     Index sub_block_size)
+                                                     const Partition& partition)
     : partition_(&partition) {
   RPCG_CHECK(a.rows() == partition.n(), "matrix/partition size mismatch");
   const int nn = partition.num_nodes();
@@ -20,27 +19,6 @@ BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
   for (NodeId i = 0; i < nn; ++i) {
     const auto rows = partition.rows_of(i);
     CsrMatrix block = a.submatrix(rows, rows);
-    if (sub_block_size > 0) {
-      // Keep only entries inside sub-blocks of the given size: M becomes
-      // block-diagonal with finer blocks (a weaker but cheaper M).
-      const Index bn = block.rows();
-      std::vector<Index> rp{0};
-      std::vector<Index> ci;
-      std::vector<double> v;
-      for (Index r = 0; r < bn; ++r) {
-        const Index blk = r / sub_block_size;
-        const auto cols = block.row_cols(r);
-        const auto vals = block.row_vals(r);
-        for (std::size_t p = 0; p < cols.size(); ++p) {
-          if (cols[p] / sub_block_size == blk) {
-            ci.push_back(cols[p]);
-            v.push_back(vals[p]);
-          }
-        }
-        rp.push_back(static_cast<Index>(ci.size()));
-      }
-      block = CsrMatrix(bn, bn, std::move(rp), std::move(ci), std::move(v));
-    }
     auto fact = ReorderedLdlt::factor(block);
     RPCG_CHECK(fact.has_value(),
                "block Jacobi block is not positive definite (node " +

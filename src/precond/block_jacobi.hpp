@@ -1,9 +1,8 @@
 // Block Jacobi preconditioner with *exact* block solves — the paper's
 // failure-free preconditioner (Sec. 6: "a block Jacobi as a preconditioner
 // during the regular operation of the solver, solving the preconditioner
-// blocks exactly"). Blocks match the node index sets by default; an optional
-// sub-block size yields finer blocks (still node-aligned, i.e. M stays
-// block-diagonal with respect to the partition, keeping ESR recovery local).
+// blocks exactly"). Blocks match the node index sets, so M is block-diagonal
+// with respect to the partition and ESR recovery stays local.
 // apply() solves the node blocks in pairs (2k, 2k + 1) through
 // ReorderedLdlt::solve_pair: two factors without packed supernode panels run
 // their scalar sweeps interleaved, so the two dependency chains overlap, and
@@ -21,10 +20,8 @@ namespace rpcg {
 
 class BlockJacobiPreconditioner final : public Preconditioner {
  public:
-  /// sub_block_size == 0: one block per node (the paper's setting).
-  /// sub_block_size > 0: blocks of at most that many rows inside each node.
-  BlockJacobiPreconditioner(const CsrMatrix& a, const Partition& partition,
-                            Index sub_block_size = 0);
+  /// One block per node (the paper's setting).
+  BlockJacobiPreconditioner(const CsrMatrix& a, const Partition& partition);
 
   void apply(Cluster& cluster, const DistVector& r, DistVector& z,
              Phase phase) const override;

@@ -51,6 +51,8 @@ class ExplicitPreconditioner final : public Preconditioner {
  private:
   CsrMatrix p_global_;
   FactorizationCache::MatrixKey p_key_;  // content key of the immutable P
+  // Borrows p_global_, declared before it; the mutex in cache_ keeps the
+  // preconditioner from being copied or moved away from it.
   DistMatrix p_dist_;
   // P_{IF,IF} factorizations reused across recoveries of the same failed
   // set (the preconditioner outlives individual solves, so the cache spans

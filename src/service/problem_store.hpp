@@ -32,8 +32,9 @@
 // bound: a requesting job holds no lease, so at most capacity - 1 entries
 // are held and an unheld one always exists.
 //
-// Entries live on the heap and never move: DistMatrix and the block
-// preconditioners keep a `const Partition*` into their entry.
+// Entries live on the heap and never move: the DistMatrix borrows its
+// entry's matrix (each node's rows are a slice of that CSR) and partition,
+// and the block preconditioners keep a `const Partition*` into it.
 #pragma once
 
 #include <cstddef>
@@ -68,8 +69,9 @@ class ProblemStore {
   };
 
   /// The immutable parts of one problem, and the factorization cache shared
-  /// by the jobs that borrow them. `dist` and `precond` point into
-  /// `partition`, so a Parts object is built in place and never moved.
+  /// by the jobs that borrow them. `dist` borrows `matrix` and `partition`,
+  /// and `precond` points into `partition`, so a Parts object is built in
+  /// place and never moved.
   struct Parts {
     CsrMatrix matrix;
     Partition partition;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -11,11 +10,12 @@ namespace rpcg {
 
 namespace {
 
-// y = A_i u for one node: u is the node's operand [x_i | halo_i] and cols the
-// rows' columns remapped into it. Rows run in pairs, one accumulator each, so
-// the two add chains overlap; each row still starts at 0.0 and adds
-// vals[p] * u[cols[p]] in CSR order, the order CsrMatrix::spmv uses. (Pairs
-// measured faster than 4 rows at a time on M1, M2 and M8.)
+// y = A_i u for one node: u is the node's operand [x_i | halo_i], rp the
+// node's row pointers into the global CSR, and cols and vals the global
+// arrays, with every column remapped into the operand. Rows run in pairs, one
+// accumulator each, so the two add chains overlap; each row still starts at
+// 0.0 and adds vals[p] * u[cols[p]] in CSR order, the order CsrMatrix::spmv
+// uses. (Pairs measured faster than 4 rows at a time on M1, M2 and M8.)
 void spmv_row_pairs(std::span<const Index> rp, const std::int32_t* cols,
                     const double* vals, const double* u, std::span<double> y) {
   const std::size_t rows = y.size();
@@ -48,48 +48,48 @@ void spmv_row_pairs(std::span<const Index> rp, const std::int32_t* cols,
 }  // namespace
 
 DistMatrix DistMatrix::distribute(const CsrMatrix& a, const Partition& partition) {
-  RPCG_CHECK(a.rows() == a.cols(), "distributed matrices must be square");
-  RPCG_CHECK(a.rows() == partition.n(), "matrix/partition size mismatch");
   DistMatrix d;
+  d.plan_ = ScatterPlan::build(a, partition);
+  d.a_ = &a;
   d.partition_ = &partition;
   const int nn = partition.num_nodes();
-  d.local_.reserve(static_cast<std::size_t>(nn));
+  const auto cols = a.col_idx();
   d.spmv_flops_.resize(static_cast<std::size_t>(nn));
-  for (NodeId i = 0; i < nn; ++i) {
-    const auto rows = partition.rows_of(i);
-    d.local_.push_back(a.extract_rows(rows));
-    d.spmv_flops_[static_cast<std::size_t>(i)] =
-        2.0 * static_cast<double>(d.local_.back().nnz());
-  }
-  d.plan_ = ScatterPlan::build(d);
+  d.remap_cols_.resize(cols.size());
 
   // Column remap into the operand: own columns to [0, size_i), halo columns
   // to [size_i, size_i + halo_size_i) following the plan's receive order.
-  d.remap_cols_.resize(static_cast<std::size_t>(nn));
+  // slot[g] holds halo column g's operand index for the node being remapped;
+  // every halo column of that node is set before its entries are read.
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(partition.n()));
   for (NodeId i = 0; i < nn; ++i) {
     RPCG_CHECK(partition.size(i) + d.plan_.halo_size(i) <=
                    std::numeric_limits<std::int32_t>::max(),
                "node operand too large for 32-bit local columns");
-    std::unordered_map<Index, std::int32_t> halo_slot;
-    auto slot = static_cast<std::int32_t>(partition.size(i));
-    for (const int id : d.plan_.recvs_of(i)) {
-      const auto& m = d.plan_.messages()[static_cast<std::size_t>(id)];
-      for (const Index g : m.indices) halo_slot.emplace(g, slot++);
-    }
-    const CsrMatrix& rows = d.local_[static_cast<std::size_t>(i)];
-    auto& remap = d.remap_cols_[static_cast<std::size_t>(i)];
-    remap.resize(static_cast<std::size_t>(rows.nnz()));
-    const auto cols = rows.col_idx();
-    for (std::size_t p = 0; p < cols.size(); ++p) {
+    auto next = static_cast<std::int32_t>(partition.size(i));
+    for (const int id : d.plan_.recvs_of(i))
+      for (const Index g : d.plan_.messages()[static_cast<std::size_t>(id)].indices)
+        slot[static_cast<std::size_t>(g)] = next++;
+    const Index lo = partition.begin(i);
+    const Index hi = partition.end(i);
+    const auto rp = d.row_ptr(i);
+    for (auto p = static_cast<std::size_t>(rp.front());
+         p < static_cast<std::size_t>(rp.back()); ++p) {
       const Index c = cols[p];
-      if (c >= partition.begin(i) && c < partition.end(i)) {
-        remap[p] = static_cast<std::int32_t>(c - partition.begin(i));
-      } else {
-        remap[p] = halo_slot.at(c);
-      }
+      d.remap_cols_[p] = c >= lo && c < hi ? static_cast<std::int32_t>(c - lo)
+                                           : slot[static_cast<std::size_t>(c)];
     }
+    d.spmv_flops_[static_cast<std::size_t>(i)] =
+        2.0 * static_cast<double>(d.remapped_cols(i).size());
   }
   return d;
+}
+
+std::span<const std::int32_t> DistMatrix::remapped_cols(NodeId i) const {
+  const auto rp = row_ptr(i);
+  return std::span<const std::int32_t>(remap_cols_)
+      .subspan(static_cast<std::size_t>(rp.front()),
+               static_cast<std::size_t>(rp.back() - rp.front()));
 }
 
 void DistMatrix::spmv(Cluster& cluster, const DistVector& x, DistVector& y,
@@ -100,10 +100,10 @@ void DistMatrix::spmv(Cluster& cluster, const DistVector& x, DistVector& y,
   const int nn = partition_->num_nodes();
   exec_parallel_for(cluster.execution_policy(), static_cast<std::size_t>(nn),
                     [&](std::size_t i) {
-                      const CsrMatrix& rows = local_[i];
-                      spmv_row_pairs(rows.row_ptr(), remap_cols_[i].data(),
-                                     rows.values().data(), halos[i].data(),
-                                     y.block(static_cast<NodeId>(i)));
+                      const auto node = static_cast<NodeId>(i);
+                      spmv_row_pairs(row_ptr(node), remap_cols_.data(),
+                                     a_->values().data(), halos[i].data(),
+                                     y.block(node));
                     });
   cluster.charge_compute(phase, spmv_flops_);
 }

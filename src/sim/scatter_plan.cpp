@@ -2,55 +2,61 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
-#include "sim/dist_matrix.hpp"
 #include "util/check.hpp"
 
 namespace rpcg {
 
-ScatterPlan ScatterPlan::build(const DistMatrix& a) {
-  const Partition& part = a.partition();
+ScatterPlan ScatterPlan::build(const CsrMatrix& a, const Partition& part) {
+  RPCG_CHECK(a.rows() == a.cols(), "distributed matrices must be square");
+  RPCG_CHECK(a.rows() == part.n(), "matrix/partition size mismatch");
   const int nn = part.num_nodes();
   ScatterPlan plan;
   plan.send_ids_.resize(static_cast<std::size_t>(nn));
   plan.recv_ids_.resize(static_cast<std::size_t>(nn));
   plan.multiplicity_.assign(static_cast<std::size_t>(part.n()), 0);
 
-  // For each destination node k, find the off-block columns its rows touch,
-  // bucketed by owner. Sorted std::map keys give deterministic message order.
-  std::map<std::pair<NodeId, NodeId>, std::vector<Index>> buckets;
-  std::vector<Index> cols_seen;
+  // Node k's halo: the distinct off-block columns of its rows, each found
+  // once through stamp[c] == k, then sorted. Owners hold contiguous
+  // ascending row ranges, so the sorted halo cuts into one message per
+  // source, in ascending source order.
+  std::vector<NodeId> stamp(static_cast<std::size_t>(part.n()), -1);
+  std::vector<Index> halo;
+  const auto rp = a.row_ptr();
+  const auto cols = a.col_idx();
   for (NodeId k = 0; k < nn; ++k) {
-    const CsrMatrix& rows = a.local_rows(k);
-    cols_seen.clear();
-    for (const Index c : rows.col_idx()) {
-      if (c >= part.begin(k) && c < part.end(k)) continue;  // own block
-      cols_seen.push_back(c);
+    const Index lo = part.begin(k);
+    const Index hi = part.end(k);
+    halo.clear();
+    for (Index p = rp[static_cast<std::size_t>(lo)];
+         p < rp[static_cast<std::size_t>(hi)]; ++p) {
+      const Index c = cols[static_cast<std::size_t>(p)];
+      if ((c >= lo && c < hi) || stamp[static_cast<std::size_t>(c)] == k) continue;
+      stamp[static_cast<std::size_t>(c)] = k;
+      halo.push_back(c);
     }
-    std::sort(cols_seen.begin(), cols_seen.end());
-    cols_seen.erase(std::unique(cols_seen.begin(), cols_seen.end()),
-                    cols_seen.end());
-    for (const Index c : cols_seen) {
-      const NodeId owner = part.owner(c);
-      buckets[{owner, k}].push_back(c);
-      ++plan.multiplicity_[static_cast<std::size_t>(c)];
+    std::sort(halo.begin(), halo.end());
+    for (auto from = halo.begin(); from != halo.end();) {
+      const NodeId src = part.owner(*from);
+      const auto to = std::lower_bound(from, halo.end(), part.end(src));
+      for (auto it = from; it != to; ++it)
+        ++plan.multiplicity_[static_cast<std::size_t>(*it)];
+      plan.messages_.push_back(ScatterMessage{src, k, std::vector<Index>(from, to)});
+      from = to;
     }
   }
 
-  plan.messages_.reserve(buckets.size());
-  for (auto& [key, indices] : buckets) {
-    ScatterMessage m;
-    m.src = key.first;
-    m.dst = key.second;
-    m.indices = std::move(indices);  // already sorted ascending
-    const int id = static_cast<int>(plan.messages_.size());
-    plan.send_ids_[static_cast<std::size_t>(m.src)].push_back(id);
-    plan.recv_ids_[static_cast<std::size_t>(m.dst)].push_back(id);
-    plan.messages_.push_back(std::move(m));
+  // The messages were cut in (dst, src) order; their ids follow (src, dst)
+  // order, so each node sends in ascending dst and receives in ascending src.
+  std::stable_sort(plan.messages_.begin(), plan.messages_.end(),
+                   [](const ScatterMessage& x, const ScatterMessage& y) {
+                     return x.src < y.src;
+                   });
+  for (std::size_t id = 0; id < plan.messages_.size(); ++id) {
+    const ScatterMessage& m = plan.messages_[id];
+    plan.send_ids_[static_cast<std::size_t>(m.src)].push_back(static_cast<int>(id));
+    plan.recv_ids_[static_cast<std::size_t>(m.dst)].push_back(static_cast<int>(id));
   }
-  // send_ids_ per src are ordered by dst and recv_ids_ per dst ordered by
-  // src because the map iterates keys lexicographically.
   return plan;
 }
 

@@ -11,11 +11,10 @@
 #include "sim/cluster.hpp"
 #include "sim/dist_vector.hpp"
 #include "sim/partition.hpp"
+#include "sparse/csr.hpp"
 #include "util/types.hpp"
 
 namespace rpcg {
-
-class DistMatrix;
 
 /// One point-to-point message of the plan: the sorted global indices of the
 /// vector elements src sends to dst during SpMV (the set S_{src,dst}).
@@ -29,8 +28,12 @@ class ScatterPlan {
  public:
   ScatterPlan() = default;
 
-  /// Builds the plan from a distributed matrix's column pattern.
-  [[nodiscard]] static ScatterPlan build(const DistMatrix& a);
+  /// Builds the plan from the column pattern of the square matrix `a`,
+  /// distributed by rows over `partition`. Message ids follow (src, dst)
+  /// order. Throws std::invalid_argument when `a` is not square or its size
+  /// is not the partition's.
+  [[nodiscard]] static ScatterPlan build(const CsrMatrix& a,
+                                         const Partition& partition);
 
   [[nodiscard]] const std::vector<ScatterMessage>& messages() const {
     return messages_;

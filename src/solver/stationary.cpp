@@ -42,16 +42,20 @@ void ResilientStationary::local_sweep(NodeId i, std::span<const double> b_own,
                                       std::span<double> operand,
                                       std::span<double> x_own) const {
   const Partition& part = cluster_.partition();
-  const CsrMatrix& rows = a_->local_rows(i);
-  const auto cols = a_->remapped_cols(i);
-  const auto rp = rows.row_ptr();
-  const auto vals = rows.values();
   const Index own = part.size(i);
   const Index base = part.begin(i);
+  // Node i's rows: their slice of the global CSR, whose remapped columns
+  // index the operand.
+  const auto rp = a_->row_ptr(i);
+  const auto cols = a_->remapped_cols(i);
+  const Index first = rp[0];
+  const auto vals = a_->global().values().subspan(
+      static_cast<std::size_t>(first), cols.size());
 
   const auto row_residual = [&](Index r) {
     double acc = b_own[static_cast<std::size_t>(r)];
-    for (Index p = rp[static_cast<std::size_t>(r)]; p < rp[static_cast<std::size_t>(r) + 1]; ++p)
+    for (Index p = rp[static_cast<std::size_t>(r)] - first;
+         p < rp[static_cast<std::size_t>(r) + 1] - first; ++p)
       acc -= vals[static_cast<std::size_t>(p)] *
              operand[static_cast<std::size_t>(cols[static_cast<std::size_t>(p)])];
     return acc;
@@ -170,7 +174,7 @@ engine::SolveReport ResilientStationary::solve(
       std::vector<double> flops(static_cast<std::size_t>(nn));
       for (NodeId i = 0; i < nn; ++i)
         flops[static_cast<std::size_t>(i)] =
-            sweep_flops_base * static_cast<double>(a_->local_rows(i).nnz());
+            sweep_flops_base * static_cast<double>(a_->remapped_cols(i).size());
       cluster_.charge_compute(Phase::kIteration, flops);
     }
 

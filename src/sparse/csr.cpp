@@ -115,24 +115,6 @@ CsrMatrix CsrMatrix::submatrix(std::span<const Index> rows,
                    std::move(v));
 }
 
-CsrMatrix CsrMatrix::extract_rows(std::span<const Index> rows) const {
-  std::vector<Index> rp;
-  rp.reserve(rows.size() + 1);
-  rp.push_back(0);
-  std::vector<Index> ci;
-  std::vector<double> v;
-  for (const Index r : rows) {
-    RPCG_CHECK(r >= 0 && r < rows_, "row index out of range");
-    const auto rc = row_cols(r);
-    const auto rv = row_vals(r);
-    ci.insert(ci.end(), rc.begin(), rc.end());
-    v.insert(v.end(), rv.begin(), rv.end());
-    rp.push_back(static_cast<Index>(ci.size()));
-  }
-  return CsrMatrix(static_cast<Index>(rows.size()), cols_, std::move(rp),
-                   std::move(ci), std::move(v));
-}
-
 CsrMatrix CsrMatrix::transpose() const {
   std::vector<Index> rp(static_cast<std::size_t>(cols_) + 2, 0);
   for (const Index c : col_idx_) ++rp[static_cast<std::size_t>(c) + 2];

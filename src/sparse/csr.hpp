@@ -48,9 +48,6 @@ class CsrMatrix {
   [[nodiscard]] CsrMatrix submatrix(std::span<const Index> rows,
                                     std::span<const Index> cols) const;
 
-  /// Extracts the given rows (all columns kept, global column indices).
-  [[nodiscard]] CsrMatrix extract_rows(std::span<const Index> rows) const;
-
   [[nodiscard]] CsrMatrix transpose() const;
 
   /// True when the matrix equals its transpose to within tol (absolute,

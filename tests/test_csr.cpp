@@ -85,16 +85,6 @@ TEST(Csr, SubmatrixSelectsRowsAndCols) {
   EXPECT_DOUBLE_EQ(s.value_at(1, 1), 5.0);   // A(2,2)
 }
 
-TEST(Csr, ExtractRowsKeepsGlobalColumns) {
-  const CsrMatrix a = small_example();
-  const std::vector<Index> rows{1};
-  const CsrMatrix s = a.extract_rows(rows);
-  EXPECT_EQ(s.rows(), 1);
-  EXPECT_EQ(s.cols(), 3);
-  EXPECT_DOUBLE_EQ(s.value_at(0, 0), -1.0);
-  EXPECT_DOUBLE_EQ(s.value_at(0, 2), -2.0);
-}
-
 TEST(Csr, TransposeInvolution) {
   const CsrMatrix a = poisson2d_5pt(7, 5);
   const CsrMatrix att = a.transpose().transpose();

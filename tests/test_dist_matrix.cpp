@@ -65,22 +65,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                        ::testing::Values(2, 4, 7, 8, 16)));
 
-TEST(DistMatrix, LocalRowsMatchGlobal) {
+TEST(DistMatrix, RemappedColsMatchGlobal) {
   const CsrMatrix a = poisson2d_5pt(6, 6);
   const Partition part = Partition::block_rows(a.rows(), 4);
   const DistMatrix d = DistMatrix::distribute(a, part);
+  EXPECT_EQ(&d.global(), &a);
   Index total_nnz = 0;
   for (NodeId i = 0; i < 4; ++i) {
-    const CsrMatrix& loc = d.local_rows(i);
-    EXPECT_EQ(loc.rows(), part.size(i));
-    EXPECT_EQ(loc.cols(), a.cols());
-    total_nnz += loc.nnz();
-    for (Index r = 0; r < loc.rows(); ++r) {
-      const Index gr = part.begin(i) + r;
-      ASSERT_EQ(loc.row_cols(r).size(), a.row_cols(gr).size());
-      for (std::size_t p = 0; p < loc.row_cols(r).size(); ++p)
-        EXPECT_EQ(loc.row_cols(r)[p], a.row_cols(gr)[p]);
+    // Node i's operand columns, back to global: the own block, then the
+    // halo in the plan's receive order.
+    std::vector<Index> operand;
+    for (Index r = part.begin(i); r < part.end(i); ++r) operand.push_back(r);
+    for (const int id : d.scatter_plan().recvs_of(i)) {
+      const auto& m = d.scatter_plan().messages()[static_cast<std::size_t>(id)];
+      operand.insert(operand.end(), m.indices.begin(), m.indices.end());
     }
+    const auto cols = d.remapped_cols(i);
+    const Index first = a.row_ptr()[static_cast<std::size_t>(part.begin(i))];
+    ASSERT_EQ(static_cast<Index>(cols.size()),
+              a.row_ptr()[static_cast<std::size_t>(part.end(i))] - first);
+    total_nnz += static_cast<Index>(cols.size());
+    for (std::size_t p = 0; p < cols.size(); ++p)
+      EXPECT_EQ(operand[static_cast<std::size_t>(cols[p])],
+                a.col_idx()[static_cast<std::size_t>(first) + p]);
   }
   EXPECT_EQ(total_nnz, a.nnz());
 }

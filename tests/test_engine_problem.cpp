@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "engine/registry.hpp"
@@ -261,6 +262,45 @@ TEST(Problem, MintedClustersAreFreshAndNoisy) {
   const double t_seed7_again = solve();
   EXPECT_NE(t_seed7, t_seed8);
   EXPECT_EQ(t_seed7, t_seed7_again);
+}
+
+TEST(Problem, MovedProblemSolvesAsItsTwin) {
+  // The DistMatrix, the preconditioner and the right-hand side point at the
+  // Problem's matrix and partition. A move must leave them where those
+  // pointers lead: the source is destroyed before its moved-to bundle
+  // solves (a dangling partition would read freed memory under ASan).
+  const auto build = [] {
+    return engine::ProblemBuilder()
+        .matrix(poisson2d_5pt(16, 16))
+        .nodes(8)
+        .preconditioner("bjacobi")
+        .build();
+  };
+  std::optional<engine::Problem> source(build());
+  engine::Problem moved = std::move(*source);
+  source.reset();
+  engine::Problem twin = build();
+  EXPECT_EQ(moved.matrix().partition().num_nodes(), 8);
+  EXPECT_EQ(&moved.matrix().partition(), &moved.partition());
+
+  engine::SolverConfig config;
+  config.recovery = RecoveryMethod::kEsr;
+  config.phi = 2;
+  const auto schedule = FailureSchedule::contiguous(6, 3, 2);
+  const auto solve = [&](engine::Problem& problem) {
+    DistVector x = problem.make_x();
+    const auto rep = engine::SolverRegistry::instance()
+                         .create("resilient-pcg", config)
+                         ->solve(problem, x, schedule);
+    return std::make_pair(rep, x.gather_global());
+  };
+  const auto [got, x_got] = solve(moved);
+  const auto [want, x_want] = solve(twin);
+  EXPECT_TRUE(got.converged);
+  EXPECT_EQ(got.recoveries.size(), 1u);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.sim_time, want.sim_time);
+  EXPECT_EQ(x_got, x_want);
 }
 
 }  // namespace

@@ -121,14 +121,6 @@ TEST(BlockJacobi, EsrResidualRoundtripSingleAndMulti) {
   }
 }
 
-TEST(BlockJacobi, SubBlockModeIsBlockDiagonal) {
-  PrecondEnv s;
-  const BlockJacobiPreconditioner fine(s.a, s.part, /*sub_block_size=*/4);
-  fine.apply(s.cluster, s.r, s.z, Phase::kIteration);
-  // Still a valid ESR-recoverable M.
-  expect_esr_residual_roundtrip(s, fine, {1}, 1e-12);
-}
-
 TEST(Ic0Split, EsrResidualRoundtrip) {
   PrecondEnv s;
   const Ic0SplitPreconditioner m(s.a, s.part);
