@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "repro/matrices.hpp"
 #include "sparse/ldlt.hpp"
 
 namespace rpcg {
@@ -10,6 +14,22 @@ namespace {
 double avg_row_nnz(const CsrMatrix& a) {
   return static_cast<double>(a.nnz()) / static_cast<double>(a.rows());
 }
+
+// FNV-1a over the little-endian bytes of a matrix's shape, row pointers,
+// columns and value bit patterns, folded into `h`.
+void mix_csr(std::uint64_t& h, const CsrMatrix& a) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b)
+      h = (h ^ ((v >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+  };
+  mix(static_cast<std::uint64_t>(a.rows()));
+  mix(static_cast<std::uint64_t>(a.cols()));
+  for (const Index p : a.row_ptr()) mix(static_cast<std::uint64_t>(p));
+  for (const Index c : a.col_idx()) mix(static_cast<std::uint64_t>(c));
+  for (const double v : a.values()) mix(std::bit_cast<std::uint64_t>(v));
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 // Every generator must produce a symmetric positive definite matrix — the
 // fundamental requirement of the (P)CG method. Positive definiteness is
@@ -96,6 +116,72 @@ TEST(Generators, ElasticityDropReducesDensity) {
   EXPECT_LT(dropped.nnz(), full.nnz());
   EXPECT_NEAR(static_cast<double>(dropped.nnz()) / static_cast<double>(full.nnz()),
               0.72, 0.12);  // ~30 % of neighbour couplings removed
+}
+
+// Every bit of the reproduction matrices at the scales the benchmark and the
+// benches use: any change to a generator's pattern, values or summation
+// order shows here.
+TEST(Generators, ReproMatricesArePinned) {
+  struct Pin {
+    int matrix;
+    double scale;
+    std::uint64_t digest;
+  };
+  for (const Pin& p : {
+           Pin{1, 64.0, 0xf5a7c170db17e8ffull},
+           Pin{2, 64.0, 0xd75efe7cd5998956ull},
+           Pin{3, 64.0, 0x769303db2977c1eaull},
+           Pin{4, 64.0, 0xa8f34371ba720d18ull},
+           Pin{5, 64.0, 0xabd9fd3abe69240aull},
+           Pin{6, 64.0, 0x74b6277765bb5ab9ull},
+           Pin{7, 64.0, 0xa0d68f525c2fbb79ull},
+           Pin{8, 64.0, 0xcccc8870ed53ce1aull},
+           Pin{1, 32.0, 0x16c9e2c64c9868a2ull},
+           Pin{2, 32.0, 0x56000f310d2cf0baull},
+           Pin{3, 32.0, 0x3317f71e537d20d8ull},
+           Pin{4, 32.0, 0xe28ac44323c9a2b3ull},
+           Pin{5, 32.0, 0x7ead5e3fc297857cull},
+           Pin{6, 32.0, 0xe598d0e071e080bbull},
+           Pin{7, 32.0, 0x9c134f134f1ec5c9ull},
+           Pin{8, 32.0, 0xdfbbdcd3baf20524ull},
+           Pin{1, 8.0, 0xcfd6c0b3855d6ea3ull},
+           Pin{2, 12.0, 0x0f662701d20aa2e1ull},
+           Pin{1, 16.0, 0xfa17c3c4779445dcull}}) {
+    std::uint64_t h = kFnvOffset;
+    mix_csr(h, repro::make_matrix(p.matrix, p.scale).matrix);
+    EXPECT_EQ(h, p.digest) << "M" << p.matrix << " s" << p.scale << ": 0x"
+                           << std::hex << h;
+  }
+}
+
+// elasticity3d on non-cubic grids for every stencil, at no drop, at M5-M7's
+// drop fractions, and at 0.5 and 0.9, where some vertices lose every
+// coupling; each with the default shift and with none. One digest per grid
+// and stencil covers its twelve matrices.
+TEST(Generators, ElasticityIsPinned) {
+  struct Pin {
+    Index nx, ny, nz;
+    Stencil3d set;
+    std::uint64_t digest;
+  };
+  for (const Pin& p : {
+           Pin{2, 3, 4, Stencil3d::kFaces6, 0xef8f0020f4d4743aull},
+           Pin{2, 3, 4, Stencil3d::kFacesCorners14, 0x49b13d928ace8557ull},
+           Pin{2, 3, 4, Stencil3d::kFacesEdges18, 0xfb7ae13dfacdc0a7ull},
+           Pin{2, 3, 4, Stencil3d::kFull26, 0x36c6d57c9cc7f4ddull},
+           Pin{5, 6, 7, Stencil3d::kFaces6, 0x1ec82927fd99751aull},
+           Pin{5, 6, 7, Stencil3d::kFacesCorners14, 0x582d7c2b07c44373ull},
+           Pin{5, 6, 7, Stencil3d::kFacesEdges18, 0x2cd66fcb93bbf554ull},
+           Pin{5, 6, 7, Stencil3d::kFull26, 0x5b12f2fac6f97afcull}}) {
+    std::uint64_t h = kFnvOffset;
+    for (const double drop : {0.0, 0.02, 0.08, 0.15, 0.5, 0.9}) {
+      mix_csr(h, elasticity3d(p.nx, p.ny, p.nz, p.set, drop, 0xE1));
+      mix_csr(h, elasticity3d(p.nx, p.ny, p.nz, p.set, drop, 0xE1, 0.0));
+    }
+    EXPECT_EQ(h, p.digest) << p.nx << "x" << p.ny << "x" << p.nz << " set "
+                           << static_cast<int>(p.set) << ": 0x" << std::hex
+                           << h;
+  }
 }
 
 TEST(Generators, BandedSpdRespectsBandwidth) {
