@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the kernels underlying the solver:
-// sequential SpMV, the distributed SpMV with halo exchange, preconditioner
-// applications, the factorizations, the redundancy-scheme construction, the
-// backup record/gather path, the fused dot reductions, and the pipelined
-// solvers' fused Gram reduction. Real wall-clock time (the table/figure
+// problem setup (matrix generation and its content key), sequential SpMV,
+// the distributed SpMV with halo exchange, preconditioner applications, the
+// factorizations, the redundancy-scheme construction, the backup
+// record/gather path, the fused dot reductions, and the pipelined solvers'
+// fused Gram reduction. Real wall-clock time (the table/figure
 // benches report model time; these kernels are what the compute model
 // abstracts).
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/backup_store.hpp"
+#include "core/factorization_cache.hpp"
 #include "core/redundancy.hpp"
 #include "precond/block_jacobi.hpp"
 #include "repro/matrices.hpp"
@@ -169,6 +171,26 @@ void BM_SeqSpmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_SeqSpmv);
+
+// Problem setup on the workloads' matrices (1, 8 or 2 of layout_matrix):
+// the generator, and the content key every Problem computes once.
+void BM_MakeMatrix(benchmark::State& state) {
+  for (auto _ : state) {
+    const CsrMatrix a = layout_matrix(state.range(0));
+    benchmark::DoNotOptimize(a.values().data());
+  }
+}
+BENCHMARK(BM_MakeMatrix)->Arg(1)->Arg(8)->Arg(2)->Unit(benchmark::kMillisecond);
+
+void BM_MatrixKey(benchmark::State& state) {
+  const CsrMatrix a = layout_matrix(state.range(0));
+  for (auto _ : state) {
+    const auto key = FactorizationCache::matrix_key(a);
+    benchmark::DoNotOptimize(key.digest);
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_MatrixKey)->Arg(1)->Arg(8)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_DistSpmv(benchmark::State& state) {
   const CsrMatrix a = layout_matrix(state.range(0));

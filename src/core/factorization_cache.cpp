@@ -1,6 +1,7 @@
 #include "core/factorization_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <exception>
 #include <string>
@@ -12,15 +13,27 @@ namespace rpcg {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+using Lanes = std::array<std::uint64_t, 4>;
 
-// FNV-1a over the 8 bytes of `v`, little-endian byte order regardless of
-// host endianness so the digest is platform-stable.
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h = (h ^ ((v >> (8 * b)) & 0xffu)) * kFnvPrime;
+// One multiply-xorshift step of a digest lane; bijective in h and in w, so
+// a lane that took one different word stays different.
+inline void lane_step(std::uint64_t& h, std::uint64_t w) {
+  h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+  h ^= h >> 32;
+}
+
+// Word i of `words` (an Index, or the bit pattern of a double) feeds lane
+// i mod 4: four independent multiply chains the core overlaps, where one
+// chain would wait on every multiply in turn.
+template <typename T>
+void mix_words(Lanes& lanes, std::span<const T> words) {
+  std::size_t i = 0;
+  for (; i + 4 <= words.size(); i += 4) {
+    for (std::size_t l = 0; l < 4; ++l)
+      lane_step(lanes[l], std::bit_cast<std::uint64_t>(words[i + l]));
   }
+  for (std::size_t l = 0; i < words.size(); ++i, ++l)
+    lane_step(lanes[l], std::bit_cast<std::uint64_t>(words[i]));
 }
 
 }  // namespace
@@ -31,12 +44,16 @@ FactorizationCache::MatrixKey FactorizationCache::matrix_key(
   key.rows = a.rows();
   key.cols = a.cols();
   key.nnz = a.nnz();
-  std::uint64_t h = kFnvOffset;
-  for (const Index p : a.row_ptr()) fnv_mix(h, static_cast<std::uint64_t>(p));
-  for (const Index c : a.col_idx()) fnv_mix(h, static_cast<std::uint64_t>(c));
+  // Distinct nonzero starting states (the first hex digits of pi).
+  Lanes lanes{0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+              0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
+  mix_words(lanes, a.row_ptr());
+  mix_words(lanes, a.col_idx());
   // Hash value *bit patterns*: distinguishes -0.0 from 0.0 and never depends
   // on floating-point comparison semantics.
-  for (const double v : a.values()) fnv_mix(h, std::bit_cast<std::uint64_t>(v));
+  mix_words(lanes, a.values());
+  std::uint64_t h = 0;
+  for (const std::uint64_t lane : lanes) lane_step(h, lane);
   key.digest = h;
   return key;
 }

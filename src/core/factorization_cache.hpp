@@ -74,8 +74,9 @@ class FactorizationCache {
     std::size_t entries = 0;        ///< currently cached
   };
 
-  /// Content-derived matrix identity: dimensions, nnz, and an FNV-1a digest
-  /// over the sparsity pattern and the value bit patterns. Two CsrMatrix
+  /// Content-derived matrix identity: dimensions, nnz, and a digest of the
+  /// row pointers, columns and value bit patterns, hashed as 64-bit words
+  /// over four independent multiply-xorshift lanes. Two CsrMatrix
   /// objects with identical content map to the same key even when they live
   /// at different addresses — the property that lets caches be shared across
   /// Problems that each own a copy of the same repro matrix. Distinct

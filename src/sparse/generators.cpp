@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "sparse/coo.hpp"
@@ -147,8 +148,8 @@ CsrMatrix elasticity3d(Index nx, Index ny, Index nz, Stencil3d set,
   const auto add_off = [&offsets](Index dx, Index dy, Index dz) {
     offsets.push_back({dx, dy, dz});
   };
-  // Only "positive" half of each symmetric offset pair: the edge assembly
-  // fills in the mirrored block.
+  // Only the "positive" half of each symmetric offset pair: a coupling also
+  // links the neighbour back along the mirrored offset.
   // faces
   add_off(1, 0, 0);
   add_off(0, 1, 0);
@@ -168,52 +169,141 @@ CsrMatrix elasticity3d(Index nx, Index ny, Index nz, Stencil3d set,
     add_off(0, 1, -1);
   }
 
+  const int noff = static_cast<int>(offsets.size());
+
+  // SPD 3x3 coupling block K = I + 0.3 d dᵀ + 0.05 J (d = unit offset,
+  // J = all-ones), mimicking the directional stiffness of a linear
+  // elasticity operator. All three terms are positive semidefinite, so
+  // Laplacian-style assembly keeps A PSD; the J term makes every coupling
+  // block fully dense, matching the 3-dof block structure of the paper's
+  // structural matrices. k[o][a][c] couples row dof a to column dof c.
+  std::vector<std::array<std::array<double, 3>, 3>> k(offsets.size());
+  for (int o = 0; o < noff; ++o) {
+    const auto [dx, dy, dz] = offsets[o];
+    const double norm = std::sqrt(static_cast<double>(dx * dx + dy * dy + dz * dz));
+    const double d[3] = {static_cast<double>(dx) / norm,
+                         static_cast<double>(dy) / norm,
+                         static_cast<double>(dz) / norm};
+    const double w = 1.0 / norm;  // closer neighbours couple stronger
+    for (int a = 0; a < 3; ++a) {
+      for (int c = 0; c < 3; ++c) {
+        k[o][a][c] = w * ((a == c ? 1.0 : 0.0) + 0.3 * d[a] * d[c] + 0.05);
+      }
+    }
+  }
+
   const Index nv = nx * ny * nz;
   const Index n = 3 * nv;
-  TripletBuilder b;
-  b.reserve(static_cast<std::size_t>(n) * (offsets.size() * 18 + 3));
-  Rng rng(seed);
   const auto vid = [nx, ny](Index x, Index y, Index z) {
     return (z * ny + y) * nx + x;
   };
 
+  // The couplings each vertex keeps, as direction bits: bit 2o links it to
+  // vertex + offset o, bit 2o + 1 to vertex - offset o. The drops are drawn
+  // vertex by vertex (z, y, x), offset by offset, once per in-grid coupling,
+  // so a seed names the same matrix it always has.
+  std::vector<std::uint32_t> kept(static_cast<std::size_t>(nv), 0);
+  Rng rng(seed);
   for (Index z = 0; z < nz; ++z) {
     for (Index y = 0; y < ny; ++y) {
       for (Index x = 0; x < nx; ++x) {
-        const Index i = vid(x, y, z);
-        for (const auto& [dx, dy, dz] : offsets) {
+        for (int o = 0; o < noff; ++o) {
+          const auto [dx, dy, dz] = offsets[o];
           const Index xx = x + dx, yy = y + dy, zz = z + dz;
           if (xx < 0 || xx >= nx || yy < 0 || yy >= ny || zz < 0 || zz >= nz)
             continue;
           if (drop_frac > 0.0 && rng.uniform() < drop_frac) continue;
-          const Index j = vid(xx, yy, zz);
-          // SPD 3x3 coupling block K = I + 0.3 d dᵀ + 0.05 J (d = unit
-          // offset, J = all-ones), mimicking the directional stiffness of a
-          // linear elasticity operator. All three terms are positive
-          // semidefinite, so Laplacian-style assembly keeps A PSD; the J term
-          // makes every coupling block fully dense, matching the 3-dof block
-          // structure of the paper's structural matrices.
-          const double norm = std::sqrt(static_cast<double>(dx * dx + dy * dy + dz * dz));
-          const double d[3] = {static_cast<double>(dx) / norm,
-                               static_cast<double>(dy) / norm,
-                               static_cast<double>(dz) / norm};
-          const double w = 1.0 / norm;  // closer neighbours couple stronger
-          for (int a = 0; a < 3; ++a) {
-            for (int c = 0; c < 3; ++c) {
-              const double k =
-                  w * ((a == c ? 1.0 : 0.0) + 0.3 * d[a] * d[c] + 0.05);
-              b.add(3 * i + a, 3 * i + c, k);
-              b.add(3 * j + a, 3 * j + c, k);
-              b.add(3 * i + a, 3 * j + c, -k);
-              b.add(3 * j + a, 3 * i + c, -k);
-            }
-          }
+          kept[vid(x, y, z)] |= 1u << (2 * o);
+          kept[vid(xx, yy, zz)] |= 1u << (2 * o + 1);
         }
       }
     }
   }
-  for (Index i = 0; i < n; ++i) b.add(i, i, shift * 6.0);
-  return b.build(n, n);
+
+  // Every direction and the vertex itself (bit -1) in ascending vertex id
+  // delta, so a vertex's kept neighbours in this order give its columns in
+  // ascending order. Two directions share a delta only on a grid 2 wide,
+  // where no vertex has both neighbours.
+  struct Direction {
+    Index delta;
+    int bit;
+  };
+  std::vector<Direction> dirs{{0, -1}};
+  for (int o = 0; o < noff; ++o) {
+    const auto [dx, dy, dz] = offsets[o];
+    dirs.push_back({vid(dx, dy, dz), 2 * o});
+    dirs.push_back({-vid(dx, dy, dz), 2 * o + 1});
+  }
+  std::ranges::sort(dirs, {}, &Direction::delta);
+
+  // Diagonal-block entry (a, c) sums, from 0.0, k[o][a][c] once per kept
+  // coupling along ±offset o and, when a == c, the shift, in ascending value
+  // order: the order in which summing the duplicates of a row sorted by
+  // (column, value) adds them. rank[3a + c] lists those terms in that order
+  // (o, or noff for the shift); equal values give the same sum in any order.
+  const double diag_shift = shift * 6.0;
+  std::array<std::vector<int>, 9> rank;
+  for (int a = 0; a < 3; ++a) {
+    for (int c = 0; c < 3; ++c) {
+      const auto term = [&](int t) { return t == noff ? diag_shift : k[t][a][c]; };
+      auto& r = rank[3 * a + c];
+      for (int t = 0; t < noff; ++t) r.push_back(t);
+      if (a == c) r.push_back(noff);
+      std::ranges::sort(r, {}, term);
+    }
+  }
+
+  // A vertex with no kept coupling has only its three diagonal entries; any
+  // other has its full diagonal block and a block per kept neighbour.
+  const auto row_len = [](std::uint32_t m) {
+    return 3 * static_cast<Index>(std::popcount(m)) + (m != 0 ? 3 : 1);
+  };
+  Index nnz = 0;
+  for (const std::uint32_t m : kept) nnz += 3 * row_len(m);
+
+  std::vector<Index> rp;
+  std::vector<Index> ci;
+  std::vector<double> v;
+  rp.reserve(static_cast<std::size_t>(n) + 1);
+  ci.reserve(static_cast<std::size_t>(nnz));
+  v.reserve(static_cast<std::size_t>(nnz));
+  rp.push_back(0);
+  for (Index u = 0; u < nv; ++u) {
+    const std::uint32_t m = kept[u];
+    double block[3][3];
+    for (int a = 0; a < 3; ++a) {
+      for (int c = 0; c < 3; ++c) {
+        double acc = 0.0;
+        for (const int t : rank[3 * a + c]) {
+          if (t == noff) {
+            acc += diag_shift;
+            continue;
+          }
+          if ((m >> (2 * t)) & 1u) acc += k[t][a][c];
+          if ((m >> (2 * t + 1)) & 1u) acc += k[t][a][c];
+        }
+        block[a][c] = acc;
+      }
+    }
+    for (int a = 0; a < 3; ++a) {
+      for (const Direction& d : dirs) {
+        if (d.bit < 0) {
+          for (int c = 0; c < 3; ++c) {
+            if (m == 0 && c != a) continue;
+            ci.push_back(3 * u + c);
+            v.push_back(block[a][c]);
+          }
+        } else if ((m >> d.bit) & 1u) {
+          for (int c = 0; c < 3; ++c) {
+            ci.push_back(3 * (u + d.delta) + c);
+            v.push_back(-k[d.bit / 2][a][c]);
+          }
+        }
+      }
+      rp.push_back(static_cast<Index>(ci.size()));
+    }
+  }
+  return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(v));
 }
 
 CsrMatrix banded_spd(Index n, Index half_band, double density,

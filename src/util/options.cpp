@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -19,6 +20,20 @@ long parse_long(const std::string& key, const std::string& token) {
   const long v = std::strtol(token.c_str(), &end, 10);
   if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("--" + key + " must be an integer, got \"" +
+                                token + "\"");
+  }
+  return v;
+}
+
+/// The whole token as a finite or infinite double; "1e-8x", "abc", "",
+/// "nan" and values strtod reports out of range throw instead of parsing a
+/// prefix (or nothing) as a number.
+double parse_double(const std::string& key, const std::string& token) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end == token.c_str() || *end != '\0' || errno == ERANGE || std::isnan(v)) {
+    throw std::invalid_argument("--" + key + " must be a number, got \"" +
                                 token + "\"");
   }
   return v;
@@ -70,7 +85,7 @@ long Options::get_int(const std::string& key, long fallback) const {
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == kv_.end() ? fallback : parse_double(key, it->second);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

@@ -30,6 +30,8 @@ class Options {
   /// Throws std::invalid_argument unless the whole value is a base-10
   /// integer in range ("2x" and "2.9" are rejected, not truncated).
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
+  /// Throws std::invalid_argument unless the whole value is a number strtod
+  /// reads without range error ("1e-8x", "abc", "" and "nan" are rejected).
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/errors.hpp"
@@ -263,6 +264,23 @@ TEST(FactorizationCache, MatrixKeyIsContentDerived) {
   (void)cache.get_or_build("t", FactorizationCache::matrix_key(b), set, build);
   EXPECT_EQ(builds, 1);
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// The digest runs over four lanes of words; two values that trade places
+// land in neighbouring lanes, and the lanes fold in order, so the swap still
+// shows. One swap per position mod 4 covers every pair of neighbouring lanes.
+TEST(FactorizationCache, MatrixKeySeparatesSwappedAdjacentValues) {
+  const CsrMatrix a = poisson2d_5pt(9, 9);
+  const auto ka = FactorizationCache::matrix_key(a);
+  const auto values = a.values();
+  for (std::size_t p0 = 0; p0 < 4; ++p0) {
+    std::size_t p = p0;
+    while (p + 1 < values.size() && values[p] == values[p + 1]) p += 4;
+    ASSERT_LT(p + 1, values.size());
+    CsrMatrix b = a;
+    std::swap(b.mutable_values()[p], b.mutable_values()[p + 1]);
+    EXPECT_NE(FactorizationCache::matrix_key(b).digest, ka.digest) << p;
+  }
 }
 
 TEST(FactorizationCache, MatrixKeySeparatesEqualShapeMatrices) {

@@ -81,5 +81,24 @@ TEST(Options, IntRejectsWhatItCannotParseWhole) {
   EXPECT_EQ(parse({"--phi=-3"}).get_int("phi", 0), -3);
 }
 
+// strtod parses a prefix, or nothing into 0; a double option must consume
+// its whole value, in range, and be a number.
+TEST(Options, DoubleRejectsWhatItCannotParseWhole) {
+  for (const char* bad : {"--rtol=abc", "--rtol=1e-8x", "--rtol=", "--rtol=x1",
+                          "--rtol=1e999", "--rtol=-1e999", "--rtol=nan",
+                          "--rtol=1e-8 "}) {
+    const Options o = parse({bad});
+    EXPECT_THROW((void)o.get_double("rtol", 0.0), std::invalid_argument) << bad;
+  }
+  try {
+    (void)parse({"--rtol", "1e-8x"}).get_double("rtol", 0.0);
+    FAIL() << "1e-8x was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--rtol must be a number, got \"1e-8x\"");
+  }
+  EXPECT_EQ(parse({"--rtol=-2.5e-3"}).get_double("rtol", 0.0), -2.5e-3);
+  EXPECT_EQ(parse({"--scale=16"}).get_double("scale", 0.0), 16.0);
+}
+
 }  // namespace
 }  // namespace rpcg
