@@ -25,6 +25,7 @@
 #include "sparse/ldlt_symbolic.hpp"
 #include "sparse/reorder.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace rpcg {
 namespace {
@@ -136,6 +137,98 @@ TEST(Amd, WorkloadBlockPermutationsArePinned) {
       mix(static_cast<Index>(perm.size()));
       for (const Index v : perm) mix(v);
     }
+    EXPECT_EQ(h, l.digest) << "M" << l.matrix << " s" << l.scale << ": 0x"
+                           << std::hex << h;
+  }
+}
+
+// FNV-1a over each permutation's size and entries, in input order.
+std::uint64_t perm_digest(const std::vector<std::vector<Index>>& perms) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](Index v) {
+    const auto bits = static_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b)
+      h = (h ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+  };
+  for (const auto& perm : perms) {
+    mix(static_cast<Index>(perm.size()));
+    for (const Index v : perm) mix(v);
+  }
+  return h;
+}
+
+// AMD's permutations of inputs the workload pin does not reach: the node
+// blocks of M3-M7 at s32 on 64 nodes, the non-contiguous failed set
+// {1, 3, 6} of M2 s12, an unsymmetric pattern (a seeded random lower
+// triangle plus about half of the upper) and the whole M4 s64 matrix.
+TEST(Amd, MorePermutationsArePinned) {
+  struct Pin {
+    std::string name;
+    std::vector<CsrMatrix> inputs;
+    std::uint64_t digest;
+  };
+  std::vector<Pin> pins;
+  for (const auto& [matrix, digest] :
+       {std::pair{3, 0xf4bc65dbd4123ab2ull}, std::pair{4, 0xef410e6591fd2469ull},
+        std::pair{5, 0x5c5158fde9a02521ull}, std::pair{6, 0xe442204d291aed3aull},
+        std::pair{7, 0x6e7b3f7da44a33bdull}}) {
+    const auto m = repro::make_matrix(matrix, 32.0);
+    const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+    std::vector<CsrMatrix> blocks;
+    for (NodeId node = 0; node < 64; ++node) {
+      const auto rows = part.rows_of(node);
+      blocks.push_back(m.matrix.submatrix(rows, rows));
+    }
+    char name[24];
+    std::snprintf(name, sizeof name, "M%d s32 blocks", matrix);
+    pins.push_back({name, std::move(blocks), digest});
+  }
+  {
+    const auto m = repro::make_matrix(2, 12.0);
+    const Partition part = Partition::block_rows(m.matrix.rows(), 64);
+    const std::vector<NodeId> failed{1, 3, 6};
+    const auto rows = part.rows_of_set(failed);
+    pins.push_back({"M2 s12 failed {1, 3, 6}",
+                    {m.matrix.submatrix(rows, rows)}, 0x6bd660d3648c1784ull});
+  }
+  {
+    const CsrMatrix sym = random_spd(400, 10, 0.5, 40, 0x5EED);
+    Rng rng(0x0DD);
+    TripletBuilder b;
+    for (Index r = 0; r < sym.rows(); ++r) {
+      const auto rc = sym.row_cols(r);
+      const auto rv = sym.row_vals(r);
+      for (std::size_t p = 0; p < rc.size(); ++p)
+        if (rc[p] <= r || rng.uniform() < 0.5) b.add(r, rc[p], rv[p]);
+    }
+    pins.push_back({"unsymmetric pattern", {b.build(400, 400)}, 0xf7ac4bf245f7a1a2ull});
+  }
+  pins.push_back({"M4 s64 whole", {repro::make_matrix(4, 64.0).matrix},
+                  0x617bb99ca836da65ull});
+
+  for (const Pin& pin : pins) {
+    std::vector<std::vector<Index>> perms;
+    for (const CsrMatrix& a : pin.inputs) perms.push_back(amd_ordering(a));
+    const std::uint64_t h = perm_digest(perms);
+    EXPECT_EQ(h, pin.digest) << pin.name << ": 0x" << std::hex << h;
+  }
+}
+
+// RCM's permutations of every node block and failed set of the three
+// workload layouts (the same inputs as the AMD pin above).
+TEST(Rcm, WorkloadBlockPermutationsArePinned) {
+  struct Layout {
+    int matrix;
+    double scale;
+    std::uint64_t digest;
+  };
+  for (const Layout& l : {Layout{1, 8.0, 0x558354be13d1184dull},
+                          Layout{2, 12.0, 0xdca26d1412b98715ull},
+                          Layout{8, 32.0, 0x6c2f375f70c5abeeull}}) {
+    std::vector<std::vector<Index>> perms;
+    for (const CsrMatrix& a : layout_blocks(l.matrix, l.scale))
+      perms.push_back(rcm_ordering(a));
+    const std::uint64_t h = perm_digest(perms);
     EXPECT_EQ(h, l.digest) << "M" << l.matrix << " s" << l.scale << ": 0x"
                            << std::hex << h;
   }

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace rpcg {
 namespace {
@@ -83,6 +88,58 @@ TEST(Csr, SubmatrixSelectsRowsAndCols) {
   EXPECT_DOUBLE_EQ(s.value_at(0, 1), 0.0);   // A(0,2)
   EXPECT_DOUBLE_EQ(s.value_at(1, 0), -2.0);  // A(2,1)
   EXPECT_DOUBLE_EQ(s.value_at(1, 1), 5.0);   // A(2,2)
+}
+
+// Every bit of submatrices of a random-pattern matrix: contiguous row and
+// column ranges, scattered sets, rectangular blocks (rows != cols), blocks
+// where some or every row keeps no entry, and empty sets.
+TEST(Csr, SubmatrixIsPinned) {
+  const CsrMatrix a = random_spd(300, 10, 0.6, 30, 0x5B);
+  Rng rng(0x5C);
+  const auto range = [](Index lo, Index hi) {
+    std::vector<Index> v;
+    for (Index i = lo; i < hi; ++i) v.push_back(i);
+    return v;
+  };
+  const auto scattered = [&rng](Index n, double keep) {
+    std::vector<Index> v;
+    for (Index i = 0; i < n; ++i)
+      if (rng.uniform() < keep) v.push_back(i);
+    return v;
+  };
+  const std::vector<Index> odd = scattered(300, 0.5);
+  const std::vector<Index> sparse_set = scattered(300, 0.1);
+  const std::vector<std::pair<std::vector<Index>, std::vector<Index>>> sets{
+      {range(0, 300), range(0, 300)},
+      {range(40, 120), range(40, 120)},
+      {range(299, 300), range(299, 300)},
+      {odd, odd},
+      {sparse_set, sparse_set},
+      {range(10, 60), range(100, 250)},
+      {odd, range(0, 150)},
+      {range(0, 20), sparse_set},
+      {range(0, 5), range(290, 300)},
+      {{}, range(0, 10)},
+      {range(0, 10), {}}};
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b)
+      h = (h ^ ((v >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+  };
+  bool some_row_empty = false;
+  for (const auto& [rows, cols] : sets) {
+    const CsrMatrix s = a.submatrix(rows, cols);
+    mix(static_cast<std::uint64_t>(s.rows()));
+    mix(static_cast<std::uint64_t>(s.cols()));
+    for (const Index p : s.row_ptr()) mix(static_cast<std::uint64_t>(p));
+    for (const Index c : s.col_idx()) mix(static_cast<std::uint64_t>(c));
+    for (const double v : s.values()) mix(std::bit_cast<std::uint64_t>(v));
+    for (Index r = 0; r < s.rows(); ++r)
+      some_row_empty = some_row_empty || s.row_cols(r).empty();
+  }
+  EXPECT_TRUE(some_row_empty);
+  EXPECT_EQ(h, 0xd2e9cc2f9e7c09e7ull) << "0x" << std::hex << h;
 }
 
 TEST(Csr, TransposeInvolution) {

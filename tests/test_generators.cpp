@@ -184,6 +184,28 @@ TEST(Generators, ElasticityIsPinned) {
   }
 }
 
+// fem2d_p1 on grids one vertex wide or tall and on small rectangles, at
+// shifts that are tiny, zero of either sign, negative, or large, and at
+// 0.125 and 0.25, whose 4 * shift ties the edge weights 0.5 and 1.0. One
+// digest per grid covers its eight matrices.
+TEST(Generators, Fem2dP1IsPinned) {
+  struct Pin {
+    Index nx, ny;
+    std::uint64_t digest;
+  };
+  for (const Pin& p : {Pin{1, 1, 0x0d8a200415dc2c6dull},
+                       Pin{1, 7, 0x0b42dfa255ae59d7ull},
+                       Pin{7, 1, 0x0b42dfa255ae59d7ull},
+                       Pin{2, 3, 0x182f15051ffa709dull},
+                       Pin{5, 4, 0x0cc5185d94bf3af9ull},
+                       Pin{16, 9, 0x83d5e7b3f9e5f889ull}}) {
+    std::uint64_t h = kFnvOffset;
+    for (const double shift : {1e-4, 0.0, -0.0, 0.125, 0.25, 0.3, -1e-3, 5.0})
+      mix_csr(h, fem2d_p1(p.nx, p.ny, shift));
+    EXPECT_EQ(h, p.digest) << p.nx << "x" << p.ny << ": 0x" << std::hex << h;
+  }
+}
+
 TEST(Generators, BandedSpdRespectsBandwidth) {
   const CsrMatrix a = banded_spd(200, 9, 0.5, 5);
   expect_spd(a);
