@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the kernels underlying the solver:
-// problem setup (matrix generation and its content key), sequential SpMV,
+// problem setup (matrix generation, its content key and the AMD ordering of
+// its node blocks), sequential SpMV,
 // the distributed SpMV with halo exchange, preconditioner applications, the
 // factorizations, the redundancy-scheme construction, the backup
 // record/gather path, the fused dot reductions, and the pipelined solvers'
@@ -18,6 +19,7 @@
 #include "sim/collectives.hpp"
 #include "sim/dist_matrix.hpp"
 #include "sim/gram_lanes.hpp"
+#include "sparse/amd.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/ldlt.hpp"
@@ -268,6 +270,34 @@ BENCHMARK(BM_BlockJacobiSetup)
     ->Arg(1)
     ->Arg(8)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+// AMD alone, as every block-Jacobi setup runs it: per iteration the 64 node
+// blocks of matrix 1, 8 or 2 of layout_matrix, or (3) the m2-recover A_FF.
+void BM_AmdOrdering(benchmark::State& state) {
+  std::vector<CsrMatrix> inputs;
+  if (state.range(0) == 3) {
+    inputs.push_back(m2_recover_a_ff());
+  } else {
+    const CsrMatrix a = layout_matrix(state.range(0));
+    const Partition part = Partition::block_rows(a.rows(), 64);
+    for (NodeId node = 0; node < 64; ++node) {
+      const auto rows = part.rows_of(node);
+      inputs.push_back(a.submatrix(rows, rows));
+    }
+  }
+  for (auto _ : state) {
+    for (const CsrMatrix& b : inputs) {
+      const auto perm = amd_ordering(b);
+      benchmark::DoNotOptimize(perm.data());
+    }
+  }
+}
+BENCHMARK(BM_AmdOrdering)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LdltFactor(benchmark::State& state) {

@@ -1,7 +1,6 @@
 #include "sparse/amd.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.hpp"
 
@@ -9,7 +8,7 @@ namespace rpcg {
 
 namespace {
 
-// Approximate minimum degree over a quotient graph of per-variable lists.
+// Approximate minimum degree over a quotient graph held in flat arrays.
 // Per pivot p: build Lp (the new element's variables), the |Le \ Lp| pass,
 // the per-variable update (prune, absorb, mass-eliminate, re-degree), then
 // supervariable detection through hash buckets, which compares only the
@@ -21,14 +20,81 @@ namespace {
 // created), or a dead element absorbed by a newer one. Variable i's current
 // fill row is  A[i] ∪ ⋃_{e ∈ E[i]} vars(e)  — the invariant the whole
 // algorithm maintains.
+//
+// A[i] (variables) and E[i] (elements) sit at the same offset of two
+// arrays, each with room for i's initial degree: |A[i]| + |E[i]| never
+// grows, since the update that adds p to E[i] also drops p from A[i] or an
+// element p absorbed from E[i]. Both lists stay sorted. The elements'
+// variable lists share one arena, appended once per pivot and compacted
+// when it fills.
 struct QuotientGraph {
-  std::vector<std::vector<Index>> a;  // variable-variable adjacency
-  std::vector<std::vector<Index>> e;  // variable-element adjacency
-  std::vector<std::vector<Index>> elem_vars;  // element -> member variables
-  std::vector<Index> nv;              // supervariable weight; 0 = merged away
-  std::vector<char> eliminated;       // variable became an element / was mass-eliminated
-  std::vector<char> elem_alive;       // element not yet absorbed
-  std::vector<std::vector<Index>> members;  // merged children, absorption order
+  std::vector<Index> slot;        // offset of A[i] in a and of E[i] in e
+  std::vector<Index> a, alen;     // variable-variable adjacency
+  std::vector<Index> e, elen;     // variable-element adjacency
+  std::vector<Index> vars;        // arena of the elements' variable lists
+  std::vector<Index> vstart, vlen;
+  Index vused = 0;
+  std::vector<Index> nv;          // supervariable weight; 0 = merged away
+  std::vector<char> elem_alive;   // element not yet absorbed
+  // Merged variables as child lists in absorption order.
+  std::vector<Index> first_child, last_child, next_sibling;
+
+  Index* a_of(Index i) { return a.data() + slot[static_cast<std::size_t>(i)]; }
+  Index* e_of(Index i) { return e.data() + slot[static_cast<std::size_t>(i)]; }
+  Index* vars_of(Index el) { return vars.data() + vstart[static_cast<std::size_t>(el)]; }
+  Index capacity(Index i) const {
+    return slot[static_cast<std::size_t>(i) + 1] - slot[static_cast<std::size_t>(i)];
+  }
+
+  // Stores element p's variables at the end of the arena; first moves the
+  // live elements' lists (`order` lists every element in creation order,
+  // which is arena order) to its front, without the merged variables every
+  // reader skips, and grows it if that is not room enough.
+  void append_element(Index p, const std::vector<Index>& lp,
+                      const std::vector<Index>& order) {
+    const auto need = static_cast<Index>(lp.size());
+    if (vused + need > static_cast<Index>(vars.size())) {
+      Index out = 0;
+      for (const Index el : order) {
+        const auto eu = static_cast<std::size_t>(el);
+        if (!elem_alive[eu]) continue;
+        const Index from = vstart[eu];
+        vstart[eu] = out;
+        for (Index k = from; k < from + vlen[eu]; ++k) {
+          const Index v = vars[static_cast<std::size_t>(k)];
+          if (nv[static_cast<std::size_t>(v)] > 0) vars[static_cast<std::size_t>(out++)] = v;
+        }
+        vlen[eu] = out - vstart[eu];
+      }
+      vused = out;
+      if (vused + need > static_cast<Index>(vars.size()))
+        vars.resize(std::max(2 * vars.size(), static_cast<std::size_t>(vused + need)));
+    }
+    const auto pu = static_cast<std::size_t>(p);
+    vstart[pu] = vused;
+    vlen[pu] = need;
+    std::copy(lp.begin(), lp.end(), vars.begin() + vused);
+    vused += need;
+  }
+
+  void absorb(Index el) {
+    elem_alive[static_cast<std::size_t>(el)] = 0;
+    vlen[static_cast<std::size_t>(el)] = 0;
+  }
+
+  void merge(Index i, Index j) {
+    const auto iu = static_cast<std::size_t>(i);
+    const auto ju = static_cast<std::size_t>(j);
+    nv[iu] += nv[ju];
+    nv[ju] = 0;
+    alen[ju] = 0;
+    elen[ju] = 0;
+    if (first_child[iu] == -1)
+      first_child[iu] = j;
+    else
+      next_sibling[static_cast<std::size_t>(last_child[iu])] = j;
+    last_child[iu] = j;
+  }
 };
 
 // Intrusive doubly-linked degree buckets for O(1) minimum-degree pivoting.
@@ -69,57 +135,54 @@ struct DegreeLists {
 }  // namespace
 
 std::vector<Index> amd_ordering(const CsrMatrix& mat) {
-  RPCG_CHECK(mat.rows() == mat.cols(), "AMD needs a square matrix");
-  const Index n = mat.rows();
+  return amd_ordering(symmetric_pattern(mat));
+}
+
+std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
+  const Index n = pattern.rows();
   if (n == 0) return {};
+  const auto nu = static_cast<std::size_t>(n);
 
   QuotientGraph g;
-  g.a.resize(static_cast<std::size_t>(n));
-  g.e.resize(static_cast<std::size_t>(n));
-  g.elem_vars.resize(static_cast<std::size_t>(n));
-  g.nv.assign(static_cast<std::size_t>(n), 1);
-  g.eliminated.assign(static_cast<std::size_t>(n), 0);
-  g.elem_alive.assign(static_cast<std::size_t>(n), 0);
-  g.members.resize(static_cast<std::size_t>(n));
+  g.slot = pattern.ptr;
+  g.a = pattern.adj;
+  g.e.resize(g.a.size());
+  g.alen.resize(nu);
+  g.elen.assign(nu, 0);
+  g.vars.resize(g.a.size() + nu);
+  g.vstart.assign(nu, 0);
+  g.vlen.assign(nu, 0);
+  g.nv.assign(nu, 1);
+  g.elem_alive.assign(nu, 0);
+  g.first_child.assign(nu, -1);
+  g.last_child.assign(nu, -1);
+  g.next_sibling.assign(nu, -1);
 
-  // Symmetrized pattern without the diagonal (AMD orders the graph, so an
-  // unsymmetric input pattern is treated as A + Aᵀ).
-  for (Index i = 0; i < n; ++i) {
-    for (const Index j : mat.row_cols(i)) {
-      if (j == i) continue;
-      g.a[static_cast<std::size_t>(i)].push_back(j);
-      g.a[static_cast<std::size_t>(j)].push_back(i);
-    }
-  }
-  for (Index i = 0; i < n; ++i) {
-    auto& ai = g.a[static_cast<std::size_t>(i)];
-    std::sort(ai.begin(), ai.end());
-    ai.erase(std::unique(ai.begin(), ai.end()), ai.end());
-  }
-
-  std::vector<Index> degree(static_cast<std::size_t>(n));
+  std::vector<Index> degree(nu);
   DegreeLists lists(n);
   for (Index i = 0; i < n; ++i) {
-    degree[static_cast<std::size_t>(i)] =
-        static_cast<Index>(g.a[static_cast<std::size_t>(i)].size());
-    lists.insert(i, degree[static_cast<std::size_t>(i)]);
+    const auto iu = static_cast<std::size_t>(i);
+    g.alen[iu] = g.capacity(i);
+    degree[iu] = g.alen[iu];
+    lists.insert(i, degree[iu]);
   }
 
   // Stamped workspaces (reset by bumping the stamp, not by clearing).
-  std::vector<Index> mark(static_cast<std::size_t>(n), 0);
-  std::vector<Index> wstamp(static_cast<std::size_t>(n), 0);
-  std::vector<Index> wval(static_cast<std::size_t>(n), 0);
+  std::vector<Index> mark(nu, 0);
+  std::vector<Index> wstamp(nu, 0);
+  std::vector<Index> wval(nu, 0);
   Index stamp = 0;
 
   std::vector<Index> order_seq;  // eliminated supervariable representatives
-  order_seq.reserve(static_cast<std::size_t>(n));
-  std::vector<Index> lp;  // vars of the pivot element, rebuilt per pivot
+  order_seq.reserve(nu);
+  std::vector<Index> elements;  // pivots in elimination order
+  std::vector<Index> lp;        // vars of the pivot element, rebuilt per pivot
   // Supervariable detection's hash of each var and its buckets: a bucket's
   // head counts only while its stamp is the pivot's.
-  std::vector<Index> hash(static_cast<std::size_t>(n), 0);
-  std::vector<Index> bucket_head(static_cast<std::size_t>(n), -1);
-  std::vector<Index> bucket_stamp(static_cast<std::size_t>(n), 0);
-  std::vector<Index> bucket_next(static_cast<std::size_t>(n), -1);
+  std::vector<Index> hash(nu, 0);
+  std::vector<Index> bucket_head(nu, -1);
+  std::vector<Index> bucket_stamp(nu, 0);
+  std::vector<Index> bucket_next(nu, -1);
 
   Index eliminated_weight = 0;
   while (eliminated_weight < n) {
@@ -131,40 +194,36 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
     mark[pu] = stamp;
     lp.clear();
     Index lpw = 0;  // Σ nv over Lp
-    for (const Index v : g.a[pu]) {
-      const auto vu = static_cast<std::size_t>(v);
+    for (const Index* v = g.a_of(p); v != g.a_of(p) + g.alen[pu]; ++v) {
+      const auto vu = static_cast<std::size_t>(*v);
       if (g.nv[vu] > 0 && mark[vu] != stamp) {
         mark[vu] = stamp;
-        lp.push_back(v);
+        lp.push_back(*v);
         lpw += g.nv[vu];
       }
     }
-    for (const Index e : g.e[pu]) {
-      const auto eu = static_cast<std::size_t>(e);
+    for (const Index* el = g.e_of(p); el != g.e_of(p) + g.elen[pu]; ++el) {
+      const auto eu = static_cast<std::size_t>(*el);
       if (!g.elem_alive[eu]) continue;
-      for (const Index v : g.elem_vars[eu]) {
-        const auto vu = static_cast<std::size_t>(v);
-        if (g.nv[vu] > 0 && v != p && mark[vu] != stamp) {
+      for (const Index* v = g.vars_of(*el); v != g.vars_of(*el) + g.vlen[eu]; ++v) {
+        const auto vu = static_cast<std::size_t>(*v);
+        if (g.nv[vu] > 0 && *v != p && mark[vu] != stamp) {
           mark[vu] = stamp;
-          lp.push_back(v);
+          lp.push_back(*v);
           lpw += g.nv[vu];
         }
       }
       // Every var of e is now covered by the new element p: e is absorbed.
-      g.elem_alive[eu] = 0;
-      g.elem_vars[eu].clear();
-      g.elem_vars[eu].shrink_to_fit();
+      g.absorb(*el);
     }
 
     // p becomes element p.
     eliminated_weight += g.nv[pu];
-    g.eliminated[pu] = 1;
     g.elem_alive[pu] = 1;
-    g.elem_vars[pu] = lp;
-    g.a[pu].clear();
-    g.a[pu].shrink_to_fit();
-    g.e[pu].clear();
-    g.e[pu].shrink_to_fit();
+    g.append_element(p, lp, elements);
+    elements.push_back(p);
+    g.alen[pu] = 0;
+    g.elen[pu] = 0;
     order_seq.push_back(p);
 
     if (lp.empty()) continue;
@@ -174,25 +233,27 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
     // (list invariant: v ∈ vars(e) ⟺ e ∈ E[v]), so initializing wval[e] to
     // e's live weight and subtracting nv[i] per visit computes the bound. ---
     for (const Index i : lp) {
-      for (const Index e : g.e[static_cast<std::size_t>(i)]) {
-        const auto eu = static_cast<std::size_t>(e);
+      const auto iu = static_cast<std::size_t>(i);
+      for (const Index* el = g.e_of(i); el != g.e_of(i) + g.elen[iu]; ++el) {
+        const auto eu = static_cast<std::size_t>(*el);
         if (!g.elem_alive[eu]) continue;
         if (wstamp[eu] != stamp) {
           // Recompute e's live weight, pruning dead vars while at it.
-          auto& ev = g.elem_vars[eu];
+          Index* ev = g.vars_of(*el);
           Index wt = 0;
-          std::size_t keep = 0;
-          for (const Index v : ev) {
+          Index keep = 0;
+          for (Index k = 0; k < g.vlen[eu]; ++k) {
+            const Index v = ev[k];
             if (g.nv[static_cast<std::size_t>(v)] > 0) {
               ev[keep++] = v;
               wt += g.nv[static_cast<std::size_t>(v)];
             }
           }
-          ev.resize(keep);
+          g.vlen[eu] = keep;
           wval[eu] = wt;
           wstamp[eu] = stamp;
         }
-        wval[eu] -= g.nv[static_cast<std::size_t>(i)];
+        wval[eu] -= g.nv[iu];
       }
     }
 
@@ -202,47 +263,50 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
       const auto iu = static_cast<std::size_t>(i);
       if (g.nv[iu] <= 0) continue;  // merged by an earlier i this round
 
-      // E[i]: drop dead elements; aggressively absorb any e with
-      // Le ⊆ Lp (wval == 0) — its fill is covered by element p.
-      auto& ei = g.e[iu];
-      std::size_t keep = 0;
-      Index esum = 0;  // Σ wval[e] for the surviving elements
-      for (const Index e : ei) {
-        const auto eu = static_cast<std::size_t>(e);
-        if (!g.elem_alive[eu]) continue;
-        if (wval[eu] == 0 && wstamp[eu] == stamp) {
-          g.elem_alive[eu] = 0;
-          g.elem_vars[eu].clear();
-          g.elem_vars[eu].shrink_to_fit();
-          continue;
-        }
-        esum += wval[eu];
-        ei[keep++] = e;
-      }
-      ei.resize(keep);
-      ei.push_back(p);
-      std::sort(ei.begin(), ei.end());
-
       // A[i]: drop dead vars and vars inside Lp (covered by element p now).
-      auto& ai = g.a[iu];
-      keep = 0;
+      Index* ai = g.a_of(i);
+      Index keep = 0;
       Index asum = 0;
-      for (const Index v : ai) {
+      for (Index k = 0; k < g.alen[iu]; ++k) {
+        const Index v = ai[k];
         const auto vu = static_cast<std::size_t>(v);
         if (g.nv[vu] <= 0 || mark[vu] == stamp || v == p) continue;
         asum += g.nv[vu];
         ai[keep++] = v;
       }
-      ai.resize(keep);
+      g.alen[iu] = keep;
+
+      // E[i]: drop dead elements; aggressively absorb any e with
+      // Le ⊆ Lp (wval == 0) — its fill is covered by element p. Then p
+      // joins at its sorted place.
+      Index* ei = g.e_of(i);
+      keep = 0;
+      Index esum = 0;  // Σ wval[e] for the surviving elements
+      for (Index k = 0; k < g.elen[iu]; ++k) {
+        const Index el = ei[k];
+        const auto eu = static_cast<std::size_t>(el);
+        if (!g.elem_alive[eu]) continue;
+        if (wval[eu] == 0 && wstamp[eu] == stamp) {
+          g.absorb(el);
+          continue;
+        }
+        esum += wval[eu];
+        ei[keep++] = el;
+      }
+      RPCG_CHECK(g.alen[iu] + keep + 1 <= g.capacity(i),
+                 "AMD: a variable's lists outgrew its initial degree");
+      Index at = keep;
+      for (; at > 0 && ei[at - 1] > p; --at) ei[at] = ei[at - 1];
+      ei[at] = p;
+      g.elen[iu] = keep + 1;
 
       // Mass elimination: i's fill row is contained in vars(p), so
       // eliminating i right now adds no fill beyond what p already created.
-      if (ai.empty() && ei.size() == 1) {
+      if (g.alen[iu] == 0 && g.elen[iu] == 1) {
         lists.remove(i, degree[iu]);
         eliminated_weight += g.nv[iu];
-        g.eliminated[iu] = 1;
         g.nv[iu] = 0;
-        ei.clear();
+        g.elen[iu] = 0;
         order_seq.push_back(i);
         continue;
       }
@@ -268,10 +332,11 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
     for (auto it = lp.rbegin(); it != lp.rend(); ++it) {
       const auto iu = static_cast<std::size_t>(*it);
       if (g.nv[iu] <= 0) continue;
-      Index h = static_cast<Index>(g.a[iu].size()) +
-                37 * static_cast<Index>(g.e[iu].size());
-      for (const Index v : g.a[iu]) h = (h * 31 + v) & 0x7fffffff;
-      for (const Index e : g.e[iu]) h = (h * 31 + e) & 0x7fffffff;
+      Index h = g.alen[iu] + 37 * g.elen[iu];
+      for (const Index* v = g.a_of(*it); v != g.a_of(*it) + g.alen[iu]; ++v)
+        h = (h * 31 + *v) & 0x7fffffff;
+      for (const Index* el = g.e_of(*it); el != g.e_of(*it) + g.elen[iu]; ++el)
+        h = (h * 31 + *el) & 0x7fffffff;
       hash[iu] = h;
       const auto b = static_cast<std::size_t>(h % n);
       if (bucket_stamp[b] != stamp) {
@@ -288,27 +353,25 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
            j = bucket_next[static_cast<std::size_t>(j)]) {
         const auto ju = static_cast<std::size_t>(j);
         if (hash[ju] != hash[iu] || g.nv[ju] <= 0) continue;
-        if (g.a[iu] != g.a[ju] || g.e[iu] != g.e[ju]) continue;
+        if (g.alen[iu] != g.alen[ju] || g.elen[iu] != g.elen[ju] ||
+            !std::equal(g.a_of(i), g.a_of(i) + g.alen[iu], g.a_of(j)) ||
+            !std::equal(g.e_of(i), g.e_of(i) + g.elen[iu], g.e_of(j)))
+          continue;
         // Merge j into i (i precedes j in Lp order — deterministic).
-        lists.remove(j, degree[ju]);
-        g.nv[iu] += g.nv[ju];
-        g.nv[ju] = 0;
-        g.a[ju].clear();
-        g.a[ju].shrink_to_fit();
-        g.e[ju].clear();
-        g.e[ju].shrink_to_fit();
-        g.members[iu].push_back(j);
         // i's weighted degree shrank relative to its bucket position only
         // through nv bookkeeping, not its external structure; leave the
         // bucket untouched (the approximation stays an upper bound).
+        lists.remove(j, degree[ju]);
+        g.merge(i, j);
       }
     }
   }
 
   // --- Expand supervariables: each representative is followed by the
-  // variables it absorbed, recursively, in absorption order. ---
+  // variables it absorbed, recursively, in absorption order (a preorder
+  // walk: a child's own children come before its next sibling). ---
   std::vector<Index> perm;
-  perm.reserve(static_cast<std::size_t>(n));
+  perm.reserve(nu);
   std::vector<Index> dfs;
   for (const Index rep : order_seq) {
     dfs.push_back(rep);
@@ -316,8 +379,9 @@ std::vector<Index> amd_ordering(const CsrMatrix& mat) {
       const Index v = dfs.back();
       dfs.pop_back();
       perm.push_back(v);
-      const auto& kids = g.members[static_cast<std::size_t>(v)];
-      for (auto it = kids.rbegin(); it != kids.rend(); ++it) dfs.push_back(*it);
+      const auto vu = static_cast<std::size_t>(v);
+      if (g.next_sibling[vu] != -1) dfs.push_back(g.next_sibling[vu]);
+      if (g.first_child[vu] != -1) dfs.push_back(g.first_child[vu]);
     }
   }
   RPCG_CHECK(static_cast<Index>(perm.size()) == n,

@@ -11,7 +11,9 @@
 // approximate external degrees via the |Le \ Lp| bound, mass elimination,
 // aggressive element absorption, and hash-based supervariable detection
 // (per pivot, the pivot element's variables go to hash buckets, and only
-// variables of equal hash compare their lists).
+// variables of equal hash compare their lists). The quotient graph lives in
+// flat arrays: every variable's lists in a slot of its initial degree, the
+// elements' variable lists in one arena.
 //
 // ReorderedLdlt uses it as one of the candidate orderings (natural | RCM |
 // AMD), keeping whichever yields the smallest symbolic factor.
@@ -30,5 +32,9 @@ namespace rpcg {
 /// Deterministic: ties are broken by the fixed processing order, never by
 /// allocation addresses or randomness.
 [[nodiscard]] std::vector<Index> amd_ordering(const CsrMatrix& a);
+
+/// The same ordering of a symmetrized pattern built once (see
+/// symmetric_pattern), so that several orderings can share it.
+[[nodiscard]] std::vector<Index> amd_ordering(const SymmetricPattern& pattern);
 
 }  // namespace rpcg

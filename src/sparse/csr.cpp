@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/check.hpp"
 
@@ -87,28 +86,48 @@ CsrMatrix CsrMatrix::submatrix(std::span<const Index> rows,
                                std::span<const Index> cols) const {
   RPCG_CHECK(std::is_sorted(rows.begin(), rows.end()), "rows must be sorted");
   RPCG_CHECK(std::is_sorted(cols.begin(), cols.end()), "cols must be sorted");
-  std::unordered_map<Index, Index> col_map;
-  col_map.reserve(cols.size() * 2);
-  for (std::size_t j = 0; j < cols.size(); ++j)
-    col_map.emplace(cols[j], static_cast<Index>(j));
-
-  std::vector<Index> rp;
-  rp.reserve(rows.size() + 1);
-  rp.push_back(0);
-  std::vector<Index> ci;
-  std::vector<double> v;
-  for (const Index r : rows) {
+  for (const Index r : rows)
     RPCG_CHECK(r >= 0 && r < rows_, "row index out of range");
+  // Row r keeps its entries whose column is in `cols`, renumbered to their
+  // position there. Both lists are sorted, so a row is merged against
+  // `cols`; a contiguous `cols` (every node block) is one range of the row
+  // instead. A repeated column keeps only its first position.
+  bool contiguous = true;
+  for (std::size_t j = 0; j < cols.size() && contiguous; ++j)
+    contiguous = cols[j] == cols.front() + static_cast<Index>(j);
+  const Index lo = cols.empty() ? 0 : cols.front();
+  const Index hi = cols.empty() ? 0 : cols.back() + 1;
+  // Calls keep(position in the row, position in cols) per kept entry.
+  const auto for_each_kept = [&](Index r, auto&& keep) {
     const auto rc = row_cols(r);
-    const auto rv = row_vals(r);
-    for (std::size_t p = 0; p < rc.size(); ++p) {
-      const auto it = col_map.find(rc[p]);
-      if (it != col_map.end()) {
-        ci.push_back(it->second);
-        v.push_back(rv[p]);
-      }
+    auto it = std::lower_bound(rc.begin(), rc.end(), lo);
+    const auto end = std::lower_bound(it, rc.end(), hi);
+    if (contiguous) {
+      for (; it != end; ++it) keep(it - rc.begin(), *it - lo);
+      return;
     }
-    rp.push_back(static_cast<Index>(ci.size()));
+    auto cj = cols.begin();
+    for (; it != end; ++it) {
+      cj = std::lower_bound(cj, cols.end(), *it);
+      if (cj != cols.end() && *cj == *it) keep(it - rc.begin(), cj - cols.begin());
+    }
+  };
+
+  std::vector<Index> rp(rows.size() + 1, 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    Index kept = 0;
+    for_each_kept(rows[i], [&kept](std::ptrdiff_t, std::ptrdiff_t) { ++kept; });
+    rp[i + 1] = rp[i] + kept;
+  }
+  std::vector<Index> ci(static_cast<std::size_t>(rp.back()));
+  std::vector<double> v(ci.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double* rv = row_vals(rows[i]).data();
+    auto out = static_cast<std::size_t>(rp[i]);
+    for_each_kept(rows[i], [&](std::ptrdiff_t p, std::ptrdiff_t j) {
+      ci[out] = static_cast<Index>(j);
+      v[out++] = rv[p];
+    });
   }
   return CsrMatrix(static_cast<Index>(rows.size()),
                    static_cast<Index>(cols.size()), std::move(rp), std::move(ci),
@@ -191,6 +210,67 @@ CsrMatrix CsrMatrix::permuted_symmetric(std::span<const Index> perm) const {
     rp.push_back(static_cast<Index>(ci.size()));
   }
   return CsrMatrix(rows_, cols_, std::move(rp), std::move(ci), std::move(v));
+}
+
+SymmetricPattern symmetric_pattern(const CsrMatrix& a) {
+  RPCG_CHECK(a.rows() == a.cols(), "orderings need a square matrix");
+  const Index n = a.rows();
+  const auto nu = static_cast<std::size_t>(n);
+  SymmetricPattern g;
+  g.diagonal.assign(nu, 0);
+  // The rows that list column i, ascending: a counting transpose of the
+  // off-diagonal pattern.
+  std::vector<Index> tp(nu + 1, 0);
+  for (Index r = 0; r < n; ++r) {
+    for (const Index c : a.row_cols(r)) {
+      if (c == r)
+        g.diagonal[static_cast<std::size_t>(r)] = 1;
+      else
+        ++tp[static_cast<std::size_t>(c) + 1];
+    }
+  }
+  for (std::size_t i = 0; i < nu; ++i) tp[i + 1] += tp[i];
+  std::vector<Index> ti(static_cast<std::size_t>(tp[nu]));
+  {
+    std::vector<Index> next(tp.begin(), tp.end() - 1);
+    for (Index r = 0; r < n; ++r)
+      for (const Index c : a.row_cols(r))
+        if (c != r) ti[static_cast<std::size_t>(next[static_cast<std::size_t>(c)]++)] = r;
+  }
+  // Row i's neighbours: its own off-diagonal columns merged with the rows
+  // that list it, each once. Counted first, then written.
+  const auto merge = [&](Index i, auto&& emit) {
+    const auto own = a.row_cols(i);
+    auto x = own.begin();
+    const Index* y = ti.data() + tp[static_cast<std::size_t>(i)];
+    const Index* const y_end = ti.data() + tp[static_cast<std::size_t>(i) + 1];
+    while (x != own.end() || y != y_end) {
+      if (x != own.end() && *x == i) {
+        ++x;
+        continue;
+      }
+      Index c;
+      if (y == y_end || (x != own.end() && *x < *y)) {
+        c = *x++;
+      } else {
+        c = *y++;
+        if (x != own.end() && *x == c) ++x;
+      }
+      emit(c);
+    }
+  };
+  g.ptr.assign(nu + 1, 0);
+  for (Index i = 0; i < n; ++i) {
+    Index len = 0;
+    merge(i, [&len](Index) { ++len; });
+    g.ptr[static_cast<std::size_t>(i) + 1] = g.ptr[static_cast<std::size_t>(i)] + len;
+  }
+  g.adj.resize(static_cast<std::size_t>(g.ptr[nu]));
+  for (Index i = 0; i < n; ++i) {
+    Index* out = g.adj.data() + g.ptr[static_cast<std::size_t>(i)];
+    merge(i, [&out](Index c) { *out++ = c; });
+  }
+  return g;
 }
 
 }  // namespace rpcg

@@ -69,4 +69,26 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
+/// The pattern of A + Aᵀ without its diagonal: the graph the fill- and
+/// bandwidth-reducing orderings walk. Row i's neighbours are sorted and
+/// unique; `diagonal[i]` says whether A stores (i, i).
+struct SymmetricPattern {
+  std::vector<Index> ptr;  // rows + 1 offsets into adj
+  std::vector<Index> adj;
+  std::vector<char> diagonal;
+
+  [[nodiscard]] Index rows() const {
+    return static_cast<Index>(ptr.size()) - 1;
+  }
+  [[nodiscard]] std::span<const Index> neighbours(Index i) const {
+    return {adj.data() + ptr[static_cast<std::size_t>(i)],
+            static_cast<std::size_t>(ptr[static_cast<std::size_t>(i) + 1] -
+                                     ptr[static_cast<std::size_t>(i)])};
+  }
+};
+
+/// Builds the symmetrized pattern of a square matrix: each row's sorted
+/// off-diagonal columns merged with the rows that list it.
+[[nodiscard]] SymmetricPattern symmetric_pattern(const CsrMatrix& a);
+
 }  // namespace rpcg

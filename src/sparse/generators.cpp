@@ -45,19 +45,64 @@ CsrMatrix poisson2d_5pt(Index nx, Index ny) {
 CsrMatrix fem2d_p1(Index nx, Index ny, double shift) {
   RPCG_CHECK(nx > 0 && ny > 0, "grid dims must be positive");
   const Index n = nx * ny;
-  TripletBuilder b;
-  b.reserve(static_cast<std::size_t>(7 * n));
-  const auto id = [nx](Index x, Index y) { return y * nx + x; };
+  // Vertex (x, y)'s neighbours in ascending column order (the diagonal
+  // falls between the third and the fourth) and the weights of the edges
+  // to them: the grid edges and the (+1, +1) diagonal.
+  struct Neighbour {
+    Index dx, dy;
+    double w;
+  };
+  static constexpr std::array<Neighbour, 6> kNeighbours{{{-1, -1, 0.5},
+                                                         {0, -1, 1.0},
+                                                         {-1, 0, 1.0},
+                                                         {1, 0, 1.0},
+                                                         {0, 1, 1.0},
+                                                         {1, 1, 0.5}}};
+  const Index edges = (nx - 1) * ny + nx * (ny - 1) + (nx - 1) * (ny - 1);
+  const auto nnz = static_cast<std::size_t>(n + 2 * edges);
+
+  std::vector<Index> rp;
+  std::vector<Index> ci;
+  std::vector<double> v;
+  rp.reserve(static_cast<std::size_t>(n) + 1);
+  ci.reserve(nnz);
+  v.reserve(nnz);
+  rp.push_back(0);
   for (Index y = 0; y < ny; ++y) {
     for (Index x = 0; x < nx; ++x) {
-      const Index i = id(x, y);
-      if (x + 1 < nx) add_edge(b, i, id(x + 1, y), 1.0);
-      if (y + 1 < ny) add_edge(b, i, id(x, y + 1), 1.0);
-      if (x + 1 < nx && y + 1 < ny) add_edge(b, i, id(x + 1, y + 1), 0.5);
-      b.add(i, i, shift * 4.0);  // relative shift keeps the matrix SPD
+      const Index i = y * nx + x;
+      std::array<bool, 6> in_grid{};
+      // The diagonal sums, from 0.0, the weights of its edges and the shift
+      // in ascending value order: the order in which summing the
+      // duplicates of a row sorted by (column, value) adds them.
+      std::array<double, 7> terms{};
+      int nterms = 0;
+      const auto add_term = [&terms, &nterms](double t) {
+        int at = nterms++;
+        for (; at > 0 && terms[at - 1] > t; --at) terms[at] = terms[at - 1];
+        terms[at] = t;
+      };
+      for (std::size_t k = 0; k < kNeighbours.size(); ++k) {
+        const Index xx = x + kNeighbours[k].dx, yy = y + kNeighbours[k].dy;
+        in_grid[k] = xx >= 0 && xx < nx && yy >= 0 && yy < ny;
+        if (in_grid[k]) add_term(kNeighbours[k].w);
+      }
+      add_term(shift * 4.0);  // relative shift keeps the matrix SPD
+      double diag = 0.0;
+      for (int t = 0; t < nterms; ++t) diag += terms[t];
+      for (std::size_t k = 0; k < kNeighbours.size(); ++k) {
+        if (k == 3) {
+          ci.push_back(i);
+          v.push_back(diag);
+        }
+        if (!in_grid[k]) continue;
+        ci.push_back(i + kNeighbours[k].dy * nx + kNeighbours[k].dx);
+        v.push_back(-kNeighbours[k].w);
+      }
+      rp.push_back(static_cast<Index>(ci.size()));
     }
   }
-  return b.build(n, n);
+  return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(v));
 }
 
 CsrMatrix poisson3d_7pt(Index nx, Index ny, Index nz) {

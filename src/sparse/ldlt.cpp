@@ -1157,7 +1157,8 @@ std::optional<ReorderedLdlt> ReorderedLdlt::factor(const CsrMatrix& a) {
   // incumbent's analysis always ran to the end: the numeric pass takes it
   // as it is, tree and column counts, and analyzes nothing again.
   LdltOrdering best = LdltOrdering::kNatural;
-  std::vector<Index> best_perm = unless_identity(rcm_ordering(a));
+  const SymmetricPattern pattern = symmetric_pattern(a);
+  std::vector<Index> best_perm = unless_identity(rcm_ordering(pattern));
   detail::LdltSymbolic incumbent;
   if (best_perm.empty()) {
     incumbent = analyze(a, {}, kNoLimit);
@@ -1172,7 +1173,7 @@ std::optional<ReorderedLdlt> ReorderedLdlt::factor(const CsrMatrix& a) {
       best_perm.clear();
     }
   }
-  std::vector<Index> amd = unless_identity(amd_ordering(a));
+  std::vector<Index> amd = unless_identity(amd_ordering(pattern));
   if (!amd.empty()) {
     const Index to_beat = fill_to_beat(incumbent.nnz);
     detail::LdltSymbolic counted = analyze(a, amd, to_beat);

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/check.hpp"
-
 namespace rpcg {
 
 namespace {
 
 // BFS from start returning the last-visited vertex and filling levels; used
 // for the pseudo-peripheral starting vertex heuristic.
-Index bfs_far_vertex(const CsrMatrix& a, Index start, std::vector<Index>& level) {
+Index bfs_far_vertex(const SymmetricPattern& g, Index start,
+                     std::vector<Index>& level) {
   std::fill(level.begin(), level.end(), Index{-1});
   std::queue<Index> q;
   q.push(start);
@@ -21,8 +20,7 @@ Index bfs_far_vertex(const CsrMatrix& a, Index start, std::vector<Index>& level)
     const Index u = q.front();
     q.pop();
     last = u;
-    for (const Index v : a.row_cols(u)) {
-      if (v == u) continue;
+    for (const Index v : g.neighbours(u)) {
       if (level[static_cast<std::size_t>(v)] == -1) {
         level[static_cast<std::size_t>(v)] = level[static_cast<std::size_t>(u)] + 1;
         q.push(v);
@@ -35,11 +33,18 @@ Index bfs_far_vertex(const CsrMatrix& a, Index start, std::vector<Index>& level)
 }  // namespace
 
 std::vector<Index> rcm_ordering(const CsrMatrix& a) {
-  RPCG_CHECK(a.rows() == a.cols(), "RCM needs a square matrix");
-  const Index n = a.rows();
+  return rcm_ordering(symmetric_pattern(a));
+}
+
+std::vector<Index> rcm_ordering(const SymmetricPattern& g) {
+  const Index n = g.rows();
+  // A row's stored entries on a symmetric pattern: its neighbours and the
+  // diagonal when stored.
   std::vector<Index> degree(static_cast<std::size_t>(n));
   for (Index i = 0; i < n; ++i)
-    degree[static_cast<std::size_t>(i)] = static_cast<Index>(a.row_cols(i).size());
+    degree[static_cast<std::size_t>(i)] =
+        static_cast<Index>(g.neighbours(i).size()) +
+        g.diagonal[static_cast<std::size_t>(i)];
 
   std::vector<bool> visited(static_cast<std::size_t>(n), false);
   std::vector<Index> order;
@@ -49,8 +54,8 @@ std::vector<Index> rcm_ordering(const CsrMatrix& a) {
   for (Index seed = 0; seed < n; ++seed) {
     if (visited[static_cast<std::size_t>(seed)]) continue;
     // Pseudo-peripheral start: two BFS sweeps from the component seed.
-    const Index far1 = bfs_far_vertex(a, seed, level);
-    const Index start = bfs_far_vertex(a, far1, level);
+    const Index far1 = bfs_far_vertex(g, seed, level);
+    const Index start = bfs_far_vertex(g, far1, level);
 
     // Cuthill–McKee BFS with neighbours sorted by increasing degree.
     std::queue<Index> q;
@@ -62,8 +67,8 @@ std::vector<Index> rcm_ordering(const CsrMatrix& a) {
       q.pop();
       order.push_back(u);
       nbrs.clear();
-      for (const Index v : a.row_cols(u)) {
-        if (v != u && !visited[static_cast<std::size_t>(v)]) {
+      for (const Index v : g.neighbours(u)) {
+        if (!visited[static_cast<std::size_t>(v)]) {
           visited[static_cast<std::size_t>(v)] = true;
           nbrs.push_back(v);
         }

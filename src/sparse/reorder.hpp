@@ -13,7 +13,12 @@ namespace rpcg {
 
 /// Returns the RCM ordering as a new-to-old permutation: row i of the
 /// reordered matrix is row perm[i] of the original. Works on the symmetrized
-/// pattern; handles disconnected graphs.
+/// pattern A + Aᵀ (a vertex's degree counts its neighbours there and its
+/// stored diagonal); handles disconnected graphs.
 [[nodiscard]] std::vector<Index> rcm_ordering(const CsrMatrix& a);
+
+/// The same ordering of a symmetrized pattern built once (see
+/// symmetric_pattern), so that several orderings can share it.
+[[nodiscard]] std::vector<Index> rcm_ordering(const SymmetricPattern& g);
 
 }  // namespace rpcg

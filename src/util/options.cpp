@@ -91,7 +91,12 @@ double Options::get_double(const std::string& key, double fallback) const {
 bool Options::get_bool(const std::string& key, bool fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw std::invalid_argument("--" + key +
+                              " must be true, 1, yes, false, 0 or no, got \"" +
+                              v + "\"");
 }
 
 std::vector<long> Options::get_int_list(const std::string& key,

@@ -33,6 +33,8 @@ class Options {
   /// Throws std::invalid_argument unless the whole value is a number strtod
   /// reads without range error ("1e-8x", "abc", "" and "nan" are rejected).
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// true/1/yes or false/0/no (a bare flag is true); any other value
+  /// throws std::invalid_argument naming the flag.
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// Comma-separated integer list, e.g. "--phis=1,3,8"; each item is

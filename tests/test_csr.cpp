@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -140,6 +141,41 @@ TEST(Csr, SubmatrixIsPinned) {
   }
   EXPECT_TRUE(some_row_empty);
   EXPECT_EQ(h, 0xd2e9cc2f9e7c09e7ull) << "0x" << std::hex << h;
+}
+
+// The symmetrized pattern is row i's off-diagonal columns united with the
+// rows that list column i, sorted and unique, on a pattern with one-sided
+// entries, an empty row and rows with and without a stored diagonal.
+TEST(Csr, SymmetricPatternIsAPlusATransposeWithoutDiagonal) {
+  Rng rng(0x5D);
+  TripletBuilder b;
+  for (Index r = 0; r < 60; ++r) {
+    if (r == 17) continue;  // an empty row
+    if (r % 3 != 0) b.add(r, r, 1.0);
+    for (int k = 0; k < 4; ++k) {
+      const auto c = static_cast<Index>(rng.uniform_index(60));
+      if (c != 17) b.add(r, c, 1.0);
+    }
+  }
+  const CsrMatrix a = b.build(60, 60);
+  const SymmetricPattern g = symmetric_pattern(a);
+  ASSERT_EQ(g.rows(), 60);
+  for (Index i = 0; i < 60; ++i) {
+    std::vector<Index> expect;
+    for (const Index c : a.row_cols(i))
+      if (c != i) expect.push_back(c);
+    for (Index r = 0; r < 60; ++r)
+      if (r != i && a.value_at(r, i) != 0.0) expect.push_back(r);
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    const auto got = g.neighbours(i);
+    EXPECT_EQ(std::vector<Index>(got.begin(), got.end()), expect) << i;
+    EXPECT_EQ(g.diagonal[static_cast<std::size_t>(i)] != 0,
+              a.value_at(i, i) != 0.0)
+        << i;
+  }
+  EXPECT_THROW((void)symmetric_pattern(CsrMatrix(2, 3, {0, 0, 0}, {}, {})),
+               std::invalid_argument);
 }
 
 TEST(Csr, TransposeInvolution) {

@@ -33,6 +33,30 @@ TEST(Options, BareBooleanFlag) {
   EXPECT_FALSE(o.get_bool("quiet", false));
 }
 
+// A boolean option reads true/1/yes and false/0/no; any other value is a
+// usage error naming the flag, not a silent false.
+TEST(Options, BoolRejectsWhatItCannotParse) {
+  for (const char* yes : {"--cache=true", "--cache=1", "--cache=yes"})
+    EXPECT_TRUE(parse({yes}).get_bool("cache", false)) << yes;
+  for (const char* no : {"--cache=false", "--cache=0", "--cache=no"})
+    EXPECT_FALSE(parse({no}).get_bool("cache", true)) << no;
+  EXPECT_TRUE(parse({"--cache"}).get_bool("cache", false));
+  EXPECT_FALSE(parse({"--cache", "no"}).get_bool("cache", true));
+  for (const char* bad : {"--cache=ture", "--cache=", "--cache=TRUE",
+                          "--cache=2", "--cache=off"}) {
+    const Options o = parse({bad});
+    EXPECT_THROW((void)o.get_bool("cache", false), std::invalid_argument)
+        << bad;
+  }
+  try {
+    (void)parse({"--cache", "ture"}).get_bool("cache", true);
+    FAIL() << "ture was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--cache must be true, 1, yes, false, 0 or no, got \"ture\"");
+  }
+}
+
 TEST(Options, Fallbacks) {
   const Options o = parse({});
   EXPECT_EQ(o.get_int("missing", 42), 42);

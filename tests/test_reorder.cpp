@@ -64,5 +64,38 @@ TEST(Rcm, SingletonAndEmptyRows) {
   EXPECT_TRUE(is_permutation(rcm_ordering(a), 3));
 }
 
+// Two disconnected 4x4 P1 blocks and one explicit zero at (20, 3) without
+// its mirror: symmetric values on an unsymmetric pattern. RCM must walk
+// A + Aᵀ, so it orders this matrix exactly as the one that stores the
+// mirror too, and returns every row once.
+TEST(Rcm, SymmetrizesOneSidedEntries) {
+  const CsrMatrix block = fem2d_p1(4, 4);
+  TripletBuilder one_sided;
+  TripletBuilder mirrored;
+  for (const Index off : {0, 16}) {
+    for (Index r = 0; r < block.rows(); ++r) {
+      const auto rc = block.row_cols(r);
+      const auto rv = block.row_vals(r);
+      for (std::size_t p = 0; p < rc.size(); ++p) {
+        one_sided.add(off + r, off + rc[p], rv[p]);
+        mirrored.add(off + r, off + rc[p], rv[p]);
+      }
+    }
+  }
+  one_sided.add(20, 3, 0.0);
+  mirrored.add_sym(20, 3, 0.0);
+  const CsrMatrix a = one_sided.build(32, 32);
+  ASSERT_TRUE(a.is_symmetric(1e-10));
+  const auto r3 = a.row_cols(3);
+  const auto r20 = a.row_cols(20);
+  ASSERT_TRUE(std::binary_search(r20.begin(), r20.end(), Index{3}));
+  ASSERT_FALSE(std::binary_search(r3.begin(), r3.end(), Index{20}));
+
+  const auto perm = rcm_ordering(a);
+  EXPECT_TRUE(is_permutation(perm, 32));
+  EXPECT_EQ(perm, rcm_ordering(mirrored.build(32, 32)));
+  EXPECT_NO_THROW((void)a.permuted_symmetric(perm));
+}
+
 }  // namespace
 }  // namespace rpcg
