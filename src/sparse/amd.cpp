@@ -46,10 +46,13 @@ struct QuotientGraph {
     return slot[static_cast<std::size_t>(i) + 1] - slot[static_cast<std::size_t>(i)];
   }
 
-  // Stores element p's variables at the end of the arena; first moves the
-  // live elements' lists (`order` lists every element in creation order,
-  // which is arena order) to its front, without the merged variables every
-  // reader skips, and grows it if that is not room enough.
+  // Stores element p's variables at the end of the arena; when it is full,
+  // first moves the live elements' lists (`order` lists every element in
+  // creation order, which is arena order, among variables that never
+  // became one) to its front, without the merged variables every reader
+  // skips. That always makes room: each entry left is a live variable of
+  // a live element, which the variable's E slot lists too, so the lists
+  // hold at most the initial degrees' sum, and Lp at most n more.
   void append_element(Index p, const std::vector<Index>& lp,
                       const std::vector<Index>& order) {
     const auto need = static_cast<Index>(lp.size());
@@ -67,8 +70,8 @@ struct QuotientGraph {
         vlen[eu] = out - vstart[eu];
       }
       vused = out;
-      if (vused + need > static_cast<Index>(vars.size()))
-        vars.resize(std::max(2 * vars.size(), static_cast<std::size_t>(vused + need)));
+      RPCG_CHECK(vused + need <= static_cast<Index>(vars.size()),
+                 "AMD: the element lists outgrew their arena");
     }
     const auto pu = static_cast<std::size_t>(p);
     vstart[pu] = vused;
@@ -175,8 +178,7 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
 
   std::vector<Index> order_seq;  // eliminated supervariable representatives
   order_seq.reserve(nu);
-  std::vector<Index> elements;  // pivots in elimination order
-  std::vector<Index> lp;        // vars of the pivot element, rebuilt per pivot
+  std::vector<Index> lp;  // vars of the pivot element, rebuilt per pivot
   // Supervariable detection's hash of each var and its buckets: a bucket's
   // head counts only while its stamp is the pivot's.
   std::vector<Index> hash(nu, 0);
@@ -220,8 +222,7 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
     // p becomes element p.
     eliminated_weight += g.nv[pu];
     g.elem_alive[pu] = 1;
-    g.append_element(p, lp, elements);
-    elements.push_back(p);
+    g.append_element(p, lp, order_seq);
     g.alen[pu] = 0;
     g.elen[pu] = 0;
     order_seq.push_back(p);

@@ -215,7 +215,7 @@ TEST(Amd, MorePermutationsArePinned) {
 }
 
 // RCM's permutations of every node block and failed set of the three
-// workload layouts (the same inputs as the AMD pin above).
+// workload layouts (the inputs of Amd.WorkloadBlockPermutationsArePinned).
 TEST(Rcm, WorkloadBlockPermutationsArePinned) {
   struct Layout {
     int matrix;
