@@ -1,6 +1,7 @@
 #include "sparse/amd.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -39,9 +40,16 @@ struct QuotientGraph {
   // Merged variables as child lists in absorption order.
   std::vector<Index> first_child, last_child, next_sibling;
 
-  Index* a_of(Index i) { return a.data() + slot[static_cast<std::size_t>(i)]; }
-  Index* e_of(Index i) { return e.data() + slot[static_cast<std::size_t>(i)]; }
-  Index* vars_of(Index el) { return vars.data() + vstart[static_cast<std::size_t>(el)]; }
+  // A[i], E[i] and vars(el) as they stand.
+  std::span<Index> a_list(Index i) { return slice(a, slot, alen, i); }
+  std::span<Index> e_list(Index i) { return slice(e, slot, elen, i); }
+  std::span<Index> vars_list(Index el) { return slice(vars, vstart, vlen, el); }
+  static std::span<Index> slice(std::vector<Index>& arr,
+                                const std::vector<Index>& start,
+                                const std::vector<Index>& len, Index i) {
+    const auto iu = static_cast<std::size_t>(i);
+    return {arr.data() + start[iu], static_cast<std::size_t>(len[iu])};
+  }
   Index capacity(Index i) const {
     return slot[static_cast<std::size_t>(i) + 1] - slot[static_cast<std::size_t>(i)];
   }
@@ -196,27 +204,26 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
     mark[pu] = stamp;
     lp.clear();
     Index lpw = 0;  // Σ nv over Lp
-    for (const Index* v = g.a_of(p); v != g.a_of(p) + g.alen[pu]; ++v) {
-      const auto vu = static_cast<std::size_t>(*v);
+    for (const Index v : g.a_list(p)) {
+      const auto vu = static_cast<std::size_t>(v);
       if (g.nv[vu] > 0 && mark[vu] != stamp) {
         mark[vu] = stamp;
-        lp.push_back(*v);
+        lp.push_back(v);
         lpw += g.nv[vu];
       }
     }
-    for (const Index* el = g.e_of(p); el != g.e_of(p) + g.elen[pu]; ++el) {
-      const auto eu = static_cast<std::size_t>(*el);
-      if (!g.elem_alive[eu]) continue;
-      for (const Index* v = g.vars_of(*el); v != g.vars_of(*el) + g.vlen[eu]; ++v) {
-        const auto vu = static_cast<std::size_t>(*v);
-        if (g.nv[vu] > 0 && *v != p && mark[vu] != stamp) {
+    for (const Index e : g.e_list(p)) {
+      if (!g.elem_alive[static_cast<std::size_t>(e)]) continue;
+      for (const Index v : g.vars_list(e)) {
+        const auto vu = static_cast<std::size_t>(v);
+        if (g.nv[vu] > 0 && v != p && mark[vu] != stamp) {
           mark[vu] = stamp;
-          lp.push_back(*v);
+          lp.push_back(v);
           lpw += g.nv[vu];
         }
       }
       // Every var of e is now covered by the new element p: e is absorbed.
-      g.absorb(*el);
+      g.absorb(e);
     }
 
     // p becomes element p.
@@ -234,19 +241,17 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
     // (list invariant: v ∈ vars(e) ⟺ e ∈ E[v]), so initializing wval[e] to
     // e's live weight and subtracting nv[i] per visit computes the bound. ---
     for (const Index i : lp) {
-      const auto iu = static_cast<std::size_t>(i);
-      for (const Index* el = g.e_of(i); el != g.e_of(i) + g.elen[iu]; ++el) {
-        const auto eu = static_cast<std::size_t>(*el);
+      for (const Index e : g.e_list(i)) {
+        const auto eu = static_cast<std::size_t>(e);
         if (!g.elem_alive[eu]) continue;
         if (wstamp[eu] != stamp) {
           // Recompute e's live weight, pruning dead vars while at it.
-          Index* ev = g.vars_of(*el);
+          const auto ev = g.vars_list(e);
           Index wt = 0;
           Index keep = 0;
-          for (Index k = 0; k < g.vlen[eu]; ++k) {
-            const Index v = ev[k];
+          for (const Index v : ev) {
             if (g.nv[static_cast<std::size_t>(v)] > 0) {
-              ev[keep++] = v;
+              ev[static_cast<std::size_t>(keep++)] = v;
               wt += g.nv[static_cast<std::size_t>(v)];
             }
           }
@@ -254,7 +259,7 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
           wval[eu] = wt;
           wstamp[eu] = stamp;
         }
-        wval[eu] -= g.nv[iu];
+        wval[eu] -= g.nv[static_cast<std::size_t>(i)];
       }
     }
 
@@ -265,41 +270,40 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
       if (g.nv[iu] <= 0) continue;  // merged by an earlier i this round
 
       // A[i]: drop dead vars and vars inside Lp (covered by element p now).
-      Index* ai = g.a_of(i);
+      const auto ai = g.a_list(i);
       Index keep = 0;
       Index asum = 0;
-      for (Index k = 0; k < g.alen[iu]; ++k) {
-        const Index v = ai[k];
+      for (const Index v : ai) {
         const auto vu = static_cast<std::size_t>(v);
         if (g.nv[vu] <= 0 || mark[vu] == stamp || v == p) continue;
         asum += g.nv[vu];
-        ai[keep++] = v;
+        ai[static_cast<std::size_t>(keep++)] = v;
       }
       g.alen[iu] = keep;
 
       // E[i]: drop dead elements; aggressively absorb any e with
       // Le ⊆ Lp (wval == 0) — its fill is covered by element p. Then p
       // joins at its sorted place.
-      Index* ei = g.e_of(i);
+      const auto ei = g.e_list(i);
       keep = 0;
       Index esum = 0;  // Σ wval[e] for the surviving elements
-      for (Index k = 0; k < g.elen[iu]; ++k) {
-        const Index el = ei[k];
-        const auto eu = static_cast<std::size_t>(el);
+      for (const Index e : ei) {
+        const auto eu = static_cast<std::size_t>(e);
         if (!g.elem_alive[eu]) continue;
         if (wval[eu] == 0 && wstamp[eu] == stamp) {
-          g.absorb(el);
+          g.absorb(e);
           continue;
         }
         esum += wval[eu];
-        ei[keep++] = el;
+        ei[static_cast<std::size_t>(keep++)] = e;
       }
       RPCG_CHECK(g.alen[iu] + keep + 1 <= g.capacity(i),
                  "AMD: a variable's lists outgrew its initial degree");
-      Index at = keep;
-      for (; at > 0 && ei[at - 1] > p; --at) ei[at] = ei[at - 1];
-      ei[at] = p;
       g.elen[iu] = keep + 1;
+      const auto grown = g.e_list(i);
+      auto at = grown.end() - 1;
+      for (; at != grown.begin() && *(at - 1) > p; --at) *at = *(at - 1);
+      *at = p;
 
       // Mass elimination: i's fill row is contained in vars(p), so
       // eliminating i right now adds no fill beyond what p already created.
@@ -334,10 +338,8 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
       const auto iu = static_cast<std::size_t>(*it);
       if (g.nv[iu] <= 0) continue;
       Index h = g.alen[iu] + 37 * g.elen[iu];
-      for (const Index* v = g.a_of(*it); v != g.a_of(*it) + g.alen[iu]; ++v)
-        h = (h * 31 + *v) & 0x7fffffff;
-      for (const Index* el = g.e_of(*it); el != g.e_of(*it) + g.elen[iu]; ++el)
-        h = (h * 31 + *el) & 0x7fffffff;
+      for (const Index v : g.a_list(*it)) h = (h * 31 + v) & 0x7fffffff;
+      for (const Index e : g.e_list(*it)) h = (h * 31 + e) & 0x7fffffff;
       hash[iu] = h;
       const auto b = static_cast<std::size_t>(h % n);
       if (bucket_stamp[b] != stamp) {
@@ -354,9 +356,8 @@ std::vector<Index> amd_ordering(const SymmetricPattern& pattern) {
            j = bucket_next[static_cast<std::size_t>(j)]) {
         const auto ju = static_cast<std::size_t>(j);
         if (hash[ju] != hash[iu] || g.nv[ju] <= 0) continue;
-        if (g.alen[iu] != g.alen[ju] || g.elen[iu] != g.elen[ju] ||
-            !std::equal(g.a_of(i), g.a_of(i) + g.alen[iu], g.a_of(j)) ||
-            !std::equal(g.e_of(i), g.e_of(i) + g.elen[iu], g.e_of(j)))
+        if (!std::ranges::equal(g.a_list(i), g.a_list(j)) ||
+            !std::ranges::equal(g.e_list(i), g.e_list(j)))
           continue;
         // Merge j into i (i precedes j in Lp order — deterministic).
         // i's weighted degree shrank relative to its bucket position only
